@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"javasim/internal/report"
 	"javasim/internal/workload"
 )
 
@@ -307,31 +308,51 @@ func TestPaperPlanShape(t *testing.T) {
 	}
 }
 
-// TestSuiteMethodsMatchPlanReports asserts the imperative figure methods
-// and the declarative plan render byte-identical artifacts.
+// TestSuiteMethodsMatchPlanReports asserts every imperative figure and
+// table method renders the byte-identical artifact of the PaperPlan
+// report it names, at the historical 2-point sweep and at a 3-point
+// sweep.
 func TestSuiteMethodsMatchPlanReports(t *testing.T) {
-	cfg := ExperimentConfig{ThreadCounts: []int{2, 4}, Scale: 0.02, Seed: 99}
-	eng := NewEngine()
 	ctx := context.Background()
-
-	pr, err := eng.RunPlan(ctx, PaperPlan(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	suite := eng.Suite(cfg)
-	fig1a, err := suite.Fig1a(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var imperative, declarative bytes.Buffer
-	if err := fig1a.WriteASCII(&imperative); err != nil {
-		t.Fatal(err)
-	}
-	if err := pr.Reports[0].WriteASCII(&declarative); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(imperative.Bytes(), declarative.Bytes()) {
-		t.Errorf("Fig1a diverged:\n--- imperative\n%s\n--- declarative\n%s",
-			imperative.String(), declarative.String())
+	for _, counts := range [][]int{{2, 4}, {2, 4, 8}} {
+		cfg := ExperimentConfig{ThreadCounts: counts, Scale: 0.02, Seed: 99}
+		eng := NewEngine()
+		pr, err := eng.RunPlan(ctx, PaperPlan(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		suite := eng.Suite(cfg)
+		methods := map[string]func(context.Context) (*report.Table, error){
+			"Fig1a": suite.Fig1a, "Fig1b": suite.Fig1b, "Fig1c": suite.Fig1c, "Fig1d": suite.Fig1d,
+			"Fig2": suite.Fig2, "ClassificationTable": suite.ClassificationTable,
+			"WorkDistributionTable": suite.WorkDistributionTable, "FactorsTable": suite.FactorsTable,
+			"AblationBias": suite.AblationBias, "AblationCompartments": suite.AblationCompartments,
+		}
+		checked := 0
+		for i, rs := range PaperPlan(cfg).Reports {
+			method, ok := methods[rs.Name]
+			if !ok {
+				continue
+			}
+			checked++
+			tb, err := method(ctx)
+			if err != nil {
+				t.Fatalf("%v %s: %v", counts, rs.Name, err)
+			}
+			var imperative, declarative bytes.Buffer
+			if err := tb.WriteASCII(&imperative); err != nil {
+				t.Fatal(err)
+			}
+			if err := pr.Reports[i].WriteASCII(&declarative); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(imperative.Bytes(), declarative.Bytes()) {
+				t.Errorf("%v %s diverged:\n--- imperative\n%s\n--- declarative\n%s",
+					counts, rs.Name, imperative.String(), declarative.String())
+			}
+		}
+		if checked != len(methods) {
+			t.Errorf("%v: matched %d of %d Suite methods to PaperPlan reports", counts, checked, len(methods))
+		}
 	}
 }
