@@ -19,8 +19,6 @@
 package core
 
 import (
-	"context"
-
 	"javasim/internal/fit"
 	"javasim/internal/metrics"
 	"javasim/internal/sim"
@@ -79,20 +77,6 @@ type Sweep struct {
 // count. Open sweeps feed goodput reports; the scalability analyses
 // (Curve, Classify, ComputeFactors) assume thread sweeps.
 func (s *Sweep) Open() bool { return len(s.Points) > 0 && s.Points[0].Rate > 0 }
-
-// RunSweep executes spec at every configured thread count on the shared
-// default engine. Points run concurrently through the engine's bounded
-// worker pool — results are deterministic per (seed, threads) regardless
-// of host scheduling — unless the base config carries shared sinks (trace
-// or lock profiler), in which case the sweep runs sequentially to keep
-// their event streams coherent.
-//
-// Deprecated: construct an Engine and use Engine.Sweep, which adds
-// context cancellation, progress observation, and control over the
-// parallelism bound and cache.
-func RunSweep(spec workload.Spec, cfg SweepConfig) (*Sweep, error) {
-	return DefaultEngine().Sweep(context.Background(), spec, cfg)
-}
 
 // Curve returns the total-execution-time scaling curve.
 func (s *Sweep) Curve() metrics.ScalingCurve {

@@ -10,6 +10,10 @@ import (
 	"javasim/internal/workload"
 )
 
+// testEngine is shared by the tests that only need a memoizing engine,
+// so the points their suites and sweeps have in common simulate once.
+var testEngine = NewEngine()
+
 // testSweep runs a reduced-scale sweep for unit tests.
 func testSweep(t *testing.T, name string, counts []int) *Sweep {
 	t.Helper()
@@ -17,7 +21,7 @@ func testSweep(t *testing.T, name string, counts []int) *Sweep {
 	if !ok {
 		t.Fatalf("unknown workload %s", name)
 	}
-	sw, err := RunSweep(spec.Scale(0.08), SweepConfig{
+	sw, err := testEngine.Sweep(context.Background(), spec.Scale(0.08), SweepConfig{
 		ThreadCounts: counts,
 		Base:         vm.Config{Seed: 11},
 	})
@@ -85,7 +89,7 @@ func TestComputeFactors(t *testing.T) {
 }
 
 func TestSuiteCachesSweeps(t *testing.T) {
-	s := NewSuite(ExperimentConfig{
+	s := testEngine.Suite(ExperimentConfig{
 		ThreadCounts: []int{2, 4},
 		Scale:        0.02,
 		Workloads:    []workload.Spec{workload.XalanSpec()},
@@ -107,7 +111,7 @@ func TestSuiteCachesSweeps(t *testing.T) {
 }
 
 func TestSuiteDefaults(t *testing.T) {
-	s := NewSuite(ExperimentConfig{})
+	s := testEngine.Suite(ExperimentConfig{})
 	cfg := s.Config()
 	if cfg.Scale != 1 || cfg.Seed != 42 || len(cfg.Workloads) != 6 {
 		t.Errorf("defaults = %+v", cfg)
@@ -121,7 +125,7 @@ func smallSuite(counts ...int) *Suite {
 	if len(counts) == 0 {
 		counts = []int{2, 4, 8}
 	}
-	return NewSuite(ExperimentConfig{
+	return testEngine.Suite(ExperimentConfig{
 		ThreadCounts: counts,
 		Scale:        0.04,
 		Seed:         13,
@@ -272,7 +276,7 @@ func TestPaperShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape test runs full workloads; skipped in -short")
 	}
-	s := NewSuite(ExperimentConfig{
+	s := testEngine.Suite(ExperimentConfig{
 		ThreadCounts: []int{4, 16, 32},
 		Scale:        0.3,
 		Seed:         42,

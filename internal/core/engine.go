@@ -141,18 +141,6 @@ func NewEngine(opts ...Option) *Engine {
 	return e
 }
 
-var (
-	defaultEngineOnce sync.Once
-	defaultEngine     *Engine
-)
-
-// DefaultEngine returns the shared process-wide engine that the
-// deprecated free functions (Run, RunSweep, NewSuite) delegate to.
-func DefaultEngine() *Engine {
-	defaultEngineOnce.Do(func() { defaultEngine = NewEngine() })
-	return defaultEngine
-}
-
 // Parallelism reports the engine's simulation concurrency bound.
 func (e *Engine) Parallelism() int { return e.parallelism }
 

@@ -9,7 +9,6 @@ import (
 	"javasim/internal/gc"
 	"javasim/internal/report"
 	"javasim/internal/sim"
-	"javasim/internal/vm"
 	"javasim/internal/workload"
 )
 
@@ -49,8 +48,7 @@ func (c ExperimentConfig) withDefaults() ExperimentConfig {
 // goroutines may generate figures, studies, and ablations on one suite
 // at once, and a sweep two of them need simulates exactly once — the
 // second caller waits for the first and receives the identical *Sweep
-// pointer. Construct suites through Engine.Suite (or the deprecated
-// NewSuite, which binds to the shared default engine).
+// pointer. Construct suites through Engine.Suite.
 type Suite struct {
 	cfg ExperimentConfig
 	eng *Engine
@@ -69,14 +67,6 @@ type sweepCell struct {
 	err  error
 }
 
-// NewSuite builds a suite on the shared default engine.
-//
-// Deprecated: construct an Engine and use Engine.Suite for control over
-// parallelism, caching, and progress observation.
-func NewSuite(cfg ExperimentConfig) *Suite {
-	return DefaultEngine().Suite(cfg)
-}
-
 // Config returns the defaulted configuration.
 func (s *Suite) Config() ExperimentConfig { return s.cfg }
 
@@ -86,7 +76,9 @@ func (s *Suite) Engine() *Engine { return s.eng }
 // SweepFor returns the memoized sweep of the named workload, simulating
 // it (through the engine's bounded pool) at most once per suite no matter
 // how many figures, studies, or concurrent callers ask for it. Repeated
-// calls return the identical *Sweep pointer.
+// calls return the identical *Sweep pointer. The names are those of
+// PaperPlan's scenarios: one per suite workload, plus the single-point
+// §IV ablation scenarios (xalan-max, xalan-biased, xalan-compartmented).
 func (s *Suite) SweepFor(ctx context.Context, name string) (*Sweep, error) {
 	s.mu.Lock()
 	cell, ok := s.sweeps[name]
@@ -122,23 +114,20 @@ func (s *Suite) SweepFor(ctx context.Context, name string) (*Sweep, error) {
 	return cell.sw, cell.err
 }
 
-// runSweep executes the suite's sweep for one workload.
+// runSweep executes the sweep of the suite's PaperPlan scenario of that
+// name, through the same helper RunPlan uses, so the suite and the plan
+// simulate identical points.
 func (s *Suite) runSweep(ctx context.Context, name string) (*Sweep, error) {
-	var spec workload.Spec
-	found := false
-	for _, w := range s.cfg.Workloads {
-		if w.Name == name {
-			spec, found = w, true
-			break
-		}
-	}
-	if !found {
+	p := PaperPlan(s.cfg)
+	sc := p.scenario(name)
+	if sc == nil {
 		return nil, fmt.Errorf("core: workload %q not in suite", name)
 	}
-	return s.eng.Sweep(ctx, spec.Scale(s.cfg.Scale), SweepConfig{
-		ThreadCounts: s.cfg.ThreadCounts,
-		Base:         vm.Config{Seed: s.cfg.Seed},
-	})
+	_, sweeps, err := s.eng.scenarioSweeps(ctx, p, sc)
+	if err != nil {
+		return nil, err
+	}
+	return sweeps[0], nil
 }
 
 // artifact emits the rendered-artifact event on success and passes the
@@ -150,50 +139,34 @@ func (s *Suite) artifact(ctx context.Context, name string, t *report.Table, err 
 	return t, err
 }
 
-// workloadSweeps collects the memoized sweep of every suite workload, in
-// configuration order, with the workload names as row labels.
-func (s *Suite) workloadSweeps(ctx context.Context) ([]string, []*Sweep, error) {
-	labels := make([]string, 0, len(s.cfg.Workloads))
-	sweeps := make([]*Sweep, 0, len(s.cfg.Workloads))
-	for _, w := range s.cfg.Workloads {
-		sw, err := s.SweepFor(ctx, w.Name)
-		if err != nil {
-			return nil, nil, err
+// paperArtifact renders the named PaperPlan report through the kind
+// table and emits its ArtifactRendered event. The suite keeps no copy of
+// any artifact's title, note, scenario set, or ablation config: PaperPlan
+// is their one declaration.
+func (s *Suite) paperArtifact(ctx context.Context, name string) (*report.Table, error) {
+	p := PaperPlan(s.cfg)
+	rs := p.report(name)
+	names := rs.named()
+	sweeps := make([]*Sweep, len(names))
+	for i, n := range names {
+		var err error
+		if sweeps[i], err = s.SweepFor(ctx, n); err != nil {
+			return nil, err
 		}
-		labels = append(labels, w.Name)
-		sweeps = append(sweeps, sw)
 	}
-	return labels, sweeps, nil
-}
-
-// seriesTable renders one metric per (workload, thread count).
-func (s *Suite) seriesTable(ctx context.Context, title string, m Metric) (*report.Table, error) {
-	labels, sweeps, err := s.workloadSweeps(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return renderSeries(title, "workload", labels, sweeps, m)
+	t, err := render(rs.Kind, &inputs{spec: *rs, labels: names, sweeps: sweeps})
+	return s.artifact(ctx, name, t, err)
 }
 
 // Fig1a reproduces Figure 1a: total lock acquisitions per run versus
 // thread count, for all six benchmarks.
 func (s *Suite) Fig1a(ctx context.Context) (*report.Table, error) {
-	t, err := s.seriesTable(ctx, "Figure 1a — lock acquisitions vs threads", MetricAcquisitions)
-	if err != nil {
-		return nil, err
-	}
-	t.Note = "paper: acquisitions grow with threads for scalable apps, flat for non-scalable"
-	return s.artifact(ctx, "Fig1a", t, nil)
+	return s.paperArtifact(ctx, "Fig1a")
 }
 
 // Fig1b reproduces Figure 1b: lock contention instances versus threads.
 func (s *Suite) Fig1b(ctx context.Context) (*report.Table, error) {
-	t, err := s.seriesTable(ctx, "Figure 1b — lock contentions vs threads", MetricContentions)
-	if err != nil {
-		return nil, err
-	}
-	t.Note = "paper: contentions grow with threads for scalable apps, flat for non-scalable"
-	return s.artifact(ctx, "Fig1b", t, nil)
+	return s.paperArtifact(ctx, "Fig1b")
 }
 
 // cdfLimits are the lifespan bucket boundaries (bytes) used for the
@@ -207,33 +180,20 @@ func (s *Suite) LifespanCDF(ctx context.Context, name string, lowThreads, highTh
 	if err != nil {
 		return nil, err
 	}
-	return renderLifespanCDF(sw, lowThreads, highThreads)
+	return renderLifespanCDF(&inputs{spec: ReportSpec{LowThreads: lowThreads, HighThreads: highThreads},
+		labels: []string{name}, sweeps: []*Sweep{sw}})
 }
 
 // Fig1c reproduces Figure 1c: eclipse's lifetime CDF at 4 vs 48 threads
 // (insensitive to thread count — non-scalable).
 func (s *Suite) Fig1c(ctx context.Context) (*report.Table, error) {
-	lo, hi := s.loHi()
-	t, err := s.LifespanCDF(ctx, "eclipse", lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	t.Title = "Figure 1c — " + t.Title
-	t.Note = "paper: eclipse's distribution shows almost no change with thread count"
-	return s.artifact(ctx, "Fig1c", t, nil)
+	return s.paperArtifact(ctx, "Fig1c")
 }
 
 // Fig1d reproduces Figure 1d: xalan's lifetime CDF at 4 vs 48 threads
 // (lifespans stretch as threads scale — the paper's headline GC finding).
 func (s *Suite) Fig1d(ctx context.Context) (*report.Table, error) {
-	lo, hi := s.loHi()
-	t, err := s.LifespanCDF(ctx, "xalan", lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	t.Title = "Figure 1d — " + t.Title
-	t.Note = "paper: xalan drops from >80% of objects <1KB at 4 threads to ~50% at 48"
-	return s.artifact(ctx, "Fig1d", t, nil)
+	return s.paperArtifact(ctx, "Fig1d")
 }
 
 func (s *Suite) loHi() (int, int) {
@@ -244,24 +204,7 @@ func (s *Suite) loHi() (int, int) {
 // Fig2 reproduces Figure 2: the mutator/GC time split of the scalable
 // trio across the thread sweep.
 func (s *Suite) Fig2(ctx context.Context) (*report.Table, error) {
-	var labels []string
-	var sweeps []*Sweep
-	for _, name := range []string{"sunflow", "lusearch", "xalan"} {
-		if !s.hasWorkload(name) {
-			continue
-		}
-		sw, err := s.SweepFor(ctx, name)
-		if err != nil {
-			return nil, err
-		}
-		labels = append(labels, name)
-		sweeps = append(sweeps, sw)
-	}
-	t := renderMutatorGC(
-		"Figure 2 — distribution of mutator and GC times (scalable applications)",
-		"paper: mutator time keeps falling through 48 threads while GC time grows",
-		labels, sweeps)
-	return s.artifact(ctx, "Fig2", t, nil)
+	return s.paperArtifact(ctx, "Fig2")
 }
 
 // Fig2Chart renders Figure 2 as an ASCII chart: per scalable workload,
@@ -269,10 +212,7 @@ func (s *Suite) Fig2(ctx context.Context) (*report.Table, error) {
 // way to eyeball the crossing shapes in a terminal.
 func (s *Suite) Fig2Chart(ctx context.Context) ([]*report.Chart, error) {
 	var out []*report.Chart
-	for _, name := range []string{"sunflow", "lusearch", "xalan"} {
-		if !s.hasWorkload(name) {
-			continue
-		}
+	for _, name := range PaperPlan(s.cfg).report("Fig2").Scenarios {
 		sw, err := s.SweepFor(ctx, name)
 		if err != nil {
 			return nil, err
@@ -303,33 +243,16 @@ func (s *Suite) Fig2Chart(ctx context.Context) ([]*report.Chart, error) {
 	return out, nil
 }
 
-func (s *Suite) hasWorkload(name string) bool {
-	for _, w := range s.cfg.Workloads {
-		if w.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
 // ClassificationTable reproduces the §II-C characterization: which
 // applications are scalable, with speedups and the paper agreement check.
 func (s *Suite) ClassificationTable(ctx context.Context) (*report.Table, error) {
-	labels, sweeps, err := s.workloadSweeps(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return s.artifact(ctx, "ClassificationTable", renderClassification(labels, sweeps), nil)
+	return s.paperArtifact(ctx, "ClassificationTable")
 }
 
 // WorkDistributionTable reproduces the §III workload-distribution
 // observation: non-scalable applications concentrate work in 3-4 threads.
 func (s *Suite) WorkDistributionTable(ctx context.Context) (*report.Table, error) {
-	labels, sweeps, err := s.workloadSweeps(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return s.artifact(ctx, "WorkDistributionTable", renderWorkDistribution(labels, sweeps), nil)
+	return s.paperArtifact(ctx, "WorkDistributionTable")
 }
 
 func imbalance(shares []float64) float64 {
@@ -349,60 +272,21 @@ func imbalance(shares []float64) float64 {
 // FactorsTable summarizes the factor decomposition for every workload —
 // the paper's analysis condensed to one row per benchmark.
 func (s *Suite) FactorsTable(ctx context.Context) (*report.Table, error) {
-	labels, sweeps, err := s.workloadSweeps(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return s.artifact(ctx, "FactorsTable", renderFactors(labels, sweeps), nil)
+	return s.paperArtifact(ctx, "FactorsTable")
 }
 
 // AblationBias evaluates the paper's first future-work proposal (§IV):
 // phase-biased scheduling, which staggers worker-thread groups in time to
 // reduce lifetime interference. Reported on xalan at the largest count.
 func (s *Suite) AblationBias(ctx context.Context) (*report.Table, error) {
-	t, err := s.ablation(ctx, "Ablation — phase-biased scheduling (paper §IV, suggestion 1)",
-		func(cfg *vm.Config) {
-			cfg.Sched.Bias.Groups = 2
-			cfg.Sched.Bias.PhaseLength = 2 * sim.Millisecond
-		},
-		"paper hypothesis: staggering threads shortens lifespans and cuts contention at some throughput cost")
-	return s.artifact(ctx, "AblationBias", t, err)
+	return s.paperArtifact(ctx, "AblationBias")
 }
 
 // AblationCompartments evaluates the paper's second future-work proposal
 // (§IV): a compartmentalized heap isolating thread groups' objects, which
 // should shorten collection pauses.
 func (s *Suite) AblationCompartments(ctx context.Context) (*report.Table, error) {
-	t, err := s.ablation(ctx, "Ablation — compartmentalized heap (paper §IV, suggestion 2)",
-		func(cfg *vm.Config) { cfg.Compartments = 4 },
-		"paper hypothesis: per-group heap compartments shorten GC pause times")
-	return s.artifact(ctx, "AblationCompartments", t, err)
-}
-
-func (s *Suite) ablation(ctx context.Context, title string, modify func(*vm.Config), note string) (*report.Table, error) {
-	spec, ok := workload.Lookup("xalan")
-	if !ok {
-		return nil, fmt.Errorf("core: xalan spec missing")
-	}
-	spec = spec.Scale(s.cfg.Scale)
-	_, hi := s.loHi()
-
-	runOne := func(mod func(*vm.Config)) (*vm.Result, error) {
-		cfg := vm.Config{Seed: s.cfg.Seed, Threads: hi}
-		if mod != nil {
-			mod(&cfg)
-		}
-		return s.eng.Run(ctx, spec, cfg)
-	}
-	base, err := runOne(nil)
-	if err != nil {
-		return nil, err
-	}
-	mod, err := runOne(modify)
-	if err != nil {
-		return nil, err
-	}
-	return renderCompare(title+fmt.Sprintf(" — xalan @ %d threads", hi), note, base, mod), nil
+	return s.paperArtifact(ctx, "AblationCompartments")
 }
 
 func meanPause(ps []gc.Pause) sim.Time {

@@ -144,7 +144,7 @@ func TestRenderCompareColumns(t *testing.T) {
 	}
 	names := []string{"serial", "parallel", "conc"}
 	results := []*vm.Result{mk(gc.PolicyStwSerial), mk(gc.PolicyStwParallel), mk(gc.PolicyConcurrent)}
-	tbl := renderCompareColumns("t", "", names, results)
+	tbl := renderCompareColumns(names, results)
 	wantHeaders := []string{"metric", "serial", "parallel [gc=stw-parallel]", "conc [gc=concurrent]"}
 	if len(tbl.Headers) != len(wantHeaders) {
 		t.Fatalf("headers = %v", tbl.Headers)
@@ -165,7 +165,7 @@ func TestRenderCompareColumns(t *testing.T) {
 	}
 
 	// All-default columns keep the historical row set: no phases row.
-	tbl = renderCompareColumns("t", "", []string{"a", "b"}, []*vm.Result{mk(""), mk(gc.PolicyStwSerial)})
+	tbl = renderCompareColumns([]string{"a", "b"}, []*vm.Result{mk(""), mk(gc.PolicyStwSerial)})
 	for _, row := range tbl.Rows {
 		if row[0] == "gc phases s/s/c" {
 			t.Error("phases row rendered for all-default GC columns")

@@ -17,7 +17,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden artifact file"
 // `go test ./internal/core/ -run TestGolden -update` to accept it
 // deliberately.
 func TestGoldenArtifacts(t *testing.T) {
-	suite := NewSuite(ExperimentConfig{
+	suite := testEngine.Suite(ExperimentConfig{
 		ThreadCounts: []int{2, 4},
 		Scale:        0.02,
 		Seed:         12345,

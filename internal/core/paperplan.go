@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"javasim/internal/fit"
 	"javasim/internal/sim"
@@ -54,10 +55,8 @@ func PaperPlan(cfg ExperimentConfig) *Plan {
 	// silently narrows to whichever of the three the config kept.
 	var trio []string
 	for _, name := range []string{"sunflow", "lusearch", "xalan"} {
-		for _, w := range workloadNames {
-			if w == name {
-				trio = append(trio, name)
-			}
+		if slices.Contains(workloadNames, name) {
+			trio = append(trio, name)
 		}
 	}
 

@@ -5,11 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
-	"strings"
 	"sync"
 
-	"javasim/internal/fit"
 	"javasim/internal/gc"
 	"javasim/internal/locks"
 	"javasim/internal/machine"
@@ -57,24 +54,6 @@ const (
 	// counts to fit.
 	OutputUSL Output = "usl"
 )
-
-var validOutputs = map[Output]bool{
-	OutputSweep: true, OutputClassification: true, OutputFactors: true,
-	OutputLifespanCDF: true, OutputReplication: true, OutputGoodput: true,
-	OutputUSL: true,
-}
-
-// knownNames lists a validity map's keys, sorted, for "unknown X"
-// error messages — a rejection should always name what would have been
-// accepted.
-func knownNames[K ~string](valid map[K]bool) string {
-	names := make([]string, 0, len(valid))
-	for k := range valid {
-		names = append(names, string(k))
-	}
-	sort.Strings(names)
-	return strings.Join(names, ", ")
-}
 
 // ConfigOverrides is the serializable subset of vm.Config a scenario may
 // override — the ablation deltas of the paper's studies. The zero value
@@ -328,8 +307,9 @@ type Scenario struct {
 	Outputs []Output `json:",omitempty"`
 }
 
-// validate checks one scenario against the plan's defaults.
-func (sc *Scenario) validate(p *Plan) error {
+// validate checks one scenario's own fields; its outputs are checked
+// against the kind table by Plan.Validate.
+func (sc *Scenario) validate() error {
 	if sc.Name == "" {
 		return fmt.Errorf("core: scenario with empty name")
 	}
@@ -359,28 +339,6 @@ func (sc *Scenario) validate(p *Plan) error {
 			return fmt.Errorf("core: scenario %q: open-system runs take a single iteration", sc.Name)
 		}
 	}
-	for _, out := range sc.Outputs {
-		if !validOutputs[out] {
-			return fmt.Errorf("core: scenario %q: unknown output %q (known: %s)", sc.Name, out, knownNames(validOutputs))
-		}
-		if out == OutputReplication && sc.repeats() < 2 {
-			return fmt.Errorf("core: scenario %q: replication output needs Repeats >= 2", sc.Name)
-		}
-		// The scalability outputs read thread sweeps and the goodput
-		// output reads rate sweeps; neither renders the other's axis.
-		if sc.Traffic != nil && out != OutputGoodput && out != OutputReplication {
-			return fmt.Errorf("core: scenario %q: output %q reads thread sweeps — Traffic scenarios render %q", sc.Name, out, OutputGoodput)
-		}
-		if sc.Traffic == nil && out == OutputGoodput {
-			return fmt.Errorf("core: scenario %q: output %q needs a Traffic block", sc.Name, OutputGoodput)
-		}
-		if out == OutputUSL && sc.Traffic == nil {
-			if counts := sc.threadCounts(p); len(counts) < fit.MinPoints {
-				return fmt.Errorf("core: scenario %q: usl output needs at least %d thread counts to fit, have %v — a degenerate sweep cannot separate contention from coherency",
-					sc.Name, fit.MinPoints, counts)
-			}
-		}
-	}
 	return nil
 }
 
@@ -393,6 +351,26 @@ func (sc *Scenario) threadCounts(p *Plan) []int {
 	default:
 		return DefaultThreadCounts
 	}
+}
+
+// grid is the scenario's sweep axis as numbers: its offered rates, or
+// its thread counts.
+func (sc *Scenario) grid(p *Plan) []float64 {
+	if sc.Traffic != nil {
+		return sc.Traffic.Rates
+	}
+	counts := sc.threadCounts(p)
+	g := make([]float64, len(counts))
+	for i, n := range counts {
+		g[i] = float64(n)
+	}
+	return g
+}
+
+// top is the scenario's largest thread count.
+func (sc *Scenario) top(p *Plan) int {
+	counts := sc.threadCounts(p)
+	return counts[len(counts)-1]
 }
 
 func (sc *Scenario) scale(p *Plan) float64 {
@@ -481,13 +459,6 @@ const (
 	ReportUSL ReportKind = "usl"
 )
 
-var validReportKinds = map[ReportKind]bool{
-	ReportSeries: true, ReportLifespanCDF: true, ReportMutatorGC: true,
-	ReportClassification: true, ReportWorkDistribution: true,
-	ReportFactors: true, ReportCompare: true, ReportGoodput: true,
-	ReportUSL: true,
-}
-
 // Metric selects the number a series report extracts from each sweep
 // point.
 type Metric string
@@ -501,12 +472,6 @@ const (
 	MetricGCShare        Metric = "gc-share"
 	MetricCDFBelow1KB    Metric = "cdf-below-1kb"
 )
-
-var validMetrics = map[Metric]bool{
-	MetricAcquisitions: true, MetricContentions: true, MetricTotalSeconds: true,
-	MetricMutatorSeconds: true, MetricGCSeconds: true, MetricGCShare: true,
-	MetricCDFBelow1KB: true,
-}
 
 // ReportSpec declares one cross-scenario artifact of a plan.
 type ReportSpec struct {
@@ -541,83 +506,13 @@ type ReportSpec struct {
 	Modified string `json:",omitempty"`
 }
 
-// compareScenarios resolves the columns of a compare report: the
-// Baseline/Modified pair, or the explicit Scenarios list (first entry is
-// the baseline).
-func (rs *ReportSpec) compareScenarios() []string {
+// named lists the scenarios a report names: its Baseline/Modified pair,
+// or its Scenarios (empty meaning every scenario).
+func (rs *ReportSpec) named() []string {
 	if rs.Baseline != "" || rs.Modified != "" {
 		return []string{rs.Baseline, rs.Modified}
 	}
 	return rs.Scenarios
-}
-
-// validate checks a report against the plan's scenario set.
-func (rs *ReportSpec) validate(scenarios map[string]bool) error {
-	if rs.Name == "" {
-		return fmt.Errorf("core: report with empty name")
-	}
-	ref := func(name string) error {
-		if !scenarios[name] {
-			return fmt.Errorf("core: report %q references unknown scenario %q", rs.Name, name)
-		}
-		return nil
-	}
-	for _, n := range rs.Scenarios {
-		if err := ref(n); err != nil {
-			return err
-		}
-	}
-	if !validReportKinds[rs.Kind] {
-		return fmt.Errorf("core: report %q: unknown kind %q (known: %s)", rs.Name, rs.Kind, knownNames(validReportKinds))
-	}
-	// Fields that only apply to one kind are rejected elsewhere, so a
-	// setting that would be silently ignored surfaces at validation time.
-	inapplicable := func(field string, set bool, kind ReportKind) error {
-		if set && rs.Kind != kind {
-			return fmt.Errorf("core: report %q: %s only applies to %q reports", rs.Name, field, kind)
-		}
-		return nil
-	}
-	for _, err := range []error{
-		inapplicable("Metric", rs.Metric != "", ReportSeries),
-		inapplicable("Key", rs.Key != "", ReportSeries),
-		inapplicable("LowThreads/HighThreads", rs.LowThreads != 0 || rs.HighThreads != 0, ReportLifespanCDF),
-		inapplicable("Baseline/Modified", rs.Baseline != "" || rs.Modified != "", ReportCompare),
-	} {
-		if err != nil {
-			return err
-		}
-	}
-	switch rs.Kind {
-	case ReportSeries:
-		if !validMetrics[rs.Metric] {
-			return fmt.Errorf("core: report %q: unknown metric %q (known: %s)", rs.Name, rs.Metric, knownNames(validMetrics))
-		}
-	case ReportLifespanCDF:
-		if len(rs.Scenarios) != 1 {
-			return fmt.Errorf("core: report %q: lifespan-cdf takes exactly one scenario", rs.Name)
-		}
-	case ReportMutatorGC, ReportClassification, ReportWorkDistribution, ReportFactors, ReportGoodput, ReportUSL:
-	case ReportCompare:
-		switch {
-		case rs.Baseline == "" && rs.Modified == "":
-			if len(rs.Scenarios) < 2 {
-				return fmt.Errorf("core: report %q: compare needs Baseline and Modified, or at least two Scenarios", rs.Name)
-			}
-		case rs.Baseline == "" || rs.Modified == "":
-			return fmt.Errorf("core: report %q: compare needs Baseline and Modified", rs.Name)
-		case len(rs.Scenarios) > 0:
-			return fmt.Errorf("core: report %q: compare takes either Baseline/Modified or Scenarios, not both", rs.Name)
-		default:
-			if err := ref(rs.Baseline); err != nil {
-				return err
-			}
-			if err := ref(rs.Modified); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // Plan is an ordered set of scenarios plus the reports rendered across
@@ -650,7 +545,8 @@ type Plan struct {
 
 // Validate reports structural errors: missing or duplicate scenario
 // names, unresolvable workload references, unknown outputs, metrics, or
-// report kinds, and reports referencing absent scenarios.
+// report kinds, reports referencing absent scenarios, and any output or
+// report whose scenarios miss a requirement its kind declares.
 func (p *Plan) Validate() error {
 	if len(p.Scenarios) == 0 {
 		return fmt.Errorf("core: plan %q has no scenarios", p.Name)
@@ -661,192 +557,69 @@ func (p *Plan) Validate() error {
 	if err := validThreadCounts(p.ThreadCounts); err != nil {
 		return fmt.Errorf("core: plan %q: %w", p.Name, err)
 	}
-	if err := locks.ValidatePolicy(p.LockPolicy); err != nil {
+	// The plan's policy defaults obey the same registry checks as a
+	// scenario's overrides of them.
+	defaults := ConfigOverrides{LockPolicy: p.LockPolicy, Placement: p.Placement, GCPolicy: p.GCPolicy, Machine: p.Machine}
+	if err := defaults.validate(); err != nil {
 		return fmt.Errorf("core: plan %q: %w", p.Name, err)
 	}
-	if err := sched.ValidatePlacement(p.Placement); err != nil {
-		return fmt.Errorf("core: plan %q: %w", p.Name, err)
-	}
-	if err := gc.ValidatePolicy(p.GCPolicy); err != nil {
-		return fmt.Errorf("core: plan %q: %w", p.Name, err)
-	}
-	if err := machine.ValidateModel(p.Machine); err != nil {
-		return fmt.Errorf("core: plan %q: %w", p.Name, err)
-	}
-	names := make(map[string]bool, len(p.Scenarios))
+	byName := make(map[string]*Scenario, len(p.Scenarios))
 	for i := range p.Scenarios {
 		sc := &p.Scenarios[i]
-		if err := sc.validate(p); err != nil {
+		if err := sc.validate(); err != nil {
 			return err
 		}
-		if names[sc.Name] {
+		if byName[sc.Name] != nil {
 			return fmt.Errorf("core: duplicate scenario name %q", sc.Name)
 		}
-		names[sc.Name] = true
+		byName[sc.Name] = sc
+		// Every output and report is checked against its kind-table entry.
+		for _, out := range sc.Outputs {
+			if _, ok := kinds[out]; !ok {
+				return fmt.Errorf("core: scenario %q: unknown output %q (known: %s)", sc.Name, out, known(out, nil))
+			}
+			if err := p.require(out, fmt.Sprintf("scenario %q: %s output", sc.Name, out), nil, []*Scenario{sc}); err != nil {
+				return err
+			}
+		}
 	}
 	reports := make(map[string]bool, len(p.Reports))
 	for i := range p.Reports {
 		rs := &p.Reports[i]
-		if err := rs.validate(names); err != nil {
+		if err := checkReport(rs, byName); err != nil {
 			return err
 		}
 		if reports[rs.Name] {
 			return fmt.Errorf("core: duplicate report name %q", rs.Name)
 		}
 		reports[rs.Name] = true
-		if err := p.checkTrafficRefs(rs); err != nil {
+		names := p.reportScenarios(rs)
+		scs := make([]*Scenario, len(names))
+		for j, n := range names {
+			scs[j] = byName[n]
+		}
+		if err := p.require(rs.Kind, fmt.Sprintf("report %q: %s report", rs.Name, rs.Kind), rs, scs); err != nil {
 			return err
 		}
-		switch rs.Kind {
-		case ReportSeries:
-			if err := p.checkSeriesCounts(rs); err != nil {
-				return err
-			}
-		case ReportLifespanCDF:
-			if err := p.checkCDFThreads(rs); err != nil {
-				return err
-			}
-		case ReportCompare:
-			if err := p.checkCompareThreads(rs); err != nil {
-				return err
-			}
-		case ReportGoodput:
-			if err := p.checkGoodputRates(rs); err != nil {
-				return err
-			}
-		case ReportUSL:
-			if err := p.checkUSLCounts(rs); err != nil {
-				return err
-			}
-		}
 	}
 	return nil
 }
 
-// checkTrafficRefs enforces the axis split between report kinds: goodput
-// reports read rate sweeps, every other kind reads thread sweeps, and a
-// report referencing the wrong scenario flavor would render nonsense.
-func (p *Plan) checkTrafficRefs(rs *ReportSpec) error {
-	byName := make(map[string]*Scenario, len(p.Scenarios))
+// scenario returns the named scenario, or nil.
+func (p *Plan) scenario(name string) *Scenario {
 	for i := range p.Scenarios {
-		byName[p.Scenarios[i].Name] = &p.Scenarios[i]
-	}
-	names := p.reportScenarios(rs)
-	if rs.Kind == ReportCompare && (rs.Baseline != "" || rs.Modified != "") {
-		names = rs.compareScenarios()
-	}
-	for _, name := range names {
-		sc := byName[name]
-		if sc == nil {
-			continue // unknown references were rejected above
-		}
-		if rs.Kind == ReportGoodput && sc.Traffic == nil {
-			return fmt.Errorf("core: report %q: goodput reports read rate sweeps, but scenario %q has no Traffic block", rs.Name, name)
-		}
-		if rs.Kind != ReportGoodput && sc.Traffic != nil {
-			return fmt.Errorf("core: report %q: kind %q reads thread sweeps, but scenario %q sweeps offered rates", rs.Name, rs.Kind, name)
+		if p.Scenarios[i].Name == name {
+			return &p.Scenarios[i]
 		}
 	}
 	return nil
 }
 
-// checkGoodputRates rejects goodput reports whose scenarios sweep
-// different rate grids: their rows would compare unlike offered loads.
-func (p *Plan) checkGoodputRates(rs *ReportSpec) error {
-	byName := make(map[string]*Scenario, len(p.Scenarios))
-	for i := range p.Scenarios {
-		byName[p.Scenarios[i].Name] = &p.Scenarios[i]
-	}
-	picked := p.reportScenarios(rs)
-	var first []float64
-	for i, name := range picked {
-		rates := byName[name].Traffic.Rates
-		if i == 0 {
-			first = rates
-			continue
-		}
-		same := len(rates) == len(first)
-		for j := 0; same && j < len(rates); j++ {
-			same = rates[j] == first[j]
-		}
-		if !same {
-			return fmt.Errorf("core: report %q: scenario %q sweeps rates %v but %q sweeps %v — goodput rows must share the rate grid",
-				rs.Name, picked[0], first, name, rates)
-		}
-	}
-	return nil
-}
-
-// checkUSLCounts rejects usl reports over sweeps too short to fit: with
-// two shape parameters plus the throughput scale, fewer than
-// fit.MinPoints points is an interpolation, and the typo surfaces
-// before simulating rather than as a fit error mid-plan.
-func (p *Plan) checkUSLCounts(rs *ReportSpec) error {
-	byName := make(map[string]*Scenario, len(p.Scenarios))
-	for i := range p.Scenarios {
-		byName[p.Scenarios[i].Name] = &p.Scenarios[i]
-	}
-	for _, name := range p.reportScenarios(rs) {
-		sc := byName[name]
-		if sc == nil || sc.Traffic != nil {
-			continue // unknown and rate-sweep references were rejected above
-		}
-		counts := sc.threadCounts(p)
-		if len(counts) < fit.MinPoints {
-			return fmt.Errorf("core: report %q: scenario %q sweeps only %d thread counts (%v) — a usl fit needs at least %d points to separate contention from coherency",
-				rs.Name, name, len(counts), counts, fit.MinPoints)
-		}
-	}
-	return nil
-}
-
-// checkCompareThreads rejects compare reports whose scenarios top out at
-// different thread counts: the contrast would mix a config delta with a
-// thread-count delta and silently mislead.
-func (p *Plan) checkCompareThreads(rs *ReportSpec) error {
-	top := func(name string) int {
-		for i := range p.Scenarios {
-			if p.Scenarios[i].Name == name {
-				counts := p.Scenarios[i].threadCounts(p)
-				return counts[len(counts)-1]
-			}
-		}
-		return 0
-	}
-	names := rs.compareScenarios()
-	base := top(names[0])
-	for _, name := range names[1:] {
-		if m := top(name); m != base {
-			return fmt.Errorf("core: report %q: %q tops out at %d threads but %q at %d — compare contrasts the largest points, which must match",
-				rs.Name, names[0], base, name, m)
-		}
-	}
-	return nil
-}
-
-// checkCDFThreads rejects lifespan-cdf reports whose explicit low/high
-// thread counts are not points of their scenario's sweep — the sweep
-// counts are known statically, so the typo surfaces before simulating.
-func (p *Plan) checkCDFThreads(rs *ReportSpec) error {
-	var counts []int
-	for i := range p.Scenarios {
-		if p.Scenarios[i].Name == rs.Scenarios[0] {
-			counts = p.Scenarios[i].threadCounts(p)
-		}
-	}
-	for _, want := range []int{rs.LowThreads, rs.HighThreads} {
-		if want == 0 {
-			continue
-		}
-		found := false
-		for _, n := range counts {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			return fmt.Errorf("core: report %q: thread count %d not in scenario %q's sweep %v",
-				rs.Name, want, rs.Scenarios[0], counts)
+// report returns the named report spec, or nil.
+func (p *Plan) report(name string) *ReportSpec {
+	for i := range p.Reports {
+		if p.Reports[i].Name == name {
+			return &p.Reports[i]
 		}
 	}
 	return nil
@@ -856,41 +629,14 @@ func (p *Plan) checkCDFThreads(rs *ReportSpec) error {
 // list, or every scenario in plan order when the list is empty. Both
 // validation and rendering use this one rule.
 func (p *Plan) reportScenarios(rs *ReportSpec) []string {
-	if len(rs.Scenarios) > 0 {
-		return rs.Scenarios
+	if names := rs.named(); len(names) > 0 {
+		return names
 	}
 	names := make([]string, len(p.Scenarios))
 	for i := range p.Scenarios {
 		names[i] = p.Scenarios[i].Name
 	}
 	return names
-}
-
-// checkSeriesCounts rejects series reports whose scenarios sweep
-// different thread counts: their rows would not share columns.
-func (p *Plan) checkSeriesCounts(rs *ReportSpec) error {
-	byName := make(map[string]*Scenario, len(p.Scenarios))
-	for i := range p.Scenarios {
-		byName[p.Scenarios[i].Name] = &p.Scenarios[i]
-	}
-	picked := p.reportScenarios(rs)
-	var first []int
-	for i, name := range picked {
-		counts := byName[name].threadCounts(p)
-		if i == 0 {
-			first = counts
-			continue
-		}
-		same := len(counts) == len(first)
-		for j := 0; same && j < len(counts); j++ {
-			same = counts[j] == first[j]
-		}
-		if !same {
-			return fmt.Errorf("core: report %q: scenario %q sweeps %v but %q sweeps %v — series rows must share thread counts",
-				rs.Name, picked[0], first, name, counts)
-		}
-	}
-	return nil
 }
 
 // WriteJSON renders the plan as indented JSON — the plan-file format
@@ -1010,7 +756,12 @@ func (e *Engine) RunPlan(ctx context.Context, p *Plan) (*PlanResult, error) {
 	}
 	for i := range p.Reports {
 		rs := &p.Reports[i]
-		t, err := renderReport(p, rs, byName)
+		names := p.reportScenarios(rs)
+		sweeps := make([]*Sweep, len(names))
+		for j, name := range names {
+			sweeps[j] = byName[name].Sweep()
+		}
+		t, err := render(rs.Kind, &inputs{spec: *rs, labels: names, sweeps: sweeps})
 		if err != nil {
 			return nil, err
 		}
@@ -1023,9 +774,28 @@ func (e *Engine) RunPlan(ctx context.Context, p *Plan) (*PlanResult, error) {
 
 // runScenario executes one scenario's repeats and renders its outputs.
 func (e *Engine) runScenario(ctx context.Context, p *Plan, sc *Scenario) (*ScenarioResult, error) {
-	spec, err := sc.Workload.Resolve()
+	spec, sweeps, err := e.scenarioSweeps(ctx, p, sc)
 	if err != nil {
 		return nil, err
+	}
+	res := &ScenarioResult{Name: sc.Name, Workload: spec.Name, Sweeps: sweeps}
+	for _, out := range sc.Outputs {
+		t, err := render(out, &inputs{labels: []string{sc.Name}, sweeps: sweeps[:1], repeats: sweeps})
+		if err != nil {
+			return nil, err
+		}
+		res.Tables = append(res.Tables, t)
+	}
+	e.emit(ctx, Event{Kind: ScenarioDone, Scenario: sc.Name, Workload: spec.Name, Seed: sc.seed(p)})
+	return res, nil
+}
+
+// scenarioSweeps resolves one scenario's workload and runs its sweep once
+// per repeat, repeat 0 first.
+func (e *Engine) scenarioSweeps(ctx context.Context, p *Plan, sc *Scenario) (workload.Spec, []*Sweep, error) {
+	spec, err := sc.Workload.Resolve()
+	if err != nil {
+		return spec, nil, err
 	}
 	if scale := sc.scale(p); scale != 1 {
 		spec = spec.Scale(scale)
@@ -1042,146 +812,16 @@ func (e *Engine) runScenario(ctx context.Context, p *Plan, sc *Scenario) (*Scena
 		swCfg = SweepConfig{Rates: sc.Traffic.Rates}
 	}
 
-	res := &ScenarioResult{Name: sc.Name, Workload: spec.Name}
+	var sweeps []*Sweep
 	for i := 0; i < sc.repeats(); i++ {
 		cfg := base
 		cfg.Seed = deriveSeed(seed, i)
 		swCfg.Base = cfg
 		sw, err := e.Sweep(ctx, spec, swCfg)
 		if err != nil {
-			return nil, err
+			return spec, nil, err
 		}
-		res.Sweeps = append(res.Sweeps, sw)
+		sweeps = append(sweeps, sw)
 	}
-	for _, out := range sc.Outputs {
-		t, err := renderOutput(sc, out, res.Sweeps)
-		if err != nil {
-			return nil, err
-		}
-		res.Tables = append(res.Tables, t)
-	}
-	e.emit(ctx, Event{Kind: ScenarioDone, Scenario: sc.Name, Workload: spec.Name, Seed: seed})
-	return res, nil
-}
-
-// renderOutput renders one per-scenario artifact.
-func renderOutput(sc *Scenario, out Output, sweeps []*Sweep) (*report.Table, error) {
-	sw := sweeps[0]
-	switch out {
-	case OutputSweep:
-		return renderSweepTable(sc.Name, sw), nil
-	case OutputClassification:
-		return renderClassification([]string{sc.Name}, []*Sweep{sw}), nil
-	case OutputFactors:
-		return renderFactors([]string{sc.Name}, []*Sweep{sw}), nil
-	case OutputLifespanCDF:
-		lo := sw.Points[0].Threads
-		hi := sw.Points[len(sw.Points)-1].Threads
-		return renderLifespanCDF(sw, lo, hi)
-	case OutputReplication:
-		return renderReplication(sc.Name, sweeps), nil
-	case OutputGoodput:
-		return renderGoodput("", "", []string{sc.Name}, []*Sweep{sw})
-	case OutputUSL:
-		return renderUSLOutput(sc.Name, sw)
-	default:
-		return nil, fmt.Errorf("core: unknown output %q", out)
-	}
-}
-
-// renderReport renders one cross-scenario report from the finished
-// scenario results.
-func renderReport(p *Plan, rs *ReportSpec, byName map[string]*ScenarioResult) (*report.Table, error) {
-	picked := p.reportScenarios(rs)
-	sweeps := make([]*Sweep, len(picked))
-	for i, name := range picked {
-		sweeps[i] = byName[name].Sweep()
-	}
-
-	var t *report.Table
-	switch rs.Kind {
-	case ReportSeries:
-		key := rs.Key
-		if key == "" {
-			key = "scenario"
-		}
-		title := rs.Title
-		if title == "" {
-			title = fmt.Sprintf("%s vs threads", rs.Metric)
-		}
-		var err error
-		t, err = renderSeries(title, key, picked, sweeps, rs.Metric)
-		if err != nil {
-			return nil, err
-		}
-	case ReportLifespanCDF:
-		sw := sweeps[0]
-		lo, hi := rs.LowThreads, rs.HighThreads
-		if lo == 0 {
-			lo = sw.Points[0].Threads
-		}
-		if hi == 0 {
-			hi = sw.Points[len(sw.Points)-1].Threads
-		}
-		var err error
-		t, err = renderLifespanCDF(sw, lo, hi)
-		if err != nil {
-			return nil, err
-		}
-		if rs.Title != "" {
-			t.Title = rs.Title + " — " + t.Title
-		}
-	case ReportMutatorGC:
-		title := rs.Title
-		if title == "" {
-			title = "Mutator and GC time split"
-		}
-		t = renderMutatorGC(title, rs.Note, picked, sweeps)
-	case ReportClassification:
-		t = renderClassification(picked, sweeps)
-	case ReportWorkDistribution:
-		t = renderWorkDistribution(picked, sweeps)
-	case ReportFactors:
-		t = renderFactors(picked, sweeps)
-	case ReportGoodput:
-		var err error
-		t, err = renderGoodput(rs.Title, rs.Note, picked, sweeps)
-		if err != nil {
-			return nil, err
-		}
-	case ReportUSL:
-		var err error
-		t, err = renderUSL(picked, sweeps)
-		if err != nil {
-			return nil, err
-		}
-	case ReportCompare:
-		names := rs.compareScenarios()
-		title := rs.Title
-		if title == "" {
-			title = "Compare — " + strings.Join(names, " vs ")
-		}
-		last := func(name string) *vm.Result {
-			sw := byName[name].Sweep()
-			return sw.Points[len(sw.Points)-1].Result
-		}
-		if rs.Baseline != "" {
-			t = renderCompare(title, rs.Note, last(rs.Baseline), last(rs.Modified))
-		} else {
-			results := make([]*vm.Result, len(names))
-			for i, name := range names {
-				results[i] = last(name)
-			}
-			t = renderCompareColumns(title, rs.Note, names, results)
-		}
-	default:
-		return nil, fmt.Errorf("core: unknown report kind %q", rs.Kind)
-	}
-	if rs.Title != "" && rs.Kind != ReportLifespanCDF {
-		t.Title = rs.Title
-	}
-	if rs.Note != "" {
-		t.Note = rs.Note
-	}
-	return t, nil
+	return spec, sweeps, nil
 }

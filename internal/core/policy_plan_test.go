@@ -112,7 +112,7 @@ func TestPolicyTagLabeling(t *testing.T) {
 	for _, r := range []*vm.Result{base, mod} {
 		r.Lifespans = metrics.NewHistogram("t")
 	}
-	tbl := renderCompare("t", "", base, mod)
+	tbl := renderCompareColumns([]string{"baseline", "modified"}, []*vm.Result{base, mod})
 	if tbl.Headers[1] != "baseline" || tbl.Headers[2] != "modified [restricted]" {
 		t.Errorf("compare headers = %v", tbl.Headers)
 	}

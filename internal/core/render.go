@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"javasim/internal/fit"
 	"javasim/internal/gc"
@@ -65,49 +66,6 @@ func tagLabel(label string, sw *Sweep) string {
 // pure function of one or more sweeps, so the two APIs produce
 // byte-identical artifacts from the same simulation results.
 
-// metricSeries extracts one per-point series from a sweep.
-func metricSeries(sw *Sweep, m Metric) ([]float64, error) {
-	switch m {
-	case MetricAcquisitions:
-		return sw.Acquisitions(), nil
-	case MetricContentions:
-		return sw.Contentions(), nil
-	case MetricTotalSeconds:
-		curve := sw.Curve()
-		out := make([]float64, len(curve))
-		for i, p := range curve {
-			out[i] = p.Seconds
-		}
-		return out, nil
-	case MetricMutatorSeconds:
-		return sw.MutatorSeconds(), nil
-	case MetricGCSeconds:
-		return sw.GCSeconds(), nil
-	case MetricGCShare:
-		out := make([]float64, len(sw.Points))
-		for i, p := range sw.Points {
-			out[i] = p.Result.GCShare()
-		}
-		return out, nil
-	case MetricCDFBelow1KB:
-		return sw.CDFBelow(1024), nil
-	default:
-		return nil, fmt.Errorf("core: unknown metric %q", m)
-	}
-}
-
-// metricFormat returns the cell formatter for a metric.
-func metricFormat(m Metric) func(float64) string {
-	switch m {
-	case MetricAcquisitions, MetricContentions:
-		return func(v float64) string { return report.FormatCount(int64(v)) }
-	case MetricGCShare, MetricCDFBelow1KB:
-		return report.FormatPct
-	default:
-		return func(v float64) string { return fmt.Sprintf("%.4fs", v) }
-	}
-}
-
 // threadHeaders builds the {key, "t=4", "t=8", ...} header row from a
 // sweep's points.
 func threadHeaders(key string, sw *Sweep) []string {
@@ -119,25 +77,18 @@ func threadHeaders(key string, sw *Sweep) []string {
 }
 
 // renderSeries builds a one-number-per-(row, thread-count) table: each
-// labeled sweep becomes a row, each sweep point a column.
-func renderSeries(title, key string, labels []string, sweeps []*Sweep, m Metric) (*report.Table, error) {
-	if len(sweeps) == 0 {
-		return nil, fmt.Errorf("core: series table %q has no sweeps", title)
+// labeled sweep becomes a row, each sweep point a column. Validation
+// guarantees the rows share one thread-count grid.
+func renderSeries(in *inputs) (*report.Table, error) {
+	key := in.spec.Key
+	if key == "" {
+		key = "scenario"
 	}
-	t := &report.Table{Title: title, Headers: threadHeaders(key, sweeps[0])}
-	format := metricFormat(m)
-	for i, sw := range sweeps {
-		if len(sw.Points) != len(sweeps[0].Points) {
-			return nil, fmt.Errorf("core: series table %q: %s has %d points, %s has %d — rows must share thread counts",
-				title, labels[i], len(sw.Points), labels[0], len(sweeps[0].Points))
-		}
-		series, err := metricSeries(sw, m)
-		if err != nil {
-			return nil, err
-		}
-		row := []string{labels[i]}
-		for _, v := range series {
-			row = append(row, format(v))
+	t := &report.Table{Headers: threadHeaders(key, in.sweeps[0])}
+	for i, sw := range in.sweeps {
+		row := []string{in.labels[i]}
+		for _, v := range in.metric.series(sw) {
+			row = append(row, in.metric.format(v))
 		}
 		t.AddRow(row...)
 	}
@@ -145,8 +96,17 @@ func renderSeries(title, key string, labels []string, sweeps []*Sweep, m Metric)
 }
 
 // renderLifespanCDF builds a Figure 1c/1d panel: the cumulative lifespan
-// distribution of one sweep's workload at two thread counts.
-func renderLifespanCDF(sw *Sweep, lowThreads, highThreads int) (*report.Table, error) {
+// distribution of one sweep's workload at two thread counts, by default
+// its first and last.
+func renderLifespanCDF(in *inputs) (*report.Table, error) {
+	sw := in.sweeps[0]
+	lowThreads, highThreads := in.spec.LowThreads, in.spec.HighThreads
+	if lowThreads == 0 {
+		lowThreads = sw.Points[0].Threads
+	}
+	if highThreads == 0 {
+		highThreads = sw.Points[len(sw.Points)-1].Threads
+	}
 	var low, high *vm.Result
 	for _, p := range sw.Points {
 		if p.Threads == lowThreads {
@@ -176,34 +136,31 @@ func renderLifespanCDF(sw *Sweep, lowThreads, highThreads int) (*report.Table, e
 
 // renderMutatorGC builds the Figure 2 table: the mutator/GC time split of
 // each labeled sweep across its thread counts, one row per point.
-func renderMutatorGC(title, note string, labels []string, sweeps []*Sweep) *report.Table {
+func renderMutatorGC(in *inputs) (*report.Table, error) {
 	t := &report.Table{
-		Title:   title,
 		Headers: []string{"workload", "threads", "mutator", "gc", "gc-share", "minor", "full"},
-		Note:    note,
 	}
-	for i, sw := range sweeps {
+	for i, sw := range in.sweeps {
 		for _, p := range sw.Points {
 			r := p.Result
-			t.AddRow(labels[i], fmt.Sprintf("%d", p.Threads),
+			t.AddRow(in.labels[i], fmt.Sprintf("%d", p.Threads),
 				r.MutatorTime.String(), r.GCTime.String(),
 				report.FormatPct(r.GCShare()),
 				fmt.Sprintf("%d", r.GCStats.MinorCount),
 				fmt.Sprintf("%d", r.GCStats.FullCount))
 		}
 	}
-	return t
+	return t, nil
 }
 
 // renderClassification builds the §II-C characterization table, one row
 // per labeled sweep. The paper columns key off the workload (the paper
 // classified benchmarks, not scenarios); the row label is the scenario's.
-func renderClassification(labels []string, sweeps []*Sweep) *report.Table {
+func renderClassification(in *inputs) (*report.Table, error) {
 	t := &report.Table{
-		Title:   "Table — scalability classification (paper §II-C)",
 		Headers: []string{"workload", "max-speedup", "at-threads", "final-eff", "verdict", "paper", "match"},
 	}
-	for i, sw := range sweeps {
+	for i, sw := range in.sweeps {
 		c := sw.Classify(DefaultSpeedupThreshold)
 		verdict := map[bool]string{true: "scalable", false: "non-scalable"}
 		// The paper only classified its own six benchmarks; extensions and
@@ -213,24 +170,23 @@ func renderClassification(labels []string, sweeps []*Sweep) *report.Table {
 			paper = verdict[c.PaperScalable]
 			match = map[bool]string{true: "yes", false: "NO"}[c.Matches()]
 		}
-		t.AddRow(labels[i],
+		t.AddRow(in.labels[i],
 			fmt.Sprintf("%.2fx", c.MaxSpeedup),
 			fmt.Sprintf("%d", c.AtThreads),
 			fmt.Sprintf("%.2f", c.FinalEfficiency),
 			verdict[c.Scalable], paper, match)
 	}
-	return t
+	return t, nil
 }
 
 // renderWorkDistribution builds the §III work-distribution table, one row
 // per labeled sweep, from each sweep's largest thread count.
-func renderWorkDistribution(labels []string, sweeps []*Sweep) *report.Table {
+func renderWorkDistribution(in *inputs) (*report.Table, error) {
 	t := &report.Table{
-		Title:   "Table — per-thread work distribution at the largest thread count",
 		Headers: []string{"workload", "threads", "busy-threads", "top4-share", "max/mean"},
 		Note:    "paper §III: jython uses 3-4 threads for most work; xalan/lusearch/sunflow are near-uniform",
 	}
-	for i, sw := range sweeps {
+	for i, sw := range in.sweeps {
 		last := sw.Points[len(sw.Points)-1]
 		shares := make([]float64, len(last.Result.PerThreadUnits))
 		busy := 0
@@ -241,38 +197,30 @@ func renderWorkDistribution(labels []string, sweeps []*Sweep) *report.Table {
 			}
 		}
 		f := sw.ComputeFactors()
-		t.AddRow(labels[i], fmt.Sprintf("%d", last.Threads), fmt.Sprintf("%d", busy),
+		t.AddRow(in.labels[i], fmt.Sprintf("%d", last.Threads), fmt.Sprintf("%d", busy),
 			report.FormatPct(f.Top4Share),
 			fmt.Sprintf("%.2f", imbalance(shares)))
 	}
-	return t
+	return t, nil
 }
 
 // renderFactors builds the factor-decomposition table, one row per
 // labeled sweep. A bw-share column appears only when some sweep ran on a
 // bandwidth-limited machine, so historical artifacts keep their
 // byte-identical form.
-func renderFactors(labels []string, sweeps []*Sweep) *report.Table {
-	bw := false
-	for _, sw := range sweeps {
-		for _, p := range sw.Points {
-			if p.Result.MemTraffic > 0 {
-				bw = true
-			}
-		}
-	}
+func renderFactors(in *inputs) (*report.Table, error) {
+	bw := slices.ContainsFunc(in.sweeps, func(sw *Sweep) bool {
+		return slices.ContainsFunc(sw.Points, func(p Point) bool { return p.Result.MemTraffic > 0 })
+	})
 	headers := []string{"workload", "amdahl-f", "acq-growth", "cont-growth",
 		"gc-growth", "gc-share", "lifespan-shift", "lifespan-ks", "top4-share"}
 	if bw {
 		headers = append(headers, "bw-share")
 	}
-	t := &report.Table{
-		Title:   "Table — scalability factor decomposition",
-		Headers: headers,
-	}
-	for i, sw := range sweeps {
+	t := &report.Table{Headers: headers}
+	for i, sw := range in.sweeps {
 		f := sw.ComputeFactors()
-		row := []string{tagLabel(labels[i], sw),
+		row := []string{tagLabel(in.labels[i], sw),
 			fmt.Sprintf("%.3f", f.SequentialFraction),
 			fmt.Sprintf("%.2fx", f.AcquisitionGrowth),
 			fmt.Sprintf("%.2fx", f.ContentionGrowth),
@@ -286,29 +234,7 @@ func renderFactors(labels []string, sweeps []*Sweep) *report.Table {
 		}
 		t.AddRow(row...)
 	}
-	return t
-}
-
-// nonDefaultGC reports whether any result ran under a GC policy other
-// than the stw-serial default.
-func nonDefaultGC(results []*vm.Result) bool {
-	for _, r := range results {
-		if r.GCPolicy != "" && r.GCPolicy != gc.PolicyStwSerial {
-			return true
-		}
-	}
-	return false
-}
-
-// bandwidthLimited reports whether any result ran on a machine that
-// billed memory traffic against a per-socket bandwidth ceiling.
-func bandwidthLimited(results []*vm.Result) bool {
-	for _, r := range results {
-		if r.MemTraffic > 0 {
-			return true
-		}
-	}
-	return false
+	return t, nil
 }
 
 // formatPhases renders a pause-phase breakdown as setup/scan/copy.
@@ -318,8 +244,10 @@ func formatPhases(b gc.Breakdown) string {
 
 // compareRows fills a compare table's metric rows from one result per
 // column. The per-phase GC CPU and concurrent-GC rows appear only when a
-// column ran a non-default GC policy, so historical two-column artifacts
-// keep their byte-identical form.
+// column ran a GC policy other than the stw-serial default, and the
+// mem-bw stall row only when a column's machine billed memory traffic
+// against a per-socket bandwidth ceiling, so historical two-column
+// artifacts keep their byte-identical form.
 func compareRows(t *report.Table, results []*vm.Result) {
 	row := func(name string, cell func(*vm.Result) string) {
 		cells := []string{name}
@@ -333,11 +261,11 @@ func compareRows(t *report.Table, results []*vm.Result) {
 	row("mean gc pause", func(r *vm.Result) string { return meanPause(r.GCPauses).String() })
 	row("max gc pause", func(r *vm.Result) string { return maxPause(r.GCPauses).String() })
 	row("collections", func(r *vm.Result) string { return fmt.Sprintf("%d", len(r.GCPauses)) })
-	if nonDefaultGC(results) {
+	if slices.ContainsFunc(results, func(r *vm.Result) bool { return r.GCPolicy != "" && r.GCPolicy != gc.PolicyStwSerial }) {
 		row("gc phases s/s/c", func(r *vm.Result) string { return formatPhases(r.GCPhases) })
 		row("conc gc cpu", func(r *vm.Result) string { return r.ConcGCCPUTime.String() })
 	}
-	if bandwidthLimited(results) {
+	if slices.ContainsFunc(results, func(r *vm.Result) bool { return r.MemTraffic > 0 }) {
 		row("mem-bw stall", func(r *vm.Result) string { return r.MemBWStall.String() })
 	}
 	row("lifespan cdf@1KB", func(r *vm.Result) string { return report.FormatPct(r.Lifespans.FractionBelow(1024)) })
@@ -346,32 +274,28 @@ func compareRows(t *report.Table, results []*vm.Result) {
 	row("utilization", func(r *vm.Result) string { return fmt.Sprintf("%.2f", r.Utilization) })
 }
 
-// renderCompare builds a baseline-vs-modified ablation table from two
-// results of the same workload. Columns carry the runs' policy tags when
-// either side deviates from the fifo + affinity + stw-serial default, so
-// a policy A/B labels itself.
-func renderCompare(title, note string, base, mod *vm.Result) *report.Table {
-	baseHdr, modHdr := "baseline", "modified"
-	if tag := policyTag(base); tag != "" {
-		baseHdr += " [" + tag + "]"
+// renderCompare builds an ablation table contrasting the scenarios'
+// results at their largest thread counts. A Baseline/Modified pair heads
+// its columns "baseline" and "modified"; a Scenarios list heads them with
+// the scenario names, the first being the baseline.
+func renderCompare(in *inputs) (*report.Table, error) {
+	headers := in.labels
+	if in.spec.Baseline != "" {
+		headers = []string{"baseline", "modified"}
 	}
-	if tag := policyTag(mod); tag != "" {
-		modHdr += " [" + tag + "]"
+	results := make([]*vm.Result, len(in.sweeps))
+	for i, sw := range in.sweeps {
+		results[i] = sw.Points[len(sw.Points)-1].Result
 	}
-	t := &report.Table{
-		Title:   title,
-		Headers: []string{"metric", baseHdr, modHdr},
-		Note:    note,
-	}
-	compareRows(t, []*vm.Result{base, mod})
-	return t
+	return renderCompareColumns(headers, results), nil
 }
 
-// renderCompareColumns builds a multi-column compare table: one column
-// per named scenario (the first is the baseline), each header suffixed
-// with the run's policy tag — the one-table shape of a whole policy
-// ablation.
-func renderCompareColumns(title, note string, names []string, results []*vm.Result) *report.Table {
+// renderCompareColumns builds a compare table: one column per named
+// result (the first is the baseline), each header suffixed with the run's
+// policy tag when it deviates from the fifo + affinity + stw-serial
+// default, so a policy A/B labels itself — the one-table shape of a whole
+// policy ablation.
+func renderCompareColumns(names []string, results []*vm.Result) *report.Table {
 	headers := []string{"metric"}
 	for i, name := range names {
 		if tag := policyTag(results[i]); tag != "" {
@@ -379,7 +303,7 @@ func renderCompareColumns(title, note string, names []string, results []*vm.Resu
 		}
 		headers = append(headers, name)
 	}
-	t := &report.Table{Title: title, Headers: headers, Note: note}
+	t := &report.Table{Headers: headers}
 	compareRows(t, results)
 	return t
 }
@@ -389,22 +313,17 @@ func renderCompareColumns(title, note string, names []string, results []*vm.Resu
 // abandonment count, the per-request latency tail, and the peak queue
 // depth. The figure's point is the knee: goodput tracks offered load up
 // to saturation, then flattens or collapses while the tail explodes.
-func renderGoodput(title, note string, labels []string, sweeps []*Sweep) (*report.Table, error) {
-	if title == "" {
-		title = "Goodput and latency vs offered rate"
-	}
+func renderGoodput(in *inputs) (*report.Table, error) {
 	t := &report.Table{
-		Title:   title,
 		Headers: []string{"scenario", "rate/s", "offered/s", "goodput/s", "timed-out", "p50", "p99", "p99.9", "max-queue"},
-		Note:    note,
 	}
-	for i, sw := range sweeps {
-		label := tagLabel(labels[i], sw)
+	for i, sw := range in.sweeps {
+		label := tagLabel(in.labels[i], sw)
 		for _, p := range sw.Points {
 			st := p.Result.Traffic
 			if st == nil {
-				return nil, fmt.Errorf("core: goodput table %q: %s at %v req/s carries no traffic stats",
-					title, labels[i], p.Rate)
+				return nil, fmt.Errorf("core: goodput table: %s at %v req/s carries no traffic stats",
+					in.labels[i], p.Rate)
 			}
 			pct := func(q float64) string { return sim.Time(st.Latency.Percentile(q)).String() }
 			t.AddRow(label,
@@ -426,23 +345,22 @@ func renderGoodput(title, note string, labels []string, sweeps []*Sweep) (*repor
 // Sigma tracks the paper's lock-contention factors, kappa the
 // coherency-flavored ones (GC growth, memory bandwidth, placement), so
 // policy ablations should reorder sigma and machine ablations kappa.
-func renderUSL(labels []string, sweeps []*Sweep) (*report.Table, error) {
+func renderUSL(in *inputs) (*report.Table, error) {
 	t := &report.Table{
-		Title:   "Table — USL scalability fit, C(N) = N / (1 + sigma*(N-1) + kappa*N*(N-1))",
 		Headers: []string{"scenario", "model", "sigma", "kappa", "r2", "peak-N", "max-dev"},
 		Note:    "sigma = contention (lock serialization), kappa = coherency (GC/bandwidth/placement); model picked by residual, amdahl = no measurable coherency term; peak-N '-' = saturates without a finite peak",
 	}
-	for i, sw := range sweeps {
+	for i, sw := range in.sweeps {
 		f, err := sw.FitUSL()
 		if err != nil {
-			return nil, fmt.Errorf("core: usl fit for %s: %w", labels[i], err)
+			return nil, fmt.Errorf("core: usl fit for %s: %w", in.labels[i], err)
 		}
 		m := f.Best()
 		peak := "-"
 		if n := m.PeakN(); n > 0 {
 			peak = fmt.Sprintf("%d", n)
 		}
-		t.AddRow(tagLabel(labels[i], sw), m.Kind,
+		t.AddRow(tagLabel(in.labels[i], sw), m.Kind,
 			fmt.Sprintf("%.4f", m.Sigma),
 			fmt.Sprintf("%.6f", m.Kappa),
 			fmt.Sprintf("%.4f", m.R2),
@@ -472,7 +390,8 @@ func maxDeviation(sw *Sweep, m fit.Model) float64 {
 // the measured throughput at every thread count next to both fitted
 // models' predictions, with the preferred model's parameters and
 // predicted peak in the footnote.
-func renderUSLOutput(label string, sw *Sweep) (*report.Table, error) {
+func renderUSLOutput(in *inputs) (*report.Table, error) {
+	label, sw := in.labels[0], in.sweeps[0]
 	f, err := sw.FitUSL()
 	if err != nil {
 		return nil, fmt.Errorf("core: usl fit for %s: %w", label, err)
@@ -506,12 +425,12 @@ func renderUSLOutput(label string, sw *Sweep) (*report.Table, error) {
 
 // renderSweepTable builds the per-scenario sweep summary: the headline
 // measurements at every thread count.
-func renderSweepTable(label string, sw *Sweep) *report.Table {
+func renderSweepTable(in *inputs) (*report.Table, error) {
 	t := &report.Table{
-		Title:   fmt.Sprintf("Sweep — %s", label),
+		Title:   fmt.Sprintf("Sweep — %s", in.labels[0]),
 		Headers: []string{"threads", "total", "mutator", "gc", "gc-share", "contentions", "<1KB"},
 	}
-	for _, p := range sw.Points {
+	for _, p := range in.sweeps[0].Points {
 		r := p.Result
 		t.AddRow(fmt.Sprintf("%d", p.Threads),
 			r.TotalTime.String(), r.MutatorTime.String(), r.GCTime.String(),
@@ -519,25 +438,33 @@ func renderSweepTable(label string, sw *Sweep) *report.Table {
 			report.FormatCount(r.LockContentions),
 			report.FormatPct(r.Lifespans.FractionBelow(1024)))
 	}
-	return t
+	return t, nil
 }
 
 // renderReplication summarizes a scenario's repeats: mean, stddev, and
 // range of the headline metrics at each repeat's largest thread count.
-func renderReplication(label string, sweeps []*Sweep) *report.Table {
+func renderReplication(in *inputs) (*report.Table, error) {
+	results := make([]*vm.Result, len(in.repeats))
+	for i, sw := range in.repeats {
+		results[i] = sw.Points[len(sw.Points)-1].Result
+	}
+	t := replicationTable(results)
+	t.Title = fmt.Sprintf("Replication — %s, %d repeats", in.labels[0], len(in.repeats))
+	t.Note = "repeats derive their seeds from the scenario seed; the spread bounds seed sensitivity"
+	return t, nil
+}
+
+// replicationTable tabulates the spread of the headline metrics across
+// runs of one configuration under different seeds.
+func replicationTable(results []*vm.Result) *report.Table {
 	var totals, gcs, cdfs, conts []float64
-	for _, sw := range sweeps {
-		last := sw.Points[len(sw.Points)-1].Result
-		totals = append(totals, last.TotalTime.Seconds()*1000)
-		gcs = append(gcs, last.GCTime.Seconds()*1000)
-		cdfs = append(cdfs, 100*last.Lifespans.FractionBelow(1024))
-		conts = append(conts, float64(last.LockContentions))
+	for _, r := range results {
+		totals = append(totals, r.TotalTime.Seconds()*1000)
+		gcs = append(gcs, r.GCTime.Seconds()*1000)
+		cdfs = append(cdfs, 100*r.Lifespans.FractionBelow(1024))
+		conts = append(conts, float64(r.LockContentions))
 	}
-	t := &report.Table{
-		Title:   fmt.Sprintf("Replication — %s, %d repeats", label, len(sweeps)),
-		Headers: []string{"metric", "mean", "stddev", "min", "max"},
-		Note:    "repeats derive their seeds from the scenario seed; the spread bounds seed sensitivity",
-	}
+	t := &report.Table{Headers: []string{"metric", "mean", "stddev", "min", "max"}}
 	row := func(name, unit string, xs []float64) {
 		sm := metrics.Summarize(xs)
 		t.AddRow(name,

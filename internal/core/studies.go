@@ -6,7 +6,6 @@ import (
 
 	"javasim/internal/gc"
 	"javasim/internal/machine"
-	"javasim/internal/metrics"
 	"javasim/internal/report"
 	"javasim/internal/sim"
 	"javasim/internal/vm"
@@ -243,34 +242,17 @@ func (s *Suite) StudyReplication(ctx context.Context) (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	var totals, gcs, cdfs, conts []float64
+	var results []*vm.Result
 	for i := 0; i < 5; i++ {
 		res, err := s.eng.Run(ctx, spec, vm.Config{Threads: threads, Seed: deriveSeed(s.cfg.Seed, i)})
 		if err != nil {
 			return nil, fmt.Errorf("core: replication seed %d: %w", i, err)
 		}
-		totals = append(totals, res.TotalTime.Seconds()*1000)
-		gcs = append(gcs, res.GCTime.Seconds()*1000)
-		cdfs = append(cdfs, 100*res.Lifespans.FractionBelow(1024))
-		conts = append(conts, float64(res.LockContentions))
+		results = append(results, res)
 	}
-	t := &report.Table{
-		Title:   fmt.Sprintf("Study — seed replication, 5 seeds (xalan @ %d threads)", threads),
-		Headers: []string{"metric", "mean", "stddev", "min", "max"},
-		Note:    "every figure in this repository is deterministic per seed; this table bounds the across-seed spread",
-	}
-	row := func(name, unit string, xs []float64) {
-		sm := metrics.Summarize(xs)
-		t.AddRow(name,
-			fmt.Sprintf("%.2f%s", sm.Mean, unit),
-			fmt.Sprintf("%.2f", sm.Stddev),
-			fmt.Sprintf("%.2f", sm.Min),
-			fmt.Sprintf("%.2f", sm.Max))
-	}
-	row("total time", "ms", totals)
-	row("gc time", "ms", gcs)
-	row("objects <1KB", "%", cdfs)
-	row("lock contentions", "", conts)
+	t := replicationTable(results)
+	t.Title = fmt.Sprintf("Study — seed replication, 5 seeds (xalan @ %d threads)", threads)
+	t.Note = "every figure in this repository is deterministic per seed; this table bounds the across-seed spread"
 	return s.artifact(ctx, "StudyReplication", t, nil)
 }
 

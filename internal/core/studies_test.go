@@ -7,7 +7,7 @@ import (
 )
 
 func studySuite() *Suite {
-	return NewSuite(ExperimentConfig{
+	return testEngine.Suite(ExperimentConfig{
 		ThreadCounts: []int{2, 8},
 		Scale:        0.05,
 		Seed:         17,

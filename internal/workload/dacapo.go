@@ -233,20 +233,6 @@ func JythonSpec() Spec {
 	}
 }
 
-// All returns the six benchmark specs in the paper's order: the scalable
-// trio first, then the non-scalable trio.
-//
-// Deprecated: use PaperSet, which reads the same six models from the
-// workload registry.
-func All() []Spec { return PaperSet() }
-
-// ByName returns the spec with the given name — one of the paper's six
-// benchmarks or an extension workload — or false.
-//
-// Deprecated: use Lookup, which resolves any registered workload
-// (including user registrations) by name.
-func ByName(name string) (Spec, bool) { return Lookup(name) }
-
 // Scalable reports the paper's classification for a benchmark name.
 func Scalable(name string) bool {
 	switch name {

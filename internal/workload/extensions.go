@@ -65,19 +65,3 @@ func ServerContendedSpec() Spec {
 	s.ContentionCost = 5 * sim.Microsecond
 	return s
 }
-
-// Extensions returns the registered workloads that extend the paper's
-// set: the bundled models beyond the six benchmarks plus any user
-// registrations.
-//
-// Deprecated: use Registered (the whole catalog) or Lookup (one
-// workload); the paper set is PaperSet.
-func Extensions() []Spec {
-	var out []Spec
-	for _, s := range Registered() {
-		if !IsPaperBenchmark(s.Name) {
-			out = append(out, s)
-		}
-	}
-	return out
-}

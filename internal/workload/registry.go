@@ -10,8 +10,7 @@ import (
 // workloads are pre-registered at init time; downstream users add their
 // own models with Register and every consumer — the experiment suite,
 // declarative scenario plans, the command-line drivers — resolves them
-// through Lookup by name. The registry replaces the old split between
-// All() (the six benchmarks) and Extensions() (everything else).
+// through Lookup by name.
 
 var registry = struct {
 	mu    sync.RWMutex

@@ -9,9 +9,9 @@ import (
 )
 
 func TestAllSpecsValid(t *testing.T) {
-	specs := All()
+	specs := PaperSet()
 	if len(specs) != 6 {
-		t.Fatalf("All() returned %d specs, want 6", len(specs))
+		t.Fatalf("PaperSet() returned %d specs, want 6", len(specs))
 	}
 	for _, s := range specs {
 		if err := s.Validate(); err != nil {
@@ -27,12 +27,12 @@ func TestAllSpecsValid(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	s, ok := ByName("xalan")
+	s, ok := Lookup("xalan")
 	if !ok || s.Name != "xalan" {
-		t.Error("ByName(xalan) failed")
+		t.Error("Lookup(xalan) failed")
 	}
-	if _, ok := ByName("nope"); ok {
-		t.Error("ByName(nope) succeeded")
+	if _, ok := Lookup("nope"); ok {
+		t.Error("Lookup(nope) succeeded")
 	}
 }
 
@@ -113,7 +113,7 @@ func TestQueueDistributionDrainsExactly(t *testing.T) {
 
 func TestTotalUnitsIndependentOfThreads(t *testing.T) {
 	// Paper §II-C: the workload size must not change with the thread count.
-	for _, spec := range All() {
+	for _, spec := range PaperSet() {
 		small := spec.Scale(0.02)
 		for _, n := range []int{1, 4, 48} {
 			r, err := NewRun(small, n, 1)
@@ -364,7 +364,7 @@ func TestDistributionConservationProperty(t *testing.T) {
 // durations for arbitrary seeds.
 func TestUnitWellFormedProperty(t *testing.T) {
 	f := func(seed uint64, pick uint8) bool {
-		specs := All()
+		specs := PaperSet()
 		spec := specs[int(pick)%len(specs)].Scale(0.005)
 		r, err := NewRun(spec, 4, seed)
 		if err != nil {

@@ -28,7 +28,7 @@
 //			log.Println(ev)
 //		})),
 //	)
-//	spec, _ := javasim.BenchmarkByName("xalan")
+//	spec, _ := javasim.LookupWorkload("xalan")
 //	res, err := eng.Run(ctx, spec, javasim.Config{Threads: 8, Seed: 42})
 //	if err != nil { ... }
 //	fmt.Println(res.TotalTime, res.GCTime, res.Lifespans.FractionBelow(1024))
@@ -408,33 +408,6 @@ func ContextWithObserver(ctx context.Context, o Observer) context.Context {
 	return core.ContextWithObserver(ctx, o)
 }
 
-// Run executes one benchmark configuration on the shared default engine.
-// Unlike earlier releases, which simulated afresh on every call, the
-// default engine memoizes: repeated identical runs may return the same
-// shared *Result, which must be treated as immutable.
-//
-// Deprecated: construct an Engine and call Engine.Run, which adds
-// context cancellation, bounded parallelism, memoization, and progress
-// observation.
-func Run(spec Spec, cfg Config) (*Result, error) {
-	return core.DefaultEngine().Run(context.Background(), spec, cfg)
-}
-
-// RunSweep measures spec across thread counts on the shared default
-// engine. As with Run, repeated identical sweeps share memoized Results,
-// which must be treated as immutable.
-//
-// Deprecated: construct an Engine and call Engine.Sweep.
-func RunSweep(spec Spec, cfg SweepConfig) (*Sweep, error) {
-	return core.DefaultEngine().Sweep(context.Background(), spec, cfg)
-}
-
-// NewSuite builds the experiment suite that regenerates every figure and
-// table from the paper, bound to the shared default engine.
-//
-// Deprecated: construct an Engine and call Engine.Suite.
-func NewSuite(cfg ExperimentConfig) *Suite { return core.NewSuite(cfg) }
-
 // NewLockProfiler returns an empty DTrace-style lock profiler to attach to
 // Config.LockProfiler.
 func NewLockProfiler() *LockProfiler { return lockprof.New() }
@@ -706,26 +679,6 @@ const (
 	Millisecond = sim.Millisecond
 	Second      = sim.Second
 )
-
-// Benchmarks returns the six DaCapo-9.12 workload models in the paper's
-// order: the scalable trio, then the non-scalable trio.
-//
-// Deprecated: use PaperBenchmarks, which reads the same six models from
-// the workload registry (see also Workloads for the whole catalog).
-func Benchmarks() []Spec { return workload.PaperSet() }
-
-// ExtensionBenchmarks returns workloads beyond the paper's six (e.g. the
-// "server" model used by the future-work studies).
-//
-// Deprecated: use Workloads for the whole registered catalog, or
-// LookupWorkload for one model.
-func ExtensionBenchmarks() []Spec { return workload.Extensions() }
-
-// BenchmarkByName looks up a workload by name.
-//
-// Deprecated: use LookupWorkload, which resolves any registered workload
-// (built-in or user-registered) through the registry.
-func BenchmarkByName(name string) (Spec, bool) { return workload.Lookup(name) }
 
 // PaperScalable reports the paper's published classification for a
 // benchmark name.
