@@ -91,7 +91,7 @@ func declarationViolation(p *Plan) error {
 				return fmt.Errorf("%s over scenario %q's %d-point sweep", what, sc.Name, len(sc.threadCounts(p)))
 			case k.repeats && sc.repeats() < 2:
 				return fmt.Errorf("%s over unrepeated scenario %q", what, sc.Name)
-			case k.sameGrid && !slices.Equal(sc.grid(p), scs[0].grid(p)):
+			case k.sameGrid && !(slices.Equal(sc.threadCounts(p), scs[0].threadCounts(p)) && slices.Equal(sc.rates(), scs[0].rates())):
 				return fmt.Errorf("%s over scenarios with different grids", what)
 			case k.sameTop && sc.top(p) != scs[0].top(p):
 				return fmt.Errorf("%s over scenarios with different top thread counts", what)

@@ -93,7 +93,9 @@ type inputs struct {
 	labels  []string
 	sweeps  []*Sweep
 	repeats []*Sweep
-	// metric is the entry of spec.Metric, for series reports.
+	// metric is the entry of spec.Metric, for series reports. render
+	// fills it in: a renderer cannot look it up in kinds itself, since
+	// kinds' initializer refers to the renderers (an initialization cycle).
 	metric kind
 }
 
@@ -176,8 +178,10 @@ func render(key any, in *inputs) (*report.Table, error) {
 		return nil, err
 	}
 	if k.title != "" {
-		t.Title = strings.NewReplacer("{metric}", string(in.spec.Metric),
-			"{scenarios}", strings.Join(in.labels, " vs ")).Replace(k.title)
+		t.Title = strings.ReplaceAll(k.title, "{metric}", string(in.spec.Metric))
+		if strings.Contains(t.Title, "{scenarios}") {
+			t.Title = strings.ReplaceAll(t.Title, "{scenarios}", strings.Join(in.labels, " vs "))
+		}
 	}
 	switch {
 	case in.spec.Title == "":
@@ -239,44 +243,44 @@ func checkReport(rs *ReportSpec, byName map[string]*Scenario) error {
 }
 
 // require checks the scenarios an output or report reads against its
-// entry's declarations; what names the artifact in errors, and rs is the
-// report's spec (nil for an output).
-func (p *Plan) require(key any, what string, rs *ReportSpec, scs []*Scenario) error {
+// entry's declarations; rs is the report's spec (nil for an output). Its
+// errors read as a predicate of the artifact, which the caller names.
+func (p *Plan) require(key any, rs *ReportSpec, scs []*Scenario) error {
 	k := kinds[key]
 	for _, sc := range scs {
 		switch {
 		case k.axis == threadAxis && sc.Traffic != nil:
-			return fmt.Errorf("core: %s reads thread sweeps, but scenario %q sweeps offered rates — Traffic scenarios render %s",
-				what, sc.Name, known(key, func(d kind) bool { return d.axis != threadAxis }))
+			return fmt.Errorf("reads thread sweeps, but scenario %q sweeps offered rates — Traffic scenarios render %s",
+				sc.Name, known(key, func(d kind) bool { return d.axis != threadAxis }))
 		case k.axis == rateAxis && sc.Traffic == nil:
-			return fmt.Errorf("core: %s reads rate sweeps and needs a Traffic block, but scenario %q has no Traffic block", what, sc.Name)
+			return fmt.Errorf("reads rate sweeps and needs a Traffic block, but scenario %q has no Traffic block", sc.Name)
 		case k.fits && len(sc.threadCounts(p)) < fit.MinPoints:
-			return fmt.Errorf("core: %s needs at least %d thread counts to fit, but scenario %q sweeps %v — a degenerate sweep cannot separate contention from coherency",
-				what, fit.MinPoints, sc.Name, sc.threadCounts(p))
+			return fmt.Errorf("needs at least %d thread counts to fit, but scenario %q sweeps %v — a degenerate sweep cannot separate contention from coherency",
+				fit.MinPoints, sc.Name, sc.threadCounts(p))
 		case k.repeats && sc.repeats() < 2:
-			return fmt.Errorf("core: %s needs Repeats >= 2, but scenario %q runs %d", what, sc.Name, sc.repeats())
+			return fmt.Errorf("needs Repeats >= 2, but scenario %q runs %d", sc.Name, sc.repeats())
 		}
 	}
 	for i := 1; i < len(scs); i++ {
 		first, sc := scs[0], scs[i]
-		if k.sameGrid && !slices.Equal(first.grid(p), sc.grid(p)) {
-			unit := "thread counts"
+		if k.sameGrid && !(slices.Equal(first.threadCounts(p), sc.threadCounts(p)) && slices.Equal(first.rates(), sc.rates())) {
 			if first.Traffic != nil {
-				unit = "the rate grid"
+				return fmt.Errorf("rows must share the rate grid, but scenario %q sweeps %v and %q sweeps %v",
+					first.Name, first.rates(), sc.Name, sc.rates())
 			}
-			return fmt.Errorf("core: %s rows must share %s, but scenario %q sweeps %v and %q sweeps %v",
-				what, unit, first.Name, first.grid(p), sc.Name, sc.grid(p))
+			return fmt.Errorf("rows must share thread counts, but scenario %q sweeps %v and %q sweeps %v",
+				first.Name, first.threadCounts(p), sc.Name, sc.threadCounts(p))
 		}
 		if k.sameTop && first.top(p) != sc.top(p) {
-			return fmt.Errorf("core: %s contrasts the largest points, which must match, but %q tops out at %d threads and %q at %d",
-				what, first.Name, first.top(p), sc.Name, sc.top(p))
+			return fmt.Errorf("contrasts the largest points, which must match, but %q tops out at %d threads and %q at %d",
+				first.Name, first.top(p), sc.Name, sc.top(p))
 		}
 	}
 	if k.fields&fieldThreads != 0 {
 		counts := scs[0].threadCounts(p)
 		for _, want := range []int{rs.LowThreads, rs.HighThreads} {
 			if want != 0 && !slices.Contains(counts, want) {
-				return fmt.Errorf("core: %s: thread count %d not in scenario %q's sweep %v", what, want, scs[0].Name, counts)
+				return fmt.Errorf("picks thread count %d, which is not in scenario %q's sweep %v", want, scs[0].Name, counts)
 			}
 		}
 	}

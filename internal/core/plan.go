@@ -353,18 +353,12 @@ func (sc *Scenario) threadCounts(p *Plan) []int {
 	}
 }
 
-// grid is the scenario's sweep axis as numbers: its offered rates, or
-// its thread counts.
-func (sc *Scenario) grid(p *Plan) []float64 {
-	if sc.Traffic != nil {
-		return sc.Traffic.Rates
+// rates are a Traffic scenario's offered rates; nil for a thread sweep.
+func (sc *Scenario) rates() []float64 {
+	if sc.Traffic == nil {
+		return nil
 	}
-	counts := sc.threadCounts(p)
-	g := make([]float64, len(counts))
-	for i, n := range counts {
-		g[i] = float64(n)
-	}
-	return g
+	return sc.Traffic.Rates
 }
 
 // top is the scenario's largest thread count.
@@ -578,8 +572,8 @@ func (p *Plan) Validate() error {
 			if _, ok := kinds[out]; !ok {
 				return fmt.Errorf("core: scenario %q: unknown output %q (known: %s)", sc.Name, out, known(out, nil))
 			}
-			if err := p.require(out, fmt.Sprintf("scenario %q: %s output", sc.Name, out), nil, []*Scenario{sc}); err != nil {
-				return err
+			if err := p.require(out, nil, []*Scenario{sc}); err != nil {
+				return fmt.Errorf("core: scenario %q: %s output %w", sc.Name, out, err)
 			}
 		}
 	}
@@ -598,8 +592,8 @@ func (p *Plan) Validate() error {
 		for j, n := range names {
 			scs[j] = byName[n]
 		}
-		if err := p.require(rs.Kind, fmt.Sprintf("report %q: %s report", rs.Name, rs.Kind), rs, scs); err != nil {
-			return err
+		if err := p.require(rs.Kind, rs, scs); err != nil {
+			return fmt.Errorf("core: report %q: %s report %w", rs.Name, rs.Kind, err)
 		}
 	}
 	return nil
