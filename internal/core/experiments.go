@@ -154,7 +154,7 @@ func (s *Suite) paperArtifact(ctx context.Context, name string) (*report.Table, 
 			return nil, err
 		}
 	}
-	t, err := render(rs.Kind, &inputs{spec: *rs, labels: names, sweeps: sweeps})
+	t, err := render(rs.Kind, &inputs{spec: rs, labels: names, sweeps: sweeps})
 	return s.artifact(ctx, name, t, err)
 }
 
@@ -180,7 +180,7 @@ func (s *Suite) LifespanCDF(ctx context.Context, name string, lowThreads, highTh
 	if err != nil {
 		return nil, err
 	}
-	return renderLifespanCDF(&inputs{spec: ReportSpec{LowThreads: lowThreads, HighThreads: highThreads},
+	return renderLifespanCDF(&inputs{spec: &ReportSpec{LowThreads: lowThreads, HighThreads: highThreads},
 		labels: []string{name}, sweeps: []*Sweep{sw}})
 }
 

@@ -85,11 +85,11 @@ type kind struct {
 	format func(float64) string
 }
 
-// inputs are what one output or report renders from: its spec (zero for
+// inputs are what one output or report renders from: its spec (empty for
 // a per-scenario output), the labeled primary sweep of every scenario it
 // reads, and, for an output, every repeat of its scenario.
 type inputs struct {
-	spec    ReportSpec
+	spec    *ReportSpec
 	labels  []string
 	sweeps  []*Sweep
 	repeats []*Sweep

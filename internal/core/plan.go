@@ -755,7 +755,7 @@ func (e *Engine) RunPlan(ctx context.Context, p *Plan) (*PlanResult, error) {
 		for j, name := range names {
 			sweeps[j] = byName[name].Sweep()
 		}
-		t, err := render(rs.Kind, &inputs{spec: *rs, labels: names, sweeps: sweeps})
+		t, err := render(rs.Kind, &inputs{spec: rs, labels: names, sweeps: sweeps})
 		if err != nil {
 			return nil, err
 		}
@@ -774,7 +774,7 @@ func (e *Engine) runScenario(ctx context.Context, p *Plan, sc *Scenario) (*Scena
 	}
 	res := &ScenarioResult{Name: sc.Name, Workload: spec.Name, Sweeps: sweeps}
 	for _, out := range sc.Outputs {
-		t, err := render(out, &inputs{labels: []string{sc.Name}, sweeps: sweeps[:1], repeats: sweeps})
+		t, err := render(out, &inputs{spec: &ReportSpec{}, labels: []string{sc.Name}, sweeps: sweeps[:1], repeats: sweeps})
 		if err != nil {
 			return nil, err
 		}
