@@ -194,30 +194,43 @@ func BenchmarkVMRun(b *testing.B) {
 }
 
 // BenchmarkSweepWarmStart measures what warm-start snapshots buy a
-// sweep: the same three-point thread sweep cold (DisableSnapshot: every
-// point regenerates its workload units from scratch) and warm (every
-// point forks from one shared pre-generated tape). Engines are uncached
-// so each iteration simulates every point; warm must beat cold.
+// sweep: the same three thread-count points cold (each through
+// Engine.Run, which attaches no snapshot, so every point regenerates
+// its workload units from scratch) and warm (Engine.Sweep: every point
+// forks from one shared pre-generated tape). Engines are uncached so
+// each iteration simulates every point, and run one point at a time so
+// the gap measures warm start rather than the worker pool; warm must
+// beat cold.
 func BenchmarkSweepWarmStart(b *testing.B) {
 	spec, _ := javasim.LookupWorkload("xalan")
 	spec = spec.Scale(0.1)
-	sweep := func(disable bool) func(b *testing.B) {
+	threads := []int{2, 8, 32}
+	run := func(sweep func(eng *javasim.Engine) error) func(b *testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				eng := javasim.NewEngine(javasim.WithCache(0))
-				_, err := eng.Sweep(benchCtx, spec, javasim.SweepConfig{
-					ThreadCounts: []int{2, 8, 32},
-					Base:         javasim.Config{Seed: 42, DisableSnapshot: disable},
-				})
-				if err != nil {
+				eng := javasim.NewEngine(javasim.WithCache(0), javasim.WithParallelism(1))
+				if err := sweep(eng); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
 	}
-	b.Run("cold", sweep(true))
-	b.Run("warm", sweep(false))
+	b.Run("cold", run(func(eng *javasim.Engine) error {
+		for _, n := range threads {
+			if _, err := eng.Run(benchCtx, spec, javasim.Config{Threads: n, Seed: 42}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}))
+	b.Run("warm", run(func(eng *javasim.Engine) error {
+		_, err := eng.Sweep(benchCtx, spec, javasim.SweepConfig{
+			ThreadCounts: threads,
+			Base:         javasim.Config{Seed: 42},
+		})
+		return err
+	}))
 }
 
 // BenchmarkVMRunManycore exercises the full 48-core configuration.

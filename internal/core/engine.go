@@ -344,13 +344,11 @@ func (e *Engine) Sweep(ctx context.Context, spec workload.Spec, cfg SweepConfig)
 	// cache keys and disk fingerprints are identical to cold runs; the
 	// lazy provider resolves on the first point that actually simulates,
 	// so fully cached sweeps never pay the tape build.
-	if !cfg.Base.DisableSnapshot {
-		scfg := cfg.Base
-		if scfg.Seed == 0 {
-			scfg.Seed = e.seed
-		}
-		ctx = vm.ContextWithSnapshotProvider(ctx, vm.NewSnapshotProvider(spec, scfg))
+	scfg := cfg.Base
+	if scfg.Seed == 0 {
+		scfg.Seed = e.seed
 	}
+	ctx = vm.ContextWithSnapshotProvider(ctx, vm.NewSnapshotProvider(spec, scfg))
 	results := make([]*vm.Result, n)
 	errs := make([]error, n)
 	runPoint := func(i int) {

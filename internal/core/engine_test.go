@@ -9,6 +9,7 @@ import (
 
 	"javasim/internal/lockprof"
 	"javasim/internal/trace"
+	"javasim/internal/traffic"
 	"javasim/internal/vm"
 	"javasim/internal/workload"
 )
@@ -179,24 +180,81 @@ func TestEngineSweepBoundsParallelism(t *testing.T) {
 	}
 }
 
+// TestEngineParallelMatchesSequential runs each sweep three ways: on a
+// sequential engine, on a parallel engine, and point by point through
+// Engine.Run on an uncached engine. Sweeps warm-start every point from a
+// shared workload tape while Engine.Run attaches none, so the third
+// input is the cold reference: results must match it exactly, and each
+// warm point must be stored under the fingerprint of its cold config.
 func TestEngineParallelMatchesSequential(t *testing.T) {
-	spec := testSpec(t, "lusearch", 0.03)
-	counts := []int{2, 4, 8}
-	seq, err := NewEngine(WithParallelism(1)).Sweep(context.Background(), spec,
-		SweepConfig{ThreadCounts: counts, Base: vm.Config{Seed: 21}})
-	if err != nil {
-		t.Fatal(err)
+	open := vm.Config{Threads: 4, Seed: 21, Traffic: traffic.Config{
+		Process: traffic.ProcessPoisson, Requests: 200}}
+	cases := []struct {
+		name  string
+		spec  workload.Spec
+		sweep SweepConfig
+	}{
+		{"lusearch-threads", testSpec(t, "lusearch", 0.03),
+			SweepConfig{ThreadCounts: []int{2, 4, 8}, Base: vm.Config{Seed: 21}}},
+		{"server-rates", testSpec(t, "server", 0.03),
+			SweepConfig{Rates: []float64{100000, 1500000}, Base: open}},
 	}
-	par, err := NewEngine(WithParallelism(8)).Sweep(context.Background(), spec,
-		SweepConfig{ThreadCounts: counts, Base: vm.Config{Seed: 21}})
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ctx := context.Background()
+			stored := &recordingStore{m: map[string]*vm.Result{}}
+			seq, err := NewEngine(WithParallelism(1), WithDiskStore(stored)).Sweep(ctx, c.spec, c.sweep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			par, err := NewEngine(WithParallelism(8)).Sweep(ctx, c.spec, c.sweep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold := NewEngine(WithCache(0))
+			for i, p := range seq.Points {
+				if !reflect.DeepEqual(p.Result, par.Points[i].Result) {
+					t.Errorf("point %d differs between sequential and parallel engines", i)
+				}
+				cfg := c.sweep.Base
+				if c.sweep.Rates != nil {
+					cfg.Traffic.RatePerSec = c.sweep.Rates[i]
+				} else {
+					cfg.Threads = c.sweep.ThreadCounts[i]
+				}
+				res, err := cold.Run(ctx, c.spec, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(p.Result, res) {
+					t.Errorf("point %d differs between warm sweep and cold Engine.Run", i)
+				}
+				fp, ok := Fingerprint(c.spec, cfg)
+				if !ok || stored.m[fp] != p.Result {
+					t.Errorf("point %d was not stored under its cold fingerprint %.12s", i, fp)
+				}
+			}
+		})
 	}
-	for i := range counts {
-		if !reflect.DeepEqual(seq.Points[i].Result, par.Points[i].Result) {
-			t.Errorf("point t=%d differs between sequential and parallel engines", counts[i])
-		}
-	}
+}
+
+// recordingStore is an in-memory ResultStore that keeps every Put.
+type recordingStore struct {
+	mu sync.Mutex
+	m  map[string]*vm.Result
+}
+
+func (s *recordingStore) Get(fp string) (*vm.Result, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	res, ok := s.m[fp]
+	return res, ok
+}
+
+func (s *recordingStore) Put(fp string, res *vm.Result) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.m[fp] = res
 }
 
 func TestEngineSweepCancellation(t *testing.T) {

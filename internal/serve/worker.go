@@ -68,23 +68,19 @@ func RunWorker(ctx context.Context, r io.Reader, w io.Writer) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		runCtx := ctx
-		if !req.Config.DisableSnapshot {
-			key := snapKey{spec: req.Spec, seed: req.Config.Canonical().Seed}
-			snap, ok := snaps[key]
-			if !ok {
-				snap, _ = vm.NewSnapshot(req.Spec, req.Config) // nil on bad spec: run cold
-				if len(snaps) >= 8 {
-					// Cheap pressure valve; concurrent plans rarely
-					// interleave more sweeps than this on one worker.
-					clear(snaps)
-				}
-				snaps[key] = snap
+		key := snapKey{spec: req.Spec, seed: req.Config.Canonical().Seed}
+		snap, ok := snaps[key]
+		if !ok {
+			snap, _ = vm.NewSnapshot(req.Spec, req.Config) // nil on bad spec: run cold
+			if len(snaps) >= 8 {
+				// Cheap pressure valve; concurrent plans rarely
+				// interleave more sweeps than this on one worker.
+				clear(snaps)
 			}
-			runCtx = vm.ContextWithSnapshot(ctx, snap)
+			snaps[key] = snap
 		}
 		var resp workResponse
-		res, err := vm.RunContext(runCtx, req.Spec, req.Config)
+		res, err := vm.RunContext(vm.ContextWithSnapshot(ctx, snap), req.Spec, req.Config)
 		if err != nil {
 			resp.Error = err.Error()
 		} else {

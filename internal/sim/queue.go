@@ -6,49 +6,27 @@ package sim
 // operations on the hot path — Push, Pop, Peek — plus an occasional
 // indexed Remove (event cancellation). Because (at, seq) is a strict
 // total order (seq is unique), *any* correct priority queue yields the
-// same pop sequence, so the discipline is swappable without affecting
-// results: bit-identity is by construction, not by luck.
+// same pop sequence, so the discipline cannot affect results:
+// bit-identity is by construction, not by luck.
 //
-// Two disciplines are implemented behind the small pending interface:
-//
-//   - quadHeap: a 4-ary min-heap. Half the depth of a binary heap, so
-//     siftDown — the cost center of Pop, which dominates this kernel's
-//     mix (nearly every scheduled event fires; cancellations are rare)
-//     — does half as many levels of index arithmetic and pointer
-//     stores, at the price of up to 3 comparisons per level. Both sifts
-//     are hole-based (shift, don't swap): the moving event is held in a
-//     register and written exactly once. Measured in the kernel
-//     (BenchmarkEventThroughput / BenchmarkSimSchedule), the quad heap
-//     runs the schedule/fire cycle ~6-8% faster than the binary heap;
-//     through the boxed pending interface (BenchmarkQueueDiscipline)
-//     the two are within noise of each other, which is exactly why the
-//     Simulator embeds the concrete type.
-//   - binaryHeap: the original binary min-heap, kept as the reference
-//     implementation for the randomized differential test
-//     (TestQueueDisciplineDifferential) and the discipline benchmark.
+// The queue is a 4-ary min-heap. Half the depth of a binary heap, so
+// siftDown — the cost center of Pop, which dominates this kernel's mix
+// (nearly every scheduled event fires; cancellations are rare) — does
+// half as many levels of index arithmetic and pointer stores, at the
+// price of up to 3 comparisons per level. Both sifts are hole-based
+// (shift, don't swap): the moving event is held in a register and
+// written exactly once. End to end the choice does not matter: in 10
+// seed-paired perfbench paper-plan runs (40 s each, 2-core host) a
+// binary heap was faster in 6 and slower in 4, and the medians (3.48 s
+// vs 3.55 s plan_s) differ by less than the quartile spread of either
+// side's runs. With no measured winner, one heap is kept: this one,
+// which the kernel already used.
 //
 // A calendar/bucket queue was considered and rejected: this kernel's
 // event horizon is bimodal (sub-microsecond pipeline steps coexisting
 // with multi-millisecond GC and traffic deadlines), so no fixed bucket
 // width keeps buckets O(1), and resize heuristics would add branches to
-// Push/Pop that the heaps don't pay.
-//
-// The Simulator embeds the concrete quadHeap rather than the interface
-// so hot-path calls stay devirtualized; the interface exists for the
-// differential test and benchmarks, which exercise both disciplines
-// through identical drivers.
-
-// pending is the contract a queue discipline must satisfy. Ordering is
-// by (at, seq) ascending; Remove must no-op on events not in the queue
-// (stale index) and must leave index == -1 on removed events, matching
-// the event-pool lifecycle contract.
-type pending interface {
-	Len() int
-	Peek() *Event
-	Push(ev *Event)
-	Pop() *Event
-	Remove(ev *Event)
-}
+// Push/Pop that the heap doesn't pay.
 
 // eventLess is the kernel's total order: fire time, then scheduling
 // order (FIFO tie-break). seq is unique, so this is a strict total
@@ -60,11 +38,11 @@ func eventLess(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-// eventQueue is the live discipline: a 4-ary min-heap ordered by
-// (at, seq). Hand-rolled rather than built on container/heap so that
-// Push/Pop avoid interface boxing on the kernel's hottest path.
-type eventQueue = quadHeap
-
+// quadHeap is the Simulator's pending-event queue: a 4-ary min-heap
+// ordered by (at, seq). Hand-rolled rather than built on container/heap
+// so that Push/Pop avoid interface boxing on the kernel's hottest path.
+// Remove must no-op on events not in the queue (stale index) and leaves
+// index == -1 on removed events, matching the event-pool lifecycle.
 type quadHeap struct {
 	items []*Event
 }
@@ -162,94 +140,4 @@ func (q *quadHeap) siftDown(i int, ev *Event) {
 	}
 	q.items[i] = ev
 	ev.index = i
-}
-
-// binaryHeap is the original binary min-heap, retained as the reference
-// discipline for differential tests and benchmarks.
-type binaryHeap struct {
-	items []*Event
-}
-
-// Len returns the number of queued events.
-func (q *binaryHeap) Len() int { return len(q.items) }
-
-// Peek returns the earliest event without removing it.
-func (q *binaryHeap) Peek() *Event { return q.items[0] }
-
-// Push inserts an event.
-func (q *binaryHeap) Push(ev *Event) {
-	ev.index = len(q.items)
-	q.items = append(q.items, ev)
-	q.siftUp(ev.index)
-}
-
-// Pop removes and returns the earliest event.
-func (q *binaryHeap) Pop() *Event {
-	ev := q.items[0]
-	last := len(q.items) - 1
-	q.items[0] = q.items[last]
-	q.items[0].index = 0
-	q.items[last] = nil
-	q.items = q.items[:last]
-	if last > 0 {
-		q.siftDown(0)
-	}
-	ev.index = -1
-	return ev
-}
-
-// Remove deletes an event at an arbitrary position.
-func (q *binaryHeap) Remove(ev *Event) {
-	i := ev.index
-	if i < 0 || i >= len(q.items) || q.items[i] != ev {
-		return
-	}
-	last := len(q.items) - 1
-	q.items[i] = q.items[last]
-	q.items[i].index = i
-	q.items[last] = nil
-	q.items = q.items[:last]
-	if i < last {
-		q.siftDown(i)
-		q.siftUp(i)
-	}
-	ev.index = -1
-}
-
-func (q *binaryHeap) less(i, j int) bool { return eventLess(q.items[i], q.items[j]) }
-
-func (q *binaryHeap) swap(i, j int) {
-	q.items[i], q.items[j] = q.items[j], q.items[i]
-	q.items[i].index = i
-	q.items[j].index = j
-}
-
-func (q *binaryHeap) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q.swap(i, parent)
-		i = parent
-	}
-}
-
-func (q *binaryHeap) siftDown(i int) {
-	n := len(q.items)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		smallest := left
-		if right := left + 1; right < n && q.less(right, left) {
-			smallest = right
-		}
-		if !q.less(smallest, i) {
-			break
-		}
-		q.swap(i, smallest)
-		i = smallest
-	}
 }

@@ -2,15 +2,54 @@ package sim
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"testing"
 )
 
-// queueHarness drives a queue discipline through the same lifecycle the
+// testQueue is the part of quadHeap's method set the harness drives.
+type testQueue interface {
+	Len() int
+	Push(ev *Event)
+	Pop() *Event
+	Remove(ev *Event)
+}
+
+// sortedQueue is the differential oracle: a slice kept sorted by
+// eventLess, with linear insert and remove. Too slow for the kernel,
+// simple enough to be obviously right. It does not track positions:
+// index 0 marks a queued event and -1 a popped or removed one, which is
+// all the pool lifecycle reads.
+type sortedQueue struct{ items []*Event }
+
+func (q *sortedQueue) Len() int { return len(q.items) }
+
+func (q *sortedQueue) Push(ev *Event) {
+	i := sort.Search(len(q.items), func(i int) bool { return eventLess(ev, q.items[i]) })
+	q.items = slices.Insert(q.items, i, ev)
+	ev.index = 0
+}
+
+func (q *sortedQueue) Pop() *Event {
+	ev := q.items[0]
+	q.items = q.items[1:]
+	ev.index = -1
+	return ev
+}
+
+func (q *sortedQueue) Remove(ev *Event) {
+	if i := slices.Index(q.items, ev); i >= 0 {
+		q.items = slices.Delete(q.items, i, i+1)
+		ev.index = -1
+	}
+}
+
+// queueHarness drives a queue through the same lifecycle the
 // Simulator imposes: pooled records, (at, seq) stamping, cancellation
 // via Remove, and recycling at fire/cancel time. Two harnesses fed the
 // same operation stream must agree on everything observable.
 type queueHarness struct {
-	q    pending
+	q    testQueue
 	now  Time
 	seq  uint64
 	free []*Event
@@ -57,19 +96,19 @@ func (h *queueHarness) step() (Time, uint64, bool) {
 	return at, seq, true
 }
 
-// TestQueueDisciplineDifferential drives the live 4-ary heap and the
-// reference binary heap through identical randomized schedule / cancel
+// TestQueueDisciplineDifferential drives the 4-ary heap and the
+// sorted-slice oracle through identical randomized schedule / cancel
 // / fire interleavings and asserts they observe identical pop order and
 // identical pool recycling. Because (at, seq) is a strict total order,
-// any divergence is a bug in one discipline, not a legitimate tie
-// resolution. Run under -race in CI (subtests are parallel).
+// any divergence is a bug in the heap, not a legitimate tie resolution.
+// Run under -race in CI (subtests are parallel).
 func TestQueueDisciplineDifferential(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		trial := trial
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
 			t.Parallel()
 			quad := &queueHarness{q: &quadHeap{}}
-			bin := &queueHarness{q: &binaryHeap{}}
+			ref := &queueHarness{q: &sortedQueue{}}
 			rng := NewRand(0xD1FF + uint64(trial)*0x9E3779B9)
 
 			pendingIdx := func(h *queueHarness) []int {
@@ -87,7 +126,7 @@ func TestQueueDisciplineDifferential(t *testing.T) {
 				case r < 5: // schedule, with deliberate timestamp ties
 					at := quad.now + Time(rng.Intn(64))
 					quad.schedule(at)
-					bin.schedule(at)
+					ref.schedule(at)
 				case r < 7: // cancel a random still-pending event
 					idx := pendingIdx(quad)
 					if len(idx) == 0 {
@@ -95,39 +134,39 @@ func TestQueueDisciplineDifferential(t *testing.T) {
 					}
 					pick := idx[rng.Intn(len(idx))]
 					cq := quad.cancel(quad.live[pick])
-					cb := bin.cancel(bin.live[pick])
-					if cq != cb {
-						t.Fatalf("op %d: cancel diverged: quad=%v bin=%v", op, cq, cb)
+					cr := ref.cancel(ref.live[pick])
+					if cq != cr {
+						t.Fatalf("op %d: cancel diverged: quad=%v ref=%v", op, cq, cr)
 					}
 				default: // fire the earliest event
 					qa, qs, qok := quad.step()
-					ba, bs, bok := bin.step()
-					if qok != bok || qa != ba || qs != bs {
-						t.Fatalf("op %d: pop diverged: quad=(%v,%d,%v) bin=(%v,%d,%v)",
-							op, qa, qs, qok, ba, bs, bok)
+					ra, rs, rok := ref.step()
+					if qok != rok || qa != ra || qs != rs {
+						t.Fatalf("op %d: pop diverged: quad=(%v,%d,%v) ref=(%v,%d,%v)",
+							op, qa, qs, qok, ra, rs, rok)
 					}
 				}
-				if len(quad.free) != len(bin.free) {
-					t.Fatalf("op %d: pool diverged: quad free=%d bin free=%d",
-						op, len(quad.free), len(bin.free))
+				if len(quad.free) != len(ref.free) {
+					t.Fatalf("op %d: pool diverged: quad free=%d ref free=%d",
+						op, len(quad.free), len(ref.free))
 				}
 			}
 
 			// Drain both; the full remaining pop order must match too.
 			for {
 				qa, qs, qok := quad.step()
-				ba, bs, bok := bin.step()
-				if qok != bok || qa != ba || qs != bs {
-					t.Fatalf("drain diverged: quad=(%v,%d,%v) bin=(%v,%d,%v)",
-						qa, qs, qok, ba, bs, bok)
+				ra, rs, rok := ref.step()
+				if qok != rok || qa != ra || qs != rs {
+					t.Fatalf("drain diverged: quad=(%v,%d,%v) ref=(%v,%d,%v)",
+						qa, qs, qok, ra, rs, rok)
 				}
 				if !qok {
 					break
 				}
 			}
-			if len(quad.free) != len(bin.free) {
-				t.Fatalf("final pool diverged: quad free=%d bin free=%d",
-					len(quad.free), len(bin.free))
+			if len(quad.free) != len(ref.free) {
+				t.Fatalf("final pool diverged: quad free=%d ref free=%d",
+					len(quad.free), len(ref.free))
 			}
 		})
 	}
@@ -169,44 +208,5 @@ func TestQuadHeapRemoveInvariant(t *testing.T) {
 			t.Fatalf("pop order regressed: (%v,%d) after (%v,%d)", ev.at, ev.seq, prev.at, prev.seq)
 		}
 		prev = ev
-	}
-}
-
-// BenchmarkQueueDiscipline compares the two heap disciplines on the
-// kernel's characteristic mix — a warm queue at simulation-realistic
-// depth with nearly every pushed event firing — which is the evidence
-// behind choosing the 4-ary heap as the live eventQueue.
-func BenchmarkQueueDiscipline(b *testing.B) {
-	for _, depth := range []int{64, 1024} {
-		run := func(name string, mk func() pending) {
-			b.Run(fmt.Sprintf("%s/depth%d", name, depth), func(b *testing.B) {
-				b.ReportAllocs()
-				q := mk()
-				rng := NewRand(42)
-				evs := make([]*Event, depth+1)
-				for i := range evs {
-					evs[i] = &Event{}
-				}
-				var now Time
-				var seq uint64
-				for _, ev := range evs[:depth] {
-					seq++
-					ev.at, ev.seq = Time(rng.Intn(1000)), seq
-					q.Push(ev)
-				}
-				spare := evs[depth]
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					seq++
-					spare.at, spare.seq = now+Time(rng.Intn(1000)), seq
-					q.Push(spare)
-					popped := q.Pop()
-					now = popped.at
-					spare = popped
-				}
-			})
-		}
-		run("binary", func() pending { return &binaryHeap{} })
-		run("quad", func() pending { return &quadHeap{} })
 	}
 }

@@ -79,7 +79,7 @@ func (e *Event) Canceled() bool { return e.canceled }
 type Simulator struct {
 	now     Time
 	seq     uint64
-	queue   eventQueue
+	queue   quadHeap
 	stopped bool
 	// executed counts events that have fired, for diagnostics and tests.
 	executed uint64

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -33,13 +34,12 @@ func runPair(t *testing.T, spec workload.Spec, cfg Config, expectFusion bool) (*
 	}
 	observed := fusedRuns
 
-	cfg.DisableFusion = true
-	unfused, err := Run(spec, cfg)
+	unfused, err := runContext(context.Background(), spec, cfg, false)
 	if err != nil {
 		t.Fatalf("%s unfused run: %v", spec.Name, err)
 	}
 	if fusedRuns != observed {
-		t.Errorf("%s: DisableFusion run still fused (%d -> %d runs)", spec.Name, observed, fusedRuns)
+		t.Errorf("%s: unfused run still fused (%d -> %d runs)", spec.Name, observed, fusedRuns)
 	}
 	return fused, unfused
 }

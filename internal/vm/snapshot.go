@@ -31,8 +31,7 @@ import (
 // a warm run and a cold run have identical configurations, so engine
 // cache keys and disk-store fingerprints are identical by construction
 // — snapshot-derived results land in (and hit) the same store entries
-// as cold ones. Config.DisableSnapshot is the differential-testing
-// escape hatch, mirroring DisableFusion.
+// as cold ones. A run whose context carries no snapshot runs cold.
 
 // snapshotObserver, when non-nil, is called once per run that attaches a
 // snapshot tape — a test hook (mirroring fuseObserver) so differential
@@ -134,8 +133,8 @@ func (p *SnapshotProvider) Snapshot() *Snapshot {
 type snapshotCtxKey struct{}
 
 // ContextWithSnapshot returns a context carrying the snapshot; RunContext
-// warm-starts from it when the run's spec and seed match (and
-// Config.DisableSnapshot is unset). A nil snapshot returns ctx unchanged.
+// warm-starts from it when the run's spec and seed match. A nil snapshot
+// returns ctx unchanged.
 func ContextWithSnapshot(ctx context.Context, s *Snapshot) context.Context {
 	if s == nil {
 		return ctx

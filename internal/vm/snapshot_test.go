@@ -111,34 +111,6 @@ func TestSnapshotShortTapeOverflow(t *testing.T) {
 	diffResults(t, "short-tape", warm, cold)
 }
 
-// TestSnapshotDisableEscapeHatch pins Config.DisableSnapshot: with the
-// flag set, a snapshot sitting on the context must be ignored.
-func TestSnapshotDisableEscapeHatch(t *testing.T) {
-	spec := workload.SunflowSpec().Scale(0.04)
-	cfg := Config{Threads: 4, Seed: 11}
-	snap, err := NewSnapshot(spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	attaches := 0
-	snapshotObserver = func() { attaches++ }
-	defer func() { snapshotObserver = nil }()
-
-	cfg.DisableSnapshot = true
-	disabled, err := RunContext(ContextWithSnapshot(context.Background(), snap), spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if attaches != 0 {
-		t.Errorf("DisableSnapshot run still attached a tape (%d attaches)", attaches)
-	}
-	cold, err := Run(spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diffResults(t, "disable-snapshot", disabled, cold)
-}
-
 // TestSnapshotSeedMismatchStaysCold pins the Matches self-guard: a
 // snapshot built for another seed must be skipped, not misapplied —
 // sweeps run repeats under derived seeds through the same context.

@@ -98,22 +98,6 @@ type Config struct {
 	// MaxVirtualTime aborts runs that exceed this much simulated time;
 	// zero defaults to 300 virtual seconds.
 	MaxVirtualTime sim.Time
-	// DisableFusion turns off op-run fusion: the interpreter's batching of
-	// consecutive compute/alloc ops into one summed scheduler segment when
-	// no other simulation event can intervene (see fuse.go). Fusion applies
-	// only when provably invisible, so results are bit-identical either
-	// way; the switch exists for differential testing and diagnosis, not
-	// tuning. Fusion also disables itself when a TraceSink is attached,
-	// keeping per-op trace timestamps exact.
-	DisableFusion bool
-	// DisableSnapshot turns off warm-start snapshot consumption: a run
-	// finding a Snapshot on its context (see ContextWithSnapshot) ignores
-	// it and regenerates its workload units live. Snapshot replay applies
-	// only when provably invisible — a tape's unit k equals the k-th
-	// live-generated unit, draw for draw — so results are bit-identical
-	// either way; like DisableFusion, the switch exists for differential
-	// testing and diagnosis, not tuning.
-	DisableSnapshot bool
 	// HelperPeriod and HelperBurst shape the JVM background threads (JIT
 	// compiler, profiler): every period each helper computes for burst.
 	HelperPeriod sim.Time
@@ -497,6 +481,13 @@ const cancelCheckEvents = 4096
 // canceled context aborts the run promptly and returns an error wrapping
 // ctx.Err(); the partial simulation state is discarded.
 func RunContext(ctx context.Context, spec workload.Spec, cfg Config) (*Result, error) {
+	return runContext(ctx, spec, cfg, true)
+}
+
+// runContext is RunContext with op-run fusion selectable. Fusion is
+// invisible in results, so only the fusion differential tests pass fuse
+// false, to compare against the op-by-op path.
+func runContext(ctx context.Context, spec workload.Spec, cfg Config, fuse bool) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -544,12 +535,10 @@ func RunContext(ctx context.Context, spec workload.Spec, cfg Config) (*Result, e
 	// ops allocation.
 	run.ReuseUnitBuffers()
 	var snap *Snapshot
-	if !cfg.DisableSnapshot {
-		if s := SnapshotFrom(ctx); s != nil && s.Matches(spec, cfg) {
-			snap = s
-			if run.AttachTape(s.tapes[0]) && snapshotObserver != nil {
-				snapshotObserver()
-			}
+	if s := SnapshotFrom(ctx); s.Matches(spec, cfg) {
+		snap = s
+		if run.AttachTape(s.tapes[0]) && snapshotObserver != nil {
+			snapshotObserver()
 		}
 	}
 
@@ -639,7 +628,7 @@ func RunContext(ctx context.Context, spec workload.Spec, cfg Config) (*Result, e
 		sim: s, mach: mach, sched: scheduler,
 		heap: hp, reg: reg, gc: collector, locks: table, run: run,
 		lifespans: metrics.NewHistogram(spec.Name + "-lifespans"),
-		fuseOK:    !cfg.DisableFusion && cfg.TraceSink == nil,
+		fuseOK:    fuse && cfg.TraceSink == nil,
 		tlabSize:  hp.Config().TLABSize,
 		spanned:   spanned,
 		snap:      snap,

@@ -120,26 +120,7 @@ type (
 	// arrival processes; all process randomness must come from it so
 	// equal seeds reproduce equal traces.
 	Rand = sim.Rand
-	// Snapshot is the warm-start state shared by every point of a sweep:
-	// pre-generated workload unit tapes plus end-of-tape RNG stream
-	// states. Engine.Sweep builds one automatically; construct explicitly
-	// (NewSnapshot) to warm-start hand-rolled point loops via
-	// ContextWithSnapshot. Replay is bit-identical to cold generation, so
-	// cache keys and result fingerprints are unaffected.
-	Snapshot = vm.Snapshot
 )
-
-// NewSnapshot pre-generates the workload tapes every iteration of runs
-// configured like cfg will consume; runs sharing the spec and seed can
-// warm-start from it at any thread count or offered rate.
-func NewSnapshot(spec Spec, cfg Config) (*Snapshot, error) { return vm.NewSnapshot(spec, cfg) }
-
-// ContextWithSnapshot returns a context carrying the snapshot; runs
-// dispatched with it warm-start when their spec and seed match (unless
-// Config.DisableSnapshot is set).
-func ContextWithSnapshot(ctx context.Context, s *Snapshot) context.Context {
-	return vm.ContextWithSnapshot(ctx, s)
-}
 
 // Engine types.
 type (
