@@ -24,26 +24,27 @@ import (
 
 var benchCtx = context.Background()
 
-// benchSuite builds a reduced-scale suite mirroring the paper's sweep
-// shape; scale 0.15 keeps one full regeneration under a second. Each call
-// constructs a fresh engine so every benchmark iteration simulates from a
-// cold cache — otherwise the memoizing engine would turn iterations 2..N
-// into cache-lookup measurements.
-func benchSuite() *javasim.Suite {
-	return javasim.NewEngine().Suite(javasim.ExperimentConfig{
+// benchPaper runs the named PaperPlan reports at a reduced scale
+// mirroring the paper's sweep shape; scale 0.15 keeps one full
+// regeneration under a second. Each call constructs a fresh engine so
+// every benchmark iteration simulates from a cold cache — otherwise the
+// memoizing engine would turn iterations 2..N into cache-lookup
+// measurements.
+func benchPaper(b *testing.B, names ...string) *javasim.PlanResult {
+	b.Helper()
+	p, err := javasim.PaperPlan(javasim.ExperimentConfig{
 		ThreadCounts: []int{4, 16, 48},
 		Scale:        0.15,
 		Seed:         42,
-	})
-}
-
-func sweepOrFatal(b *testing.B, s *javasim.Suite, name string) *javasim.Sweep {
-	b.Helper()
-	sw, err := s.SweepFor(benchCtx, name)
+	}).Select(names...)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return sw
+	pr, err := javasim.NewEngine().RunPlan(benchCtx, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return pr
 }
 
 // BenchmarkFig1aLockAcquisitions regenerates Figure 1a (E1).
@@ -51,11 +52,8 @@ func BenchmarkFig1aLockAcquisitions(b *testing.B) {
 	b.ReportAllocs()
 	var growth float64
 	for i := 0; i < b.N; i++ {
-		s := benchSuite()
-		if _, err := s.Fig1a(benchCtx); err != nil {
-			b.Fatal(err)
-		}
-		growth = metrics.GrowthFactor(sweepOrFatal(b, s, "xalan").Acquisitions())
+		pr := benchPaper(b, "Fig1a")
+		growth = metrics.GrowthFactor(pr.Scenario("xalan").Sweep().Acquisitions())
 	}
 	b.ReportMetric(growth, "xalan-acq-growth-x")
 }
@@ -65,11 +63,8 @@ func BenchmarkFig1bLockContentions(b *testing.B) {
 	b.ReportAllocs()
 	var growth float64
 	for i := 0; i < b.N; i++ {
-		s := benchSuite()
-		if _, err := s.Fig1b(benchCtx); err != nil {
-			b.Fatal(err)
-		}
-		growth = metrics.GrowthFactor(sweepOrFatal(b, s, "xalan").Contentions())
+		pr := benchPaper(b, "Fig1b")
+		growth = metrics.GrowthFactor(pr.Scenario("xalan").Sweep().Contentions())
 	}
 	b.ReportMetric(growth, "xalan-cont-growth-x")
 }
@@ -79,11 +74,7 @@ func BenchmarkFig1cEclipseLifetimes(b *testing.B) {
 	b.ReportAllocs()
 	var shift float64
 	for i := 0; i < b.N; i++ {
-		s := benchSuite()
-		if _, err := s.Fig1c(benchCtx); err != nil {
-			b.Fatal(err)
-		}
-		cdf := sweepOrFatal(b, s, "eclipse").CDFBelow(1024)
+		cdf := benchPaper(b, "Fig1c").Scenario("eclipse").Sweep().CDFBelow(1024)
 		shift = 100 * (cdf[0] - cdf[len(cdf)-1])
 	}
 	b.ReportMetric(shift, "eclipse-cdf1k-shift-pt")
@@ -94,11 +85,7 @@ func BenchmarkFig1dXalanLifetimes(b *testing.B) {
 	b.ReportAllocs()
 	var shift float64
 	for i := 0; i < b.N; i++ {
-		s := benchSuite()
-		if _, err := s.Fig1d(benchCtx); err != nil {
-			b.Fatal(err)
-		}
-		cdf := sweepOrFatal(b, s, "xalan").CDFBelow(1024)
+		cdf := benchPaper(b, "Fig1d").Scenario("xalan").Sweep().CDFBelow(1024)
 		shift = 100 * (cdf[0] - cdf[len(cdf)-1])
 	}
 	b.ReportMetric(shift, "xalan-cdf1k-shift-pt")
@@ -109,11 +96,8 @@ func BenchmarkFig2MutatorGC(b *testing.B) {
 	b.ReportAllocs()
 	var gcGrowth float64
 	for i := 0; i < b.N; i++ {
-		s := benchSuite()
-		if _, err := s.Fig2(benchCtx); err != nil {
-			b.Fatal(err)
-		}
-		gcGrowth = metrics.GrowthFactor(sweepOrFatal(b, s, "xalan").GCSeconds())
+		pr := benchPaper(b, "Fig2")
+		gcGrowth = metrics.GrowthFactor(pr.Scenario("xalan").Sweep().GCSeconds())
 	}
 	b.ReportMetric(gcGrowth, "xalan-gc-growth-x")
 }
@@ -123,13 +107,10 @@ func BenchmarkTableClassification(b *testing.B) {
 	b.ReportAllocs()
 	var matches float64
 	for i := 0; i < b.N; i++ {
-		s := benchSuite()
-		if _, err := s.ClassificationTable(benchCtx); err != nil {
-			b.Fatal(err)
-		}
+		pr := benchPaper(b, "ClassificationTable")
 		matches = 0
 		for _, spec := range javasim.PaperBenchmarks() {
-			if sweepOrFatal(b, s, spec.Name).Classify(2.0).Matches() {
+			if pr.Scenario(spec.Name).Sweep().Classify(2.0).Matches() {
 				matches++
 			}
 		}
@@ -143,11 +124,8 @@ func BenchmarkTableWorkDistribution(b *testing.B) {
 	b.ReportAllocs()
 	var top4 float64
 	for i := 0; i < b.N; i++ {
-		s := benchSuite()
-		if _, err := s.WorkDistributionTable(benchCtx); err != nil {
-			b.Fatal(err)
-		}
-		top4 = sweepOrFatal(b, s, "jython").ComputeFactors().Top4Share
+		pr := benchPaper(b, "WorkDistributionTable")
+		top4 = pr.Scenario("jython").Sweep().ComputeFactors().Top4Share
 	}
 	b.ReportMetric(top4, "jython-top4-share")
 }
@@ -157,9 +135,7 @@ func BenchmarkTableWorkDistribution(b *testing.B) {
 func BenchmarkAblationBiasedScheduling(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := benchSuite().AblationBias(benchCtx); err != nil {
-			b.Fatal(err)
-		}
+		benchPaper(b, "AblationBias")
 	}
 }
 
@@ -168,9 +144,7 @@ func BenchmarkAblationBiasedScheduling(b *testing.B) {
 func BenchmarkAblationCompartmentHeap(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := benchSuite().AblationCompartments(benchCtx); err != nil {
-			b.Fatal(err)
-		}
+		benchPaper(b, "AblationCompartments")
 	}
 }
 

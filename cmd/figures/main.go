@@ -1,4 +1,5 @@
-// Command figures regenerates the paper's figures and tables through a
+// Command figures regenerates the paper's figures and tables by running
+// javasim.PaperPlan, or the one report of it a flag selects, through a
 // javasim.Engine: sweeps run on a bounded worker pool, repeated
 // configurations are memoized, Ctrl-C cancels the batch mid-run, and
 // -progress streams per-run events while long batches execute.
@@ -16,12 +17,15 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 
 	"javasim"
+	"javasim/internal/report"
 )
 
 func main() {
@@ -63,91 +67,28 @@ func main() {
 			cfg.ThreadCounts = append(cfg.ThreadCounts, n)
 		}
 	}
-	suite := eng.Suite(cfg)
 
 	var tables []*javasim.Table
-	add := func(t *javasim.Table, err error) {
-		if err != nil {
-			fatalf("%v", err)
+	if *study != "" && *fig == "" && *table == "" {
+		var names []string
+		if *study != "all" {
+			names = []string{artifact("study", *study)}
 		}
-		tables = append(tables, t)
-	}
-
-	switch {
-	case *fig != "":
-		switch *fig {
-		case "1a":
-			add(suite.Fig1a(ctx))
-		case "1b":
-			add(suite.Fig1b(ctx))
-		case "1c":
-			add(suite.Fig1c(ctx))
-		case "1d":
-			add(suite.Fig1d(ctx))
-		case "2":
-			if *chart {
-				charts, err := suite.Fig2Chart(ctx)
-				if err != nil {
-					fatalf("%v", err)
-				}
-				for _, c := range charts {
-					if err := c.WriteASCII(os.Stdout); err != nil {
-						fatalf("%v", err)
-					}
-					fmt.Println()
-				}
-				return
-			}
-			add(suite.Fig2(ctx))
-		default:
-			fatalf("unknown figure %q (1a|1b|1c|1d|2)", *fig)
+		tables = check(eng.Studies(ctx, cfg, names...))
+	} else {
+		plan := javasim.PaperPlan(cfg)
+		switch {
+		case *fig != "":
+			plan = check(plan.Select(artifact("fig", *fig)))
+		case *table != "":
+			plan = check(plan.Select(artifact("table", *table)))
 		}
-	case *table != "":
-		switch *table {
-		case "classification":
-			add(suite.ClassificationTable(ctx))
-		case "workdist":
-			add(suite.WorkDistributionTable(ctx))
-		case "factors":
-			add(suite.FactorsTable(ctx))
-		case "biased":
-			add(suite.AblationBias(ctx))
-		case "compartment":
-			add(suite.AblationCompartments(ctx))
-		default:
-			fatalf("unknown table %q", *table)
+		pr := check(eng.RunPlan(ctx, plan))
+		if *fig == "2" && *chart {
+			writeCharts(pr)
+			return
 		}
-	case *study != "":
-		switch *study {
-		case "heapfactor":
-			add(suite.StudyHeapFactor(ctx))
-		case "gcworkers":
-			add(suite.StudyGCWorkers(ctx))
-		case "tenuring":
-			add(suite.StudyTenuring(ctx))
-		case "numa":
-			add(suite.StudyNUMA(ctx))
-		case "replication":
-			add(suite.StudyReplication(ctx))
-		case "collector":
-			add(suite.StudyCollector(ctx))
-		case "pretenure":
-			add(suite.StudyPretenuring(ctx))
-		case "all":
-			all, err := suite.AllStudies(ctx)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			tables = all
-		default:
-			fatalf("unknown study %q", *study)
-		}
-	default:
-		all, err := suite.AllArtifacts(ctx)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		tables = all
+		tables = pr.Reports
 	}
 
 	for i, t := range tables {
@@ -169,6 +110,69 @@ func main() {
 		fmt.Fprintf(os.Stderr, "figures: %d simulations, %d cache hits, %d memoized\n",
 			st.Simulations, st.CacheHits, st.CachedResults)
 	}
+}
+
+// artifacts maps each -fig, -table, and -study value to the PaperPlan
+// report or design-choice study it regenerates.
+var artifacts = map[string]map[string]string{
+	"fig": {"1a": "Fig1a", "1b": "Fig1b", "1c": "Fig1c", "1d": "Fig1d", "2": "Fig2"},
+	"table": {"classification": "ClassificationTable", "workdist": "WorkDistributionTable",
+		"factors": "FactorsTable", "biased": "AblationBias", "compartment": "AblationCompartments"},
+	"study": {"heapfactor": "StudyHeapFactor", "gcworkers": "StudyGCWorkers", "tenuring": "StudyTenuring",
+		"numa": "StudyNUMA", "collector": "StudyCollector", "pretenure": "StudyPretenuring",
+		"replication": "StudyReplication"},
+}
+
+// artifact resolves a flag value through artifacts, exiting on an
+// unknown one.
+func artifact(flagName, value string) string {
+	name, ok := artifacts[flagName][value]
+	if !ok {
+		known := slices.Sorted(maps.Keys(artifacts[flagName]))
+		fatalf("unknown -%s value %q (known: %s)", flagName, value, strings.Join(known, "|"))
+	}
+	return name
+}
+
+// writeCharts renders Figure 2 as ASCII charts: per scalable workload,
+// the mutator and GC time series against the thread sweep — the quickest
+// way to eyeball the crossing shapes in a terminal.
+func writeCharts(pr *javasim.PlanResult) {
+	ms := func(xs []float64) []float64 {
+		out := make([]float64, len(xs))
+		for i, x := range xs {
+			out[i] = x * 1000
+		}
+		return out
+	}
+	for _, sc := range pr.Scenarios {
+		sw := sc.Sweep()
+		ticks := make([]string, len(sw.Points))
+		for i, p := range sw.Points {
+			ticks[i] = strconv.Itoa(p.Threads)
+		}
+		c := &report.Chart{
+			Title:  fmt.Sprintf("Figure 2 — %s: mutator vs GC time (ms)", sc.Name),
+			XLabel: "threads (= cores)",
+			XTicks: ticks,
+			Series: []report.Series{
+				{Name: "mutator ms", Points: ms(sw.MutatorSeconds())},
+				{Name: "gc ms", Points: ms(sw.GCSeconds())},
+			},
+		}
+		if err := c.WriteASCII(os.Stdout); err != nil {
+			fatalf("%v", err)
+		}
+		fmt.Println()
+	}
+}
+
+// check exits on err and passes v through.
+func check[T any](v T, err error) T {
+	if err != nil {
+		fatalf("%v", err)
+	}
+	return v
 }
 
 func fatalf(format string, args ...any) {

@@ -154,17 +154,21 @@ func ExampleConfig_placement() {
 	// Output: ran under: round-robin
 }
 
-// ExampleSuite_Fig1d regenerates one of the paper's figures as a table.
-func ExampleSuite_Fig1d() {
-	suite := javasim.NewEngine().Suite(javasim.ExperimentConfig{
+// ExamplePlan_Select regenerates one of the paper's figures as a table,
+// simulating only the xalan sweep it reads.
+func ExamplePlan_Select() {
+	plan, err := javasim.PaperPlan(javasim.ExperimentConfig{
 		ThreadCounts: []int{4, 16},
 		Scale:        0.05,
-	})
-	table, err := suite.Fig1d(context.Background())
+	}).Select("Fig1d")
 	if err != nil {
 		panic(err)
 	}
-	table.WriteASCII(os.Stdout)
+	pr, err := javasim.NewEngine().RunPlan(context.Background(), plan)
+	if err != nil {
+		panic(err)
+	}
+	pr.Reports[0].WriteASCII(os.Stdout)
 	// The rendered table lists the lifespan CDF of xalan at both thread
 	// counts; values depend on the calibrated models.
 }

@@ -4,11 +4,11 @@
 // decomposition that explains *why* — sequential fraction, lock
 // contention growth, GC share growth, lifespan shift, and work imbalance.
 //
-// The whole study runs through one javasim.Engine: sweeps execute on a
-// bounded worker pool, an observer streams progress as sweeps complete,
-// and the two tables plus the drill-down share one set of memoized
-// sweeps — the engine simulates each (workload, thread count) exactly
-// once.
+// The whole study is one selection of javasim.PaperPlan run through one
+// javasim.Engine: sweeps execute on a bounded worker pool, an observer
+// streams progress as sweeps complete, and the two tables plus the
+// drill-down share one set of sweeps — the engine simulates each
+// (workload, thread count) exactly once.
 package main
 
 import (
@@ -32,33 +32,28 @@ func main() {
 	)
 
 	// Scale 0.5 halves each workload so the whole study runs in seconds;
-	// pass Scale: 1 for the full-size runs.
-	suite := eng.Suite(javasim.ExperimentConfig{
+	// pass Scale: 1 for the full-size runs. Selecting the two tables
+	// from the paper plan keeps only the six workload sweeps they read.
+	plan, err := javasim.PaperPlan(javasim.ExperimentConfig{
 		ThreadCounts: []int{4, 8, 16, 32, 48},
 		Scale:        0.5,
 		Seed:         42,
-	})
-
-	classification, err := suite.ClassificationTable(ctx)
+	}).Select("ClassificationTable", "FactorsTable")
 	if err != nil {
 		log.Fatal(err)
 	}
-	classification.WriteASCII(os.Stdout)
-	fmt.Println()
-
-	factors, err := suite.FactorsTable(ctx)
+	pr, err := eng.RunPlan(ctx, plan)
 	if err != nil {
 		log.Fatal(err)
 	}
-	factors.WriteASCII(os.Stdout)
-	fmt.Println()
-
-	// Drill into one scalable workload: show the paper's headline series.
-	// The sweep is memoized — this re-uses the simulations above.
-	sw, err := suite.SweepFor(ctx, "xalan")
-	if err != nil {
-		log.Fatal(err)
+	for _, t := range pr.Reports {
+		t.WriteASCII(os.Stdout)
+		fmt.Println()
 	}
+
+	// Drill into one scalable workload: show the paper's headline series
+	// from the sweep the tables above were rendered from.
+	sw := pr.Scenario("xalan").Sweep()
 	fmt.Println("xalan detail (speedup | mutator | gc | contentions | objects dying <1KB):")
 	speedups := sw.Curve().Speedups()
 	cdf := sw.CDFBelow(1024)

@@ -6,12 +6,13 @@ import (
 	"testing"
 
 	"javasim/internal/metrics"
+	"javasim/internal/report"
 	"javasim/internal/vm"
 	"javasim/internal/workload"
 )
 
 // testEngine is shared by the tests that only need a memoizing engine,
-// so the points their suites and sweeps have in common simulate once.
+// so the points their plans and sweeps have in common simulate once.
 var testEngine = NewEngine()
 
 // testSweep runs a reduced-scale sweep for unit tests.
@@ -88,31 +89,10 @@ func TestComputeFactors(t *testing.T) {
 	}
 }
 
-func TestSuiteCachesSweeps(t *testing.T) {
-	s := testEngine.Suite(ExperimentConfig{
-		ThreadCounts: []int{2, 4},
-		Scale:        0.02,
-		Workloads:    []workload.Spec{workload.XalanSpec()},
-	})
-	a, err := s.SweepFor(context.Background(), "xalan")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := s.SweepFor(context.Background(), "xalan")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Error("sweep not cached")
-	}
-	if _, err := s.SweepFor(context.Background(), "nope"); err == nil {
-		t.Error("unknown workload accepted")
-	}
-}
-
+// TestSuiteDefaults checks the defaults the paper suite's zero config
+// resolves to.
 func TestSuiteDefaults(t *testing.T) {
-	s := testEngine.Suite(ExperimentConfig{})
-	cfg := s.Config()
+	cfg := ExperimentConfig{}.withDefaults()
 	if cfg.Scale != 1 || cfg.Seed != 42 || len(cfg.Workloads) != 6 {
 		t.Errorf("defaults = %+v", cfg)
 	}
@@ -121,22 +101,34 @@ func TestSuiteDefaults(t *testing.T) {
 	}
 }
 
-func smallSuite(counts ...int) *Suite {
+func smallConfig(counts ...int) ExperimentConfig {
 	if len(counts) == 0 {
 		counts = []int{2, 4, 8}
 	}
-	return testEngine.Suite(ExperimentConfig{
+	return ExperimentConfig{
 		ThreadCounts: counts,
 		Scale:        0.04,
 		Seed:         13,
-	})
+	}
 }
 
-func TestFig1aTable(t *testing.T) {
-	tb, err := smallSuite().Fig1a(context.Background())
+// paperReport renders the named PaperPlan report at cfg, simulating
+// through the shared test engine only the sweeps it reads.
+func paperReport(t *testing.T, cfg ExperimentConfig, name string) *report.Table {
+	t.Helper()
+	p, err := PaperPlan(cfg).Select(name)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pr, err := testEngine.RunPlan(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pr.Reports[0]
+}
+
+func TestFig1aTable(t *testing.T) {
+	tb := paperReport(t, smallConfig(), "Fig1a")
 	if len(tb.Rows) != 6 {
 		t.Fatalf("rows = %d, want 6", len(tb.Rows))
 	}
@@ -152,28 +144,18 @@ func TestFig1aTable(t *testing.T) {
 }
 
 func TestFig1bTable(t *testing.T) {
-	tb, err := smallSuite().Fig1b(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := paperReport(t, smallConfig(), "Fig1b")
 	if len(tb.Rows) != 6 {
 		t.Errorf("rows = %d", len(tb.Rows))
 	}
 }
 
 func TestFig1cdTables(t *testing.T) {
-	s := smallSuite()
-	c, err := s.Fig1c(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := paperReport(t, smallConfig(), "Fig1c")
 	if !strings.Contains(c.Title, "eclipse") {
 		t.Error("Fig1c is not eclipse")
 	}
-	d, err := s.Fig1d(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := paperReport(t, smallConfig(), "Fig1d")
 	if !strings.Contains(d.Title, "xalan") {
 		t.Error("Fig1d is not xalan")
 	}
@@ -183,17 +165,18 @@ func TestFig1cdTables(t *testing.T) {
 }
 
 func TestLifespanCDFUnknownThreads(t *testing.T) {
-	if _, err := smallSuite().LifespanCDF(context.Background(), "xalan", 3, 999); err == nil {
+	p, err := PaperPlan(smallConfig()).Select("Fig1d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Reports[0].LowThreads, p.Reports[0].HighThreads = 3, 999
+	if _, err := testEngine.RunPlan(context.Background(), p); err == nil {
 		t.Error("bogus thread counts accepted")
 	}
 }
 
 func TestFig2Table(t *testing.T) {
-	s := smallSuite()
-	tb, err := s.Fig2(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := paperReport(t, smallConfig(), "Fig2")
 	// Scalable trio x 3 thread counts.
 	if len(tb.Rows) != 9 {
 		t.Errorf("rows = %d, want 9", len(tb.Rows))
@@ -204,65 +187,48 @@ func TestFig2Table(t *testing.T) {
 }
 
 func TestClassificationTable(t *testing.T) {
-	tb, err := smallSuite(2, 8, 16).ClassificationTable(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := tb.String()
+	out := paperReport(t, smallConfig(2, 8, 16), "ClassificationTable").String()
 	if strings.Contains(out, "NO") {
 		t.Errorf("classification mismatch with paper:\n%s", out)
 	}
 }
 
 func TestWorkDistributionTable(t *testing.T) {
-	tb, err := smallSuite(2, 8, 16).WorkDistributionTable(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := paperReport(t, smallConfig(2, 8, 16), "WorkDistributionTable")
 	if len(tb.Rows) != 6 {
 		t.Errorf("rows = %d", len(tb.Rows))
 	}
 }
 
 func TestFactorsTable(t *testing.T) {
-	tb, err := smallSuite().FactorsTable(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := paperReport(t, smallConfig(), "FactorsTable")
 	if len(tb.Rows) != 6 {
 		t.Errorf("rows = %d", len(tb.Rows))
 	}
 }
 
 func TestAblations(t *testing.T) {
-	s := smallSuite(2, 8)
-	bias, err := s.AblationBias(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	bias := paperReport(t, smallConfig(2, 8), "AblationBias")
 	if len(bias.Rows) == 0 || !strings.Contains(bias.Title, "xalan") {
 		t.Error("bias ablation malformed")
 	}
-	comp, err := s.AblationCompartments(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	comp := paperReport(t, smallConfig(2, 8), "AblationCompartments")
 	if len(comp.Rows) == 0 {
 		t.Error("compartment ablation malformed")
 	}
 }
 
 func TestAllArtifacts(t *testing.T) {
-	tables, err := smallSuite().AllArtifacts(context.Background())
+	pr, err := testEngine.RunPlan(context.Background(), PaperPlan(smallConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 10 historical artifacts plus the USLFitTable (the suite's 3-point
-	// sweep is long enough to fit).
-	if len(tables) != 11 {
-		t.Errorf("artifacts = %d, want 11", len(tables))
+	// 10 historical artifacts plus the USLFitTable (the 3-point sweep is
+	// long enough to fit).
+	if len(pr.Reports) != 11 {
+		t.Errorf("artifacts = %d, want 11", len(pr.Reports))
 	}
-	for _, tb := range tables {
+	for _, tb := range pr.Reports {
 		if tb.Title == "" || len(tb.Rows) == 0 {
 			t.Errorf("empty artifact %q", tb.Title)
 		}
@@ -276,19 +242,24 @@ func TestPaperShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape test runs full workloads; skipped in -short")
 	}
-	s := testEngine.Suite(ExperimentConfig{
+	// The classification table reads exactly the six workload sweeps.
+	p, err := PaperPlan(ExperimentConfig{
 		ThreadCounts: []int{4, 16, 32},
 		Scale:        0.3,
 		Seed:         42,
-	})
+	}).Select("ClassificationTable")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := testEngine.RunPlan(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := func(name string) *Sweep { return pr.Scenario(name).Sweep() }
 
 	// E6: classification matches the paper for all six benchmarks.
 	for _, w := range workload.PaperSet() {
-		sw, err := s.SweepFor(context.Background(), w.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := sw.Classify(DefaultSpeedupThreshold)
+		c := sweep(w.Name).Classify(DefaultSpeedupThreshold)
 		if !c.Matches() {
 			t.Errorf("E6 %s: verdict %v, paper says %v (max speedup %.2fx)",
 				w.Name, c.Scalable, c.PaperScalable, c.MaxSpeedup)
@@ -301,7 +272,7 @@ func TestPaperShapes(t *testing.T) {
 	// E1/E2: lock acquisitions and contentions grow for scalable apps,
 	// stay near-flat for non-scalable ones.
 	for _, name := range scalable {
-		sw, _ := s.SweepFor(context.Background(), name)
+		sw := sweep(name)
 		if g := metrics.GrowthFactor(sw.Acquisitions()); g < 1.15 {
 			t.Errorf("E1 %s: acquisition growth %.2fx, want >= 1.15x", name, g)
 		}
@@ -310,7 +281,7 @@ func TestPaperShapes(t *testing.T) {
 		}
 	}
 	for _, name := range nonScalable {
-		sw, _ := s.SweepFor(context.Background(), name)
+		sw := sweep(name)
 		if g := metrics.GrowthFactor(sw.Acquisitions()); g > 1.3 {
 			t.Errorf("E1 %s: acquisition growth %.2fx, want flat (<1.3x)", name, g)
 		}
@@ -320,14 +291,14 @@ func TestPaperShapes(t *testing.T) {
 	}
 
 	// E3: eclipse's lifetime CDF at 1KB moves < 5 points.
-	ec, _ := s.SweepFor(context.Background(), "eclipse")
+	ec := sweep("eclipse")
 	ecCDF := ec.CDFBelow(1024)
 	if d := ecCDF[0] - ecCDF[len(ecCDF)-1]; d > 0.05 || d < -0.05 {
 		t.Errorf("E3 eclipse: CDF@1KB shifted %.1f points, want |shift| < 5", 100*d)
 	}
 
 	// E4: xalan's CDF@1KB declines by >= 10 points over the sweep.
-	xa, _ := s.SweepFor(context.Background(), "xalan")
+	xa := sweep("xalan")
 	xaCDF := xa.CDFBelow(1024)
 	if d := xaCDF[0] - xaCDF[len(xaCDF)-1]; d < 0.10 {
 		t.Errorf("E4 xalan: CDF@1KB declined only %.1f points (%.2f -> %.2f), want >= 10",
@@ -340,7 +311,7 @@ func TestPaperShapes(t *testing.T) {
 	// E5: for the scalable trio, mutator time decreases monotonically and
 	// GC time grows.
 	for _, name := range scalable {
-		sw, _ := s.SweepFor(context.Background(), name)
+		sw := sweep(name)
 		if !metrics.MonotoneDecreasing(sw.MutatorSeconds(), 0.02) {
 			t.Errorf("E5 %s: mutator time not decreasing: %v", name, sw.MutatorSeconds())
 		}
@@ -357,13 +328,13 @@ func TestPaperShapes(t *testing.T) {
 
 	// E7: work distribution — non-scalable apps concentrate work.
 	for _, name := range nonScalable {
-		sw, _ := s.SweepFor(context.Background(), name)
+		sw := sweep(name)
 		if f := sw.ComputeFactors(); f.Top4Share < 0.7 {
 			t.Errorf("E7 %s: top-4 share %.2f, want >= 0.7", name, f.Top4Share)
 		}
 	}
 	for _, name := range scalable {
-		sw, _ := s.SweepFor(context.Background(), name)
+		sw := sweep(name)
 		last := sw.Points[len(sw.Points)-1].Result
 		shares := make([]float64, len(last.PerThreadUnits))
 		for i, u := range last.PerThreadUnits {

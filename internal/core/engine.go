@@ -14,7 +14,7 @@ import (
 
 // Engine is the long-lived entry point of the framework: it owns a
 // bounded worker pool and a concurrency-safe memoizing result cache, and
-// every run, sweep, and suite dispatched through it shares both. Many
+// every run, sweep, and plan dispatched through it shares both. Many
 // goroutines may call an Engine concurrently — concurrent figure
 // generation, batch studies, servers sweeping on behalf of request
 // handlers — and the engine guarantees that at most Parallelism
@@ -47,7 +47,7 @@ type Option func(*Engine)
 
 // WithParallelism bounds the number of simulations the engine executes
 // concurrently. Values below 1 are clamped to 1; the default is
-// runtime.GOMAXPROCS(0). Sweeps and suites never spawn more simulation
+// runtime.GOMAXPROCS(0). Sweeps and plans never spawn more simulation
 // goroutines than this bound.
 func WithParallelism(n int) Option {
 	return func(e *Engine) { e.parallelism = n }
@@ -414,16 +414,4 @@ func (e *Engine) Sweep(ctx context.Context, spec workload.Spec, cfg SweepConfig)
 	}
 	e.emit(ctx, Event{Kind: SweepDone, Workload: spec.Name, Seed: cfg.Base.Seed})
 	return s, nil
-}
-
-// Suite builds an experiment suite bound to this engine: its sweeps run
-// through the engine's worker pool, its repeated figure/study requests
-// share the engine's memoizing cache, and its progress streams to the
-// engine's observers.
-func (e *Engine) Suite(cfg ExperimentConfig) *Suite {
-	return &Suite{
-		cfg:    cfg.withDefaults(),
-		eng:    e,
-		sweeps: make(map[string]*sweepCell),
-	}
 }

@@ -305,36 +305,23 @@ func TestEngineWithSeedDefault(t *testing.T) {
 	}
 }
 
-func TestSuiteSweepsArePointerEqual(t *testing.T) {
-	obs := newCountingObserver()
-	e := NewEngine(WithObserver(obs))
-	s := e.Suite(ExperimentConfig{ThreadCounts: []int{2, 4}, Scale: 0.02})
-	ctx := context.Background()
-
-	a, err := s.SweepFor(ctx, "xalan")
+// selectedPaperPlan is the PaperPlan report selection the paper-suite
+// cache tests run: two thread counts at a tiny scale.
+func selectedPaperPlan(t *testing.T, names ...string) *Plan {
+	t.Helper()
+	p, err := PaperPlan(ExperimentConfig{ThreadCounts: []int{2, 4}, Scale: 0.02}).Select(names...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	simsAfterFirst := obs.count(RunStarted)
-	b, err := s.SweepFor(ctx, "xalan")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Error("repeated SweepFor did not return the identical *Sweep")
-	}
-	if got := obs.count(RunStarted); got != simsAfterFirst {
-		t.Errorf("repeated SweepFor simulated again: %d -> %d", simsAfterFirst, got)
-	}
+	return p
 }
 
 func TestSuiteRepeatedFiguresHitCache(t *testing.T) {
 	obs := newCountingObserver()
 	e := NewEngine(WithObserver(obs))
-	s := e.Suite(ExperimentConfig{ThreadCounts: []int{2, 4}, Scale: 0.02})
 	ctx := context.Background()
 
-	if _, err := s.Fig1a(ctx); err != nil {
+	if _, err := e.RunPlan(ctx, selectedPaperPlan(t, "Fig1a")); err != nil {
 		t.Fatal(err)
 	}
 	sims := obs.count(RunStarted)
@@ -342,13 +329,7 @@ func TestSuiteRepeatedFiguresHitCache(t *testing.T) {
 		t.Fatal("first figure simulated nothing")
 	}
 	// Fig1b and Fig2 draw on the same sweeps; a second Fig1a is free too.
-	if _, err := s.Fig1b(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Fig2(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Fig1a(ctx); err != nil {
+	if _, err := e.RunPlan(ctx, selectedPaperPlan(t, "Fig1b", "Fig2", "Fig1a")); err != nil {
 		t.Fatal(err)
 	}
 	if got := obs.count(RunStarted); got != sims {
@@ -362,32 +343,24 @@ func TestSuiteRepeatedFiguresHitCache(t *testing.T) {
 func TestSuiteConcurrentFigureGeneration(t *testing.T) {
 	obs := newCountingObserver()
 	e := NewEngine(WithParallelism(4), WithObserver(obs))
-	s := e.Suite(ExperimentConfig{ThreadCounts: []int{2, 4}, Scale: 0.02})
 	ctx := context.Background()
 
-	gens := []func(context.Context) (any, error){
-		func(ctx context.Context) (any, error) { return s.Fig1a(ctx) },
-		func(ctx context.Context) (any, error) { return s.Fig1b(ctx) },
-		func(ctx context.Context) (any, error) { return s.Fig1c(ctx) },
-		func(ctx context.Context) (any, error) { return s.Fig1d(ctx) },
-		func(ctx context.Context) (any, error) { return s.Fig2(ctx) },
-		func(ctx context.Context) (any, error) { return s.ClassificationTable(ctx) },
-		func(ctx context.Context) (any, error) { return s.FactorsTable(ctx) },
-	}
+	names := []string{"Fig1a", "Fig1b", "Fig1c", "Fig1d", "Fig2", "ClassificationTable", "FactorsTable"}
 	var wg sync.WaitGroup
-	wg.Add(len(gens))
-	for _, g := range gens {
-		go func(g func(context.Context) (any, error)) {
+	wg.Add(len(names))
+	for _, name := range names {
+		p := selectedPaperPlan(t, name)
+		go func() {
 			defer wg.Done()
-			if _, err := g(ctx); err != nil {
+			if _, err := e.RunPlan(ctx, p); err != nil {
 				t.Error(err)
 			}
-		}(g)
+		}()
 	}
 	wg.Wait()
 
 	// Six workloads x two thread counts: every figure shares the same 12
-	// simulations no matter how many generators raced.
+	// simulations no matter how many plans raced.
 	if got := obs.count(RunStarted); got != 12 {
 		t.Errorf("concurrent figure generation ran %d simulations, want 12", got)
 	}

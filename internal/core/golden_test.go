@@ -17,17 +17,16 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden artifact file"
 // `go test ./internal/core/ -run TestGolden -update` to accept it
 // deliberately.
 func TestGoldenArtifacts(t *testing.T) {
-	suite := testEngine.Suite(ExperimentConfig{
+	pr, err := testEngine.RunPlan(context.Background(), PaperPlan(ExperimentConfig{
 		ThreadCounts: []int{2, 4},
 		Scale:        0.02,
 		Seed:         12345,
-	})
-	tables, err := suite.AllArtifacts(context.Background())
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	for _, tb := range tables {
+	for _, tb := range pr.Reports {
 		if err := tb.WriteASCII(&buf); err != nil {
 			t.Fatal(err)
 		}

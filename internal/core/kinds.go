@@ -15,9 +15,8 @@ import (
 // This file declares every plan artifact as data. Each Output, ReportKind,
 // and Metric has one entry in kinds stating what it needs of the
 // scenarios it reads and how it renders; Plan.Validate checks every
-// output and report against its entry, and RunPlan and the Suite figure
-// methods render through it. Adding a report kind is one entry plus a
-// renderer.
+// output and report against its entry, and RunPlan renders through it.
+// Adding a report kind is one entry plus a renderer.
 
 // axis is the sweep axis an artifact reads.
 type axis uint8

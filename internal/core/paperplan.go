@@ -13,10 +13,10 @@ import (
 // 2, the classification, work-distribution, and factor tables, and the
 // two §IV ablations — as one declarative Plan: six sweep scenarios (one
 // per benchmark), three single-point ablation scenarios on xalan, and ten
-// cross-scenario reports. Suite.AllArtifacts executes exactly this plan,
-// so the declarative API provably covers everything the imperative one
-// hard-coded. The zero ExperimentConfig reproduces the paper's full-scale
-// setup.
+// cross-scenario reports. Run it whole with Engine.RunPlan, or narrow it
+// to single artifacts with Plan.Select. The zero ExperimentConfig
+// reproduces the paper's full-scale setup; a narrowed Workloads set drops
+// the figures whose workloads it leaves out.
 func PaperPlan(cfg ExperimentConfig) *Plan {
 	cfg = cfg.withDefaults()
 	hi := cfg.ThreadCounts[len(cfg.ThreadCounts)-1]
@@ -51,16 +51,16 @@ func PaperPlan(cfg ExperimentConfig) *Plan {
 			Overrides: &ConfigOverrides{Compartments: 4}},
 	)
 
-	// Figure 2 covers the scalable trio; like the imperative suite, it
-	// silently narrows to whichever of the three the config kept.
+	// Figure 2 covers the scalable trio, narrowed to whichever of the
+	// three the config kept. Figures whose workloads the config dropped
+	// are left out, so the plan is valid for every workload subset.
 	var trio []string
 	for _, name := range []string{"sunflow", "lusearch", "xalan"} {
 		if slices.Contains(workloadNames, name) {
 			trio = append(trio, name)
 		}
 	}
-
-	p.Reports = []ReportSpec{
+	figures := []ReportSpec{
 		{Name: "Fig1a", Kind: ReportSeries, Metric: MetricAcquisitions, Key: "workload",
 			Scenarios: workloadNames,
 			Title:     "Figure 1a — lock acquisitions vs threads",
@@ -78,6 +78,14 @@ func PaperPlan(cfg ExperimentConfig) *Plan {
 		{Name: "Fig2", Kind: ReportMutatorGC, Scenarios: trio,
 			Title: "Figure 2 — distribution of mutator and GC times (scalable applications)",
 			Note:  "paper: mutator time keeps falling through 48 threads while GC time grows"},
+	}
+	for _, rs := range figures {
+		if len(rs.Scenarios) > 0 && slices.Contains(workloadNames, rs.Scenarios[0]) {
+			p.Reports = append(p.Reports, rs)
+		}
+	}
+
+	p.Reports = append(p.Reports, []ReportSpec{
 		{Name: "ClassificationTable", Kind: ReportClassification, Scenarios: workloadNames},
 		{Name: "WorkDistributionTable", Kind: ReportWorkDistribution, Scenarios: workloadNames},
 		{Name: "FactorsTable", Kind: ReportFactors, Scenarios: workloadNames},
@@ -87,7 +95,7 @@ func PaperPlan(cfg ExperimentConfig) *Plan {
 		{Name: "AblationCompartments", Kind: ReportCompare, Baseline: "xalan-max", Modified: "xalan-compartmented",
 			Title: fmt.Sprintf("Ablation — compartmentalized heap (paper §IV, suggestion 2) — xalan @ %d threads", hi),
 			Note:  "paper hypothesis: per-group heap compartments shorten GC pause times"},
-	}
+	}...)
 	// The analytic cross-validation of the factor table (ROADMAP item 1):
 	// fit the USL to every workload sweep and report sigma/kappa next to
 	// the ablation-derived factors. A fit needs at least fit.MinPoints

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 
 	"javasim/internal/gc"
@@ -631,6 +632,42 @@ func (p *Plan) reportScenarios(rs *ReportSpec) []string {
 		names[i] = p.Scenarios[i].Name
 	}
 	return names
+}
+
+// Select returns a copy of the plan keeping only the named reports, in
+// plan order, and the scenarios they read — so one artifact of a large
+// plan renders without simulating the rest of its matrix. The copy
+// shares scenario and report contents with p. An unknown name is an
+// error listing the plan's reports.
+func (p *Plan) Select(reports ...string) (*Plan, error) {
+	want := make(map[string]bool, len(reports))
+	for _, name := range reports {
+		if p.report(name) == nil {
+			known := make([]string, len(p.Reports))
+			for i := range p.Reports {
+				known[i] = p.Reports[i].Name
+			}
+			return nil, fmt.Errorf("core: plan %q has no report %q (known: %s)", p.Name, name, strings.Join(known, ", "))
+		}
+		want[name] = true
+	}
+	q := *p
+	q.Scenarios, q.Reports = nil, nil
+	read := make(map[string]bool)
+	for i := range p.Reports {
+		if rs := &p.Reports[i]; want[rs.Name] {
+			q.Reports = append(q.Reports, *rs)
+			for _, n := range p.reportScenarios(rs) {
+				read[n] = true
+			}
+		}
+	}
+	for _, sc := range p.Scenarios {
+		if read[sc.Name] {
+			q.Scenarios = append(q.Scenarios, sc)
+		}
+	}
+	return &q, nil
 }
 
 // WriteJSON renders the plan as indented JSON — the plan-file format

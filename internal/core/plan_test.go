@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
-	"javasim/internal/report"
 	"javasim/internal/workload"
 )
 
@@ -207,6 +207,19 @@ func TestRunPlanMemoization(t *testing.T) {
 			t.Errorf("point %d not shared between overlapping scenarios", i)
 		}
 	}
+	// A re-run simulates nothing and returns the identical results.
+	again, err := eng.RunPlan(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := eng.Stats(); st.Simulations != 2 {
+		t.Errorf("re-run simulations = %d, want still 2", st.Simulations)
+	}
+	for i, pt := range again.Scenario("a").Sweep().Points {
+		if pt.Result != a.Points[i].Result {
+			t.Errorf("re-run point %d is not the memoized result", i)
+		}
+	}
 }
 
 func TestRunPlanOutputsReportsAndEvents(t *testing.T) {
@@ -308,51 +321,90 @@ func TestPaperPlanShape(t *testing.T) {
 	}
 }
 
-// TestSuiteMethodsMatchPlanReports asserts every imperative figure and
-// table method renders the byte-identical artifact of the PaperPlan
-// report it names, at the historical 2-point sweep and at a 3-point
-// sweep.
-func TestSuiteMethodsMatchPlanReports(t *testing.T) {
+// TestPlanSelect checks, at the historical 2-point sweep and at a
+// 3-point sweep, that selecting any one PaperPlan report renders the
+// bytes of that report in a full run while simulating only the points of
+// the scenarios it names, and that an unknown name is rejected.
+func TestPlanSelect(t *testing.T) {
 	ctx := context.Background()
 	for _, counts := range [][]int{{2, 4}, {2, 4, 8}} {
-		cfg := ExperimentConfig{ThreadCounts: counts, Scale: 0.02, Seed: 99}
-		eng := NewEngine()
-		pr, err := eng.RunPlan(ctx, PaperPlan(cfg))
+		paper := PaperPlan(ExperimentConfig{ThreadCounts: counts, Scale: 0.02, Seed: 99})
+		full, err := NewEngine().RunPlan(ctx, paper)
 		if err != nil {
 			t.Fatal(err)
 		}
-		suite := eng.Suite(cfg)
-		methods := map[string]func(context.Context) (*report.Table, error){
-			"Fig1a": suite.Fig1a, "Fig1b": suite.Fig1b, "Fig1c": suite.Fig1c, "Fig1d": suite.Fig1d,
-			"Fig2": suite.Fig2, "ClassificationTable": suite.ClassificationTable,
-			"WorkDistributionTable": suite.WorkDistributionTable, "FactorsTable": suite.FactorsTable,
-			"AblationBias": suite.AblationBias, "AblationCompartments": suite.AblationCompartments,
-		}
-		checked := 0
-		for i, rs := range PaperPlan(cfg).Reports {
-			method, ok := methods[rs.Name]
-			if !ok {
-				continue
-			}
-			checked++
-			tb, err := method(ctx)
+		for i := range paper.Reports {
+			rs := &paper.Reports[i]
+			p, err := paper.Select(rs.Name)
 			if err != nil {
 				t.Fatalf("%v %s: %v", counts, rs.Name, err)
 			}
-			var imperative, declarative bytes.Buffer
-			if err := tb.WriteASCII(&imperative); err != nil {
+			obs := newCountingObserver()
+			pr, err := NewEngine(WithObserver(obs)).RunPlan(ctx, p)
+			if err != nil {
+				t.Fatalf("%v %s: %v", counts, rs.Name, err)
+			}
+			var selected, whole bytes.Buffer
+			if err := pr.Reports[0].WriteASCII(&selected); err != nil {
 				t.Fatal(err)
 			}
-			if err := pr.Reports[i].WriteASCII(&declarative); err != nil {
+			if err := full.Reports[i].WriteASCII(&whole); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(imperative.Bytes(), declarative.Bytes()) {
-				t.Errorf("%v %s diverged:\n--- imperative\n%s\n--- declarative\n%s",
-					counts, rs.Name, imperative.String(), declarative.String())
+			if len(pr.Reports) != 1 || !bytes.Equal(selected.Bytes(), whole.Bytes()) {
+				t.Errorf("%v %s: selected plan rendered %d reports, first:\n%s\nwant:\n%s",
+					counts, rs.Name, len(pr.Reports), selected.String(), whole.String())
+			}
+			// No two scenarios of one PaperPlan report share a point, so
+			// the selection simulates exactly their summed sweep points.
+			var names []string
+			points := 0
+			for j := range p.Scenarios {
+				names = append(names, p.Scenarios[j].Name)
+				points += len(p.Scenarios[j].threadCounts(p))
+			}
+			if want := paper.reportScenarios(rs); !slices.Equal(names, want) {
+				t.Errorf("%v %s: selected scenarios %v, want %v", counts, rs.Name, names, want)
+			}
+			if got := obs.count(RunStarted); got != points {
+				t.Errorf("%v %s: simulated %d points, want %d", counts, rs.Name, got, points)
 			}
 		}
-		if checked != len(methods) {
-			t.Errorf("%v: matched %d of %d Suite methods to PaperPlan reports", counts, checked, len(methods))
+	}
+	paper := PaperPlan(ExperimentConfig{ThreadCounts: []int{2, 4}, Scale: 0.02})
+	if _, err := paper.Select("Fig1a", "Fig9"); err == nil || !strings.Contains(err.Error(), "Fig1a") {
+		t.Errorf("unknown report: err = %v, want one listing the known reports", err)
+	}
+}
+
+// TestPaperPlanEveryWorkloadSubset checks that PaperPlan stays valid and
+// runnable for the full paper set and for every one-workload subset,
+// keeping each figure exactly when the workloads it draws on are kept.
+func TestPaperPlanEveryWorkloadSubset(t *testing.T) {
+	subsets := [][]workload.Spec{workload.PaperSet()}
+	for _, w := range workload.PaperSet() {
+		subsets = append(subsets, []workload.Spec{w})
+	}
+	for _, ws := range subsets {
+		cfg := ExperimentConfig{ThreadCounts: []int{2, 4}, Scale: 0.02, Workloads: ws}
+		p := PaperPlan(cfg)
+		if err := p.Validate(); err != nil {
+			t.Errorf("%d workloads from %s: %v", len(ws), ws[0].Name, err)
+			continue
+		}
+		if _, err := testEngine.RunPlan(context.Background(), p); err != nil {
+			t.Errorf("%d workloads from %s: %v", len(ws), ws[0].Name, err)
+		}
+		kept := func(names ...string) bool {
+			return slices.ContainsFunc(ws, func(w workload.Spec) bool { return slices.Contains(names, w.Name) })
+		}
+		for report, want := range map[string]bool{
+			"Fig1a": true, "Fig1c": kept("eclipse"), "Fig1d": kept("xalan"),
+			"Fig2": kept("sunflow", "lusearch", "xalan"), "AblationBias": true,
+		} {
+			if got := p.report(report) != nil; got != want {
+				t.Errorf("%d workloads from %s: has %s = %v, want %v", len(ws), ws[0].Name, report, got, want)
+			}
 		}
 	}
 }

@@ -75,8 +75,8 @@ func writePlanText(t *testing.T, buf *bytes.Buffer, tables []*report.Table) {
 
 // TestGoldenPlans locks the text artifacts of every testdata plan file,
 // of a plan exercising every output, report kind, metric, and optional
-// report field, and of the imperative Suite methods on a narrowed
-// workload set (including one method's error). Run
+// report field, and of single PaperPlan reports selected on a narrowed
+// workload set (including the selection error of a figure it drops). Run
 // `go test ./internal/core/ -run TestGoldenPlans -update` to accept a
 // deliberate change.
 func TestGoldenPlans(t *testing.T) {
@@ -116,21 +116,21 @@ func TestGoldenPlans(t *testing.T) {
 	}
 
 	xalan, _ := workload.Lookup("xalan")
-	suite := NewEngine().Suite(ExperimentConfig{
+	paper := PaperPlan(ExperimentConfig{
 		ThreadCounts: []int{2, 4}, Scale: 0.02, Seed: 5, Workloads: []workload.Spec{xalan}})
-	for _, fig := range []struct {
-		name string
-		run  func(context.Context) (*report.Table, error)
-	}{
-		{"Fig1a", suite.Fig1a}, {"Fig2", suite.Fig2}, {"FactorsTable", suite.FactorsTable}, {"Fig1c", suite.Fig1c},
-	} {
-		section("suite[xalan]." + fig.name)
-		tb, err := fig.run(ctx)
+	eng := NewEngine()
+	for _, name := range []string{"Fig1a", "Fig2", "FactorsTable", "Fig1c"} {
+		section("paper[xalan]." + name)
+		p, err := paper.Select(name)
 		if err != nil {
 			buf.WriteString("error: " + err.Error() + "\n")
 			continue
 		}
-		writePlanText(t, &buf, []*report.Table{tb})
+		pr, err := eng.RunPlan(ctx, p)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		writePlanText(t, &buf, pr.Reports)
 	}
 	got := buf.Bytes()
 

@@ -61,10 +61,10 @@ func tagLabel(label string, sw *Sweep) string {
 	return label
 }
 
-// This file holds the rendering layer shared by the imperative Suite
-// methods and the declarative plan reports: every figure and table is a
-// pure function of one or more sweeps, so the two APIs produce
-// byte-identical artifacts from the same simulation results.
+// This file holds the rendering layer behind every plan output and
+// report: each figure and table is a pure function of one or more
+// sweeps, so a selected plan renders the same bytes as the full plan
+// from the same simulation results.
 
 // threadHeaders builds the {key, "t=4", "t=8", ...} header row from a
 // sweep's points.

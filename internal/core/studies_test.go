@@ -2,23 +2,31 @@ package core
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
+
+	"javasim/internal/report"
 )
 
-func studySuite() *Suite {
-	return testEngine.Suite(ExperimentConfig{
-		ThreadCounts: []int{2, 8},
-		Scale:        0.05,
-		Seed:         17,
-	})
-}
-
-func TestStudyHeapFactor(t *testing.T) {
-	tb, err := studySuite().StudyHeapFactor(context.Background())
+// studyTable runs one design-choice study through the shared test engine.
+func studyTable(t *testing.T, name string) *report.Table {
+	t.Helper()
+	tables, err := testEngine.Studies(context.Background(), studyConfig, name)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return tables[0]
+}
+
+var studyConfig = ExperimentConfig{
+	ThreadCounts: []int{2, 8},
+	Scale:        0.05,
+	Seed:         17,
+}
+
+func TestStudyHeapFactor(t *testing.T) {
+	tb := studyTable(t, "StudyHeapFactor")
 	if len(tb.Rows) != 5 {
 		t.Fatalf("rows = %d, want 5", len(tb.Rows))
 	}
@@ -28,10 +36,7 @@ func TestStudyHeapFactor(t *testing.T) {
 }
 
 func TestStudyGCWorkersMonotone(t *testing.T) {
-	tb, err := studySuite().StudyGCWorkers(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := studyTable(t, "StudyGCWorkers")
 	if len(tb.Rows) != 6 {
 		t.Fatalf("rows = %d, want 6", len(tb.Rows))
 	}
@@ -43,10 +48,7 @@ func TestStudyGCWorkersMonotone(t *testing.T) {
 }
 
 func TestStudyTenuring(t *testing.T) {
-	tb, err := studySuite().StudyTenuring(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := studyTable(t, "StudyTenuring")
 	if len(tb.Rows) != 4 {
 		t.Fatalf("rows = %d, want 4", len(tb.Rows))
 	}
@@ -58,10 +60,7 @@ func TestStudyTenuring(t *testing.T) {
 }
 
 func TestStudyNUMA(t *testing.T) {
-	tb, err := studySuite().StudyNUMA(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := studyTable(t, "StudyNUMA")
 	if len(tb.Rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(tb.Rows))
 	}
@@ -71,10 +70,7 @@ func TestStudyNUMA(t *testing.T) {
 }
 
 func TestStudyCollector(t *testing.T) {
-	tb, err := studySuite().StudyCollector(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := studyTable(t, "StudyCollector")
 	if len(tb.Rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(tb.Rows))
 	}
@@ -84,10 +80,7 @@ func TestStudyCollector(t *testing.T) {
 }
 
 func TestStudyPretenuring(t *testing.T) {
-	tb, err := studySuite().StudyPretenuring(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := studyTable(t, "StudyPretenuring")
 	if len(tb.Rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(tb.Rows))
 	}
@@ -97,11 +90,26 @@ func TestStudyPretenuring(t *testing.T) {
 }
 
 func TestAllStudies(t *testing.T) {
-	tables, err := studySuite().AllStudies(context.Background())
+	var artifacts []string
+	ctx := ContextWithObserver(context.Background(), ObserverFunc(func(ev Event) {
+		if ev.Kind == ArtifactRendered {
+			artifacts = append(artifacts, ev.Artifact)
+		}
+	}))
+	tables, err := testEngine.Studies(ctx, studyConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tables) != 7 {
 		t.Errorf("studies = %d, want 7", len(tables))
+	}
+	want := []string{"StudyHeapFactor", "StudyGCWorkers", "StudyTenuring", "StudyNUMA",
+		"StudyCollector", "StudyPretenuring", "StudyReplication"}
+	if !slices.Equal(artifacts, want) {
+		t.Errorf("artifact events = %v, want %v", artifacts, want)
+	}
+	if _, err := testEngine.Studies(ctx, studyConfig, "StudyNope"); err == nil ||
+		!strings.Contains(err.Error(), "StudyHeapFactor") {
+		t.Errorf("unknown study: err = %v, want one listing the known studies", err)
 	}
 }

@@ -35,8 +35,12 @@
 //
 // # Reproducing the paper
 //
-//	suite := eng.Suite(javasim.ExperimentConfig{})
-//	tables, err := suite.AllArtifacts(ctx) // Fig 1a-1d, Fig 2, all tables
+//	pr, err := eng.RunPlan(ctx, javasim.PaperPlan(javasim.ExperimentConfig{}))
+//	if err != nil { ... }
+//	tables := pr.Reports // Fig 1a-1d, Fig 2, all tables
+//
+// Plan.Select narrows the plan to single artifacts, simulating only the
+// sweeps they read, and Engine.Studies runs the design-choice studies.
 //
 // # Workloads and declarative plans
 //
@@ -125,7 +129,7 @@ type (
 // Engine types.
 type (
 	// Engine owns a bounded simulation worker pool and a memoizing result
-	// cache; all runs, sweeps, and suites dispatch through it. Safe for
+	// cache; all runs, sweeps, and plans dispatch through it. Safe for
 	// concurrent use.
 	Engine = core.Engine
 	// Option configures an Engine at construction.
@@ -171,7 +175,7 @@ const (
 	SweepPointDone = core.SweepPointDone
 	// SweepDone fires when a whole sweep is assembled.
 	SweepDone = core.SweepDone
-	// ArtifactRendered fires when a suite figure, table, or study is done.
+	// ArtifactRendered fires when a plan report or a study is rendered.
 	ArtifactRendered = core.ArtifactRendered
 	// ScenarioDone fires when a plan scenario completes.
 	ScenarioDone = core.ScenarioDone
@@ -250,8 +254,8 @@ const (
 func LoadPlan(r io.Reader) (*Plan, error) { return core.LoadPlan(r) }
 
 // PaperPlan returns the paper's entire figure suite as a declarative
-// plan; the zero ExperimentConfig selects the full-scale setup.
-// Suite.AllArtifacts executes exactly this plan.
+// plan; the zero ExperimentConfig selects the full-scale setup. Run it
+// whole with Engine.RunPlan, or one artifact of it via Plan.Select.
 func PaperPlan(cfg ExperimentConfig) *Plan { return core.PaperPlan(cfg) }
 
 // NameWorkload references a registered workload by name in a Scenario.
@@ -272,9 +276,6 @@ type (
 	Factors = core.Factors
 	// ExperimentConfig parameterizes the reproduction suite.
 	ExperimentConfig = core.ExperimentConfig
-	// Suite regenerates the paper's figures and tables through its
-	// engine's pool and cache.
-	Suite = core.Suite
 	// Table is a rendered figure or table.
 	Table = report.Table
 	// Histogram is a power-of-two bucketed distribution (lifespans,

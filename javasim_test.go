@@ -231,6 +231,8 @@ func TestFacadePolicyPlanFile(t *testing.T) {
 	}
 }
 
+// TestFacadeSweepAndSuite drives a facade sweep and one figure of the
+// paper suite, selected from PaperPlan.
 func TestFacadeSweepAndSuite(t *testing.T) {
 	eng := javasim.NewEngine()
 	spec, _ := javasim.LookupWorkload("jython")
@@ -243,16 +245,19 @@ func TestFacadeSweepAndSuite(t *testing.T) {
 	if len(sw.Points) != 2 {
 		t.Errorf("points = %d", len(sw.Points))
 	}
-	suite := eng.Suite(javasim.ExperimentConfig{
+	plan, err := javasim.PaperPlan(javasim.ExperimentConfig{
 		ThreadCounts: []int{2, 4},
 		Scale:        0.02,
-	})
-	tb, err := suite.Fig1a(context.Background())
+	}).Select("Fig1a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.Rows) != 6 {
-		t.Errorf("fig1a rows = %d", len(tb.Rows))
+	pr, err := eng.RunPlan(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pr.Reports) != 1 || len(pr.Reports[0].Rows) != 6 {
+		t.Errorf("fig1a: %d reports, want 1 with 6 rows", len(pr.Reports))
 	}
 }
 
