@@ -89,6 +89,32 @@ func TestComputeFactors(t *testing.T) {
 	}
 }
 
+// TestSuiteCachesSweeps checks that a repeated paper-suite run returns
+// the memoized results of its sweeps and names no unknown workload.
+func TestSuiteCachesSweeps(t *testing.T) {
+	p := PaperPlan(ExperimentConfig{
+		ThreadCounts: []int{2, 4},
+		Scale:        0.02,
+		Workloads:    []workload.Spec{workload.XalanSpec()},
+	})
+	a, err := testEngine.RunPlan(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := testEngine.RunPlan(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pt := range b.Scenario("xalan").Sweep().Points {
+		if pt.Result != a.Scenario("xalan").Sweep().Points[i].Result {
+			t.Errorf("sweep point %d not cached", i)
+		}
+	}
+	if b.Scenario("nope") != nil {
+		t.Error("unknown workload accepted")
+	}
+}
+
 // TestSuiteDefaults checks the defaults the paper suite's zero config
 // resolves to.
 func TestSuiteDefaults(t *testing.T) {

@@ -316,6 +316,35 @@ func selectedPaperPlan(t *testing.T, names ...string) *Plan {
 	return p
 }
 
+func TestSuiteSweepsArePointerEqual(t *testing.T) {
+	obs := newCountingObserver()
+	e := NewEngine(WithObserver(obs))
+	p := selectedPaperPlan(t, "Fig1d")
+	ctx := context.Background()
+
+	a, err := e.RunPlan(ctx, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	simsAfterFirst := obs.count(RunStarted)
+	b, err := e.RunPlan(ctx, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, again := a.Scenario("xalan").Sweep(), b.Scenario("xalan").Sweep()
+	if len(again.Points) != len(first.Points) {
+		t.Fatalf("repeated run swept %d points, want %d", len(again.Points), len(first.Points))
+	}
+	for i := range again.Points {
+		if again.Points[i].Result != first.Points[i].Result {
+			t.Errorf("repeated run did not return the identical result for point %d", i)
+		}
+	}
+	if got := obs.count(RunStarted); got != simsAfterFirst {
+		t.Errorf("repeated run simulated again: %d -> %d", simsAfterFirst, got)
+	}
+}
+
 func TestSuiteRepeatedFiguresHitCache(t *testing.T) {
 	obs := newCountingObserver()
 	e := NewEngine(WithObserver(obs))

@@ -207,19 +207,6 @@ func TestRunPlanMemoization(t *testing.T) {
 			t.Errorf("point %d not shared between overlapping scenarios", i)
 		}
 	}
-	// A re-run simulates nothing and returns the identical results.
-	again, err := eng.RunPlan(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := eng.Stats(); st.Simulations != 2 {
-		t.Errorf("re-run simulations = %d, want still 2", st.Simulations)
-	}
-	for i, pt := range again.Scenario("a").Sweep().Points {
-		if pt.Result != a.Points[i].Result {
-			t.Errorf("re-run point %d is not the memoized result", i)
-		}
-	}
 }
 
 func TestRunPlanOutputsReportsAndEvents(t *testing.T) {
