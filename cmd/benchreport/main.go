@@ -16,11 +16,12 @@
 // what the regression gate compares against; all of them are embedded
 // under "trajectory" and printed as a per-benchmark delta table, so a
 // report shows the whole optimization arc (BENCH_5 -> BENCH_8 -> now),
-// not just the last hop. -max-ns-regress and -max-allocs-regress turn
-// the comparison into a gate: the command exits non-zero when any
-// benchmark regresses past the percentage ceiling, which is how CI holds
-// the perf trajectory (allocations are deterministic, so their ceiling
-// can sit tight; wall time on shared runners needs a generous one).
+// not just the last hop. -max-ns-regress, -max-allocs-regress and
+// -max-bytes-regress turn the comparison into a gate: the command exits
+// non-zero when any benchmark regresses past the percentage ceiling,
+// which is how CI holds the perf trajectory (allocation counts and bytes
+// are nearly deterministic, so their ceilings can sit tight; wall time on
+// shared runners needs a generous one).
 package main
 
 import (
@@ -82,6 +83,8 @@ func main() {
 		"with -baseline: fail when a benchmark's ns/op regresses more than this percentage (negative disables)")
 	maxAllocs := flag.Float64("max-allocs-regress", -1,
 		"with -baseline: fail when a benchmark's allocs/op regresses more than this percentage (negative disables)")
+	maxBytes := flag.Float64("max-bytes-regress", -1,
+		"with -baseline: fail when a benchmark's B/op regresses more than this percentage (negative disables)")
 	flag.Parse()
 	pkgs := flag.Args()
 	if len(pkgs) == 0 {
@@ -149,7 +152,7 @@ func main() {
 	}
 	fmt.Printf("benchreport: wrote %d benchmarks to %s\n", len(rep.Benchmarks), *out)
 
-	if violations := gate(rep, *maxNs, *maxAllocs); len(violations) > 0 {
+	if violations := gate(rep, *maxNs, *maxAllocs, *maxBytes); len(violations) > 0 {
 		for _, v := range violations {
 			fmt.Fprintf(os.Stderr, "benchreport: REGRESSION %s\n", v)
 		}
@@ -157,11 +160,12 @@ func main() {
 	}
 }
 
-// gate returns one violation line per benchmark whose time or allocation
-// movement against the baseline exceeds its percentage ceiling. Negative
+// gate returns one violation line per benchmark whose time, allocation
+// count or allocated bytes moved against the baseline past its percentage
+// ceiling. Negative
 // ceilings disable that axis; benchmarks absent from the baseline pass
 // (they are new, with nothing to regress from).
-func gate(rep Report, maxNs, maxAllocs float64) []string {
+func gate(rep Report, maxNs, maxAllocs, maxBytes float64) []string {
 	var bad []string
 	for name, cur := range rep.Benchmarks {
 		base, ok := rep.Baseline[name]
@@ -188,6 +192,7 @@ func gate(rep Report, maxNs, maxAllocs float64) []string {
 		}
 		check("ns/op", base.NsPerOp, cur.NsPerOp, maxNs)
 		check("allocs/op", base.AllocsPerOp, cur.AllocsPerOp, maxAllocs)
+		check("B/op", base.BytesPerOp, cur.BytesPerOp, maxBytes)
 	}
 	sort.Strings(bad)
 	return bad
@@ -256,6 +261,7 @@ func printTrajectory(rep Report) {
 	}{
 		{"ns/op", func(m Measurement) float64 { return m.NsPerOp }},
 		{"allocs/op", func(m Measurement) float64 { return m.AllocsPerOp }},
+		{"B/op", func(m Measurement) float64 { return m.BytesPerOp }},
 	} {
 		fmt.Printf("trajectory (%s):\n", axis.label)
 		for _, name := range names {

@@ -238,6 +238,14 @@ type Collector struct {
 	young [][]objmodel.ID
 	old   []objmodel.ID
 
+	// spare is each compartment's second young-list buffer: a minor
+	// collection writes its survivors there and swaps it with the young
+	// list, so allocation after a collection appends into retained
+	// capacity instead of regrowing the list from empty. promoted is the
+	// minor collection's reused promotion scratch.
+	spare    [][]objmodel.ID
+	promoted []objmodel.ID
+
 	// survBytes tracks each compartment's share of the survivor space.
 	survBytes []int64
 
@@ -270,6 +278,7 @@ func NewWithPolicy(p Policy, cfg Config, h *heap.Heap, reg *objmodel.Registry) *
 		heap:      h,
 		reg:       reg,
 		young:     make([][]objmodel.ID, h.Compartments()),
+		spare:     make([][]objmodel.ID, h.Compartments()),
 		survBytes: make([]int64, h.Compartments()),
 		pauseHist: metrics.NewHistogram("gc-pause-ns"),
 	}
@@ -340,8 +349,13 @@ func (c *Collector) parallelTime(sequential sim.Time) sim.Time {
 // now. It returns the pause, or heap.ErrOldGenFull when promotion cannot
 // fit — the caller must run CollectFull and retry.
 func (c *Collector) CollectMinor(comp int, now sim.Time) (Pause, error) {
+	young := c.young[comp]
+	survivors := c.spare[comp][:0]
+	if cap(survivors) < cap(young) {
+		survivors = make([]objmodel.ID, 0, cap(young))
+	}
+	promoted := c.promoted[:0]
 	var (
-		survivors     []objmodel.ID
 		survivorBytes int64
 		promotedBytes int64
 		scanned       int64
@@ -354,8 +368,7 @@ func (c *Collector) CollectMinor(comp int, now sim.Time) (Pause, error) {
 	// First pass: liveness and aging. Objects are processed in allocation
 	// order; overflow beyond the survivor space promotes regardless of age,
 	// as in HotSpot.
-	var promoted []objmodel.ID
-	for _, id := range c.young[comp] {
+	for _, id := range young {
 		o := c.reg.Get(id)
 		if !o.Live() {
 			reclaimedObjs++
@@ -379,21 +392,23 @@ func (c *Collector) CollectMinor(comp int, now sim.Time) (Pause, error) {
 		for _, id := range promoted {
 			c.reg.Get(id).Gen = objmodel.Young
 		}
-		for _, id := range c.young[comp] {
+		for _, id := range young {
 			if o := c.reg.Get(id); o.Live() {
 				o.Age--
 			}
 		}
+		c.spare[comp], c.promoted = survivors, promoted
 		return Pause{}, err
 	}
 	c.survBytes[comp] = survivorBytes
-	c.young[comp] = survivors
+	c.young[comp], c.spare[comp] = survivors, young[:0]
 	c.old = append(c.old, promoted...)
 	if c.onPromote != nil {
 		for _, id := range promoted {
 			c.onPromote(id)
 		}
 	}
+	c.promoted = promoted
 
 	copied := survivorBytes + promotedBytes
 	scanCost := sim.Time(scanned) * c.cfg.ScanCostPerObject

@@ -420,3 +420,36 @@ func TestLivenessPartitionProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestOnAllocSteadyStateAllocFree: once a minor cycle has run, the young
+// list keeps the capacity it had before the collection, so allocation
+// refilling it to that size appends without allocating.
+func TestOnAllocSteadyStateAllocFree(t *testing.T) {
+	_, reg, c := newWorld(64, 1)
+	const n = 8192
+	ids := make([]objmodel.ID, n)
+	for j := range ids {
+		ids[j] = reg.Alloc(128, 0, 0)
+		c.OnAlloc(ids[j], 0)
+		if j%4 != 0 {
+			reg.Kill(ids[j], 0)
+		}
+	}
+	if _, err := c.CollectMinor(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	// AllocsPerRun calls f twice for one run; together they refill the
+	// young list to the n entries it held at the collection.
+	batch := (n - c.YoungCount(0)) / 2
+	allocs := testing.AllocsPerRun(1, func() {
+		for _, id := range ids[:batch] {
+			c.OnAlloc(id, 0)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("OnAlloc after a minor cycle allocated %v times per batch of %d, want 0", allocs, batch)
+	}
+	if got := c.YoungCount(0); got != n {
+		t.Fatalf("young list holds %d entries after the refill, want %d", got, n)
+	}
+}

@@ -97,6 +97,10 @@ func NewRegistry(n int) *Registry {
 	return &Registry{objects: make([]Object, 0, n)}
 }
 
+// Cap returns the number of objects the registry holds before its
+// record slice must grow.
+func (r *Registry) Cap() int { return cap(r.objects) }
+
 // Alloc records a new young object of the given size by thread at the
 // current virtual time and returns its ID. It advances the allocation
 // clock by size. The birth clock is sampled after the object's own bytes

@@ -5,6 +5,7 @@ import (
 	"javasim/internal/sim"
 	"javasim/internal/trace"
 	"javasim/internal/traffic"
+	"javasim/internal/workload"
 )
 
 // Open-system execution model (Config.Traffic)
@@ -60,10 +61,7 @@ type openState struct {
 // setupOpen installs the open-system driver and schedules the first
 // arrival. proc is the resolved arrival process.
 func (v *vm) setupOpen(proc traffic.Process) {
-	requests := v.cfg.Traffic.Requests
-	if requests == 0 {
-		requests = v.spec.TotalUnits
-	}
+	requests := openRequests(v.spec, v.cfg)
 	o := &openState{
 		proc:         proc,
 		rng:          sim.NewRand(v.cfg.Seed).Fork(arrivalStreamLabel),
@@ -79,6 +77,15 @@ func (v *vm) setupOpen(proc traffic.Process) {
 	o.arriveFn = v.openArrive
 	v.openSt = o
 	v.sim.Schedule(proc.Next(0, o.rng), o.arriveFn)
+}
+
+// openRequests is the number of requests an open run injects: the
+// traffic's Requests, or one per unit of the spec when that is zero.
+func openRequests(spec workload.Spec, cfg Config) int {
+	if cfg.Traffic.Requests > 0 {
+		return cfg.Traffic.Requests
+	}
+	return spec.TotalUnits
 }
 
 // qlen returns the number of queued (not yet dequeued) requests,

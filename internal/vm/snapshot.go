@@ -16,7 +16,7 @@ import (
 // results. What IS invariant is the workload generation stream: unit k
 // of a run is a pure function of (spec, seed, k), because generation
 // ignores which thread draws (see workload.Run). Profiling shows that
-// stream — the lognormal/Zipf draw tower in workload.generate — is the
+// stream — the lognormal/Zipf draw tower in workload.Run.draw — is the
 // single largest CPU component of a run, i.e. the per-point "warmup"
 // that every sweep point used to repeat.
 //
@@ -52,9 +52,10 @@ type Snapshot struct {
 // match startNextIteration.
 const iterSeedStride = 0x9E3779B9
 
-// maxTapeUnits caps a tape's pre-generated unit count (~a few MB of op
-// records). Runs needing more units fall back to live generation at the
-// tape end, bit-identically.
+// maxTapeUnits caps a tape's pre-generated unit count: ~118 B of packed
+// draws per unit of a 25-allocation workload such as server, so ~8 MB
+// per capped tape. Runs needing more units fall back to live generation
+// at the tape end, bit-identically.
 const maxTapeUnits = 1 << 16
 
 // NewSnapshot pre-generates the workload tapes for every iteration of
@@ -123,8 +124,9 @@ func NewSnapshotProvider(spec workload.Spec, cfg Config) *SnapshotProvider {
 }
 
 // Snapshot resolves the snapshot, building it on first call. It returns
-// nil when the spec cannot build one (the run itself will surface the
-// configuration error).
+// nil when the spec cannot build one: a configuration error, which the
+// run itself will surface, or draws that do not fit a packed tape (see
+// workload.BuildTape), in which case the runs go cold.
 func (p *SnapshotProvider) Snapshot() *Snapshot {
 	p.once.Do(func() { p.snap, _ = NewSnapshot(p.spec, p.cfg) })
 	return p.snap

@@ -170,3 +170,33 @@ func TestSnapshotProviderResolvesLazily(t *testing.T) {
 	}
 	diffResults(t, "provider", warm, cold)
 }
+
+// TestSnapshotOverflowRunsCold: a spec whose draws overflow a packed
+// tape field cannot build a snapshot, so a run under its provider stays
+// cold and matches the cold run exactly.
+func TestSnapshotOverflowRunsCold(t *testing.T) {
+	spec := workload.XalanSpec().Scale(0.02)
+	spec.SharedLocks = 1 << 17
+	spec.LockOpsPerUnit = 8
+	cfg := Config{Threads: 4, Seed: 5}
+	if _, err := NewSnapshot(spec, cfg); err == nil {
+		t.Fatal("NewSnapshot accepted lock ids beyond the tape's 16-bit field")
+	}
+	attaches := 0
+	snapshotObserver = func() { attaches++ }
+	defer func() { snapshotObserver = nil }()
+
+	p := NewSnapshotProvider(spec, cfg)
+	warm, err := RunContext(ContextWithSnapshotProvider(context.Background(), p), spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if attaches != 0 {
+		t.Errorf("an unbuildable snapshot attached %d tapes", attaches)
+	}
+	cold, err := Run(spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffResults(t, "tape-overflow", warm, cold)
+}

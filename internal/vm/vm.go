@@ -611,7 +611,15 @@ func runContext(ctx context.Context, spec workload.Spec, cfg Config, fuse bool) 
 		Compartments:  cfg.Compartments,
 	})
 
-	reg := objmodel.NewRegistry(int(spec.TotalAllocBytes() / int64(max(spec.ObjSizeMeanB, 16))))
+	// Size the object registry for every unit the run can take, so its
+	// record slice never regrows: the request budget of an open run,
+	// every iteration's units of a closed one.
+	units := spec.TotalUnits * cfg.Iterations
+	if arrivalProc != nil {
+		units = openRequests(spec, cfg)
+	}
+	reg := objmodel.NewRegistry(spec.ObjectBound(units))
+	regCap := reg.Cap()
 	collector := gc.NewWithPolicy(gcPolicy, cfg.GC, hp, reg)
 	if layout.HomeSockets != nil {
 		collector.SetCopyFactors(numaCopyFactors(mach, spanned, layout))
@@ -679,8 +687,17 @@ func runContext(ctx context.Context, spec workload.Spec, cfg Config, fuse bool) 
 		return nil, fmt.Errorf("vm: %s run stalled — simulation drained with %d mutators unfinished",
 			spec.Name, v.aliveCount)
 	}
+	if registryObserver != nil {
+		registryObserver(reg.Cap(), regCap)
+	}
 	return v.result(), nil
 }
+
+// registryObserver, when non-nil, receives every finished run's object
+// registry capacity at the end and at construction — a test hook
+// (mirroring fuseObserver) so tests can prove the registry never
+// regrows. Never set outside tests.
+var registryObserver func(end, start int)
 
 func (v *vm) setupLocks() {
 	if v.spec.Distribution == workload.Queue {

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"javasim/internal/lockprof"
 	"javasim/internal/sim"
 	"javasim/internal/trace"
+	"javasim/internal/traffic"
 	"javasim/internal/workload"
 )
 
@@ -458,4 +460,41 @@ func TestHeapLogSampled(t *testing.T) {
 	if res.HeapLog[len(res.HeapLog)-1].OldUsed < res.HeapLog[0].OldUsed {
 		t.Error("old generation shrank without full collection")
 	}
+}
+
+// TestRegistryNeverRegrows: the object registry is sized for every unit
+// a run can take, so its record slice keeps its construction capacity —
+// for every DaCapo spec over one and three iterations, and for an open
+// run whose request budget exceeds the spec's unit count.
+func TestRegistryNeverRegrows(t *testing.T) {
+	type capacity struct{ end, start int }
+	var seen []capacity
+	registryObserver = func(end, start int) { seen = append(seen, capacity{end, start}) }
+	defer func() { registryObserver = nil }()
+
+	check := func(name string, spec workload.Spec, cfg Config) {
+		t.Helper()
+		seen = seen[:0]
+		res, err := Run(spec, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(seen) != 1 {
+			t.Fatalf("%s: registry observed %d times, want 1", name, len(seen))
+		}
+		if c := seen[0]; c.end != c.start {
+			t.Errorf("%s: registry regrew from %d to %d objects (%d allocated)",
+				name, c.start, c.end, res.ObjectsAllocated)
+		}
+	}
+	for _, spec := range workload.PaperSet() {
+		spec := spec.Scale(0.1)
+		for _, iters := range []int{1, 3} {
+			check(fmt.Sprintf("%s x%d", spec.Name, iters), spec, Config{Threads: 4, Seed: 2, Iterations: iters})
+		}
+	}
+	server := workload.ServerSpec().Scale(0.1)
+	check("server open", server, Config{Threads: 8, Seed: 2, Traffic: traffic.Config{
+		Process: traffic.ProcessPoisson, RatePerSec: 200000, Requests: 2 * server.TotalUnits,
+	}})
 }

@@ -2,12 +2,17 @@ package workload
 
 import (
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 // drainUnits takes every unit from r with a fixed round-robin thread
 // order and returns them in take order. The order is deterministic so
-// two runs drained the same way see the same draw sequence.
+// two runs drained the same way see the same draw sequence. Each unit's
+// ops are copied out, since a run with ReuseUnitBuffers overwrites them
+// on the thread's next take.
 func drainUnits(t *testing.T, r *Run, threads int) []Unit {
 	t.Helper()
 	var units []Unit
@@ -20,45 +25,113 @@ func drainUnits(t *testing.T, r *Run, threads int) []Unit {
 				done++
 				continue
 			}
-			units = append(units, u)
+			units = append(units, Unit{Ops: slices.Clone(u.Ops)})
 		}
 	}
 	return units
 }
 
 // TestTapeReplayMatchesLive pins the warm-start contract at the
-// workload layer: a run replaying a full tape hands out bit-identical
-// units to a run generating live.
+// workload layer: for every registered workload, a run replaying a full
+// tape hands out bit-identical units to a run generating live, whether
+// the runs recycle their op buffers (the VM's mode) or not.
 func TestTapeReplayMatchesLive(t *testing.T) {
-	for _, spec := range []Spec{XalanSpec().Scale(0.05), ServerSpec().Scale(0.05)} {
-		const threads, seed = 4, 7
-		tape, err := BuildTape(spec, seed, 0)
-		if err != nil {
-			t.Fatalf("%s: BuildTape: %v", spec.Name, err)
+	for _, spec := range Registered() {
+		spec := spec.Scale(0.05)
+		for _, reuse := range []bool{false, true} {
+			const threads, seed = 4, 7
+			tape, err := BuildTape(spec, seed, 0)
+			if err != nil {
+				t.Fatalf("%s: BuildTape: %v", spec.Name, err)
+			}
+			if tape.Len() != spec.TotalUnits {
+				t.Fatalf("%s: tape holds %d units, want %d", spec.Name, tape.Len(), spec.TotalUnits)
+			}
+			live, err := NewRun(spec, threads, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			taped, err := NewRun(spec, threads, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reuse {
+				live.ReuseUnitBuffers()
+				taped.ReuseUnitBuffers()
+			}
+			if !taped.AttachTape(tape) {
+				t.Fatalf("%s: AttachTape rejected a matching tape", spec.Name)
+			}
+			lu, tu := drainUnits(t, live, threads), drainUnits(t, taped, threads)
+			if !reflect.DeepEqual(lu, tu) {
+				for i := range lu {
+					if !reflect.DeepEqual(lu[i], tu[i]) {
+						t.Fatalf("%s (reuse %v): unit %d differs under tape replay:\n  live: %+v\n  tape: %+v",
+							spec.Name, reuse, i, lu[i], tu[i])
+					}
+				}
+				t.Fatalf("%s (reuse %v): unit sequences differ under tape replay", spec.Name, reuse)
+			}
 		}
-		if tape.Len() != spec.TotalUnits {
-			t.Fatalf("%s: tape holds %d units, want %d", spec.Name, tape.Len(), spec.TotalUnits)
+	}
+}
+
+// TestTapeIsCompact pins the packed tape format: a full-scale xalan tape
+// is at least 8x smaller than the same units held as []Unit of 48-byte
+// Op records, the format tapes used to store.
+func TestTapeIsCompact(t *testing.T) {
+	spec := XalanSpec()
+	const seed = 3
+	tape, err := BuildTape(spec, seed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed := len(tape.units)*int(unsafe.Sizeof(tapeUnit{})) +
+		len(tape.allocs)*int(unsafe.Sizeof(uint32(0))) +
+		len(tape.locks)*int(unsafe.Sizeof(uint16(0)))
+
+	r, err := NewRun(spec, 1, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := 0
+	for {
+		u, ok := r.Take(0)
+		if !ok {
+			break
 		}
-		live, err := NewRun(spec, threads, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		taped, err := NewRun(spec, threads, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !taped.AttachTape(tape) {
-			t.Fatalf("%s: AttachTape rejected a matching tape", spec.Name)
-		}
-		lu, tu := drainUnits(t, live, threads), drainUnits(t, taped, threads)
-		if !reflect.DeepEqual(lu, tu) {
-			for i := range lu {
-				if !reflect.DeepEqual(lu[i], tu[i]) {
-					t.Fatalf("%s: unit %d differs under tape replay:\n  live: %+v\n  tape: %+v",
-						spec.Name, i, lu[i], tu[i])
+		records += int(unsafe.Sizeof(u)) + len(u.Ops)*int(unsafe.Sizeof(Op{}))
+	}
+	t.Logf("xalan tape: %d units, %.2f MB packed vs %.2f MB as op records (%.1fx)",
+		tape.Len(), float64(packed)/(1<<20), float64(records)/(1<<20), float64(records)/float64(packed))
+	if records < 8*packed {
+		t.Errorf("packed tape is %d bytes, op records %d: less than 8x smaller", packed, records)
+	}
+}
+
+// TestBuildTapeOverflow: a draw that does not fit its packed field
+// fails the build instead of truncating, so the run can fall back to
+// cold generation.
+func TestBuildTapeOverflow(t *testing.T) {
+	spec := XalanSpec().Scale(0.05)
+	spec.SharedLocks = 1 << 17
+	spec.LockOpsPerUnit = 8
+	_, err := BuildTape(spec, 1, 0)
+	if err == nil || !strings.Contains(err.Error(), "16-bit lock field") {
+		t.Fatalf("BuildTape with %d shared locks: err = %v, want a lock-field overflow", spec.SharedLocks, err)
+	}
+}
+
+// TestPackAllocRoundTrip covers the extremes of every packed field.
+func TestPackAllocRoundTrip(t *testing.T) {
+	for _, size := range []int32{16, 17, 4096, 8192} {
+		for _, d := range []DeathSpec{{DieAfterOwnAllocs, 12}, {DieAtUnitsAhead, 0}, {DieAtUnitsAhead, 48}, {Immortal, 0}} {
+			for _, site := range []int32{0, 15, NumAllocSites - 1} {
+				want := Op{Kind: OpAlloc, Dur: 70, Size: size, Death: d, Site: site}
+				if got := unpackAlloc(packAlloc(size, d, site), 70); got != want {
+					t.Fatalf("round trip: got %+v, want %+v", got, want)
 				}
 			}
-			t.Fatalf("%s: unit sequences differ under tape replay", spec.Name)
 		}
 	}
 }

@@ -256,6 +256,20 @@ func (s *Spec) TotalAllocBytes() int64 {
 	return int64(s.TotalUnits) * int64(s.AllocsPerUnit) * int64(s.ObjSizeMeanB)
 }
 
+// ObjectBound returns a count the objects allocated by n work units stay
+// within: the realized mean allocations per unit times n, plus six
+// standard deviations of their sum. A unit's count is uniform over the
+// span+1 integers from AllocsPerUnit - span/2, span = AllocsPerUnit/2
+// (see draw), so the mean is AllocsPerUnit + ½ when span is odd.
+func (s *Spec) ObjectBound(n int) int {
+	span := s.AllocsPerUnit / 2
+	lo := s.AllocsPerUnit - span/2
+	units := float64(n)
+	sd := math.Sqrt(float64(span*(span+2)) / 12)
+	bound := units*(float64(lo)+float64(span)/2) + 6*sd*math.Sqrt(units)
+	return int(math.Ceil(min(bound, units*float64(lo+span))))
+}
+
 // Scale returns a copy with TotalUnits (and Phases, proportionally)
 // multiplied by f — used to shrink runs for tests and benchmarks. The
 // behavioral parameters are untouched.
@@ -319,9 +333,9 @@ type Run struct {
 	lockPop *sim.Zipf // popularity skew over shared locks
 
 	// Lognormal parameters are pure functions of the spec, hoisted out of
-	// generate so the per-unit cost is the draws alone, not the Log/Sqrt
+	// draw so the per-unit cost is the draws alone, not the Log/Sqrt
 	// tower rederiving constants. The hoisted values are computed by the
-	// same expressions generate used, so draws are bit-identical.
+	// same expressions that once ran per unit, so draws are bit-identical.
 	unitMean  float64
 	unitMu    float64
 	unitSigma float64
@@ -333,13 +347,24 @@ type Run struct {
 
 	unitsTaken []int64 // per-thread work counter, for the §III table
 
+	// draws is the scratch record draw fills for each unit.
 	// reuse/scratch: opt-in per-thread op-buffer recycling (see
 	// ReuseUnitBuffers). tape/tapePos: optional pre-generated unit source
 	// (see AttachTape).
+	draws   unitDraws
 	reuse   bool
 	scratch [][]Op
 	tape    *Tape
 	tapePos int
+}
+
+// unitDraws is one unit's random draws: everything its op sequence takes
+// from the run's RNG streams. The spec supplies the rest (AllocGap,
+// LockHold), so draws plus spec rebuild the unit exactly (see emit).
+type unitDraws struct {
+	budget sim.Time // compute budget, split evenly around the burst
+	allocs []uint32 // one packed draw per allocation (packAlloc)
+	locks  []int    // the shared lock of each critical section
 }
 
 // NewRun instantiates the spec for a given mutator thread count and seed.
@@ -442,7 +467,7 @@ func (r *Run) TakeOpen(tid int) Unit {
 // to tid. Callers that consume a unit fully before taking the thread's
 // next one (the VM does) save the per-unit ops allocation; callers that
 // retain units across takes must not enable this. Tape-replayed units are
-// never recycled — replay hands out the tape's persistent records.
+// recycled the same way: replay decodes each unit into the buffer.
 func (r *Run) ReuseUnitBuffers() {
 	if r.scratch == nil {
 		r.scratch = make([][]Op, r.threads)
@@ -467,18 +492,24 @@ func (r *Run) AttachTape(t *Tape) bool {
 	return true
 }
 
-// nextUnit returns the next unit from the tape when one is attached and
+// nextUnit decodes the next unit from the tape when one is attached and
 // unexhausted, otherwise generates live.
 func (r *Run) nextUnit(tid int) Unit {
 	if t := r.tape; t != nil {
 		if r.tapePos < len(t.units) {
-			u := t.units[r.tapePos]
+			budget, allocs, tapeLocks := t.unit(r.tapePos)
 			r.tapePos++
-			return u
+			locks := r.draws.locks[:0]
+			for _, lk := range tapeLocks {
+				locks = append(locks, int(lk))
+			}
+			r.draws.locks = locks
+			return r.emit(tid, budget, allocs, locks)
 		}
 		r.detachTape()
 	}
-	return r.generate(tid)
+	r.draw()
+	return r.emit(tid, r.draws.budget, r.draws.allocs, r.draws.locks)
 }
 
 // detachTape switches an exhausted tape replay back to live generation,
@@ -505,9 +536,11 @@ func clampSize(v float64) int32 {
 	return int32(v)
 }
 
-// generate builds the op sequence for one unit, deterministic in the run's
-// RNG stream.
-func (r *Run) generate(tid int) Unit {
+// draw makes one unit's random draws into r.draws, in the calibrated
+// stream order: compute total, allocation count and lock-op count, then
+// per allocation its size, death and site, then per critical section its
+// lock.
+func (r *Run) draw() {
 	s := &r.spec
 	rng := r.rng
 
@@ -544,50 +577,73 @@ func (r *Run) generate(tid int) Unit {
 		}
 	}
 
-	var ops []Op
-	if r.reuse {
-		ops = r.scratch[tid][:0]
-	} else {
-		ops = make([]Op, 0, 4+allocs+2*lockOps)
-	}
-
-	// Leading compute: half the budget before the allocation burst.
-	ops = append(ops, Op{Kind: OpCompute, Dur: computeBudget / 2})
-
-	// Allocation burst.
+	d := &r.draws
+	d.budget = computeBudget
+	d.allocs = d.allocs[:0]
 	for i := 0; i < allocs; i++ {
 		// Main-stream draw order (size, then death) is part of the
 		// calibrated behavior; sites draw from their own stream.
 		size := clampSize(rng.LogNormal(r.sizeMu, r.sizeSigma))
 		death := r.sampleDeath()
-		ops = append(ops, Op{
-			Kind:  OpAlloc,
-			Dur:   s.AllocGap,
-			Size:  size,
-			Death: death,
-			Site:  r.sampleSite(death),
-		})
+		d.allocs = append(d.allocs, packAlloc(size, death, r.sampleSite(death)))
 	}
-
-	// Critical sections against shared locks, mid-unit.
+	d.locks = d.locks[:0]
 	for i := 0; i < lockOps; i++ {
 		lk := 0
 		if r.lockPop != nil {
 			lk = r.lockPop.Next()
 		}
+		d.locks = append(d.locks, lk)
+	}
+}
+
+// emit lays one unit's op sequence out from its draws: half the compute
+// budget, the allocation burst, the critical sections against shared
+// locks, then the other half. With ReuseUnitBuffers the ops go into
+// tid's recycled buffer, otherwise into a fresh slice.
+func (r *Run) emit(tid int, budget sim.Time, allocs []uint32, locks []int) Unit {
+	s := &r.spec
+	var ops []Op
+	if r.reuse {
+		ops = r.scratch[tid][:0]
+	} else {
+		ops = make([]Op, 0, 2+len(allocs)+3*len(locks))
+	}
+	ops = append(ops, Op{Kind: OpCompute, Dur: budget / 2})
+	for _, w := range allocs {
+		ops = append(ops, unpackAlloc(w, s.AllocGap))
+	}
+	for _, lk := range locks {
 		ops = append(ops,
 			Op{Kind: OpAcquire, Lock: lk},
 			Op{Kind: OpCompute, Dur: s.LockHold},
 			Op{Kind: OpRelease, Lock: lk},
 		)
 	}
-
-	// Trailing compute.
-	ops = append(ops, Op{Kind: OpCompute, Dur: computeBudget / 2})
+	ops = append(ops, Op{Kind: OpCompute, Dur: budget / 2})
 	if r.reuse {
 		r.scratch[tid] = ops // keep grown capacity for tid's next unit
 	}
 	return Unit{Ops: ops}
+}
+
+// An allocation draw packs into one uint32: size in bits 0-13 (clampSize
+// bounds it to 16..8192), death mode in bits 14-15, death N in bits 16-21
+// (sampleDeath caps it at 48) and site in bits 22-26 (< NumAllocSites).
+// Every draw fits by construction.
+func packAlloc(size int32, d DeathSpec, site int32) uint32 {
+	return uint32(size) | uint32(d.Mode)<<14 | uint32(d.N)<<16 | uint32(site)<<22
+}
+
+// unpackAlloc rebuilds the OpAlloc of a packed draw.
+func unpackAlloc(w uint32, gap sim.Time) Op {
+	return Op{
+		Kind:  OpAlloc,
+		Dur:   gap,
+		Size:  int32(w & 0x3FFF),
+		Death: DeathSpec{Mode: DeathMode(w >> 14 & 0x3), N: int32(w >> 16 & 0x3F)},
+		Site:  int32(w >> 22 & 0x1F),
+	}
 }
 
 // sampleSite assigns an allocation site correlated with the object's
