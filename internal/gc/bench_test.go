@@ -13,13 +13,13 @@ func BenchmarkCollectMinor(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		h := heap.New(heap.Config{MinHeap: 64 << 20, Factor: 3})
-		reg := objmodel.NewRegistry(10000)
+		reg := objmodel.NewRegistry()
 		c := New(Config{Workers: 8}, h, reg)
 		for j := 0; j < 10000; j++ {
-			id := reg.Alloc(128, 0, 0)
+			id := reg.Alloc(128, 0)
 			c.OnAlloc(id, 0)
 			if j%3 != 0 {
-				reg.Kill(id, 0)
+				reg.Kill(id)
 			}
 		}
 		b.StartTimer()
@@ -42,13 +42,13 @@ func BenchmarkGCPolicy(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				h := heap.New(heap.Config{MinHeap: 64 << 20, Factor: 3})
-				reg := objmodel.NewRegistry(10000)
+				reg := objmodel.NewRegistry()
 				c := NewWithPolicy(p, Config{Workers: 8}, h, reg)
 				for j := 0; j < 10000; j++ {
-					id := reg.Alloc(128, 0, 0)
+					id := reg.Alloc(128, 0)
 					c.OnAlloc(id, 0)
 					if j%3 != 0 {
-						reg.Kill(id, 0)
+						reg.Kill(id)
 					}
 				}
 				b.StartTimer()
@@ -66,11 +66,12 @@ func BenchmarkCollectFull(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		h := heap.New(heap.Config{MinHeap: 64 << 20, Factor: 3})
-		reg := objmodel.NewRegistry(10000)
+		reg := objmodel.NewRegistry()
 		c := New(Config{Workers: 8}, h, reg)
-		for j := 0; j < 10000; j++ {
-			id := reg.Alloc(256, 0, 0)
-			c.OnAlloc(id, 0)
+		ids := make([]objmodel.ID, 10000)
+		for j := range ids {
+			ids[j] = reg.Alloc(256, 0)
+			c.OnAlloc(ids[j], 0)
 		}
 		// Promote everything, then kill half.
 		for k := 0; k < 3; k++ {
@@ -78,11 +79,9 @@ func BenchmarkCollectFull(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		reg.ForEach(func(id objmodel.ID, o *objmodel.Object) {
-			if id%2 == 0 && o.Live() {
-				reg.Kill(id, 0)
-			}
-		})
+		for j := 0; j < len(ids); j += 2 {
+			reg.Kill(ids[j])
+		}
 		b.StartTimer()
 		if _, err := c.CollectFull(0); err != nil {
 			b.Fatal(err)
@@ -91,27 +90,30 @@ func BenchmarkCollectFull(b *testing.B) {
 }
 
 // BenchmarkMinorCycle measures one steady-state young-generation cycle:
-// 10k objects registered through OnAlloc, all dead by the collection —
-// the generational common case — then a minor collection. Its allocs/op
-// shows the young-list buffers being reused across cycles.
+// 10k objects allocated, registered through OnAlloc and all dead by the
+// collection — the generational common case — then a minor collection
+// that frees their slots for the next cycle. Its allocs/op shows the
+// registry slots, young-list buffers and dead-slot scratch being reused
+// across cycles.
 func BenchmarkMinorCycle(b *testing.B) {
 	h := heap.New(heap.Config{MinHeap: 64 << 20, Factor: 3})
 	const n = 10000
-	reg := objmodel.NewRegistry(n)
+	reg := objmodel.NewRegistry()
 	c := New(Config{Workers: 8}, h, reg)
-	ids := make([]objmodel.ID, n)
-	for j := range ids {
-		ids[j] = reg.Alloc(128, 0, 0)
-		reg.Kill(ids[j], 0)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, id := range ids {
+	cycle := func() {
+		for j := 0; j < n; j++ {
+			id := reg.Alloc(128, 0)
 			c.OnAlloc(id, 0)
+			reg.Kill(id)
 		}
 		if _, err := c.CollectMinor(0, 0); err != nil {
 			b.Fatal(err)
 		}
+	}
+	cycle()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
 	}
 }

@@ -72,10 +72,12 @@ type SweepResult struct {
 	FragAdded     int64
 }
 
-// SweepOld reclaims dead old-generation objects in place — no compaction,
-// so FragmentationRatio of the freed space is lost until the next full
+// SweepOld reclaims dead old-generation objects in place, freeing their
+// registry slots as it goes. There is no compaction, so
+// FragmentationRatio of the freed space is lost until the next full
 // collection. It never fails: sweeping only shrinks occupancy.
 func (c *Collector) SweepOld(now sim.Time) SweepResult {
+	c.notePeak()
 	var res SweepResult
 	newOld := c.old[:0]
 	for _, id := range c.old {
@@ -83,6 +85,7 @@ func (c *Collector) SweepOld(now sim.Time) SweepResult {
 		if !o.Live() {
 			res.ReclaimedObjs++
 			res.ReclaimedB += int64(o.Size)
+			c.reg.Free(id)
 			continue
 		}
 		res.LiveOldBytes += int64(o.Size)

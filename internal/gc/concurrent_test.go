@@ -11,7 +11,7 @@ func TestOldLiveCountAndMarkWork(t *testing.T) {
 	_, reg, c := newWorld(8, 1)
 	var ids []objmodel.ID
 	for i := 0; i < 40; i++ {
-		id := reg.Alloc(1024, 0, 0)
+		id := reg.Alloc(1024, 0)
 		c.OnAlloc(id, 0)
 		ids = append(ids, id)
 	}
@@ -24,8 +24,8 @@ func TestOldLiveCountAndMarkWork(t *testing.T) {
 	if got := c.OldLiveCount(); got != 40 {
 		t.Fatalf("old live = %d, want 40", got)
 	}
-	reg.Kill(ids[0], 0)
-	reg.Kill(ids[1], 0)
+	reg.Kill(ids[0])
+	reg.Kill(ids[1])
 	if got := c.OldLiveCount(); got != 38 {
 		t.Errorf("old live after kills = %d, want 38", got)
 	}
@@ -41,7 +41,7 @@ func TestSweepOldReclaimsWithFragmentation(t *testing.T) {
 	h, reg, c := newWorld(8, 1)
 	var ids []objmodel.ID
 	for i := 0; i < 100; i++ {
-		id := reg.Alloc(2048, 0, 0)
+		id := reg.Alloc(2048, 0)
 		c.OnAlloc(id, 0)
 		ids = append(ids, id)
 	}
@@ -51,7 +51,7 @@ func TestSweepOldReclaimsWithFragmentation(t *testing.T) {
 		}
 	}
 	for _, id := range ids[:60] {
-		reg.Kill(id, 0)
+		reg.Kill(id)
 	}
 	oldBefore := h.OldUsed()
 	res := c.SweepOld(0)

@@ -24,6 +24,7 @@ package gc
 
 import (
 	"fmt"
+	"slices"
 
 	"javasim/internal/heap"
 	"javasim/internal/metrics"
@@ -242,12 +243,18 @@ type Collector struct {
 	// collection writes its survivors there and swaps it with the young
 	// list, so allocation after a collection appends into retained
 	// capacity instead of regrowing the list from empty. promoted is the
-	// minor collection's reused promotion scratch.
+	// minor collection's reused promotion scratch; dead holds the slots a
+	// collection drops, freed only once its commit succeeds.
 	spare    [][]objmodel.ID
 	promoted []objmodel.ID
+	dead     []objmodel.ID
 
 	// survBytes tracks each compartment's share of the survivor space.
 	survBytes []int64
+
+	// peak is the largest young plus old population seen when a
+	// collection or sweep starts, the only points where it shrinks.
+	peak int
 
 	stats     Stats
 	pauses    []Pause
@@ -338,6 +345,47 @@ func (c *Collector) YoungCount(comp int) int { return len(c.young[comp]) }
 // OldCount returns the tracked old-generation population.
 func (c *Collector) OldCount() int { return len(c.old) }
 
+// PeakTracked returns the largest young plus old population the
+// collector has tracked, dead objects not yet collected included. Since
+// every registry slot stays occupied until the collector drops it, this
+// is also the registry's slot high-water mark.
+func (c *Collector) PeakTracked() int { return max(c.peak, c.tracked()) }
+
+func (c *Collector) tracked() int {
+	n := len(c.old)
+	for _, y := range c.young {
+		n += len(y)
+	}
+	return n
+}
+
+// notePeak samples the tracked population before a collection shrinks it.
+func (c *Collector) notePeak() { c.peak = max(c.peak, c.tracked()) }
+
+// AuditSlots checks the invariant slot recycling rests on: every slot the
+// registry has handed out is either on its free list or held by exactly
+// one young or old list.
+func (c *Collector) AuditSlots() error {
+	held := make([]bool, c.reg.Slots())
+	for _, list := range append(slices.Clone(c.young), c.old) {
+		for _, id := range list {
+			switch {
+			case c.reg.Freed(id):
+				return fmt.Errorf("gc: slot %d is tracked but free", id)
+			case held[id]:
+				return fmt.Errorf("gc: slot %d is tracked twice", id)
+			}
+			held[id] = true
+		}
+	}
+	for id, ok := range held {
+		if !ok && !c.reg.Freed(objmodel.ID(id)) {
+			return fmt.Errorf("gc: slot %d is neither tracked nor free", id)
+		}
+	}
+	return nil
+}
+
 // parallelTime maps one phase's sequential work onto elapsed pause time
 // through the policy's cost model (for stw-serial, the calibrated
 // synchronization-limited efficiency curve).
@@ -349,12 +397,17 @@ func (c *Collector) parallelTime(sequential sim.Time) sim.Time {
 // now. It returns the pause, or heap.ErrOldGenFull when promotion cannot
 // fit — the caller must run CollectFull and retry.
 func (c *Collector) CollectMinor(comp int, now sim.Time) (Pause, error) {
+	c.notePeak()
 	young := c.young[comp]
 	survivors := c.spare[comp][:0]
 	if cap(survivors) < cap(young) {
 		survivors = make([]objmodel.ID, 0, cap(young))
 	}
 	promoted := c.promoted[:0]
+	dead := c.dead[:0]
+	if cap(dead) < cap(young) {
+		dead = make([]objmodel.ID, 0, cap(young))
+	}
 	var (
 		survivorBytes int64
 		promotedBytes int64
@@ -373,6 +426,7 @@ func (c *Collector) CollectMinor(comp int, now sim.Time) (Pause, error) {
 		if !o.Live() {
 			reclaimedObjs++
 			reclaimedB += int64(o.Size)
+			dead = append(dead, id)
 			continue
 		}
 		scanned++
@@ -397,9 +451,10 @@ func (c *Collector) CollectMinor(comp int, now sim.Time) (Pause, error) {
 				o.Age--
 			}
 		}
-		c.spare[comp], c.promoted = survivors, promoted
+		c.spare[comp], c.promoted, c.dead = survivors, promoted, dead
 		return Pause{}, err
 	}
+	c.free(dead)
 	c.survBytes[comp] = survivorBytes
 	c.young[comp], c.spare[comp] = survivors, young[:0]
 	c.old = append(c.old, promoted...)
@@ -442,6 +497,7 @@ func (c *Collector) CollectMinor(comp int, now sim.Time) (Pause, error) {
 // the young generation into old), dead objects of both generations are
 // reclaimed, and the old generation is compacted.
 func (c *Collector) CollectFull(now sim.Time) (Pause, error) {
+	c.notePeak()
 	var (
 		liveOldBytes  int64
 		promotedBytes int64
@@ -449,12 +505,14 @@ func (c *Collector) CollectFull(now sim.Time) (Pause, error) {
 		reclaimedObjs int64
 		reclaimedB    int64
 	)
+	dead := c.dead[:0]
 	newOld := c.old[:0]
 	for _, id := range c.old {
 		o := c.reg.Get(id)
 		if !o.Live() {
 			reclaimedObjs++
 			reclaimedB += int64(o.Size)
+			dead = append(dead, id)
 			continue
 		}
 		scanned++
@@ -468,6 +526,7 @@ func (c *Collector) CollectFull(now sim.Time) (Pause, error) {
 			if !o.Live() {
 				reclaimedObjs++
 				reclaimedB += int64(o.Size)
+				dead = append(dead, id)
 				continue
 			}
 			scanned++
@@ -483,6 +542,7 @@ func (c *Collector) CollectFull(now sim.Time) (Pause, error) {
 	if err := c.heap.CommitFull(liveOldBytes); err != nil {
 		return Pause{}, err // genuine OutOfMemoryError
 	}
+	c.free(dead)
 	markFixup := sim.Time(scanned) * c.cfg.ScanCostPerObject * 2 // mark + fixup passes
 	compact := sim.Time(liveOldBytes/1024) * c.cfg.CompactCostPerKB
 	phases := Breakdown{
@@ -503,6 +563,15 @@ func (c *Collector) CollectFull(now sim.Time) (Pause, error) {
 	}
 	c.record(pause)
 	return pause, nil
+}
+
+// free returns the slots of dead objects a committed collection dropped
+// to the registry and keeps the scratch for the next collection.
+func (c *Collector) free(dead []objmodel.ID) {
+	for _, id := range dead {
+		c.reg.Free(id)
+	}
+	c.dead = dead[:0]
 }
 
 func (c *Collector) record(p Pause) {

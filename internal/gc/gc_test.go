@@ -14,7 +14,7 @@ func newWorld(minHeapMB int64, compartments int) (*heap.Heap, *objmodel.Registry
 		MinHeap: minHeapMB << 20, Factor: 3, TLABSize: 16 << 10,
 		Compartments: compartments,
 	})
-	reg := objmodel.NewRegistry(1024)
+	reg := objmodel.NewRegistry()
 	c := New(Config{Workers: 4}, h, reg)
 	return h, reg, c
 }
@@ -34,13 +34,13 @@ func TestMinorReclaimsDead(t *testing.T) {
 	_, reg, c := newWorld(4, 1)
 	var ids []objmodel.ID
 	for i := 0; i < 100; i++ {
-		id := reg.Alloc(512, 0, 0)
+		id := reg.Alloc(512, 0)
 		c.OnAlloc(id, 0)
 		ids = append(ids, id)
 	}
 	// Kill the first 60.
 	for _, id := range ids[:60] {
-		reg.Kill(id, 1)
+		reg.Kill(id)
 	}
 	p, err := c.CollectMinor(0, 1000)
 	if err != nil {
@@ -65,7 +65,7 @@ func TestMinorReclaimsDead(t *testing.T) {
 
 func TestAgingAndPromotion(t *testing.T) {
 	_, reg, c := newWorld(4, 1)
-	id := reg.Alloc(1000, 0, 0)
+	id := reg.Alloc(1000, 0)
 	c.OnAlloc(id, 0)
 	threshold := int(c.Config().TenuringThreshold)
 	// The object stays young until it has survived threshold collections.
@@ -99,7 +99,7 @@ func TestSurvivorOverflowPromotes(t *testing.T) {
 	objSize := int32(1024)
 	n := int(3 * cap / int64(objSize))
 	for i := 0; i < n; i++ {
-		id := reg.Alloc(objSize, 0, 0)
+		id := reg.Alloc(objSize, 0)
 		c.OnAlloc(id, 0)
 	}
 	p, err := c.CollectMinor(0, 0)
@@ -120,7 +120,7 @@ func TestFullCollection(t *testing.T) {
 	// minors.
 	var ids []objmodel.ID
 	for i := 0; i < 50; i++ {
-		id := reg.Alloc(2048, 0, 0)
+		id := reg.Alloc(2048, 0)
 		c.OnAlloc(id, 0)
 		ids = append(ids, id)
 	}
@@ -134,9 +134,9 @@ func TestFullCollection(t *testing.T) {
 	}
 	// Kill half the old objects, plus allocate some fresh young ones.
 	for _, id := range ids[:25] {
-		reg.Kill(id, 1)
+		reg.Kill(id)
 	}
-	young := reg.Alloc(512, 0, 0)
+	young := reg.Alloc(512, 0)
 	c.OnAlloc(young, 0)
 	p, err := c.CollectFull(5000)
 	if err != nil {
@@ -168,7 +168,7 @@ func TestOldGenFullError(t *testing.T) {
 	budget := h.OldSize() - h.OldSize()/16
 	var allocated int64
 	for allocated < budget {
-		id := reg.Alloc(objSize, 0, 0)
+		id := reg.Alloc(objSize, 0)
 		c.OnAlloc(id, 0)
 		allocated += int64(objSize)
 		// Tenure fast: age objects by repeated collection every batch.
@@ -183,7 +183,7 @@ func TestOldGenFullError(t *testing.T) {
 	// Now add another survivor-overflowing batch of live objects.
 	extra := h.SurvivorSize()*2/int64(objSize) + h.OldSize()/16/int64(objSize) + 2
 	for i := int64(0); i < extra; i++ {
-		id := reg.Alloc(objSize, 0, 0)
+		id := reg.Alloc(objSize, 0)
 		c.OnAlloc(id, 0)
 	}
 	_, err := c.CollectMinor(0, 0)
@@ -193,7 +193,7 @@ func TestOldGenFullError(t *testing.T) {
 	// After a full collection (everything is live, so this may itself be
 	// tight), dead space must be reclaimed. Kill everything and verify
 	// recovery.
-	reg.KillAllLive(0)
+	reg.ForEachLive(func(id objmodel.ID, _ *objmodel.Object) { reg.Kill(id) })
 	if _, err := c.CollectFull(0); err != nil {
 		t.Fatal(err)
 	}
@@ -210,10 +210,10 @@ func TestPauseCostScalesWithSurvivors(t *testing.T) {
 	_, regB, cB := newWorld(64, 1)
 	// A: 1000 dead objects. B: 1000 live objects (more copying).
 	for i := 0; i < 1000; i++ {
-		idA := regA.Alloc(1024, 0, 0)
+		idA := regA.Alloc(1024, 0)
 		cA.OnAlloc(idA, 0)
-		regA.Kill(idA, 0)
-		idB := regB.Alloc(1024, 0, 0)
+		regA.Kill(idA)
+		idB := regB.Alloc(1024, 0)
 		cB.OnAlloc(idB, 0)
 	}
 	pA, err := cA.CollectMinor(0, 0)
@@ -233,10 +233,10 @@ func TestPauseCostScalesWithSurvivors(t *testing.T) {
 func TestMoreWorkersShortenPauses(t *testing.T) {
 	mk := func(workers int) Pause {
 		h := heap.New(heap.Config{MinHeap: 64 << 20, Factor: 3})
-		reg := objmodel.NewRegistry(1024)
+		reg := objmodel.NewRegistry()
 		c := New(Config{Workers: workers}, h, reg)
 		for i := 0; i < 2000; i++ {
-			id := reg.Alloc(1024, 0, 0)
+			id := reg.Alloc(1024, 0)
 			c.OnAlloc(id, 0)
 		}
 		p, err := c.CollectMinor(0, 0)
@@ -259,9 +259,9 @@ func TestMoreWorkersShortenPauses(t *testing.T) {
 func TestCompartmentLocalCollection(t *testing.T) {
 	_, reg, c := newWorld(16, 4)
 	// Populate two compartments.
-	a := reg.Alloc(1024, 0, 0)
+	a := reg.Alloc(1024, 0)
 	c.OnAlloc(a, 0)
-	b := reg.Alloc(1024, 1, 0)
+	b := reg.Alloc(1024, 0)
 	c.OnAlloc(b, 1)
 	p, err := c.CollectMinor(0, 0)
 	if err != nil {
@@ -285,7 +285,7 @@ func TestCompartmentLocalCollection(t *testing.T) {
 func TestPauseBreakdown(t *testing.T) {
 	_, reg, c := newWorld(8, 1)
 	for i := 0; i < 500; i++ {
-		id := reg.Alloc(1024, 0, 0)
+		id := reg.Alloc(1024, 0)
 		c.OnAlloc(id, 0)
 	}
 	p, err := c.CollectMinor(0, 0)
@@ -313,7 +313,7 @@ func TestPauseBreakdown(t *testing.T) {
 func TestStatsAccumulate(t *testing.T) {
 	_, reg, c := newWorld(8, 1)
 	for i := 0; i < 10; i++ {
-		id := reg.Alloc(256, 0, 0)
+		id := reg.Alloc(256, 0)
 		c.OnAlloc(id, 0)
 	}
 	c.CollectMinor(0, 0)
@@ -340,7 +340,7 @@ func TestNewPanicsWithoutWorkers(t *testing.T) {
 			t.Fatal("expected panic for Workers=0")
 		}
 	}()
-	New(Config{}, h, objmodel.NewRegistry(1))
+	New(Config{}, h, objmodel.NewRegistry())
 }
 
 // Property: across random alloc/kill/collect sequences, the collector
@@ -354,13 +354,13 @@ func TestLivenessPartitionProperty(t *testing.T) {
 		for _, op := range ops {
 			switch op % 4 {
 			case 0, 1: // allocate
-				id := reg.Alloc(int32(op%200)+1, 0, 0)
+				id := reg.Alloc(int32(op%200)+1, 0)
 				c.OnAlloc(id, 0)
 				live = append(live, id)
 			case 2: // kill one live object
 				if len(live) > 0 {
 					idx := int(op) % len(live)
-					reg.Kill(live[idx], 0)
+					reg.Kill(live[idx])
 					live = append(live[:idx], live[idx+1:]...)
 				}
 			case 3: // collect
@@ -429,10 +429,10 @@ func TestOnAllocSteadyStateAllocFree(t *testing.T) {
 	const n = 8192
 	ids := make([]objmodel.ID, n)
 	for j := range ids {
-		ids[j] = reg.Alloc(128, 0, 0)
+		ids[j] = reg.Alloc(128, 0)
 		c.OnAlloc(ids[j], 0)
 		if j%4 != 0 {
-			reg.Kill(ids[j], 0)
+			reg.Kill(ids[j])
 		}
 	}
 	if _, err := c.CollectMinor(0, 0); err != nil {
@@ -451,5 +451,91 @@ func TestOnAllocSteadyStateAllocFree(t *testing.T) {
 	}
 	if got := c.YoungCount(0); got != n {
 		t.Fatalf("young list holds %d entries after the refill, want %d", got, n)
+	}
+}
+
+// TestFailedMinorFreesNothing: a minor collection that fails with
+// ErrOldGenFull rolls back without freeing a slot, so the full
+// collection that follows finds every dead object still tracked and
+// frees each slot exactly once.
+func TestFailedMinorFreesNothing(t *testing.T) {
+	h, reg, c := newWorld(1, 1)
+	const objSize = 4096
+	var ids []objmodel.ID
+	alloc := func() objmodel.ID {
+		id := reg.Alloc(objSize, 0)
+		c.OnAlloc(id, 0)
+		ids = append(ids, id)
+		return id
+	}
+	// Tenure live data into most of the old generation.
+	budget := h.OldSize() - h.OldSize()/16
+	for allocated := int64(0); allocated < budget; allocated += objSize {
+		alloc()
+		if allocated%(budget/4) < objSize {
+			for i := 0; i < 4; i++ {
+				if _, err := c.CollectMinor(0, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	dead := map[objmodel.ID]bool{}
+	for i := 0; i < 64; i++ {
+		id := alloc()
+		reg.Kill(id)
+		dead[id] = true
+	}
+	for i := h.SurvivorSize()*2/objSize + h.OldSize()/16/objSize + 2; i > 0; i-- {
+		alloc()
+	}
+	slots := reg.Slots()
+	if _, err := c.CollectMinor(0, 0); !errors.Is(err, heap.ErrOldGenFull) {
+		t.Fatalf("err = %v, want ErrOldGenFull", err)
+	}
+	for id := range dead {
+		if reg.Freed(id) {
+			t.Fatalf("failed minor collection freed slot %d", id)
+		}
+	}
+	if err := c.AuditSlots(); err != nil {
+		t.Fatalf("after the failed minor collection: %v", err)
+	}
+
+	// Kill every other object so the full collection has room.
+	for i, id := range ids {
+		if i%2 == 0 && reg.Get(id).Live() {
+			reg.Kill(id)
+			dead[id] = true
+		}
+	}
+	if _, err := c.CollectFull(0); err != nil {
+		t.Fatal(err)
+	}
+	for id := range dead {
+		if !reg.Freed(id) {
+			t.Errorf("full collection left dead slot %d unfreed", id)
+		}
+	}
+	if err := c.AuditSlots(); err != nil {
+		t.Fatalf("after the full collection: %v", err)
+	}
+	// The free list holds each dead slot exactly once: as many new
+	// objects reuse exactly those slots, and only the next one grows the
+	// registry.
+	reused := map[objmodel.ID]bool{}
+	for range dead {
+		id := reg.Alloc(objSize, 0)
+		c.OnAlloc(id, 0)
+		if !dead[id] || reused[id] {
+			t.Fatalf("allocation reused slot %d (dead %v, reused before %v)", id, dead[id], reused[id])
+		}
+		reused[id] = true
+	}
+	if reg.Slots() != slots {
+		t.Errorf("registry grew to %d slots while reusing freed ones, want %d", reg.Slots(), slots)
+	}
+	if id := reg.Alloc(objSize, 0); int(id) != slots {
+		t.Errorf("allocation past the free list got slot %d, want new slot %d", id, slots)
 	}
 }

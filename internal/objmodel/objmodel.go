@@ -1,25 +1,31 @@
-// Package objmodel tracks every simulated heap object from allocation to
-// death, reproducing the measurement model of Elephant Tracks (Ricci,
+// Package objmodel tracks the simulated heap objects the collector still
+// holds, reproducing the measurement model of Elephant Tracks (Ricci,
 // Guyer, Moss — ISMM 2013), the tracer the paper uses.
 //
 // The central metric is the paper's definition of object lifespan (§II-A):
 // the amount of heap memory allocated to other objects between an object's
-// creation and its death. The registry therefore timestamps each object
-// with the global allocation clock — cumulative bytes ever allocated — at
-// birth and at death; the difference is the lifespan in bytes.
+// creation and its death. The registry therefore stamps each object with
+// the global allocation clock — cumulative bytes ever allocated — at
+// birth; Kill returns the clock's advance since then, the lifespan in
+// bytes.
+//
+// Records are 16 bytes and live in fixed-size pages that are never
+// copied. A slot stays occupied from Alloc until the collector has
+// dropped the dead object from its young or old list and calls Free;
+// freed slots are reused last-in first-out. The registry's slot count is
+// therefore the collector's peak tracked population (live objects plus
+// uncollected garbage), not the run's allocation history.
 package objmodel
 
 import (
+	"cmp"
 	"fmt"
-
-	"javasim/internal/sim"
+	"slices"
 )
 
-// ID names an object within one registry. IDs are dense, starting at 0.
+// ID names a registry slot. An ID denotes one object from Alloc until
+// Free; afterwards Alloc may hand the slot to a new object.
 type ID uint32
-
-// NoID is the sentinel for "no object".
-const NoID ID = ^ID(0)
 
 // Generation is the heap generation holding an object.
 type Generation uint8
@@ -39,48 +45,47 @@ func (g Generation) String() string {
 	return "old"
 }
 
-// Object is the per-object record. Records are stored by value inside the
-// registry; callers receive pointers that remain valid for the lifetime of
-// the registry (the backing store is append-only).
+// Birth values of slots that hold no live object.
+const (
+	dead  = -1 // killed, still tracked by the collector
+	freed = -2 // on the free list; Size holds the next free slot
+)
+
+// Object is the per-object record. Callers receive pointers into the
+// registry's pages, which stay valid for the registry's lifetime; after
+// Free the pointer describes whatever object reuses the slot.
 type Object struct {
+	// Birth is the global allocation clock (bytes allocated by everyone,
+	// ever) when the object was created; negative once it has died.
+	Birth int64
 	// Size is the object's size in bytes, including header.
 	Size int32
-	// Thread is the allocating mutator thread index.
-	Thread int32
-	// Birth is the global allocation clock (bytes allocated by everyone,
-	// ever) when the object was created.
-	Birth int64
-	// Death is the allocation clock at death, or -1 while the object lives.
-	Death int64
-	// BirthTime and DeathTime are the virtual times of the same events.
-	BirthTime sim.Time
-	DeathTime sim.Time
 	// Age counts the minor collections this object has survived; it drives
 	// the tenuring decision.
 	Age uint8
 	// Gen is the generation currently holding the object.
 	Gen Generation
-	// Compartment is the heap compartment (future-work feature) the object
-	// was allocated into; 0 when compartmentalization is off.
-	Compartment uint16
+	// Site is the allocation site, which the pretenuring learner keys on.
+	Site uint8
+	_    uint8
 }
 
 // Live reports whether the object has not yet died.
-func (o *Object) Live() bool { return o.Death < 0 }
+func (o *Object) Live() bool { return o.Birth >= 0 }
 
-// Lifespan returns the object's lifespan in allocation-clock bytes. It
-// panics if the object is still live; callers check Live first or only ask
-// after the run retires all objects.
-func (o *Object) Lifespan() int64 {
-	if o.Death < 0 {
-		panic("objmodel: Lifespan of live object")
-	}
-	return o.Death - o.Birth
-}
+// Records live in pages of 4096 (64 KiB).
+const (
+	pageBits = 12
+	pageSize = 1 << pageBits
+	pageMask = pageSize - 1
+	noSlot   = ^ID(0) // the end of the free list
+)
 
-// Registry owns all object records for one VM run.
+// Registry owns the object records of one VM run.
 type Registry struct {
-	objects []Object
+	pages []*[pageSize]Object
+	slots ID // slots ever handed out: the high-water mark
+	free  ID // head of the free list, noSlot when empty
 
 	liveCount int64
 	liveBytes int64
@@ -89,62 +94,77 @@ type Registry struct {
 	allocatedBytes int64 // == the allocation clock
 
 	diedCount int64
-	diedBytes int64
 }
 
-// NewRegistry returns an empty registry with capacity hint n objects.
-func NewRegistry(n int) *Registry {
-	return &Registry{objects: make([]Object, 0, n)}
-}
+// NewRegistry returns an empty registry.
+func NewRegistry() *Registry { return &Registry{free: noSlot} }
 
-// Cap returns the number of objects the registry holds before its
-// record slice must grow.
-func (r *Registry) Cap() int { return cap(r.objects) }
-
-// Alloc records a new young object of the given size by thread at the
-// current virtual time and returns its ID. It advances the allocation
-// clock by size. The birth clock is sampled after the object's own bytes
-// are counted, so a lifespan measures only memory allocated to *other*
-// objects between creation and death — the paper's §II-A definition.
-func (r *Registry) Alloc(size int32, thread int32, now sim.Time) ID {
+// Alloc records a new young object of the given size from an allocation
+// site and returns its slot, the most recently freed one if any. It
+// advances the allocation clock by size. The birth clock is sampled after
+// the object's own bytes are counted, so a lifespan measures only memory
+// allocated to *other* objects between creation and death — the paper's
+// §II-A definition.
+func (r *Registry) Alloc(size int32, site uint8) ID {
 	if size <= 0 {
 		panic(fmt.Sprintf("objmodel: Alloc size %d", size))
 	}
-	id := ID(len(r.objects))
+	id := r.free
+	if id != noSlot {
+		r.free = ID(uint32(r.Get(id).Size))
+	} else {
+		id = r.slots
+		if int(id>>pageBits) == len(r.pages) {
+			r.pages = append(r.pages, new([pageSize]Object))
+		}
+		r.slots++
+	}
 	r.allocated++
 	r.allocatedBytes += int64(size)
-	r.objects = append(r.objects, Object{
-		Size:      size,
-		Thread:    thread,
-		Birth:     r.allocatedBytes,
-		Death:     -1,
-		BirthTime: now,
-		Gen:       Young,
-	})
+	*r.Get(id) = Object{Birth: r.allocatedBytes, Size: size, Gen: Young, Site: site}
 	r.liveCount++
 	r.liveBytes += int64(size)
 	return id
 }
 
-// Kill marks an object dead at the current allocation clock. Killing an
-// already-dead object panics: the workload driver owns each object's single
-// death, and a double kill means lifespans would be corrupted.
-func (r *Registry) Kill(id ID, now sim.Time) {
-	o := &r.objects[id]
-	if o.Death >= 0 {
-		panic(fmt.Sprintf("objmodel: double kill of object %d", id))
+// Kill marks an object dead at the current allocation clock and returns
+// its lifespan. Killing a dead or freed object panics: the workload driver
+// owns each object's single death, and a double kill means lifespans
+// would be corrupted.
+func (r *Registry) Kill(id ID) int64 {
+	o := r.Get(id)
+	if !o.Live() {
+		panic(fmt.Sprintf("objmodel: kill of dead object %d", id))
 	}
-	o.Death = r.allocatedBytes
-	o.DeathTime = now
+	lifespan := r.allocatedBytes - o.Birth
+	o.Birth = dead
 	r.liveCount--
 	r.liveBytes -= int64(o.Size)
 	r.diedCount++
-	r.diedBytes += int64(o.Size)
+	return lifespan
 }
 
-// Get returns the record for id. The pointer stays valid until the
-// registry is discarded but may describe a dead object.
-func (r *Registry) Get(id ID) *Object { return &r.objects[id] }
+// Free returns a dead object's slot for reuse. The collector calls it
+// once it has dropped the object from its young or old list. Freeing a
+// live or already-freed slot panics.
+func (r *Registry) Free(id ID) {
+	o := r.Get(id)
+	if o.Birth != dead {
+		panic(fmt.Sprintf("objmodel: free of slot %d (birth %d), want a dead object", id, o.Birth))
+	}
+	*o = Object{Birth: freed, Size: int32(uint32(r.free))}
+	r.free = id
+}
+
+// Freed reports whether slot id is on the free list.
+func (r *Registry) Freed(id ID) bool { return r.Get(id).Birth == freed }
+
+// Get returns the record in slot id.
+func (r *Registry) Get(id ID) *Object { return &r.pages[id>>pageBits][id&pageMask] }
+
+// Slots returns the number of slots ever handed out: the registry's
+// high-water mark of occupied slots.
+func (r *Registry) Slots() int { return int(r.slots) }
 
 // Clock returns the global allocation clock: total bytes ever allocated.
 func (r *Registry) Clock() int64 { return r.allocatedBytes }
@@ -161,37 +181,20 @@ func (r *Registry) LiveBytes() int64 { return r.liveBytes }
 // DeadCount returns the number of objects that have died.
 func (r *Registry) DeadCount() int64 { return r.diedCount }
 
-// KillAllLive retires every live object at the current clock; the VM calls
-// it at program exit so that end-of-run objects contribute lifespans, as
-// Elephant Tracks does when the traced program terminates.
-func (r *Registry) KillAllLive(now sim.Time) {
-	for i := range r.objects {
-		if r.objects[i].Death < 0 {
-			r.Kill(ID(i), now)
-		}
-	}
-}
-
-// ForEach calls fn for every object ever allocated, in allocation order.
-func (r *Registry) ForEach(fn func(ID, *Object)) {
-	for i := range r.objects {
-		fn(ID(i), &r.objects[i])
-	}
-}
-
 // ForEachLive calls fn for every object live at the time of the call, in
-// allocation order, without materializing an ID list. The registry tracks
-// the live count, so the scan stops as soon as the last live object has
-// been visited instead of walking the entire allocation history. fn may
-// kill the object it is handed (the VM's end-of-run retirement does);
-// such objects still count as live at call time. fn must not kill
+// allocation order (ascending birth clock, whatever slots they occupy).
+// fn may kill the object it is handed (the VM's end-of-run retirement
+// does); such objects still count as live at call time. fn must not kill
 // not-yet-visited objects or allocate new ones.
 func (r *Registry) ForEachLive(fn func(ID, *Object)) {
-	left := r.liveCount
-	for i := 0; i < len(r.objects) && left > 0; i++ {
-		if o := &r.objects[i]; o.Live() {
-			left--
-			fn(ID(i), o)
+	live := make([]ID, 0, r.liveCount)
+	for id := ID(0); id < r.slots && int64(len(live)) < r.liveCount; id++ {
+		if r.Get(id).Live() {
+			live = append(live, id)
 		}
+	}
+	slices.SortFunc(live, func(a, b ID) int { return cmp.Compare(r.Get(a).Birth, r.Get(b).Birth) })
+	for _, id := range live {
+		fn(id, r.Get(id))
 	}
 }

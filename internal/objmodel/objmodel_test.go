@@ -3,13 +3,14 @@ package objmodel
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestAllocBasics(t *testing.T) {
-	r := NewRegistry(16)
-	id := r.Alloc(128, 3, 100)
+	r := NewRegistry()
+	id := r.Alloc(128, 3)
 	o := r.Get(id)
-	if o.Size != 128 || o.Thread != 3 || o.BirthTime != 100 {
+	if o.Size != 128 || o.Site != 3 || o.Gen != Young || o.Age != 0 {
 		t.Errorf("object fields %+v", o)
 	}
 	if !o.Live() {
@@ -21,9 +22,15 @@ func TestAllocBasics(t *testing.T) {
 	if r.Clock() != 128 {
 		t.Errorf("clock = %d, want 128", r.Clock())
 	}
-	id2 := r.Alloc(64, 1, 200)
+	id2 := r.Alloc(64, 1)
 	if r.Get(id2).Birth != 192 {
 		t.Errorf("second object birth = %d, want 192", r.Get(id2).Birth)
+	}
+}
+
+func TestRecordIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Object{}); got != 16 {
+		t.Errorf("Object is %d bytes, want 16", got)
 	}
 }
 
@@ -32,102 +39,181 @@ func TestLifespanMetric(t *testing.T) {
 	// *other* objects between an object's creation and its death: allocate
 	// A (100B), then B (50B), then kill A — A's lifespan is exactly B's 50
 	// bytes. An object killed immediately has lifespan 0.
-	r := NewRegistry(4)
-	a := r.Alloc(100, 0, 0)
-	r.Alloc(50, 1, 10)
-	r.Kill(a, 20)
-	if got := r.Get(a).Lifespan(); got != 50 {
+	r := NewRegistry()
+	a := r.Alloc(100, 0)
+	r.Alloc(50, 1)
+	if got := r.Kill(a); got != 50 {
 		t.Errorf("lifespan = %d, want 50 (B's bytes only)", got)
 	}
-	c := r.Alloc(32, 0, 30)
-	r.Kill(c, 30)
-	if got := r.Get(c).Lifespan(); got != 0 {
+	c := r.Alloc(32, 0)
+	if got := r.Kill(c); got != 0 {
 		t.Errorf("immediate-death lifespan = %d, want 0", got)
+	}
+	// A recycled slot measures its new object from the new birth.
+	r.Free(a)
+	d := r.Alloc(8, 0)
+	if d != a {
+		t.Fatalf("allocation took slot %d, want freed slot %d", d, a)
+	}
+	r.Alloc(16, 0)
+	if got := r.Kill(d); got != 16 {
+		t.Errorf("lifespan in a recycled slot = %d, want 16", got)
 	}
 }
 
 func TestKillAccounting(t *testing.T) {
-	r := NewRegistry(4)
-	a := r.Alloc(100, 0, 0)
-	b := r.Alloc(200, 0, 0)
+	r := NewRegistry()
+	a := r.Alloc(100, 0)
+	b := r.Alloc(200, 0)
 	if r.LiveCount() != 2 || r.LiveBytes() != 300 {
 		t.Fatalf("live %d/%d, want 2/300", r.LiveCount(), r.LiveBytes())
 	}
-	r.Kill(a, 5)
+	r.Kill(a)
 	if r.LiveCount() != 1 || r.LiveBytes() != 200 {
 		t.Errorf("after kill live %d/%d, want 1/200", r.LiveCount(), r.LiveBytes())
 	}
 	if r.DeadCount() != 1 {
 		t.Errorf("dead = %d, want 1", r.DeadCount())
 	}
-	r.Kill(b, 6)
+	r.Free(a)
+	r.Kill(b)
 	if r.LiveCount() != 0 || r.LiveBytes() != 0 {
 		t.Errorf("final live %d/%d, want 0/0", r.LiveCount(), r.LiveBytes())
 	}
+	if r.DeadCount() != 2 || r.Count() != 2 {
+		t.Errorf("dead %d of %d allocated, want 2 of 2", r.DeadCount(), r.Count())
+	}
+}
+
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	fn()
 }
 
 func TestDoubleKillPanics(t *testing.T) {
-	r := NewRegistry(1)
-	id := r.Alloc(10, 0, 0)
-	r.Kill(id, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double kill did not panic")
-		}
-	}()
-	r.Kill(id, 2)
+	r := NewRegistry()
+	id := r.Alloc(10, 0)
+	r.Kill(id)
+	mustPanic(t, "double kill", func() { r.Kill(id) })
+	r.Free(id)
+	mustPanic(t, "kill of a freed slot", func() { r.Kill(id) })
 }
 
 func TestZeroSizeAllocPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero-size alloc did not panic")
-		}
-	}()
-	NewRegistry(1).Alloc(0, 0, 0)
+	mustPanic(t, "zero-size alloc", func() { NewRegistry().Alloc(0, 0) })
 }
 
-func TestLifespanOfLivePanics(t *testing.T) {
-	r := NewRegistry(1)
-	id := r.Alloc(10, 0, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Lifespan of live object did not panic")
-		}
-	}()
-	_ = r.Get(id).Lifespan()
+func TestFreeOfLivePanics(t *testing.T) {
+	r := NewRegistry()
+	id := r.Alloc(10, 0)
+	mustPanic(t, "free of a live object", func() { r.Free(id) })
 }
 
+func TestDoubleFreePanics(t *testing.T) {
+	r := NewRegistry()
+	id := r.Alloc(10, 0)
+	r.Kill(id)
+	r.Free(id)
+	if !r.Freed(id) {
+		t.Fatal("freed slot not reported free")
+	}
+	mustPanic(t, "double free", func() { r.Free(id) })
+}
+
+// TestFreeListIsLIFO: freed slots are reused most recent first, and the
+// registry grows only once the free list is empty.
+func TestFreeListIsLIFO(t *testing.T) {
+	r := NewRegistry()
+	var ids []ID
+	for i := 0; i < 6; i++ {
+		ids = append(ids, r.Alloc(32, 0))
+	}
+	for _, i := range []int{1, 4, 2} {
+		r.Kill(ids[i])
+		r.Free(ids[i])
+	}
+	for _, want := range []ID{ids[2], ids[4], ids[1], 6} {
+		if got := r.Alloc(32, 0); got != want {
+			t.Fatalf("Alloc = slot %d, want %d", got, want)
+		}
+	}
+	if r.Slots() != 7 || r.Count() != 10 {
+		t.Errorf("slots %d for %d allocations, want 7 for 10", r.Slots(), r.Count())
+	}
+}
+
+// TestGetStableAcrossPages: a record pointer survives the registry
+// growing by whole pages, because pages are appended, never copied.
+func TestGetStableAcrossPages(t *testing.T) {
+	r := NewRegistry()
+	first := r.Get(r.Alloc(24, 5))
+	for i := 0; i < 3*pageSize; i++ {
+		r.Alloc(8, 0)
+	}
+	if got := r.Get(0); got != first {
+		t.Fatal("record of slot 0 moved while the registry grew")
+	}
+	if first.Size != 24 || first.Site != 5 || first.Birth != 24 {
+		t.Errorf("slot 0 record changed to %+v", first)
+	}
+	last := ID(r.Slots() - 1)
+	if o := r.Get(last); o.Size != 8 || o.Birth != r.Clock() {
+		t.Errorf("last slot %d holds %+v", last, o)
+	}
+}
+
+// TestKillAllLive: retiring every live object through ForEachLive, as
+// the VM does at program exit, leaves nothing live and counts every
+// allocation as a death.
 func TestKillAllLive(t *testing.T) {
-	r := NewRegistry(8)
+	r := NewRegistry()
 	for i := 0; i < 5; i++ {
-		r.Alloc(100, 0, 0)
+		r.Alloc(100, 0)
 	}
-	r.Kill(2, 1)
-	r.KillAllLive(99)
-	if r.LiveCount() != 0 {
-		t.Errorf("live after KillAllLive = %d", r.LiveCount())
+	r.Kill(2)
+	r.ForEachLive(func(id ID, _ *Object) { r.Kill(id) })
+	if r.LiveCount() != 0 || r.LiveBytes() != 0 {
+		t.Errorf("live after retirement = %d/%d", r.LiveCount(), r.LiveBytes())
 	}
-	r.ForEach(func(id ID, o *Object) {
-		if o.Live() {
+	if r.DeadCount() != r.Count() {
+		t.Errorf("dead %d of %d allocated", r.DeadCount(), r.Count())
+	}
+	for id := ID(0); id < 5; id++ {
+		if r.Get(id).Live() {
 			t.Errorf("object %d still live", id)
 		}
-	})
-	if r.Get(4).DeathTime != 99 {
-		t.Errorf("death time = %v, want 99", r.Get(4).DeathTime)
 	}
 }
 
+// TestForEachOrder: ForEachLive visits in allocation order, not slot
+// order, once slots have been recycled.
 func TestForEachOrder(t *testing.T) {
-	r := NewRegistry(8)
+	r := NewRegistry()
+	var ids []ID
 	for i := 1; i <= 5; i++ {
-		r.Alloc(int32(i*10), 0, 0)
+		ids = append(ids, r.Alloc(int32(i*10), 0))
+	}
+	for _, id := range ids[:3] {
+		r.Kill(id)
+		r.Free(id)
+	}
+	for i := 6; i <= 8; i++ {
+		r.Alloc(int32(i*10), 0) // reuses slots 2, 1, 0
 	}
 	var sizes []int32
-	r.ForEach(func(id ID, o *Object) { sizes = append(sizes, o.Size) })
-	for i, s := range sizes {
-		if s != int32((i+1)*10) {
-			t.Errorf("ForEach out of allocation order: %v", sizes)
+	r.ForEachLive(func(id ID, o *Object) { sizes = append(sizes, o.Size) })
+	want := []int32{40, 50, 60, 70, 80}
+	if len(sizes) != len(want) {
+		t.Fatalf("visited sizes %v, want %v", sizes, want)
+	}
+	for i := range want {
+		if sizes[i] != want[i] {
+			t.Fatalf("ForEachLive out of allocation order: %v, want %v", sizes, want)
 		}
 	}
 }
@@ -139,33 +225,29 @@ func TestGenerationString(t *testing.T) {
 }
 
 // Property: the allocation clock equals the sum of all object sizes, and
-// live + dead bytes always equals that clock.
+// live bytes always equal the sizes of the objects not yet killed.
 func TestClockConservationProperty(t *testing.T) {
 	f := func(sizes []uint16, killMask []bool) bool {
-		r := NewRegistry(len(sizes))
+		r := NewRegistry()
 		var ids []ID
 		var sum int64
 		for _, s := range sizes {
 			size := int32(s%1000) + 1
-			ids = append(ids, r.Alloc(size, 0, 0))
+			ids = append(ids, r.Alloc(size, 0))
 			sum += int64(size)
 		}
+		var deadBytes int64
 		for i, id := range ids {
 			if i < len(killMask) && killMask[i] {
-				r.Kill(id, 1)
+				deadBytes += int64(r.Get(id).Size)
+				r.Kill(id)
 			}
 		}
 		if r.Clock() != sum {
 			return false
 		}
-		liveBytes, deadBytes := int64(0), int64(0)
-		r.ForEach(func(_ ID, o *Object) {
-			if o.Live() {
-				liveBytes += int64(o.Size)
-			} else {
-				deadBytes += int64(o.Size)
-			}
-		})
+		var liveBytes int64
+		r.ForEachLive(func(_ ID, o *Object) { liveBytes += int64(o.Size) })
 		return liveBytes == r.LiveBytes() && liveBytes+deadBytes == sum
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -177,15 +259,14 @@ func TestClockConservationProperty(t *testing.T) {
 // lifespan exactly 0 when everything is retired together.
 func TestLifespanNonNegativeProperty(t *testing.T) {
 	f := func(sizes []uint16) bool {
-		r := NewRegistry(len(sizes))
+		r := NewRegistry()
 		for _, s := range sizes {
-			r.Alloc(int32(s%512)+1, 0, 0)
+			r.Alloc(int32(s%512)+1, 0)
 		}
-		r.KillAllLive(1)
 		ok := true
 		var lastLifespan int64 = -1
-		r.ForEach(func(id ID, o *Object) {
-			ls := o.Lifespan()
+		r.ForEachLive(func(id ID, o *Object) {
+			ls := r.Kill(id)
 			if ls < 0 {
 				ok = false
 			}
@@ -204,13 +285,14 @@ func TestLifespanNonNegativeProperty(t *testing.T) {
 }
 
 func TestForEachLive(t *testing.T) {
-	r := NewRegistry(8)
+	r := NewRegistry()
 	var ids []ID
 	for i := 0; i < 6; i++ {
-		ids = append(ids, r.Alloc(64, 0, 0))
+		ids = append(ids, r.Alloc(64, 0))
 	}
-	r.Kill(ids[1], 0)
-	r.Kill(ids[4], 0)
+	r.Kill(ids[1])
+	r.Kill(ids[4])
+	r.Free(ids[4])
 
 	var visited []ID
 	r.ForEachLive(func(id ID, o *Object) {
@@ -230,18 +312,18 @@ func TestForEachLive(t *testing.T) {
 	}
 }
 
-// ForEachLive's early exit must tolerate fn killing the object it was
-// handed — the end-of-run retirement pattern — and still visit every
-// object that was live at call time exactly once.
+// ForEachLive must tolerate fn killing the object it was handed — the
+// end-of-run retirement pattern — and still visit every object that was
+// live at call time exactly once.
 func TestForEachLiveKillDuringIteration(t *testing.T) {
-	r := NewRegistry(8)
+	r := NewRegistry()
 	for i := 0; i < 5; i++ {
-		r.Alloc(32, 0, 0)
+		r.Alloc(32, 0)
 	}
 	n := 0
 	r.ForEachLive(func(id ID, o *Object) {
 		n++
-		r.Kill(id, 7)
+		r.Kill(id)
 	})
 	if n != 5 {
 		t.Errorf("visited %d objects, want 5", n)

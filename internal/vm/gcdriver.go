@@ -97,21 +97,16 @@ func (v *vm) billGCCopy(bytes int64) sim.Time {
 // this allocation count). It is shared by allocate and the fused-op path,
 // which reserves a whole run of TLAB allocations up front.
 func (v *vm) commitAlloc(m *mutator, op *workload.Op, pretenure bool) {
-	now := v.sim.Now()
-	id := v.reg.Alloc(op.Size, int32(m.idx), now)
-	if v.pret.enabled {
-		v.pret.recordAlloc(id, op.Site)
-	}
+	id := v.reg.Alloc(op.Size, uint8(op.Site))
 	if pretenure {
 		v.pret.pretenured++
 		v.gc.OnAllocOld(id)
 	} else {
 		v.gc.OnAlloc(id, m.compartment)
 	}
-	v.emitTrace(trace.Event{
-		Kind: trace.Alloc, Time: now, Thread: int32(m.idx),
-		Object: uint32(id), Size: op.Size, Clock: v.reg.Clock(),
-	})
+	if v.cfg.TraceSink != nil {
+		v.traceAlloc(id, m, op.Size)
+	}
 
 	// Schedule the object's death, then retire anything due at this
 	// allocation count.

@@ -1,9 +1,6 @@
 package vm
 
-import (
-	"javasim/internal/objmodel"
-	"javasim/internal/workload"
-)
+import "javasim/internal/workload"
 
 // Allocation-site pretenuring (Config.Pretenuring) — the classic JVM
 // mitigation for exactly the problem the paper identifies: long-lived
@@ -33,35 +30,12 @@ type pretenurer struct {
 	// long-lived; the VM sets it to the eden size — an object outliving
 	// one nursery cycle would have been copied.
 	longLifespan int64
-	// siteOf maps object ID to its allocation site (dense, parallel to
-	// the registry).
-	siteOf []int32
 	// pretenured counts objects allocated straight to the old generation.
 	pretenured int64
 }
 
-// recordAlloc remembers the object's site.
-func (p *pretenurer) recordAlloc(id objmodel.ID, site int32) {
-	for int(id) >= len(p.siteOf) {
-		p.siteOf = append(p.siteOf, -1)
-	}
-	p.siteOf[id] = site
-}
-
-// site returns the recorded site of an object, or -1.
-func (p *pretenurer) site(id objmodel.ID) int32 {
-	if int(id) >= len(p.siteOf) {
-		return -1
-	}
-	return p.siteOf[id]
-}
-
 // onDeath feeds the learner one completed lifetime.
-func (p *pretenurer) onDeath(id objmodel.ID, lifespan int64) {
-	site := p.site(id)
-	if site < 0 {
-		return
-	}
+func (p *pretenurer) onDeath(site uint8, lifespan int64) {
 	s := &p.sites[site]
 	s.samples++
 	if lifespan >= p.longLifespan {
@@ -71,11 +45,7 @@ func (p *pretenurer) onDeath(id objmodel.ID, lifespan int64) {
 
 // onPromote feeds the learner a promotion — the strongest pre-death
 // long-lived signal.
-func (p *pretenurer) onPromote(id objmodel.ID) {
-	site := p.site(id)
-	if site < 0 {
-		return
-	}
+func (p *pretenurer) onPromote(site uint8) {
 	s := &p.sites[site]
 	s.samples++
 	s.longLived++

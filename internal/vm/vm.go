@@ -447,6 +447,12 @@ type vm struct {
 	// cold runs. Iteration i attaches snap's i-th tape.
 	snap *Snapshot
 
+	// traceSeq and traceThread map a registry slot to its object's
+	// allocation number and allocating thread; filled only with a
+	// TraceSink attached.
+	traceSeq    []uint32
+	traceThread []int32
+
 	heapLog   []HeapSample
 	lifespans *metrics.Histogram
 	finished  bool
@@ -611,15 +617,7 @@ func runContext(ctx context.Context, spec workload.Spec, cfg Config, fuse bool) 
 		Compartments:  cfg.Compartments,
 	})
 
-	// Size the object registry for every unit the run can take, so its
-	// record slice never regrows: the request budget of an open run,
-	// every iteration's units of a closed one.
-	units := spec.TotalUnits * cfg.Iterations
-	if arrivalProc != nil {
-		units = openRequests(spec, cfg)
-	}
-	reg := objmodel.NewRegistry(spec.ObjectBound(units))
-	regCap := reg.Cap()
+	reg := objmodel.NewRegistry()
 	collector := gc.NewWithPolicy(gcPolicy, cfg.GC, hp, reg)
 	if layout.HomeSockets != nil {
 		collector.SetCopyFactors(numaCopyFactors(mach, spanned, layout))
@@ -651,7 +649,7 @@ func runContext(ctx context.Context, spec workload.Spec, cfg Config, fuse bool) 
 	if cfg.Pretenuring {
 		v.pret.enabled = true
 		v.pret.longLifespan = hp.EdenSize()
-		collector.SetPromoteHook(v.pret.onPromote)
+		collector.SetPromoteHook(func(id objmodel.ID) { v.pret.onPromote(reg.Get(id).Site) })
 	}
 
 	v.setupLocks()
@@ -688,16 +686,16 @@ func runContext(ctx context.Context, spec workload.Spec, cfg Config, fuse bool) 
 			spec.Name, v.aliveCount)
 	}
 	if registryObserver != nil {
-		registryObserver(reg.Cap(), regCap)
+		registryObserver(reg, collector)
 	}
 	return v.result(), nil
 }
 
 // registryObserver, when non-nil, receives every finished run's object
-// registry capacity at the end and at construction — a test hook
-// (mirroring fuseObserver) so tests can prove the registry never
-// regrows. Never set outside tests.
-var registryObserver func(end, start int)
+// registry and collector — a test hook (mirroring fuseObserver) so tests
+// can check slot recycling against the collector's lists. Never set
+// outside tests.
+var registryObserver func(*objmodel.Registry, *gc.Collector)
 
 func (v *vm) setupLocks() {
 	if v.spec.Distribution == workload.Queue {
@@ -806,20 +804,37 @@ func (v *vm) emitTrace(ev trace.Event) {
 	}
 }
 
+// traceAlloc emits an allocation event. Registry slots are recycled, so
+// the trace names objects by their dense allocation number instead,
+// remembered per slot with the allocating thread for the death event.
+func (v *vm) traceAlloc(id objmodel.ID, m *mutator, size int32) {
+	seq := uint32(v.reg.Count() - 1)
+	if int(id) == len(v.traceSeq) {
+		v.traceSeq = append(v.traceSeq, seq)
+		v.traceThread = append(v.traceThread, int32(m.idx))
+	} else {
+		v.traceSeq[id], v.traceThread[id] = seq, int32(m.idx)
+	}
+	v.emitTrace(trace.Event{
+		Kind: trace.Alloc, Time: v.sim.Now(), Thread: int32(m.idx),
+		Object: seq, Size: size, Clock: v.reg.Clock(),
+	})
+}
+
 // kill retires an object: records its death against the allocation clock,
 // feeds the lifespan histogram, and emits the trace event.
 func (v *vm) kill(id objmodel.ID) {
-	now := v.sim.Now()
-	v.reg.Kill(id, now)
-	o := v.reg.Get(id)
-	v.lifespans.Add(o.Lifespan())
+	lifespan := v.reg.Kill(id)
+	v.lifespans.Add(lifespan)
 	if v.pret.enabled {
-		v.pret.onDeath(id, o.Lifespan())
+		v.pret.onDeath(v.reg.Get(id).Site, lifespan)
 	}
-	v.emitTrace(trace.Event{
-		Kind: trace.Death, Time: now, Thread: o.Thread,
-		Object: uint32(id), Clock: o.Death,
-	})
+	if v.cfg.TraceSink != nil {
+		v.emitTrace(trace.Event{
+			Kind: trace.Death, Time: v.sim.Now(), Thread: v.traceThread[id],
+			Object: v.traceSeq[id], Clock: v.reg.Clock(),
+		})
+	}
 }
 
 // result assembles the final measurement record.

@@ -1,13 +1,18 @@
 package vm
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"javasim/internal/gc"
 	"javasim/internal/lockprof"
+	"javasim/internal/objmodel"
 	"javasim/internal/sim"
 	"javasim/internal/trace"
 	"javasim/internal/traffic"
@@ -207,6 +212,72 @@ func TestTraceEmission(t *testing.T) {
 	for i := 1; i < len(sink.Events); i++ {
 		if sink.Events[i].Time < sink.Events[i-1].Time {
 			t.Fatal("trace events out of order")
+		}
+	}
+}
+
+// TestTraceObjectIDsAreDense: registry slots are recycled, but trace
+// events name objects by allocation number. Alloc events carry IDs
+// 0..N-1 in order, every Death names an allocated, not-yet-dead ID, and
+// the written trace analyzes with nothing leaked — with pretenuring
+// (objects born old) and across iterations (objects retired at the
+// boundary).
+func TestTraceObjectIDsAreDense(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"pretenuring", Config{Threads: 4, Seed: 3, Pretenuring: true}},
+		{"iterations", Config{Threads: 4, Seed: 3, Iterations: 3}},
+	} {
+		var buf bytes.Buffer
+		w := trace.NewWriter(&buf)
+		tc.cfg.TraceSink = w
+		res, err := Run(smallSpec(), tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if tc.cfg.Pretenuring && res.HeapStats.PretenuredBytes == 0 {
+			t.Fatalf("%s: no object was pretenured", tc.name)
+		}
+		r := trace.NewReader(bytes.NewReader(buf.Bytes()))
+		var next uint32
+		dead := map[uint32]bool{}
+		for {
+			ev, err := r.Read()
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch ev.Kind {
+			case trace.Alloc:
+				if ev.Object != next {
+					t.Fatalf("%s: alloc event names object %d, want %d", tc.name, ev.Object, next)
+				}
+				next++
+			case trace.Death:
+				if ev.Object >= next || dead[ev.Object] {
+					t.Fatalf("%s: death of object %d (allocated %d, already dead %v)",
+						tc.name, ev.Object, next, dead[ev.Object])
+				}
+				dead[ev.Object] = true
+			}
+		}
+		if int64(next) != res.ObjectsAllocated {
+			t.Errorf("%s: %d alloc events for %d objects", tc.name, next, res.ObjectsAllocated)
+		}
+		a, err := trace.Analyze(trace.NewReader(bytes.NewReader(buf.Bytes())))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Leaked != 0 || a.Deaths != res.ObjectsAllocated {
+			t.Errorf("%s: trace analysis leaked %d, %d deaths of %d objects",
+				tc.name, a.Leaked, a.Deaths, res.ObjectsAllocated)
 		}
 	}
 }
@@ -462,30 +533,40 @@ func TestHeapLogSampled(t *testing.T) {
 	}
 }
 
-// TestRegistryNeverRegrows: the object registry is sized for every unit
-// a run can take, so its record slice keeps its construction capacity —
-// for every DaCapo spec over one and three iterations, and for an open
-// run whose request budget exceeds the spec's unit count.
-func TestRegistryNeverRegrows(t *testing.T) {
-	type capacity struct{ end, start int }
-	var seen []capacity
-	registryObserver = func(end, start int) { seen = append(seen, capacity{end, start}) }
-	defer func() { registryObserver = nil }()
-
-	check := func(name string, spec workload.Spec, cfg Config) {
+// TestRegistryHighWaterIsPeakTracked: the collector frees each dead
+// object's slot once it drops it from a young or old list, so the
+// registry's high-water mark equals the collector's peak young plus old
+// population, not the run's allocation count. At run end every object
+// has died, and every slot is either free or held by exactly one list.
+// The open server runs show memory does not follow the request budget.
+func TestRegistryHighWaterIsPeakTracked(t *testing.T) {
+	check := func(name string, spec workload.Spec, cfg Config) (*Result, int) {
 		t.Helper()
-		seen = seen[:0]
+		var reg *objmodel.Registry
+		var col *gc.Collector
+		registryObserver = func(r *objmodel.Registry, c *gc.Collector) { reg, col = r, c }
+		defer func() { registryObserver = nil }()
 		res, err := Run(spec, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if len(seen) != 1 {
-			t.Fatalf("%s: registry observed %d times, want 1", name, len(seen))
+		if reg == nil {
+			t.Fatalf("%s: registry not observed", name)
 		}
-		if c := seen[0]; c.end != c.start {
-			t.Errorf("%s: registry regrew from %d to %d objects (%d allocated)",
-				name, c.start, c.end, res.ObjectsAllocated)
+		if got, want := reg.Slots(), col.PeakTracked(); got != want {
+			t.Errorf("%s: registry high-water %d slots, collector peak %d objects", name, got, want)
 		}
+		if reg.Count() != res.ObjectsAllocated || int64(reg.Slots()) >= reg.Count() {
+			t.Errorf("%s: %d slots for %d allocations (result says %d)",
+				name, reg.Slots(), reg.Count(), res.ObjectsAllocated)
+		}
+		if reg.LiveCount() != 0 || reg.DeadCount() != reg.Count() {
+			t.Errorf("%s: at run end %d live, %d of %d dead", name, reg.LiveCount(), reg.DeadCount(), reg.Count())
+		}
+		if err := col.AuditSlots(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		return res, reg.Slots()
 	}
 	for _, spec := range workload.PaperSet() {
 		spec := spec.Scale(0.1)
@@ -493,8 +574,39 @@ func TestRegistryNeverRegrows(t *testing.T) {
 			check(fmt.Sprintf("%s x%d", spec.Name, iters), spec, Config{Threads: 4, Seed: 2, Iterations: iters})
 		}
 	}
+	// Full collections with pretenured objects, and a concurrent sweep:
+	// the other two places the collector drops dead objects.
+	res, _ := check("xalan full+pretenuring", workload.XalanSpec().Scale(0.2),
+		Config{Threads: 48, Seed: 42, HeapFactor: 2, Pretenuring: true})
+	if res.GCStats.FullCount == 0 || res.HeapStats.PretenuredAllocs == 0 {
+		t.Errorf("xalan full+pretenuring: %d full collections, %d pretenured objects; want both > 0",
+			res.GCStats.FullCount, res.HeapStats.PretenuredAllocs)
+	}
+	res, _ = check("server concurrent", cmsSpec().Scale(0.4),
+		Config{Threads: 16, Seed: 42, HeapFactor: 2, GC: gc.Config{Concurrent: true}})
+	if res.ConcCycles == 0 {
+		t.Error("server concurrent: no concurrent cycle swept the old generation")
+	}
+	check("xalan compartments", workload.XalanSpec().Scale(0.1), Config{Threads: 4, Seed: 2, Compartments: 2})
+
 	server := workload.ServerSpec().Scale(0.1)
-	check("server open", server, Config{Threads: 8, Seed: 2, Traffic: traffic.Config{
-		Process: traffic.ProcessPoisson, RatePerSec: 200000, Requests: 2 * server.TotalUnits,
-	}})
+	open := func(budget int) Config {
+		return Config{Threads: 8, Seed: 2, Traffic: traffic.Config{
+			Process: traffic.ProcessPoisson, RatePerSec: 200000, Requests: budget * server.TotalUnits,
+		}}
+	}
+	res1, slots1 := check("server open 1x", server, open(1))
+	res2, slots2 := check("server open 2x", server, open(2))
+	n1, n2 := res1.ObjectsAllocated, res2.ObjectsAllocated
+	t.Logf("open server: 1x %d slots / %d objects, 2x %d slots / %d objects", slots1, n1, slots2, n2)
+	if n2 < n1*3/2 {
+		t.Fatalf("2x budget allocated %d objects vs %d at 1x; the run did not grow", n2, n1)
+	}
+	// The extra requests double the allocations, but the registry grows
+	// only by what the heap still holds of them (promoted objects no full
+	// collection has reclaimed yet), a small fraction.
+	if grow := int64(slots2 - slots1); grow*4 > n2-n1 {
+		t.Errorf("registry high-water grew with the request budget: %d slots at 1x, %d at 2x, for %d more objects",
+			slots1, slots2, n2-n1)
+	}
 }
