@@ -34,6 +34,7 @@ type Engine struct {
 	sem     chan struct{} // worker-slot semaphore, capacity = parallelism
 	cache   *resultCache
 	flights flightGroup
+	tapes   vm.SnapshotTable // warm-start snapshots of the sweeps in flight
 
 	simulations atomic.Int64
 	memoryHits  atomic.Int64
@@ -324,6 +325,14 @@ func (e *Engine) simulate(ctx context.Context, spec workload.Spec, cfg vm.Config
 // Sweep returns ctx.Err() as soon as the context dies; already-completed
 // points stay memoized for a later retry.
 func (e *Engine) Sweep(ctx context.Context, spec workload.Spec, cfg SweepConfig) (*Sweep, error) {
+	snaps := e.acquireTapes(spec, cfg.Base)
+	defer e.tapes.Release(snaps)
+	return e.sweep(ctx, spec, cfg, snaps)
+}
+
+// sweep runs Sweep with the warm-start provider snaps, which the caller
+// holds in the engine's table.
+func (e *Engine) sweep(ctx context.Context, spec workload.Spec, cfg SweepConfig, snaps *vm.SnapshotProvider) (*Sweep, error) {
 	open := len(cfg.Rates) > 0
 	if open && !cfg.Base.Traffic.Open() {
 		return nil, fmt.Errorf("core: sweep %s: Rates set but Base.Traffic names no open arrival process", spec.Name)
@@ -338,17 +347,15 @@ func (e *Engine) Sweep(ctx context.Context, spec workload.Spec, cfg SweepConfig)
 		n = len(cfg.Rates)
 	}
 	// Warm-start: every point of the sweep forks its workload generation
-	// from one shared snapshot (pre-generated unit tapes) instead of
-	// re-deriving the same draws per thread count or rate — see
-	// vm.Snapshot. The snapshot rides the context, never the config, so
-	// cache keys and disk fingerprints are identical to cold runs; the
-	// lazy provider resolves on the first point that actually simulates,
-	// so fully cached sweeps never pay the tape build.
-	scfg := cfg.Base
-	if scfg.Seed == 0 {
-		scfg.Seed = e.seed
-	}
-	ctx = vm.ContextWithSnapshotProvider(ctx, vm.NewSnapshotProvider(spec, scfg))
+	// from one shared snapshot (unit tapes) instead of re-deriving the
+	// same draws per thread count or rate — see vm.Snapshot. Sweeps in
+	// flight with equal snapshot keys share one provider through the
+	// engine's table, so concurrent scenarios over one (workload, seed)
+	// draw its tapes once. The snapshot rides the context, never the
+	// config, so cache keys and disk fingerprints are identical to cold
+	// runs; the provider resolves on the first point that actually
+	// simulates, so fully cached sweeps draw nothing.
+	ctx = vm.ContextWithSnapshotProvider(ctx, snaps)
 	results := make([]*vm.Result, n)
 	errs := make([]error, n)
 	runPoint := func(i int) {
@@ -414,4 +421,13 @@ func (e *Engine) Sweep(ctx context.Context, spec workload.Spec, cfg SweepConfig)
 	}
 	e.emit(ctx, Event{Kind: SweepDone, Workload: spec.Name, Seed: cfg.Base.Seed})
 	return s, nil
+}
+
+// acquireTapes acquires from the engine's table the warm-start provider
+// for a sweep of spec over base; pair it with e.tapes.Release.
+func (e *Engine) acquireTapes(spec workload.Spec, base vm.Config) *vm.SnapshotProvider {
+	if base.Seed == 0 {
+		base.Seed = e.seed
+	}
+	return e.tapes.Acquire(spec, base)
 }

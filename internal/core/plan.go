@@ -759,12 +759,23 @@ func (e *Engine) RunPlan(ctx context.Context, p *Plan) (*PlanResult, error) {
 		firstErr  error
 		firstName string
 	)
+	// Every scenario acquires its sweeps' warm-start providers before
+	// any starts, and holds them until it finishes, so scenarios over
+	// one (workload, seed) share one draw however the scheduler orders
+	// their sweeps.
+	runs := make([]scenarioRun, len(p.Scenarios))
+	for i := range p.Scenarios {
+		runs[i] = e.prepareScenario(p, &p.Scenarios[i])
+	}
 	for i := range p.Scenarios {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			var err error
-			results[i], err = e.runScenario(runCtx, p, &p.Scenarios[i])
+			results[i], err = e.runScenario(runCtx, p, &p.Scenarios[i], &runs[i])
+			for _, snaps := range runs[i].snaps {
+				e.tapes.Release(snaps)
+			}
 			if err != nil {
 				failOnce.Do(func() {
 					firstErr, firstName = err, p.Scenarios[i].Name
@@ -803,30 +814,21 @@ func (e *Engine) RunPlan(ctx context.Context, p *Plan) (*PlanResult, error) {
 	return pr, nil
 }
 
-// runScenario executes one scenario's repeats and renders its outputs.
-func (e *Engine) runScenario(ctx context.Context, p *Plan, sc *Scenario) (*ScenarioResult, error) {
-	spec, sweeps, err := e.scenarioSweeps(ctx, p, sc)
-	if err != nil {
-		return nil, err
-	}
-	res := &ScenarioResult{Name: sc.Name, Workload: spec.Name, Sweeps: sweeps}
-	for _, out := range sc.Outputs {
-		t, err := render(out, &inputs{spec: &ReportSpec{}, labels: []string{sc.Name}, sweeps: sweeps[:1], repeats: sweeps})
-		if err != nil {
-			return nil, err
-		}
-		res.Tables = append(res.Tables, t)
-	}
-	e.emit(ctx, Event{Kind: ScenarioDone, Scenario: sc.Name, Workload: spec.Name, Seed: sc.seed(p)})
-	return res, nil
+// scenarioRun is a scenario resolved for RunPlan: its workload, the
+// sweep config of each repeat (repeat 0 first) and the warm-start
+// provider each of those sweeps replays.
+type scenarioRun struct {
+	spec  workload.Spec
+	cfgs  []SweepConfig
+	snaps []*vm.SnapshotProvider
+	err   error // the workload did not resolve
 }
 
-// scenarioSweeps resolves one scenario's workload and runs its sweep once
-// per repeat, repeat 0 first.
-func (e *Engine) scenarioSweeps(ctx context.Context, p *Plan, sc *Scenario) (workload.Spec, []*Sweep, error) {
+// prepareScenario resolves sc and acquires its sweeps' providers.
+func (e *Engine) prepareScenario(p *Plan, sc *Scenario) scenarioRun {
 	spec, err := sc.Workload.Resolve()
 	if err != nil {
-		return spec, nil, err
+		return scenarioRun{err: err}
 	}
 	if scale := sc.scale(p); scale != 1 {
 		spec = spec.Scale(scale)
@@ -842,17 +844,37 @@ func (e *Engine) scenarioSweeps(ctx context.Context, p *Plan, sc *Scenario) (wor
 		base.Traffic = sc.Traffic.config(0)
 		swCfg = SweepConfig{Rates: sc.Traffic.Rates}
 	}
+	r := scenarioRun{spec: spec, cfgs: make([]SweepConfig, sc.repeats()), snaps: make([]*vm.SnapshotProvider, sc.repeats())}
+	for i := range r.cfgs {
+		r.cfgs[i] = swCfg
+		r.cfgs[i].Base = base
+		r.cfgs[i].Base.Seed = deriveSeed(seed, i)
+		r.snaps[i] = e.acquireTapes(spec, r.cfgs[i].Base)
+	}
+	return r
+}
 
+// runScenario executes one scenario's repeats and renders its outputs.
+func (e *Engine) runScenario(ctx context.Context, p *Plan, sc *Scenario, run *scenarioRun) (*ScenarioResult, error) {
+	if run.err != nil {
+		return nil, run.err
+	}
 	var sweeps []*Sweep
-	for i := 0; i < sc.repeats(); i++ {
-		cfg := base
-		cfg.Seed = deriveSeed(seed, i)
-		swCfg.Base = cfg
-		sw, err := e.Sweep(ctx, spec, swCfg)
+	for i, cfg := range run.cfgs {
+		sw, err := e.sweep(ctx, run.spec, cfg, run.snaps[i])
 		if err != nil {
-			return spec, nil, err
+			return nil, err
 		}
 		sweeps = append(sweeps, sw)
 	}
-	return spec, sweeps, nil
+	res := &ScenarioResult{Name: sc.Name, Workload: run.spec.Name, Sweeps: sweeps}
+	for _, out := range sc.Outputs {
+		t, err := render(out, &inputs{spec: &ReportSpec{}, labels: []string{sc.Name}, sweeps: sweeps[:1], repeats: sweeps})
+		if err != nil {
+			return nil, err
+		}
+		res.Tables = append(res.Tables, t)
+	}
+	e.emit(ctx, Event{Kind: ScenarioDone, Scenario: sc.Name, Workload: run.spec.Name, Seed: sc.seed(p)})
+	return res, nil
 }

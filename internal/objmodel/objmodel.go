@@ -17,11 +17,7 @@
 // uncollected garbage), not the run's allocation history.
 package objmodel
 
-import (
-	"cmp"
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // ID names a registry slot. An ID denotes one object from Alloc until
 // Free; afterwards Alloc may hand the slot to a new object.
@@ -182,19 +178,15 @@ func (r *Registry) LiveBytes() int64 { return r.liveBytes }
 func (r *Registry) DeadCount() int64 { return r.diedCount }
 
 // ForEachLive calls fn for every object live at the time of the call, in
-// allocation order (ascending birth clock, whatever slots they occupy).
-// fn may kill the object it is handed (the VM's end-of-run retirement
-// does); such objects still count as live at call time. fn must not kill
-// not-yet-visited objects or allocate new ones.
+// slot order. fn may kill the object it is handed (the VM's end-of-run
+// retirement does); such objects still count as live at call time. fn
+// must not kill not-yet-visited objects or allocate new ones.
 func (r *Registry) ForEachLive(fn func(ID, *Object)) {
-	live := make([]ID, 0, r.liveCount)
-	for id := ID(0); id < r.slots && int64(len(live)) < r.liveCount; id++ {
-		if r.Get(id).Live() {
-			live = append(live, id)
+	left := r.liveCount
+	for id := ID(0); id < r.slots && left > 0; id++ {
+		if o := r.Get(id); o.Live() {
+			left--
+			fn(id, o)
 		}
-	}
-	slices.SortFunc(live, func(a, b ID) int { return cmp.Compare(r.Get(a).Birth, r.Get(b).Birth) })
-	for _, id := range live {
-		fn(id, r.Get(id))
 	}
 }

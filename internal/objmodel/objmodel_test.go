@@ -190,7 +190,7 @@ func TestKillAllLive(t *testing.T) {
 	}
 }
 
-// TestForEachOrder: ForEachLive visits in allocation order, not slot
+// TestForEachOrder: ForEachLive visits in slot order, not allocation
 // order, once slots have been recycled.
 func TestForEachOrder(t *testing.T) {
 	r := NewRegistry()
@@ -207,13 +207,13 @@ func TestForEachOrder(t *testing.T) {
 	}
 	var sizes []int32
 	r.ForEachLive(func(id ID, o *Object) { sizes = append(sizes, o.Size) })
-	want := []int32{40, 50, 60, 70, 80}
+	want := []int32{80, 70, 60, 40, 50}
 	if len(sizes) != len(want) {
 		t.Fatalf("visited sizes %v, want %v", sizes, want)
 	}
 	for i := range want {
 		if sizes[i] != want[i] {
-			t.Fatalf("ForEachLive out of allocation order: %v, want %v", sizes, want)
+			t.Fatalf("ForEachLive out of slot order: %v, want %v", sizes, want)
 		}
 	}
 }

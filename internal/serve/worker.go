@@ -47,16 +47,12 @@ func RunWorker(ctx context.Context, r io.Reader, w io.Writer) error {
 	enc := json.NewEncoder(w)
 	// Per-worker warm-start cache. Sweep points shard to workers by
 	// fingerprint, so one worker serves many points of the same sweep
-	// back to back; building the workload tape once per (spec, seed) and
-	// replaying it for every later point mirrors Engine.Sweep's
-	// in-process warm start. A context snapshot never changes results or
-	// fingerprints, so warm worker results land in — and re-POSTed plans
-	// hit — exactly the store entries cold runs would write.
-	type snapKey struct {
-		spec workload.Spec
-		seed uint64
-	}
-	snaps := make(map[snapKey]*vm.Snapshot)
+	// back to back; keeping one snapshot per vm.SnapshotKey and replaying
+	// it for every later point mirrors Engine.Sweep's in-process warm
+	// start. A context snapshot never changes results or fingerprints,
+	// so warm worker results land in — and re-POSTed plans hit — exactly
+	// the store entries cold runs would write.
+	snaps := make(map[vm.SnapshotKey]*vm.Snapshot)
 	for {
 		var req workRequest
 		if err := dec.Decode(&req); err != nil {
@@ -68,7 +64,7 @@ func RunWorker(ctx context.Context, r io.Reader, w io.Writer) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		key := snapKey{spec: req.Spec, seed: req.Config.Canonical().Seed}
+		key := vm.SnapshotKeyOf(req.Spec, req.Config)
 		snap, ok := snaps[key]
 		if !ok {
 			snap, _ = vm.NewSnapshot(req.Spec, req.Config) // nil on bad spec: run cold

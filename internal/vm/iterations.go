@@ -3,7 +3,6 @@ package vm
 import (
 	"fmt"
 
-	"javasim/internal/objmodel"
 	"javasim/internal/sim"
 	"javasim/internal/workload"
 )
@@ -49,7 +48,7 @@ func (v *vm) startNextIteration() {
 
 	// Release the iteration's application state. Death-ring entries all
 	// refer to objects dead after this, so the rings reset with them.
-	v.reg.ForEachLive(func(id objmodel.ID, _ *objmodel.Object) { v.kill(id) })
+	v.retireLive()
 	for _, m := range v.mutators {
 		for i := range m.allocRing {
 			m.allocRing[i] = m.allocRing[i][:0]

@@ -2,7 +2,6 @@ package vm
 
 import (
 	"javasim/internal/locks"
-	"javasim/internal/objmodel"
 	"javasim/internal/sim"
 	"javasim/internal/trace"
 	"javasim/internal/workload"
@@ -176,7 +175,7 @@ func (v *vm) finishRun() {
 	v.finished = true
 	v.endTime = v.sim.Now()
 	v.sim.Cancel(v.guardEv)
-	v.reg.ForEachLive(func(id objmodel.ID, _ *objmodel.Object) { v.kill(id) })
+	v.retireLive()
 }
 
 // setMutatorState transitions m and maintains the running/safepoint census.

@@ -200,3 +200,63 @@ func TestSnapshotOverflowRunsCold(t *testing.T) {
 	}
 	diffResults(t, "tape-overflow", warm, cold)
 }
+
+// TestSnapshotKeyTapeLength pins the tape-length rule: a closed run's
+// TotalUnits, an open run's request budget when larger, capped at
+// maxTapeUnits. Threads and rate do not enter the key.
+func TestSnapshotKeyTapeLength(t *testing.T) {
+	spec := workload.ServerSpec().Scale(0.05)
+	open := func(requests int) Config {
+		return Config{Threads: 8, Seed: 3, Traffic: traffic.Config{
+			Process: traffic.ProcessPoisson, RatePerSec: 1000, Requests: requests}}
+	}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want int
+	}{
+		{"closed", Config{Threads: 2, Seed: 3}, spec.TotalUnits},
+		{"open-short", open(spec.TotalUnits / 2), spec.TotalUnits},
+		{"open-long", open(spec.TotalUnits + 5), spec.TotalUnits + 5},
+		{"open-capped", open(1 << 20), maxTapeUnits},
+	} {
+		k := SnapshotKeyOf(spec, c.cfg)
+		if k.Units != c.want || k.Iterations != 1 || k.Seed != 3 {
+			t.Errorf("%s: key %d units × %d iterations, seed %d; want %d × 1, seed 3", c.name, k.Units, k.Iterations, k.Seed, c.want)
+		}
+	}
+	a, b := open(100), open(100)
+	b.Threads, b.Traffic.RatePerSec = 2, 5000
+	if SnapshotKeyOf(spec, a) != SnapshotKeyOf(spec, b) {
+		t.Error("thread count or rate changed the snapshot key")
+	}
+}
+
+// TestSnapshotTableRefCounts: acquiring an equal key returns the held
+// provider, a different key a new one, and a provider leaves the table
+// with its last release.
+func TestSnapshotTableRefCounts(t *testing.T) {
+	spec := workload.SunflowSpec().Scale(0.04)
+	var tab SnapshotTable
+	a := tab.Acquire(spec, Config{Threads: 2, Seed: 11})
+	b := tab.Acquire(spec, Config{Threads: 8, Seed: 11})
+	c := tab.Acquire(spec, Config{Threads: 2, Seed: 12})
+	if a != b || a == c {
+		t.Fatalf("providers a=%p b=%p c=%p: want a == b != c", a, b, c)
+	}
+	if tab.Len() != 2 {
+		t.Fatalf("table holds %d providers, want 2", tab.Len())
+	}
+	tab.Release(a)
+	if tab.Len() != 2 {
+		t.Fatal("first release of a shared provider removed it")
+	}
+	tab.Release(b)
+	tab.Release(c)
+	if tab.Len() != 0 {
+		t.Fatalf("table holds %d providers after every release", tab.Len())
+	}
+	if d := tab.Acquire(spec, Config{Threads: 2, Seed: 11}); d == a {
+		t.Error("a released provider was handed out again")
+	}
+}

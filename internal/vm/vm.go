@@ -11,8 +11,10 @@
 package vm
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 
 	"javasim/internal/gc"
 	"javasim/internal/heap"
@@ -834,6 +836,24 @@ func (v *vm) kill(id objmodel.ID) {
 			Kind: trace.Death, Time: v.sim.Now(), Thread: v.traceThread[id],
 			Object: v.traceSeq[id], Clock: v.reg.Clock(),
 		})
+	}
+}
+
+// retireLive kills every live object, as at program exit or an
+// iteration boundary. A kill's effects on the results — the lifespan
+// histogram, the pretenure counters, the registry totals — commute, so
+// the objects go in slot order; only trace Death events show the order,
+// and with a sink attached they follow allocation order.
+func (v *vm) retireLive() {
+	if v.cfg.TraceSink == nil {
+		v.reg.ForEachLive(func(id objmodel.ID, _ *objmodel.Object) { v.kill(id) })
+		return
+	}
+	live := make([]objmodel.ID, 0, v.reg.LiveCount())
+	v.reg.ForEachLive(func(id objmodel.ID, _ *objmodel.Object) { live = append(live, id) })
+	slices.SortFunc(live, func(a, b objmodel.ID) int { return cmp.Compare(v.traceSeq[a], v.traceSeq[b]) })
+	for _, id := range live {
+		v.kill(id)
 	}
 }
 

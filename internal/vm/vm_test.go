@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"javasim/internal/gc"
 	"javasim/internal/lockprof"
+	"javasim/internal/metrics"
 	"javasim/internal/objmodel"
 	"javasim/internal/sim"
 	"javasim/internal/trace"
@@ -279,6 +281,46 @@ func TestTraceObjectIDsAreDense(t *testing.T) {
 			t.Errorf("%s: trace analysis leaked %d, %d deaths of %d objects",
 				tc.name, a.Leaked, a.Deaths, res.ObjectsAllocated)
 		}
+	}
+}
+
+// TestRetireLiveTraceOrder: with a TraceSink attached, end-of-run
+// retirement emits its Death events in allocation order, even where
+// recycled slots hold later objects below earlier ones.
+func TestRetireLiveTraceOrder(t *testing.T) {
+	sink := &trace.MemorySink{}
+	v := &vm{reg: objmodel.NewRegistry(), sim: sim.New(), lifespans: metrics.NewHistogram("retire")}
+	v.cfg.TraceSink = sink
+	m := &mutator{}
+	alloc := func() objmodel.ID {
+		id := v.reg.Alloc(64, 0)
+		v.traceAlloc(id, m, 64)
+		return id
+	}
+	var ids []objmodel.ID
+	for range 5 {
+		ids = append(ids, alloc())
+	}
+	for _, id := range ids[:3] {
+		v.kill(id)
+		v.reg.Free(id)
+	}
+	for range 3 {
+		alloc() // objects 5, 6 and 7 reuse slots 2, 1 and 0
+	}
+	sink.Events = nil
+	v.retireLive()
+	var got []uint32
+	for _, ev := range sink.Events {
+		if ev.Kind == trace.Death {
+			got = append(got, ev.Object)
+		}
+	}
+	if want := []uint32{3, 4, 5, 6, 7}; !slices.Equal(got, want) {
+		t.Errorf("retirement deaths %v, want allocation order %v", got, want)
+	}
+	if v.reg.LiveCount() != 0 || v.lifespans.Total() != 8 {
+		t.Errorf("after retirement: %d live, %d lifespans recorded, want 0 and 8", v.reg.LiveCount(), v.lifespans.Total())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"unsafe"
 )
@@ -76,9 +77,79 @@ func TestTapeReplayMatchesLive(t *testing.T) {
 	}
 }
 
-// TestTapeIsCompact pins the packed tape format: a full-scale xalan tape
-// is at least 8x smaller than the same units held as []Unit of 48-byte
-// Op records, the format tapes used to store.
+// TestTapeConcurrentReaders attaches one tape to several runs that
+// drain it at once, so chunks are drawn by whichever run reads them
+// first, and requires every run to see the units of live generation.
+// Under -race it also checks the chunk publication.
+func TestTapeConcurrentReaders(t *testing.T) {
+	spec := XalanSpec().Scale(0.3) // 3,600 units: four chunks
+	const threads, seed, readers = 4, 5, 4
+	live, err := NewRun(spec, threads, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := drainUnits(t, live, threads)
+	tape, err := BuildTape(spec, seed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([][]Unit, readers)
+	var wg sync.WaitGroup
+	for i := range got {
+		r, err := NewRun(spec, threads, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.ReuseUnitBuffers()
+		if !r.AttachTape(tape) {
+			t.Fatal("AttachTape rejected a matching tape")
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = drainUnits(t, r, threads)
+		}()
+	}
+	wg.Wait()
+	for i, units := range got {
+		if !reflect.DeepEqual(units, want) {
+			t.Errorf("reader %d: units differ from live generation", i)
+		}
+	}
+	if tape.Drawn() != tape.Len() {
+		t.Errorf("drained tape drew %d of %d units", tape.Drawn(), tape.Len())
+	}
+}
+
+// TestTapeDrawsOnlyWhatIsRead: a run that reads k units of a tape draws
+// only the ⌈k/tapeChunkUnits⌉ chunks holding them, and a tape nobody
+// reads draws nothing.
+func TestTapeDrawsOnlyWhatIsRead(t *testing.T) {
+	spec := XalanSpec() // 12,000 units: twelve chunks
+	for _, k := range []int{0, 1, tapeChunkUnits, tapeChunkUnits + 1, 3*tapeChunkUnits - 7} {
+		tape, err := BuildTape(spec, 3, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewRun(spec, 1, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.ReuseUnitBuffers()
+		r.AttachTape(tape)
+		for range k {
+			r.Take(0)
+		}
+		chunks := (k + tapeChunkUnits - 1) / tapeChunkUnits
+		if got, want := tape.Drawn(), chunks*tapeChunkUnits; got != want {
+			t.Errorf("reading %d units drew %d, want %d (%d chunks)", k, got, want, chunks)
+		}
+	}
+}
+
+// TestTapeIsCompact pins the packed tape format: a fully drawn
+// full-scale xalan tape is at least 8x smaller than the same units held
+// as []Unit of 48-byte Op records, the format tapes used to store.
 func TestTapeIsCompact(t *testing.T) {
 	spec := XalanSpec()
 	const seed = 3
@@ -86,9 +157,16 @@ func TestTapeIsCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed := len(tape.units)*int(unsafe.Sizeof(tapeUnit{})) +
-		len(tape.allocs)*int(unsafe.Sizeof(uint32(0))) +
-		len(tape.locks)*int(unsafe.Sizeof(uint16(0)))
+	packed := 0
+	for c := range tape.chunks {
+		ch := tape.chunk(c)
+		packed += len(ch.units)*int(unsafe.Sizeof(tapeUnit{})) +
+			len(ch.allocs)*int(unsafe.Sizeof(uint32(0))) +
+			len(ch.locks)*int(unsafe.Sizeof(uint16(0)))
+	}
+	if tape.Drawn() != tape.Len() {
+		t.Fatalf("drew %d of %d units", tape.Drawn(), tape.Len())
+	}
 
 	r, err := NewRun(spec, 1, seed)
 	if err != nil {

@@ -349,13 +349,14 @@ type Run struct {
 
 	// draws is the scratch record draw fills for each unit.
 	// reuse/scratch: opt-in per-thread op-buffer recycling (see
-	// ReuseUnitBuffers). tape/tapePos: optional pre-generated unit source
-	// (see AttachTape).
+	// ReuseUnitBuffers). tape/tapePos: optional tape unit source (see
+	// AttachTape); chunk is the tape chunk holding unit tapePos.
 	draws   unitDraws
 	reuse   bool
 	scratch [][]Op
 	tape    *Tape
 	tapePos int
+	chunk   *tapeChunk
 }
 
 // unitDraws is one unit's random draws: everything its op sequence takes
@@ -475,7 +476,7 @@ func (r *Run) ReuseUnitBuffers() {
 	r.reuse = true
 }
 
-// AttachTape switches the run's unit source to a pre-generated tape. The
+// AttachTape switches the run's unit source to a warm-start tape. The
 // tape must have been built from the same spec and seed; ok reports
 // whether it matched (on false the run is unchanged and will generate
 // live). Replay is bit-identical to live generation: unit k of a run is
@@ -496,8 +497,12 @@ func (r *Run) AttachTape(t *Tape) bool {
 // unexhausted, otherwise generates live.
 func (r *Run) nextUnit(tid int) Unit {
 	if t := r.tape; t != nil {
-		if r.tapePos < len(t.units) {
-			budget, allocs, tapeLocks := t.unit(r.tapePos)
+		if r.tapePos < t.n {
+			k := r.tapePos % tapeChunkUnits
+			if k == 0 {
+				r.chunk = t.chunk(r.tapePos / tapeChunkUnits)
+			}
+			budget, allocs, tapeLocks := r.chunk.unit(k)
 			r.tapePos++
 			locks := r.draws.locks[:0]
 			for _, lk := range tapeLocks {
@@ -517,7 +522,7 @@ func (r *Run) nextUnit(tid int) Unit {
 // last unit was generated.
 func (r *Run) detachTape() {
 	t := r.tape
-	r.tape = nil
+	r.tape, r.chunk = nil, nil
 	r.rng = t.endRng.Clone()
 	r.siteRng = t.endSiteRng.Clone()
 	if t.endLockPop != nil {
