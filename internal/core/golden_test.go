@@ -7,17 +7,21 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"javasim/internal/report"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden artifact file")
 
 // TestGoldenArtifacts locks the rendered output of every artifact at a
-// tiny fixed configuration. Any change to workload calibration, the cost
-// models, the RNG, or table rendering shows up as a diff here — run
-// `go test ./internal/core/ -run TestGolden -update` to accept it
-// deliberately.
+// tiny fixed configuration: the paper suite in artifacts.golden and the
+// design-choice studies in studies.golden. Any change to workload
+// calibration, the cost models, the RNG, or table rendering shows up as
+// a diff here — run `go test ./internal/core/ -run TestGolden -update` to
+// accept it deliberately.
 func TestGoldenArtifacts(t *testing.T) {
-	pr, err := testEngine.RunPlan(context.Background(), PaperPlan(ExperimentConfig{
+	ctx := context.Background()
+	pr, err := testEngine.RunPlan(ctx, PaperPlan(ExperimentConfig{
 		ThreadCounts: []int{2, 4},
 		Scale:        0.02,
 		Seed:         12345,
@@ -25,8 +29,22 @@ func TestGoldenArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGoldenTables(t, "artifacts.golden", pr.Reports)
+
+	studies, err := testEngine.Studies(ctx, studyConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGoldenTables(t, "studies.golden", studies)
+}
+
+// checkGoldenTables compares tables, each rendered as ASCII and followed
+// by a blank line, against testdata/name, or rewrites the file under
+// -update.
+func checkGoldenTables(t *testing.T, name string, tables []*report.Table) {
+	t.Helper()
 	var buf bytes.Buffer
-	for _, tb := range pr.Reports {
+	for _, tb := range tables {
 		if err := tb.WriteASCII(&buf); err != nil {
 			t.Fatal(err)
 		}
@@ -34,7 +52,7 @@ func TestGoldenArtifacts(t *testing.T) {
 	}
 	got := buf.Bytes()
 
-	path := filepath.Join("testdata", "artifacts.golden")
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -47,7 +65,8 @@ func TestGoldenArtifacts(t *testing.T) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("golden file missing — run with -update to create it: %v", err)
+		t.Errorf("golden file missing — run with -update to create it: %v", err)
+		return
 	}
 	if !bytes.Equal(got, want) {
 		// Locate the first differing line for a readable failure.
@@ -55,11 +74,12 @@ func TestGoldenArtifacts(t *testing.T) {
 		wantLines := bytes.Split(want, []byte("\n"))
 		for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
 			if !bytes.Equal(gotLines[i], wantLines[i]) {
-				t.Fatalf("artifact output changed at line %d:\n got: %s\nwant: %s\n(run with -update to accept)",
-					i+1, gotLines[i], wantLines[i])
+				t.Errorf("%s changed at line %d:\n got: %s\nwant: %s\n(run with -update to accept)",
+					name, i+1, gotLines[i], wantLines[i])
+				return
 			}
 		}
-		t.Fatalf("artifact output length changed: got %d lines, want %d (run with -update to accept)",
-			len(gotLines), len(wantLines))
+		t.Errorf("%s length changed: got %d lines, want %d (run with -update to accept)",
+			name, len(gotLines), len(wantLines))
 	}
 }
