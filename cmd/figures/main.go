@@ -1,12 +1,14 @@
 // Command figures regenerates the paper's figures and tables by running
-// javasim.PaperPlan, or the one report of it a flag selects, through a
-// javasim.Engine: sweeps run on a bounded worker pool, repeated
+// javasim.PaperPlan, or the design-choice studies by running
+// javasim.StudyPlan, or the one report of either that a flag selects,
+// through a javasim.Engine: sweeps run on a bounded worker pool, repeated
 // configurations are memoized, Ctrl-C cancels the batch mid-run, and
-// -progress streams per-run events while long batches execute.
+// -progress streams per-run events while long batches execute. At most
+// one of -fig, -table and -study may be given.
 //
 // Usage:
 //
-//	figures                         # all artifacts, full scale
+//	figures                         # all paper artifacts, full scale
 //	figures -fig 1a                 # one figure: 1a|1b|1c|1d|2
 //	figures -table classification   # classification|workdist|factors|biased|compartment
 //	figures -scale 0.2 -threads 4,16,48 -csv
@@ -68,28 +70,35 @@ func main() {
 		}
 	}
 
-	var tables []*javasim.Table
-	if *study != "" && *fig == "" && *table == "" {
-		var names []string
-		if *study != "all" {
-			names = []string{artifact("study", *study)}
+	picked := 0
+	for _, v := range []string{*fig, *table, *study} {
+		if v != "" {
+			picked++
 		}
-		tables = check(eng.Studies(ctx, cfg, names...))
-	} else {
-		plan := javasim.PaperPlan(cfg)
-		switch {
-		case *fig != "":
-			plan = check(plan.Select(artifact("fig", *fig)))
-		case *table != "":
-			plan = check(plan.Select(artifact("table", *table)))
-		}
-		pr := check(eng.RunPlan(ctx, plan))
-		if *fig == "2" && *chart {
-			writeCharts(pr)
-			return
-		}
-		tables = pr.Reports
 	}
+	if picked > 1 {
+		fatalf("give at most one of -fig, -table and -study")
+	}
+	if *chart && *fig != "2" {
+		fatalf("-chart renders Figure 2; it needs -fig 2")
+	}
+	plan := javasim.PaperPlan(cfg)
+	switch {
+	case *fig != "":
+		plan = check(plan.Select(artifact("fig", *fig)))
+	case *table != "":
+		plan = check(plan.Select(artifact("table", *table)))
+	case *study == "all":
+		plan = javasim.StudyPlan(cfg)
+	case *study != "":
+		plan = check(javasim.StudyPlan(cfg).Select(artifact("study", *study)))
+	}
+	pr := check(eng.RunPlan(ctx, plan))
+	if *chart {
+		writeCharts(pr)
+		return
+	}
+	tables := pr.Reports
 
 	for i, t := range tables {
 		if i > 0 {
@@ -112,8 +121,8 @@ func main() {
 	}
 }
 
-// artifacts maps each -fig, -table, and -study value to the PaperPlan
-// report or design-choice study it regenerates.
+// artifacts maps each -fig and -table value to the PaperPlan report it
+// regenerates, and each -study value to its StudyPlan report.
 var artifacts = map[string]map[string]string{
 	"fig": {"1a": "Fig1a", "1b": "Fig1b", "1c": "Fig1c", "1d": "Fig1d", "2": "Fig2"},
 	"table": {"classification": "ClassificationTable", "workdist": "WorkDistributionTable",

@@ -9,8 +9,7 @@ import (
 )
 
 // ExperimentConfig parameterizes the reproduction suite: PaperPlan and
-// Engine.Studies. The zero value reproduces the paper's setup at full
-// scale.
+// StudyPlan. The zero value reproduces the paper's setup at full scale.
 type ExperimentConfig struct {
 	// ThreadCounts is the sweep; nil means the paper's {4,8,16,24,32,48}.
 	ThreadCounts []int
@@ -19,7 +18,8 @@ type ExperimentConfig struct {
 	Scale float64
 	// Seed drives all randomness; 0 means 42.
 	Seed uint64
-	// Workloads restricts the benchmark set; nil means all six.
+	// Workloads restricts PaperPlan's benchmark set; nil means all six.
+	// StudyPlan ignores it: each study runs its own workload.
 	Workloads []workload.Spec
 }
 

@@ -31,11 +31,11 @@ func TestGoldenArtifacts(t *testing.T) {
 	}
 	checkGoldenTables(t, "artifacts.golden", pr.Reports)
 
-	studies, err := testEngine.Studies(ctx, studyConfig)
+	studies, err := testEngine.RunPlan(ctx, StudyPlan(studyConfig))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGoldenTables(t, "studies.golden", studies)
+	checkGoldenTables(t, "studies.golden", studies.Reports)
 }
 
 // checkGoldenTables compares tables, each rendered as ASCII and followed

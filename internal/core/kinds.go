@@ -86,7 +86,7 @@ type kind struct {
 
 // inputs are what one output or report renders from: its spec (empty for
 // a per-scenario output), the labeled primary sweep of every scenario it
-// reads, and, for an output, every repeat of its scenario.
+// reads, and every repeat of its first scenario.
 type inputs struct {
 	spec    *ReportSpec
 	labels  []string
@@ -129,6 +129,8 @@ var kinds = map[any]kind{
 	ReportGoodput: {axis: rateAxis, sameGrid: true, title: goodputTitle, render: renderGoodput},
 	ReportUSL: {axis: threadAxis, fits: true,
 		title: "Table — USL scalability fit, C(N) = N / (1 + sigma*(N-1) + kappa*N*(N-1))", render: renderUSL},
+	ReportRows:        {axis: threadAxis, sameTop: true, render: renderRows},
+	ReportReplication: {axis: eitherAxis, exactly: 1, repeats: true, render: renderReplication},
 
 	MetricAcquisitions:   {series: (*Sweep).Acquisitions, format: formatCount},
 	MetricContentions:    {series: (*Sweep).Contentions, format: formatCount},

@@ -5,6 +5,8 @@ import (
 	"slices"
 
 	"javasim/internal/fit"
+	"javasim/internal/gc"
+	"javasim/internal/machine"
 	"javasim/internal/sim"
 	"javasim/internal/workload"
 )
@@ -106,5 +108,93 @@ func PaperPlan(cfg ExperimentConfig) *Plan {
 			Name: "USLFitTable", Kind: ReportUSL, Scenarios: workloadNames,
 		})
 	}
+	return p
+}
+
+// StudyPlan expresses the seven design-choice studies as one declarative
+// Plan. They are not paper artifacts: each varies one of the simulator's
+// own knobs — most of them held fixed by the paper's methodology — to
+// validate that the cost models respond the way the real mechanisms do.
+// Every scenario is one knob setting at the top of the config's thread
+// sweep, where every GC effect is strongest, and each study is one
+// report, StudyHeapFactor … StudyReplication in that order; narrow the
+// plan to one with Plan.Select. The studies' default settings are one
+// run, which the run cache simulates once. The config's Workloads are
+// ignored: every study runs its own registry workload.
+func StudyPlan(cfg ExperimentConfig) *Plan {
+	cfg = cfg.withDefaults()
+	hi := cfg.ThreadCounts[len(cfg.ThreadCounts)-1]
+	p := &Plan{
+		Name:         "studies",
+		Seed:         cfg.Seed,
+		Scale:        cfg.Scale,
+		ThreadCounts: []int{hi},
+	}
+	on := func(wl, name string, o *ConfigOverrides) Scenario {
+		return Scenario{Name: name, Workload: workload.NameRef(wl), Overrides: o}
+	}
+	// study adds the scenarios and a rows report over them.
+	study := func(rs ReportSpec, scs ...Scenario) {
+		rs.Kind = ReportRows
+		for _, sc := range scs {
+			p.Scenarios = append(p.Scenarios, sc)
+			rs.Scenarios = append(rs.Scenarios, sc.Name)
+		}
+		p.Reports = append(p.Reports, rs)
+	}
+	var heap, workers, tenuring []Scenario
+	for _, f := range []float64{1.5, 2, 3, 4, 6} {
+		heap = append(heap, on("xalan", fmt.Sprintf("heap-%.1fx", f), &ConfigOverrides{HeapFactor: f}))
+	}
+	for _, w := range []int{1, 2, 4, 8, 16, 33} {
+		workers = append(workers, on("xalan", fmt.Sprintf("workers-%d", w), &ConfigOverrides{GCWorkers: w}))
+	}
+	for _, th := range []int{1, 2, 4, 8} {
+		tenuring = append(tenuring, on("xalan", fmt.Sprintf("tenure-%d", th), &ConfigOverrides{TenuringThreshold: th}))
+	}
+
+	// The heap-size multiple is the paper's "3x the minimum heap" (§II-C):
+	// shrinking it multiplies collections, growing it buys them back.
+	study(ReportSpec{Name: "StudyHeapFactor",
+		Title: fmt.Sprintf("Study — heap factor sweep (xalan @ %d threads)", hi),
+		Note:  "the paper runs everything at 3x the minimum heap; the GC time/space trade-off validates the heap model"},
+		heap...)
+	// HotSpot defaults to 33 parallel GC workers on the 48-core testbed.
+	study(ReportSpec{Name: "StudyGCWorkers",
+		Title: fmt.Sprintf("Study — GC worker sweep (xalan @ %d threads)", hi),
+		Note:  "pause time divides across workers with contention-limited efficiency, never linearly"},
+		workers...)
+	// Promote-early floods the old generation, promote-late recopies
+	// survivors: the paper's survivor-copying story (§III-B).
+	study(ReportSpec{Name: "StudyTenuring",
+		Title: fmt.Sprintf("Study — tenuring threshold sweep (xalan @ %d threads)", hi)},
+		tenuring...)
+	study(ReportSpec{Name: "StudyNUMA",
+		Title: fmt.Sprintf("Study — NUMA vs flat memory (xalan @ %d threads)", hi),
+		Note:  "the paper's testbed pays cross-socket latency above 12 threads; a flat machine is the counterfactual"},
+		on("xalan", "numa", nil),
+		on("xalan", "flat", &ConfigOverrides{Machine: machine.ModelOpteronFlat}))
+	// The server workload is the application class the paper's §IV says
+	// suffers most from pause times.
+	study(ReportSpec{Name: "StudyCollector",
+		Title: fmt.Sprintf("Study — throughput vs concurrent collector (server @ %d threads, 1.6x heap)", hi),
+		Note:  "the concurrent collector trades stop-the-world time for background GC CPU and fragmentation"},
+		on("server", "throughput", &ConfigOverrides{HeapFactor: 1.6}),
+		on("server", "cms", &ConfigOverrides{HeapFactor: 1.6, GCPolicy: gc.PolicyConcurrent, GCTriggerRatio: 0.5}))
+	// Allocation-site pretenuring is the classic JVM countermeasure to the
+	// survivor copying the paper diagnoses.
+	study(ReportSpec{Name: "StudyPretenuring",
+		Title: fmt.Sprintf("Study — allocation-site pretenuring (xalan @ %d threads)", hi),
+		Note:  "long-lived sites allocate straight to the old generation, skipping the survivor copying the paper blames"},
+		on("xalan", "no-pretenuring", nil),
+		on("xalan", "pretenuring", &ConfigOverrides{Pretenuring: true}))
+
+	seeds := on("xalan", "seeds", nil)
+	seeds.Repeats = 5
+	p.Scenarios = append(p.Scenarios, seeds)
+	p.Reports = append(p.Reports, ReportSpec{Name: "StudyReplication", Kind: ReportReplication,
+		Scenarios: []string{seeds.Name},
+		Title:     fmt.Sprintf("Study — seed replication, 5 seeds (xalan @ %d threads)", hi),
+		Note:      "every figure in this repository is deterministic per seed; this table bounds the across-seed spread"})
 	return p
 }

@@ -73,9 +73,8 @@ type ConfigOverrides struct {
 	GCWorkers int `json:",omitempty"`
 	// TenuringThreshold overrides the survivor-promotion age.
 	TenuringThreshold int `json:",omitempty"`
-	// ConcurrentGC selects the CMS-style concurrent collector;
-	// GCTriggerRatio sets its occupancy trigger.
-	ConcurrentGC   bool    `json:",omitempty"`
+	// GCTriggerRatio sets the old-generation occupancy that starts a
+	// cycle of the concurrent GC policy.
 	GCTriggerRatio float64 `json:",omitempty"`
 	// Pretenuring enables the allocation-site pretenuring learner.
 	Pretenuring bool `json:",omitempty"`
@@ -100,9 +99,9 @@ type ConfigOverrides struct {
 	NewRatio      int `json:",omitempty"`
 	SurvivorRatio int `json:",omitempty"`
 	// Machine selects the hardware model by machine registry name
-	// ("opteron-6168", "sparc-t3-4", "opteron-6168-bw"); empty inherits
-	// the plan's (ultimately opteron-6168). Unknown names are rejected at
-	// plan-load time.
+	// ("opteron-6168", "sparc-t3-4", "opteron-6168-bw",
+	// "opteron-6168-flat"); empty inherits the plan's (ultimately
+	// opteron-6168). Unknown names are rejected at plan-load time.
 	Machine string `json:",omitempty"`
 }
 
@@ -129,9 +128,6 @@ func (o *ConfigOverrides) apply(cfg *vm.Config) {
 	}
 	if o.TenuringThreshold != 0 {
 		cfg.GC.TenuringThreshold = uint8(o.TenuringThreshold)
-	}
-	if o.ConcurrentGC {
-		cfg.GC.Concurrent = true
 	}
 	if o.GCTriggerRatio != 0 {
 		cfg.GC.TriggerRatio = o.GCTriggerRatio
@@ -452,6 +448,15 @@ const (
 	// referenced scenario must sweep at least fit.MinPoints thread
 	// counts.
 	ReportUSL ReportKind = "usl"
+	// ReportRows renders one row per scenario from its largest point:
+	// times, collection counts, pauses, and copied and promoted bytes —
+	// the shape of a design-choice study, one scenario per knob setting.
+	// The scenarios must top out at the same thread count.
+	ReportRows ReportKind = "rows"
+	// ReportReplication summarizes metric spread across one scenario's
+	// repeats, like the replication output; the scenario needs
+	// Repeats >= 2.
+	ReportReplication ReportKind = "replication"
 )
 
 // Metric selects the number a series report extracts from each sweep
@@ -803,7 +808,7 @@ func (e *Engine) RunPlan(ctx context.Context, p *Plan) (*PlanResult, error) {
 		for j, name := range names {
 			sweeps[j] = byName[name].Sweep()
 		}
-		t, err := render(rs.Kind, &inputs{spec: rs, labels: names, sweeps: sweeps})
+		t, err := render(rs.Kind, &inputs{spec: rs, labels: names, sweeps: sweeps, repeats: byName[names[0]].Sweeps})
 		if err != nil {
 			return nil, err
 		}

@@ -38,9 +38,39 @@ func testPlan() *Plan {
 }
 
 // TestPlanJSONRoundTripStable asserts encode→decode→encode is
-// byte-stable, so plan files survive rewriting.
+// byte-stable, so plan files survive rewriting — for a hand-built plan
+// and for StudyPlan, whose decoded copy must also render the same
+// reports, so a plan file (or the daemon) can serve the studies.
 func TestPlanJSONRoundTripStable(t *testing.T) {
-	p := testPlan()
+	decoded := roundTrip(t, testPlan())
+	if decoded.Scenarios[2].Workload.Spec == nil {
+		t.Error("inline workload lost in round trip")
+	}
+	if decoded.Scenarios[1].Overrides == nil || decoded.Scenarios[1].Overrides.HeapFactor != 1.5 {
+		t.Error("overrides lost in round trip")
+	}
+
+	studies := StudyPlan(studyConfig)
+	var want, got bytes.Buffer
+	for _, c := range []struct {
+		p   *Plan
+		buf *bytes.Buffer
+	}{{studies, &want}, {roundTrip(t, studies), &got}} {
+		pr, err := testEngine.RunPlan(context.Background(), c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writePlanText(t, c.buf, pr.Reports)
+	}
+	if !bytes.Equal(want.Bytes(), got.Bytes()) {
+		t.Errorf("decoded StudyPlan renders differently:\n--- plan\n%s\n--- decoded\n%s", want.String(), got.String())
+	}
+}
+
+// roundTrip encodes p, decodes it through LoadPlan, and checks that the
+// decoded plan encodes to the same bytes.
+func roundTrip(t *testing.T, p *Plan) *Plan {
+	t.Helper()
 	var first bytes.Buffer
 	if err := p.WriteJSON(&first); err != nil {
 		t.Fatal(err)
@@ -56,12 +86,7 @@ func TestPlanJSONRoundTripStable(t *testing.T) {
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
 		t.Errorf("encode not stable:\n--- first\n%s\n--- second\n%s", first.String(), second.String())
 	}
-	if decoded.Scenarios[2].Workload.Spec == nil {
-		t.Error("inline workload lost in round trip")
-	}
-	if decoded.Scenarios[1].Overrides == nil || decoded.Scenarios[1].Overrides.HeapFactor != 1.5 {
-		t.Error("overrides lost in round trip")
-	}
+	return decoded
 }
 
 func TestLoadPlanRejectsUnknownFieldsAndBadRefs(t *testing.T) {
@@ -121,6 +146,15 @@ func TestPlanValidate(t *testing.T) {
 			p.Scenarios[1].ThreadCounts = []int{2}
 			p.Reports[0].Scenarios = []string{"base"} // keep the series report legal
 		}, "largest points"},
+		{"replication report over one run", func(p *Plan) {
+			p.Reports = append(p.Reports, ReportSpec{Name: "rep", Kind: ReportReplication,
+				Scenarios: []string{"base"}})
+		}, "replication report needs Repeats >= 2"},
+		{"rows over mismatched maxima", func(p *Plan) {
+			p.Scenarios[1].ThreadCounts = []int{2}
+			p.Reports = []ReportSpec{{Name: "rows", Kind: ReportRows,
+				Scenarios: []string{"base", "small-heap"}}}
+		}, "rows report contrasts the largest points"},
 		{"bias phase without groups", func(p *Plan) {
 			p.Scenarios[1].Overrides = &ConfigOverrides{BiasPhase: 100}
 		}, "BiasPhase set without BiasGroups"},
@@ -135,7 +169,7 @@ func TestPlanValidate(t *testing.T) {
 		}, "(known: classification, factors, goodput, lifespan-cdf, replication, sweep, usl)"},
 		{"unknown kind lists valid kinds", func(p *Plan) {
 			p.Reports[0].Kind = "bogus"
-		}, "(known: classification, compare, factors, goodput, lifespan-cdf, mutator-gc, series, usl, work-distribution)"},
+		}, "(known: classification, compare, factors, goodput, lifespan-cdf, mutator-gc, replication, rows, series, usl, work-distribution)"},
 		{"unknown metric lists valid metrics", func(p *Plan) {
 			p.Reports[0].Metric = "bogus"
 		}, "(known: acquisitions, cdf-below-1kb, contentions, gc-seconds, gc-share, mutator-seconds, total-seconds)"},

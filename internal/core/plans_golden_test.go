@@ -13,7 +13,9 @@ import (
 
 // everyKindPlan declares every Output, every ReportKind, every Metric,
 // and every optional ReportSpec field at least once, so the golden file
-// below pins the rendered bytes of each plan artifact shape.
+// below pins the rendered bytes of each plan artifact shape. The rows and
+// replication report kinds are the exception: StudyPlan renders them, and
+// studies.golden pins their bytes.
 func everyKindPlan() *Plan {
 	open := &TrafficSpec{Process: "poisson", Rates: []float64{100000, 1500000}, Threads: 4, Requests: 200}
 	p := &Plan{

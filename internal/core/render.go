@@ -261,7 +261,7 @@ func compareRows(t *report.Table, results []*vm.Result) {
 	row("mean gc pause", func(r *vm.Result) string { return meanPause(r.GCPauses).String() })
 	row("max gc pause", func(r *vm.Result) string { return maxPause(r.GCPauses).String() })
 	row("collections", func(r *vm.Result) string { return fmt.Sprintf("%d", len(r.GCPauses)) })
-	if slices.ContainsFunc(results, func(r *vm.Result) bool { return r.GCPolicy != "" && r.GCPolicy != gc.PolicyStwSerial }) {
+	if slices.ContainsFunc(results, nonDefaultGC) {
 		row("gc phases s/s/c", func(r *vm.Result) string { return formatPhases(r.GCPhases) })
 		row("conc gc cpu", func(r *vm.Result) string { return r.ConcGCCPUTime.String() })
 	}
@@ -273,6 +273,11 @@ func compareRows(t *report.Table, results []*vm.Result) {
 	row("lock contentions", func(r *vm.Result) string { return report.FormatCount(r.LockContentions) })
 	row("utilization", func(r *vm.Result) string { return fmt.Sprintf("%.2f", r.Utilization) })
 }
+
+// nonDefaultGC reports whether a run collected under a GC policy other
+// than the stw-serial default, which is when the GC-policy rows and
+// columns of the compare and rows tables appear.
+func nonDefaultGC(r *vm.Result) bool { return r.GCPolicy != "" && r.GCPolicy != gc.PolicyStwSerial }
 
 // renderCompare builds an ablation table contrasting the scenarios'
 // results at their largest thread counts. A Baseline/Modified pair heads
@@ -441,30 +446,71 @@ func renderSweepTable(in *inputs) (*report.Table, error) {
 	return t, nil
 }
 
-// renderReplication summarizes a scenario's repeats: mean, stddev, and
-// range of the headline metrics at each repeat's largest thread count.
-func renderReplication(in *inputs) (*report.Table, error) {
-	results := make([]*vm.Result, len(in.repeats))
-	for i, sw := range in.repeats {
+// renderRows builds one row per scenario from its largest point — the
+// shape of a design-choice study, where each scenario is one setting of
+// the knob under study. The concurrent-GC columns appear only when a row
+// ran a GC policy other than stw-serial, and the pretenured column only
+// when a row pretenured, as compareRows does for its rows.
+func renderRows(in *inputs) (*report.Table, error) {
+	results := make([]*vm.Result, len(in.sweeps))
+	for i, sw := range in.sweeps {
 		results[i] = sw.Points[len(sw.Points)-1].Result
 	}
-	t := replicationTable(results)
-	t.Title = fmt.Sprintf("Replication — %s, %d repeats", in.labels[0], len(in.repeats))
-	t.Note = "repeats derive their seeds from the scenario seed; the spread bounds seed sensitivity"
+	conc := slices.ContainsFunc(results, nonDefaultGC)
+	pretenured := slices.ContainsFunc(results, func(r *vm.Result) bool { return r.HeapStats.PretenuredAllocs > 0 })
+	headers := []string{"scenario", "total", "mutator", "gc", "gc-share", "minor", "full",
+		"mean-minor-pause", "max-pause", "copied-MB", "promoted-MB"}
+	if conc {
+		headers = append(headers, "conc-cycles", "conc-cpu")
+	}
+	if pretenured {
+		headers = append(headers, "pretenured")
+	}
+	t := &report.Table{
+		Title:   fmt.Sprintf("Scenarios at %d threads", results[0].Threads),
+		Headers: headers,
+	}
+	for i, r := range results {
+		var meanMinor sim.Time
+		if r.GCStats.MinorCount > 0 {
+			meanMinor = r.GCStats.MinorTime / sim.Time(r.GCStats.MinorCount)
+		}
+		row := []string{tagLabel(in.labels[i], in.sweeps[i]),
+			r.TotalTime.String(), r.MutatorTime.String(), r.GCTime.String(),
+			report.FormatPct(r.GCShare()),
+			fmt.Sprintf("%d", r.GCStats.MinorCount),
+			fmt.Sprintf("%d", r.GCStats.FullCount),
+			meanMinor.String(),
+			maxPause(r.GCPauses).String(),
+			fmt.Sprintf("%.2f", float64(r.GCStats.CopiedBytes)/(1<<20)),
+			fmt.Sprintf("%.2f", float64(r.GCStats.PromotedBytes)/(1<<20))}
+		if conc {
+			row = append(row, fmt.Sprintf("%d", r.ConcCycles), r.ConcGCCPUTime.String())
+		}
+		if pretenured {
+			row = append(row, fmt.Sprintf("%d", r.HeapStats.PretenuredAllocs))
+		}
+		t.AddRow(row...)
+	}
 	return t, nil
 }
 
-// replicationTable tabulates the spread of the headline metrics across
-// runs of one configuration under different seeds.
-func replicationTable(results []*vm.Result) *report.Table {
+// renderReplication summarizes a scenario's repeats: mean, stddev, and
+// range of the headline metrics at each repeat's largest thread count.
+func renderReplication(in *inputs) (*report.Table, error) {
 	var totals, gcs, cdfs, conts []float64
-	for _, r := range results {
+	for _, sw := range in.repeats {
+		r := sw.Points[len(sw.Points)-1].Result
 		totals = append(totals, r.TotalTime.Seconds()*1000)
 		gcs = append(gcs, r.GCTime.Seconds()*1000)
 		cdfs = append(cdfs, 100*r.Lifespans.FractionBelow(1024))
 		conts = append(conts, float64(r.LockContentions))
 	}
-	t := &report.Table{Headers: []string{"metric", "mean", "stddev", "min", "max"}}
+	t := &report.Table{
+		Title:   fmt.Sprintf("Replication — %s, %d repeats", in.labels[0], len(in.repeats)),
+		Headers: []string{"metric", "mean", "stddev", "min", "max"},
+		Note:    "repeats derive their seeds from the scenario seed; the spread bounds seed sensitivity",
+	}
 	row := func(name, unit string, xs []float64) {
 		sm := metrics.Summarize(xs)
 		t.AddRow(name,
@@ -477,5 +523,5 @@ func replicationTable(results []*vm.Result) *report.Table {
 	row("gc time", "ms", gcs)
 	row("objects <1KB", "%", cdfs)
 	row("lock contentions", "", conts)
-	return t
+	return t, nil
 }

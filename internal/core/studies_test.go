@@ -9,20 +9,35 @@ import (
 	"javasim/internal/report"
 )
 
-// studyTable runs one design-choice study through the shared test engine.
-func studyTable(t *testing.T, name string) *report.Table {
-	t.Helper()
-	tables, err := testEngine.Studies(context.Background(), studyConfig, name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tables[0]
-}
-
 var studyConfig = ExperimentConfig{
 	ThreadCounts: []int{2, 8},
 	Scale:        0.05,
 	Seed:         17,
+}
+
+// studyTable runs one design-choice study, selected from StudyPlan,
+// through the shared test engine.
+func studyTable(t *testing.T, name string) *report.Table {
+	t.Helper()
+	p, err := StudyPlan(studyConfig).Select(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := testEngine.RunPlan(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pr.Reports[0]
+}
+
+// cell returns row i's value in the column headed header.
+func cell(t *testing.T, tb *report.Table, i int, header string) string {
+	t.Helper()
+	j := slices.Index(tb.Headers, header)
+	if j < 0 {
+		t.Fatalf("%q: no %q column in %v", tb.Title, header, tb.Headers)
+	}
+	return tb.Rows[i][j]
 }
 
 func TestStudyHeapFactor(t *testing.T) {
@@ -40,9 +55,9 @@ func TestStudyGCWorkersMonotone(t *testing.T) {
 	if len(tb.Rows) != 6 {
 		t.Fatalf("rows = %d, want 6", len(tb.Rows))
 	}
-	// The first column of the first and last rows bracket the sweep; GC
-	// time with 1 worker must exceed GC time with 33 (parallelism helps).
-	if tb.Rows[0][1] == tb.Rows[len(tb.Rows)-1][1] {
+	// The first and last rows bracket the sweep; GC time with 1 worker
+	// must differ from GC time with 33 (parallelism helps).
+	if cell(t, tb, 0, "gc") == cell(t, tb, len(tb.Rows)-1, "gc") {
 		t.Error("worker count had no effect on GC time")
 	}
 }
@@ -54,8 +69,8 @@ func TestStudyTenuring(t *testing.T) {
 	}
 	// Threshold 1 promotes everything that survives once: zero survivor
 	// copying.
-	if tb.Rows[0][2] != "0.00" {
-		t.Errorf("threshold-1 copied %s MB, want 0.00 (immediate promotion)", tb.Rows[0][2])
+	if got := cell(t, tb, 0, "copied-MB"); got != "0.00" {
+		t.Errorf("threshold-1 copied %s MB, want 0.00 (immediate promotion)", got)
 	}
 }
 
@@ -64,8 +79,9 @@ func TestStudyNUMA(t *testing.T) {
 	if len(tb.Rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(tb.Rows))
 	}
-	if !strings.Contains(tb.Rows[0][0], "NUMA") || !strings.Contains(tb.Rows[1][0], "flat") {
-		t.Errorf("machine labels wrong: %v", tb.Rows)
+	if got := []string{cell(t, tb, 0, "scenario"), cell(t, tb, 1, "scenario")}; !slices.Equal(got,
+		[]string{"numa", "flat [machine=opteron-6168-flat]"}) {
+		t.Errorf("machine labels wrong: %v", got)
 	}
 }
 
@@ -74,8 +90,11 @@ func TestStudyCollector(t *testing.T) {
 	if len(tb.Rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(tb.Rows))
 	}
-	if !strings.Contains(tb.Rows[1][0], "concurrent") {
-		t.Errorf("second row %v, want concurrent mode", tb.Rows[1])
+	if got := cell(t, tb, 1, "scenario"); !strings.Contains(got, "gc=concurrent") {
+		t.Errorf("second row %q, want the concurrent collector", got)
+	}
+	if got := cell(t, tb, 1, "conc-cycles"); got == "0" {
+		t.Error("concurrent row ran no concurrent cycle")
 	}
 }
 
@@ -84,8 +103,8 @@ func TestStudyPretenuring(t *testing.T) {
 	if len(tb.Rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(tb.Rows))
 	}
-	if tb.Rows[0][5] != "0" {
-		t.Errorf("baseline diverted %s objects, want 0", tb.Rows[0][5])
+	if got := cell(t, tb, 0, "pretenured"); got != "0" {
+		t.Errorf("baseline diverted %s objects, want 0", got)
 	}
 }
 
@@ -96,19 +115,19 @@ func TestAllStudies(t *testing.T) {
 			artifacts = append(artifacts, ev.Artifact)
 		}
 	}))
-	tables, err := testEngine.Studies(ctx, studyConfig)
+	pr, err := testEngine.RunPlan(ctx, StudyPlan(studyConfig))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 7 {
-		t.Errorf("studies = %d, want 7", len(tables))
+	if len(pr.Reports) != 7 {
+		t.Errorf("studies = %d, want 7", len(pr.Reports))
 	}
 	want := []string{"StudyHeapFactor", "StudyGCWorkers", "StudyTenuring", "StudyNUMA",
 		"StudyCollector", "StudyPretenuring", "StudyReplication"}
 	if !slices.Equal(artifacts, want) {
 		t.Errorf("artifact events = %v, want %v", artifacts, want)
 	}
-	if _, err := testEngine.Studies(ctx, studyConfig, "StudyNope"); err == nil ||
+	if _, err := StudyPlan(studyConfig).Select("StudyNope"); err == nil ||
 		!strings.Contains(err.Error(), "StudyHeapFactor") {
 		t.Errorf("unknown study: err = %v, want one listing the known studies", err)
 	}

@@ -56,14 +56,8 @@ type Config struct {
 	// data during a full collection.
 	CompactCostPerKB sim.Time
 
-	// Concurrent enables the mostly-concurrent old-generation collector
-	// (CMS-style) instead of stop-the-world full collections: brief
-	// initial-mark/remark pauses piggybacked on minor collections,
-	// marking and sweeping on background threads that compete with
-	// mutators for cores, no compaction (fragmentation accrues until a
-	// fallback full collection).
-	Concurrent bool
-	// ConcurrentThreads is the background GC thread count; zero selects
+	// ConcurrentThreads is the background GC thread count of a policy
+	// that collects the old generation concurrently; zero selects
 	// max(1, Workers/4), HotSpot's ConcGCThreads heuristic.
 	ConcurrentThreads int
 	// TriggerRatio is the old-generation occupancy starting a concurrent

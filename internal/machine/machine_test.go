@@ -274,7 +274,7 @@ func TestBillTrafficUnlimited(t *testing.T) {
 }
 
 func TestModelRegistry(t *testing.T) {
-	for _, name := range []string{DefaultModel, ModelSparcT3, ModelOpteronBW} {
+	for _, name := range []string{DefaultModel, ModelSparcT3, ModelOpteronBW, ModelOpteronFlat} {
 		mdl, err := LookupModel(name)
 		if err != nil {
 			t.Fatalf("LookupModel(%q): %v", name, err)
@@ -313,7 +313,7 @@ func TestValidateModel(t *testing.T) {
 
 func TestModelNamesIncludeBuiltins(t *testing.T) {
 	names := ModelNames()
-	want := map[string]bool{DefaultModel: false, ModelSparcT3: false, ModelOpteronBW: false}
+	want := map[string]bool{DefaultModel: false, ModelSparcT3: false, ModelOpteronBW: false, ModelOpteronFlat: false}
 	for _, n := range names {
 		if _, ok := want[n]; ok {
 			want[n] = true

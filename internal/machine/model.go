@@ -33,6 +33,10 @@ const (
 	// memory-bandwidth budget, so allocation and GC copy traffic past the
 	// ceiling stretches memory stalls.
 	ModelOpteronBW = "opteron-6168-bw"
+	// ModelOpteronFlat is the Opteron 6168 testbed as a hypothetical flat
+	// (uniform-memory) machine: the counterfactual that isolates what the
+	// NUMA model contributes.
+	ModelOpteronFlat = "opteron-6168-flat"
 )
 
 // basicModel is a Model with a flat (0/1 hop) topology, sufficient for
@@ -80,6 +84,15 @@ func Opteron6168BW() Config {
 	return cfg
 }
 
+// Opteron6168Flat returns the Opteron 6168 testbed with remote memory
+// accesses as cheap as local ones and free thread migration.
+func Opteron6168Flat() Config {
+	cfg := Opteron6168()
+	cfg.RemoteAccessPerHop = 0
+	cfg.MigrationCost = 0
+	return cfg
+}
+
 // models is the global machine-model registry. Factories return the
 // Model itself — models are stateless, so one value serves every lookup.
 var models = registry.New[Model]("machine model")
@@ -88,6 +101,7 @@ func init() {
 	MustRegisterModel(NewModel(DefaultModel, Opteron6168()))
 	MustRegisterModel(NewModel(ModelSparcT3, SparcT3_4()))
 	MustRegisterModel(NewModel(ModelOpteronBW, Opteron6168BW()))
+	MustRegisterModel(NewModel(ModelOpteronFlat, Opteron6168Flat()))
 }
 
 // RegisterModel adds a model to the registry under its Name. Duplicate or

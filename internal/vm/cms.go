@@ -7,7 +7,8 @@ import (
 	"javasim/internal/sim"
 )
 
-// Concurrent-collection cycle driver (GC.Concurrent mode).
+// Concurrent-collection cycle driver, active when the GC policy collects
+// the old generation concurrently (gc.Policy.ConcurrentOld).
 //
 // The cycle follows CMS's shape: when old-generation occupancy crosses the
 // trigger ratio, the next minor collection's pause absorbs a brief
@@ -33,6 +34,8 @@ const (
 )
 
 type cmsDriver struct {
+	// on is set once per run, from the GC policy.
+	on      bool
 	phase   cmsPhase
 	threads []*sched.Thread
 	// busy counts GC threads still working on the current phase.
@@ -50,7 +53,8 @@ type cmsDriver struct {
 const cmsChunk = 200 * sim.Microsecond
 
 func (v *vm) setupCMS() {
-	if !v.cfg.GC.Concurrent {
+	v.cms.on = v.gc.Policy().ConcurrentOld()
+	if !v.cms.on {
 		return
 	}
 	n := v.gc.Config().ConcurrentThreads
@@ -63,7 +67,7 @@ func (v *vm) setupCMS() {
 // cmsMaybeTrigger arms a cycle when occupancy crosses the trigger ratio.
 // Called after each collection commits.
 func (v *vm) cmsMaybeTrigger() {
-	if !v.cfg.GC.Concurrent || v.cms.phase != cmsIdle {
+	if !v.cms.on || v.cms.phase != cmsIdle {
 		return
 	}
 	if v.heap.OldPressure() >= v.gc.Config().TriggerRatio {
@@ -101,7 +105,7 @@ func (v *vm) cmsOnMinorPause(now sim.Time) sim.Time {
 // cmsAbort cancels any in-flight cycle; a compacting full collection has
 // superseded it. GC threads notice through the generation counter.
 func (v *vm) cmsAbort() {
-	if !v.cfg.GC.Concurrent || v.cms.phase == cmsIdle {
+	if !v.cms.on || v.cms.phase == cmsIdle {
 		return
 	}
 	v.cms.generation++

@@ -18,7 +18,7 @@ func cmsSpec() workload.Spec {
 func TestConcurrentCycleRuns(t *testing.T) {
 	res, err := Run(cmsSpec(), Config{
 		Threads: 32, Seed: 42, HeapFactor: 2,
-		GC: gc.Config{Concurrent: true},
+		GCPolicy: gc.PolicyConcurrent,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +47,7 @@ func TestConcurrentModeDeterministic(t *testing.T) {
 	run := func() *Result {
 		res, err := Run(cmsSpec(), Config{
 			Threads: 16, Seed: 7, HeapFactor: 2,
-			GC: gc.Config{Concurrent: true},
+			GCPolicy: gc.PolicyConcurrent,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -72,7 +72,7 @@ func TestConcurrentAvoidsFullGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	conc, err := Run(spec, Config{Threads: 48, Seed: 42, HeapFactor: 2,
-		GC: gc.Config{Concurrent: true, TriggerRatio: 0.4}})
+		GCPolicy: gc.PolicyConcurrent, GC: gc.Config{TriggerRatio: 0.4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestConcurrentModeFailure(t *testing.T) {
 	spec := cmsSpec()
 	res, err := Run(spec, Config{
 		Threads: 32, Seed: 42, HeapFactor: 1.4,
-		GC: gc.Config{Concurrent: true},
+		GCPolicy: gc.PolicyConcurrent,
 	})
 	if err != nil {
 		t.Skipf("run failed outright under extreme pressure: %v", err)
@@ -115,6 +115,6 @@ func TestConcurrentOffByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.ConcCycles != 0 || res.ConcGCCPUTime != 0 {
-		t.Error("concurrent machinery active without GC.Concurrent")
+		t.Error("concurrent machinery active under the default stw-serial policy")
 	}
 }

@@ -266,7 +266,7 @@ func (v *vm) maybeStartGC() {
 	v.emitGCTrace(gc.Minor, now, pause.Duration)
 	total += pause.Duration
 	copied += pause.CopiedBytes + pause.PromotedBytes
-	if v.cfg.GC.Concurrent {
+	if v.cms.on {
 		v.cmsMaybeTrigger()
 		total += v.cmsOnMinorPause(now)
 	}

@@ -94,39 +94,6 @@ func TestGCPolicyConfigErrors(t *testing.T) {
 	if _, err := Run(spec, Config{Threads: 4, GCPolicy: "no-such-gc"}); err == nil {
 		t.Error("unknown gc policy accepted")
 	}
-	cfg := Config{Threads: 4, GCPolicy: gc.PolicyStwSerial}
-	cfg.GC.Concurrent = true
-	if _, err := Run(spec, cfg); err == nil {
-		t.Error("GC.Concurrent + stw-serial conflict accepted")
-	}
-}
-
-// TestLegacyConcurrentFlagMapsToPolicy checks backward compatibility:
-// the pre-registry GC.Concurrent flag resolves to — and is labeled as —
-// the concurrent policy.
-func TestLegacyConcurrentFlagMapsToPolicy(t *testing.T) {
-	spec := xalanSpecScaled(t, 0.03)
-	legacy := Config{Threads: 8, Seed: 42, HeapFactor: 1.6}
-	legacy.GC.Concurrent = true
-	legacy.GC.TriggerRatio = 0.5
-	a, err := Run(spec, legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.GCPolicy != gc.PolicyConcurrent {
-		t.Errorf("legacy concurrent run labeled %q", a.GCPolicy)
-	}
-	modern := Config{Threads: 8, Seed: 42, HeapFactor: 1.6, GCPolicy: gc.PolicyConcurrent}
-	modern.GC.TriggerRatio = 0.5
-	b, err := Run(spec, modern)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aj, _ := json.Marshal(a)
-	bj, _ := json.Marshal(b)
-	if string(aj) != string(bj) {
-		t.Error("legacy GC.Concurrent flag and GCPolicy=concurrent diverged")
-	}
 }
 
 // TestCompartmentPolicyLaysOutNUMAHeap checks the compartment policy's

@@ -36,8 +36,8 @@ type Config struct {
 	// 4-socket Opteron 6168 testbed.
 	Machine machine.Config
 	// MachineName selects a registered machine model by name
-	// ("opteron-6168", "sparc-t3-4", "opteron-6168-bw", or a user
-	// registration); when set it overrides Machine with the model's
+	// ("opteron-6168", "sparc-t3-4", "opteron-6168-bw",
+	// "opteron-6168-flat", or a user registration); when set it overrides Machine with the model's
 	// configuration and installs the model's topology hooks. Empty with a
 	// zero Machine resolves to the default model; empty with an explicit
 	// Machine keeps that anonymous configuration.
@@ -68,9 +68,7 @@ type Config struct {
 	GC gc.Config
 	// GCPolicy selects the collection discipline by gc registry name
 	// ("stw-serial", "stw-parallel", "concurrent", "compartment", or a
-	// user registration); empty means stw-serial, the paper's baseline —
-	// unless the legacy GC.Concurrent flag is set, which resolves to
-	// "concurrent".
+	// user registration); empty means stw-serial, the paper's baseline.
 	GCPolicy string
 	// Sched configures the scheduler, including phase-bias (future-work
 	// (a)) and the placement discipline (Sched.Placement registry name;
@@ -173,17 +171,7 @@ func (c Config) withDefaults() Config {
 		c.LockPolicy = locks.PolicyFIFO
 	}
 	if c.GCPolicy == "" {
-		// The legacy GC.Concurrent flag predates the policy registry;
-		// canonicalize it onto the concurrent policy so both spellings
-		// share one cache entry and one Result label.
-		if c.GC.Concurrent {
-			c.GCPolicy = gc.PolicyConcurrent
-		} else {
-			c.GCPolicy = gc.PolicyStwSerial
-		}
-	}
-	if p, err := gc.NewPolicy(c.GCPolicy); err == nil && p.ConcurrentOld() {
-		c.GC.Concurrent = true
+		c.GCPolicy = gc.PolicyStwSerial
 	}
 	if c.Sched.Placement == "" {
 		c.Sched.Placement = sched.PlacementAffinity
@@ -238,7 +226,7 @@ type Result struct {
 	Lifespans *metrics.Histogram
 
 	// ConcGCCPUTime is processor time consumed by concurrent GC threads
-	// (GC.Concurrent mode); it shows up as mutator-time dilation, not as
+	// (a policy that collects the old generation concurrently); it shows up as mutator-time dilation, not as
 	// pause time. ConcCycles counts completed concurrent cycles.
 	ConcGCCPUTime sim.Time
 	ConcCycles    int64
@@ -513,10 +501,6 @@ func runContext(ctx context.Context, spec workload.Spec, cfg Config, fuse bool) 
 	gcPolicy, err := gc.NewPolicy(cfg.GCPolicy)
 	if err != nil {
 		return nil, fmt.Errorf("vm: %w", err)
-	}
-	if cfg.GC.Concurrent && !gcPolicy.ConcurrentOld() {
-		return nil, fmt.Errorf("vm: GC.Concurrent conflicts with GC policy %q — select the %q policy instead",
-			cfg.GCPolicy, gc.PolicyConcurrent)
 	}
 	if err := cfg.Traffic.Validate(); err != nil {
 		return nil, fmt.Errorf("vm: %w", err)

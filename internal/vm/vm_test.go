@@ -625,7 +625,7 @@ func TestRegistryHighWaterIsPeakTracked(t *testing.T) {
 			res.GCStats.FullCount, res.HeapStats.PretenuredAllocs)
 	}
 	res, _ = check("server concurrent", cmsSpec().Scale(0.4),
-		Config{Threads: 16, Seed: 42, HeapFactor: 2, GC: gc.Config{Concurrent: true}})
+		Config{Threads: 16, Seed: 42, HeapFactor: 2, GCPolicy: gc.PolicyConcurrent})
 	if res.ConcCycles == 0 {
 		t.Error("server concurrent: no concurrent cycle swept the old generation")
 	}

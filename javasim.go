@@ -40,7 +40,8 @@
 //	tables := pr.Reports // Fig 1a-1d, Fig 2, all tables
 //
 // Plan.Select narrows the plan to single artifacts, simulating only the
-// sweeps they read, and Engine.Studies runs the design-choice studies.
+// sweeps they read. StudyPlan is the design-choice studies as a second
+// built-in plan.
 //
 // # Workloads and declarative plans
 //
@@ -53,7 +54,8 @@
 // Engine.RunPlan executes the whole matrix through the pool and cache.
 // Plans round-trip through JSON (LoadPlan / Plan.WriteJSON), so entire
 // experiment matrices live in files and run with cmd/javasim -plan. The
-// paper's own figure suite is the built-in PaperPlan.
+// paper's own figure suite is the built-in PaperPlan, and the
+// design-choice studies the built-in StudyPlan.
 //
 // # Pluggable policies
 //
@@ -73,8 +75,9 @@
 // a plan's Machine field) selects a registered machine model —
 // "opteron-6168", the paper's testbed and the default; "sparc-t3-4", a
 // 512-hardware-thread CMT system whose strands share per-core issue
-// pipelines; or "opteron-6168-bw", the testbed with a finite per-socket
-// memory-bandwidth budget — and custom machines join through
+// pipelines; "opteron-6168-bw", the testbed with a finite per-socket
+// memory-bandwidth budget; or "opteron-6168-flat", the testbed without
+// remote-access or migration costs — and custom machines join through
 // RegisterMachine.
 //
 // Runs are deterministic: the same Config.Seed reproduces a run
@@ -258,6 +261,12 @@ func LoadPlan(r io.Reader) (*Plan, error) { return core.LoadPlan(r) }
 // whole with Engine.RunPlan, or one artifact of it via Plan.Select.
 func PaperPlan(cfg ExperimentConfig) *Plan { return core.PaperPlan(cfg) }
 
+// StudyPlan returns the seven design-choice studies as a declarative
+// plan, one report each (StudyHeapFactor … StudyReplication), every
+// scenario at the top of the config's thread sweep. Run it whole with
+// Engine.RunPlan, or one study of it via Plan.Select.
+func StudyPlan(cfg ExperimentConfig) *Plan { return core.StudyPlan(cfg) }
+
 // NameWorkload references a registered workload by name in a Scenario.
 func NameWorkload(name string) WorkloadRef { return workload.NameRef(name) }
 
@@ -274,7 +283,7 @@ type (
 	Classification = core.Classification
 	// Factors is the paper's scalability-factor decomposition.
 	Factors = core.Factors
-	// ExperimentConfig parameterizes the reproduction suite.
+	// ExperimentConfig parameterizes PaperPlan and StudyPlan.
 	ExperimentConfig = core.ExperimentConfig
 	// Table is a rendered figure or table.
 	Table = report.Table
