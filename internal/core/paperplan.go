@@ -118,9 +118,8 @@ func PaperPlan(cfg ExperimentConfig) *Plan {
 // Every scenario is one knob setting at the top of the config's thread
 // sweep, where every GC effect is strongest, and each study is one
 // report, StudyHeapFactor … StudyReplication in that order; narrow the
-// plan to one with Plan.Select. The studies' default settings are one
-// run, which the run cache simulates once. The config's Workloads are
-// ignored: every study runs its own registry workload.
+// plan to one with Plan.Select. The config's Workloads are ignored:
+// every study runs its own registry workload.
 func StudyPlan(cfg ExperimentConfig) *Plan {
 	cfg = cfg.withDefaults()
 	hi := cfg.ThreadCounts[len(cfg.ThreadCounts)-1]
@@ -130,7 +129,7 @@ func StudyPlan(cfg ExperimentConfig) *Plan {
 		Scale:        cfg.Scale,
 		ThreadCounts: []int{hi},
 	}
-	on := func(wl, name string, o *ConfigOverrides) Scenario {
+	scenario := func(wl, name string, o *ConfigOverrides) Scenario {
 		return Scenario{Name: name, Workload: workload.NameRef(wl), Overrides: o}
 	}
 	// study adds the scenarios and a rows report over them.
@@ -144,13 +143,13 @@ func StudyPlan(cfg ExperimentConfig) *Plan {
 	}
 	var heap, workers, tenuring []Scenario
 	for _, f := range []float64{1.5, 2, 3, 4, 6} {
-		heap = append(heap, on("xalan", fmt.Sprintf("heap-%.1fx", f), &ConfigOverrides{HeapFactor: f}))
+		heap = append(heap, scenario("xalan", fmt.Sprintf("heap-%.1fx", f), &ConfigOverrides{HeapFactor: f}))
 	}
 	for _, w := range []int{1, 2, 4, 8, 16, 33} {
-		workers = append(workers, on("xalan", fmt.Sprintf("workers-%d", w), &ConfigOverrides{GCWorkers: w}))
+		workers = append(workers, scenario("xalan", fmt.Sprintf("workers-%d", w), &ConfigOverrides{GCWorkers: w}))
 	}
 	for _, th := range []int{1, 2, 4, 8} {
-		tenuring = append(tenuring, on("xalan", fmt.Sprintf("tenure-%d", th), &ConfigOverrides{TenuringThreshold: th}))
+		tenuring = append(tenuring, scenario("xalan", fmt.Sprintf("tenure-%d", th), &ConfigOverrides{TenuringThreshold: th}))
 	}
 
 	// The heap-size multiple is the paper's "3x the minimum heap" (§II-C):
@@ -172,24 +171,24 @@ func StudyPlan(cfg ExperimentConfig) *Plan {
 	study(ReportSpec{Name: "StudyNUMA",
 		Title: fmt.Sprintf("Study — NUMA vs flat memory (xalan @ %d threads)", hi),
 		Note:  "the paper's testbed pays cross-socket latency above 12 threads; a flat machine is the counterfactual"},
-		on("xalan", "numa", nil),
-		on("xalan", "flat", &ConfigOverrides{Machine: machine.ModelOpteronFlat}))
+		scenario("xalan", "numa", nil),
+		scenario("xalan", "flat", &ConfigOverrides{Machine: machine.ModelOpteronFlat}))
 	// The server workload is the application class the paper's §IV says
 	// suffers most from pause times.
 	study(ReportSpec{Name: "StudyCollector",
 		Title: fmt.Sprintf("Study — throughput vs concurrent collector (server @ %d threads, 1.6x heap)", hi),
 		Note:  "the concurrent collector trades stop-the-world time for background GC CPU and fragmentation"},
-		on("server", "throughput", &ConfigOverrides{HeapFactor: 1.6}),
-		on("server", "cms", &ConfigOverrides{HeapFactor: 1.6, GCPolicy: gc.PolicyConcurrent, GCTriggerRatio: 0.5}))
+		scenario("server", "throughput", &ConfigOverrides{HeapFactor: 1.6}),
+		scenario("server", "cms", &ConfigOverrides{HeapFactor: 1.6, GCPolicy: gc.PolicyConcurrent, GCTriggerRatio: 0.5}))
 	// Allocation-site pretenuring is the classic JVM countermeasure to the
 	// survivor copying the paper diagnoses.
 	study(ReportSpec{Name: "StudyPretenuring",
 		Title: fmt.Sprintf("Study — allocation-site pretenuring (xalan @ %d threads)", hi),
 		Note:  "long-lived sites allocate straight to the old generation, skipping the survivor copying the paper blames"},
-		on("xalan", "no-pretenuring", nil),
-		on("xalan", "pretenuring", &ConfigOverrides{Pretenuring: true}))
+		scenario("xalan", "no-pretenuring", nil),
+		scenario("xalan", "pretenuring", &ConfigOverrides{Pretenuring: true}))
 
-	seeds := on("xalan", "seeds", nil)
+	seeds := scenario("xalan", "seeds", nil)
 	seeds.Repeats = 5
 	p.Scenarios = append(p.Scenarios, seeds)
 	p.Reports = append(p.Reports, ReportSpec{Name: "StudyReplication", Kind: ReportReplication,

@@ -37,10 +37,11 @@ type Config struct {
 	Machine machine.Config
 	// MachineName selects a registered machine model by name
 	// ("opteron-6168", "sparc-t3-4", "opteron-6168-bw",
-	// "opteron-6168-flat", or a user registration); when set it overrides Machine with the model's
-	// configuration and installs the model's topology hooks. Empty with a
-	// zero Machine resolves to the default model; empty with an explicit
-	// Machine keeps that anonymous configuration.
+	// "opteron-6168-flat", or a user registration); when set it overrides
+	// Machine with the model's configuration and installs the model's
+	// topology hooks. Empty with a zero Machine resolves to the default
+	// model; empty with an explicit Machine keeps that anonymous
+	// configuration.
 	MachineName string
 	// Threads is the mutator thread count. Zero defaults to 4.
 	Threads int
@@ -226,8 +227,9 @@ type Result struct {
 	Lifespans *metrics.Histogram
 
 	// ConcGCCPUTime is processor time consumed by concurrent GC threads
-	// (a policy that collects the old generation concurrently); it shows up as mutator-time dilation, not as
-	// pause time. ConcCycles counts completed concurrent cycles.
+	// (under a policy that collects the old generation concurrently); it
+	// shows up as mutator-time dilation, not as pause time. ConcCycles
+	// counts completed concurrent cycles.
 	ConcGCCPUTime sim.Time
 	ConcCycles    int64
 
