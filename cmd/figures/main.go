@@ -88,10 +88,11 @@ func main() {
 		plan = check(plan.Select(artifact("fig", *fig)))
 	case *table != "":
 		plan = check(plan.Select(artifact("table", *table)))
-	case *study == "all":
-		plan = javasim.StudyPlan(cfg)
 	case *study != "":
-		plan = check(javasim.StudyPlan(cfg).Select(artifact("study", *study)))
+		plan = javasim.StudyPlan(cfg)
+		if name := artifact("study", *study); name != "" {
+			plan = check(plan.Select(name))
+		}
 	}
 	pr := check(eng.RunPlan(ctx, plan))
 	if *chart {
@@ -122,14 +123,15 @@ func main() {
 }
 
 // artifacts maps each -fig and -table value to the PaperPlan report it
-// regenerates, and each -study value to its StudyPlan report.
+// regenerates, and each -study value to its StudyPlan report ("all", to
+// none: the whole plan).
 var artifacts = map[string]map[string]string{
 	"fig": {"1a": "Fig1a", "1b": "Fig1b", "1c": "Fig1c", "1d": "Fig1d", "2": "Fig2"},
 	"table": {"classification": "ClassificationTable", "workdist": "WorkDistributionTable",
 		"factors": "FactorsTable", "biased": "AblationBias", "compartment": "AblationCompartments"},
 	"study": {"heapfactor": "StudyHeapFactor", "gcworkers": "StudyGCWorkers", "tenuring": "StudyTenuring",
 		"numa": "StudyNUMA", "collector": "StudyCollector", "pretenure": "StudyPretenuring",
-		"replication": "StudyReplication"},
+		"replication": "StudyReplication", "all": ""},
 }
 
 // artifact resolves a flag value through artifacts, exiting on an

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"javasim/internal/gc"
 	"javasim/internal/lockprof"
 	"javasim/internal/trace"
 	"javasim/internal/traffic"
@@ -107,6 +108,25 @@ func TestEngineRunCanonicalizesConfigKeys(t *testing.T) {
 	}
 	if a != b {
 		t.Error("zero-value and explicit-default configs did not share a cache entry")
+	}
+}
+
+// TestFingerprintCanonicalizesGCDefaults pins the collector's defaults
+// into the cache key: StudyPlan's tenure-2 scenario is the default run
+// and must hit its cache entry.
+func TestFingerprintCanonicalizesGCDefaults(t *testing.T) {
+	spec := testSpec(t, "xalan", 0.02)
+	unset, ok := Fingerprint(spec, vm.Config{Threads: 8, Seed: 7})
+	if !ok {
+		t.Fatal("plain config should be cacheable")
+	}
+	explicit, _ := Fingerprint(spec, vm.Config{Threads: 8, Seed: 7, GC: gc.Config{TenuringThreshold: 2}})
+	if unset != explicit {
+		t.Error("explicit default TenuringThreshold fingerprints apart from the unset one")
+	}
+	other, _ := Fingerprint(spec, vm.Config{Threads: 8, Seed: 7, GC: gc.Config{TenuringThreshold: 3}})
+	if other == unset {
+		t.Error("TenuringThreshold 3 fingerprints like the default")
 	}
 }
 

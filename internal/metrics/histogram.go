@@ -8,7 +8,9 @@
 package metrics
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -191,8 +193,8 @@ type Bucket struct {
 // histogramJSON is the wire form of a Histogram: every internal field,
 // with the count array stored sparsely as (bucket, count) pairs. It
 // exists so results carrying histograms can cross process boundaries
-// (the on-disk result store, sweep-shard workers) and come back
-// DeepEqual to the original.
+// (sweep-shard workers) and come back DeepEqual to the original; the
+// on-disk result store uses AppendBinary/UnmarshalBinary instead.
 type histogramJSON struct {
 	Name    string        `json:",omitempty"`
 	Buckets []bucketCount `json:",omitempty"`
@@ -226,8 +228,8 @@ func (h *Histogram) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON restores a histogram encoded by MarshalJSON, replacing
 // the receiver's state. Bucket indexes outside the fixed range are
-// rejected rather than silently dropped, so a corrupted store entry
-// surfaces as a decode error (which readers treat as a cache miss).
+// rejected rather than silently dropped, so a corrupted frame surfaces
+// as a decode error.
 func (h *Histogram) UnmarshalJSON(data []byte) error {
 	var w histogramJSON
 	if err := json.Unmarshal(data, &w); err != nil {
@@ -240,6 +242,77 @@ func (h *Histogram) UnmarshalJSON(data []byte) error {
 			return fmt.Errorf("metrics: histogram bucket index %d out of range", b.I)
 		}
 		h.counts[b.I] = b.N
+	}
+	return nil
+}
+
+// AppendBinary implements encoding.BinaryAppender with the same state
+// MarshalJSON carries: the name, total, sum, min and max, a has-data
+// byte, and the non-empty buckets as (index byte, varint count) pairs
+// after a one-byte count.
+func (h *Histogram) AppendBinary(b []byte) ([]byte, error) {
+	b = binary.AppendUvarint(b, uint64(len(h.name)))
+	b = append(b, h.name...)
+	for _, v := range [...]int64{h.total, h.sum, h.min, h.max} {
+		b = binary.AppendVarint(b, v)
+	}
+	var hasData, buckets byte
+	if h.hasData {
+		hasData = 1
+	}
+	for _, c := range h.counts {
+		if c != 0 {
+			buckets++
+		}
+	}
+	b = append(b, hasData, buckets)
+	for i, c := range h.counts {
+		if c != 0 {
+			b = binary.AppendVarint(append(b, byte(i)), c)
+		}
+	}
+	return b, nil
+}
+
+// errBinary reports a histogram encoding that AppendBinary cannot have
+// produced.
+var errBinary = errors.New("metrics: malformed binary histogram")
+
+// UnmarshalBinary restores a histogram encoded by AppendBinary,
+// replacing the receiver's state. Truncated input, trailing bytes and
+// bucket indexes outside the fixed range are errors, so a damaged store
+// entry surfaces as a decode error (which readers treat as a cache miss).
+func (h *Histogram) UnmarshalBinary(data []byte) error {
+	*h = Histogram{}
+	n, k := binary.Uvarint(data)
+	if k <= 0 || n > uint64(len(data)-k) {
+		return errBinary
+	}
+	h.name, data = string(data[k:k+int(n)]), data[k+int(n):]
+	for _, p := range [...]*int64{&h.total, &h.sum, &h.min, &h.max} {
+		if *p, k = binary.Varint(data); k <= 0 {
+			return errBinary
+		}
+		data = data[k:]
+	}
+	if len(data) < 2 || data[0] > 1 {
+		return errBinary
+	}
+	h.hasData = data[0] == 1
+	buckets := int(data[1])
+	data = data[2:]
+	for range buckets {
+		if len(data) == 0 || int(data[0]) >= len(h.counts) {
+			return errBinary
+		}
+		i := data[0]
+		if h.counts[i], k = binary.Varint(data[1:]); k <= 0 {
+			return errBinary
+		}
+		data = data[1+k:]
+	}
+	if len(data) != 0 {
+		return errBinary
 	}
 	return nil
 }

@@ -10,10 +10,11 @@
 //
 //	<dir>/<fp[0:2]>/<fp>.json
 //
-// where each entry is a version-stamped envelope {Version, Fingerprint,
-// Result}. Entries are immutable once written — the fingerprint is a
-// hash of everything that determines the result, so a rewrite can only
-// ever produce the same bytes (modulo schema version).
+// where each entry is a version-stamped JSON envelope {Version,
+// Fingerprint, Result} and Result is the binary payload of codec.go,
+// carried as base64. Entries are immutable once written — the
+// fingerprint is a hash of everything that determines the result, so a
+// rewrite can only ever produce the same bytes (modulo schema version).
 //
 // Writes are write-behind: Put enqueues, a background writer persists
 // entries with the temp-file+rename idiom (readers never observe a
@@ -21,9 +22,10 @@
 // daemon's graceful shutdown calls Close before exiting.
 //
 // Reads are corruption-tolerant by design: a truncated file, garbage
-// bytes, a schema-version mismatch, or a fingerprint that does not
-// match its filename all count as a miss (and a Corrupt tick in Stats),
-// never an error. The engine then re-simulates and rewrites the entry.
+// bytes, a schema-version mismatch, a fingerprint that does not match
+// its filename, or a payload that does not decode all count as a miss
+// (and a Corrupt tick in Stats), never an error. The engine then
+// re-simulates and rewrites the entry.
 package store
 
 import (
@@ -41,10 +43,11 @@ import (
 )
 
 // Version stamps every entry with the result-schema generation. Bump it
-// when vm.Result changes shape incompatibly: old entries then read as
-// misses and are lazily replaced by re-simulation, instead of decoding
-// into half-filled structs.
-const Version = 2
+// when the payload encoding or vm.Result changes shape (the payload
+// names no fields, so any added, removed or reordered field is
+// incompatible): old entries then read as misses and are lazily
+// replaced by re-simulation, instead of decoding into wrong fields.
+const Version = 3
 
 // entryExt is the on-disk entry suffix.
 const entryExt = ".json"
@@ -53,7 +56,7 @@ const entryExt = ".json"
 type entry struct {
 	Version     int
 	Fingerprint string
-	Result      *vm.Result
+	Result      []byte // the vm.Result, encoded by marshal
 }
 
 // Stats are the store's lifetime counters, all monotone.
@@ -157,14 +160,15 @@ func (s *Store) Get(fp string) (*vm.Result, bool) {
 		return nil, false
 	}
 	var e entry
+	res := new(vm.Result)
 	if err := json.Unmarshal(data, &e); err != nil ||
-		e.Version != Version || e.Fingerprint != fp || e.Result == nil {
+		e.Version != Version || e.Fingerprint != fp || unmarshal(e.Result, res) != nil {
 		s.corrupt.Add(1)
 		s.misses.Add(1)
 		return nil, false
 	}
 	s.hits.Add(1)
-	return e.Result, true
+	return res, true
 }
 
 // Put queues res for persistence under fp. It returns immediately;
@@ -231,7 +235,11 @@ func (s *Store) writeEntry(fp string, res *vm.Result) error {
 	if err := os.MkdirAll(shard, 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	data, err := json.Marshal(entry{Version: Version, Fingerprint: fp, Result: res})
+	payload, err := marshal(res)
+	if err != nil {
+		return fmt.Errorf("store: encode %s: %w", fp, err)
+	}
+	data, err := json.Marshal(entry{Version: Version, Fingerprint: fp, Result: payload})
 	if err != nil {
 		return fmt.Errorf("store: encode %s: %w", fp, err)
 	}

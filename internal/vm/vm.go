@@ -156,6 +156,7 @@ func (c Config) withDefaults() Config {
 	if c.GC.Workers == 0 {
 		c.GC.Workers = gc.DefaultWorkers(c.Cores)
 	}
+	c.GC = c.GC.WithDefaults()
 	if c.MaxVirtualTime == 0 {
 		c.MaxVirtualTime = 300 * sim.Second
 	}
