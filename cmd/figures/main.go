@@ -116,9 +116,9 @@ func main() {
 		}
 	}
 	if *progress {
-		st := eng.Stats()
+		st := eng.CacheStats()
 		fmt.Fprintf(os.Stderr, "figures: %d simulations, %d cache hits, %d memoized\n",
-			st.Simulations, st.CacheHits, st.CachedResults)
+			st.Misses, st.MemoryHits+st.DiskHits+st.Shared, st.Entries)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"log"
 
 	"javasim"
-	"javasim/internal/sim"
 )
 
 const threads = 48
@@ -52,7 +51,7 @@ func main() {
 	base := run("baseline", nil)
 	biased := run("biased", func(c *javasim.Config) {
 		c.Sched.Bias.Groups = 2
-		c.Sched.Bias.PhaseLength = 2 * sim.Millisecond
+		c.Sched.Bias.PhaseLength = 2 * javasim.Millisecond
 	})
 	comp := run("compartments", func(c *javasim.Config) {
 		c.Compartments = 4

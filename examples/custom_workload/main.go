@@ -15,7 +15,6 @@ import (
 	"log"
 
 	"javasim"
-	"javasim/internal/sim"
 )
 
 // analyticsSpec is an embarrassingly parallel aggregation: uniform work,
@@ -24,13 +23,13 @@ func analyticsSpec() javasim.Spec {
 	return javasim.Spec{
 		Name:        "analytics",
 		TotalUnits:  8000,
-		UnitCompute: 50 * sim.Microsecond,
+		UnitCompute: 50 * javasim.Microsecond,
 		ComputeCV:   0.3,
 
 		AllocsPerUnit: 20,
 		ObjSizeMeanB:  96,
 		ObjSizeSigma:  0.6,
-		AllocGap:      80 * sim.Nanosecond,
+		AllocGap:      80 * javasim.Nanosecond,
 
 		FracIntraBurst:    0.8,
 		IntraBurstMeanN:   2,
@@ -40,8 +39,8 @@ func analyticsSpec() javasim.Spec {
 
 		SharedLocks:    2,
 		LockOpsPerUnit: 0.2,
-		LockHold:       300 * sim.Nanosecond,
-		QueueLockHold:  150 * sim.Nanosecond,
+		LockHold:       300 * javasim.Nanosecond,
+		QueueLockHold:  150 * javasim.Nanosecond,
 
 		Phases:             40,
 		SequentialFraction: 0.02,
@@ -57,7 +56,7 @@ func configStoreSpec() javasim.Spec {
 	s.Name = "config-store"
 	s.SharedLocks = 1
 	s.LockOpsPerUnit = 1
-	s.LockHold = 40 * sim.Microsecond // ~80% of the unit under the lock
+	s.LockHold = 40 * javasim.Microsecond // ~80% of the unit under the lock
 	s.SequentialFraction = 0.1
 	return s
 }

@@ -58,6 +58,6 @@ func main() {
 		c.MaxSpeedup, c.AtThreads,
 		map[bool]string{true: "SCALABLE", false: "NON-SCALABLE"}[c.Scalable])
 
-	st := eng.Stats()
-	fmt.Printf("engine: %d simulations, %d cache hits\n", st.Simulations, st.CacheHits)
+	st := eng.CacheStats()
+	fmt.Printf("engine: %d simulations, %d cache hits\n", st.Misses, st.MemoryHits+st.DiskHits+st.Shared)
 }

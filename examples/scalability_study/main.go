@@ -64,6 +64,6 @@ func main() {
 			p.Result.LockContentions, 100*cdf[i])
 	}
 
-	st := eng.Stats()
-	fmt.Printf("\nengine: %d simulations, %d cache hits\n", st.Simulations, st.CacheHits)
+	st := eng.CacheStats()
+	fmt.Printf("\nengine: %d simulations, %d cache hits\n", st.Misses, st.MemoryHits+st.DiskHits+st.Shared)
 }

@@ -62,6 +62,6 @@ func main() {
 		fmt.Printf("  t=64  extrapolated %9.1f/s\n\n", m.Predict(64))
 	}
 
-	st := eng.Stats()
-	fmt.Printf("engine: %d simulations, %d cache hits\n", st.Simulations, st.CacheHits)
+	st := eng.CacheStats()
+	fmt.Printf("engine: %d simulations, %d cache hits\n", st.Misses, st.MemoryHits+st.DiskHits+st.Shared)
 }

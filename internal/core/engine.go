@@ -17,7 +17,7 @@ import (
 // every run, sweep, and plan dispatched through it shares both. Many
 // goroutines may call an Engine concurrently — concurrent figure
 // generation, batch studies, servers sweeping on behalf of request
-// handlers — and the engine guarantees that at most Parallelism
+// handlers — and the engine guarantees that at most WithParallelism
 // simulations execute at once, that identical in-flight requests are
 // deduplicated, and that completed results are memoized.
 //
@@ -25,7 +25,6 @@ import (
 // Engine is not usable.
 type Engine struct {
 	parallelism int
-	seed        uint64
 	cacheSize   int
 	observers   []Observer
 	store       ResultStore
@@ -52,12 +51,6 @@ type Option func(*Engine)
 // goroutines than this bound.
 func WithParallelism(n int) Option {
 	return func(e *Engine) { e.parallelism = n }
-}
-
-// WithSeed sets the seed substituted into runs whose Config.Seed is zero.
-// The default is 0, which leaves configs untouched.
-func WithSeed(seed uint64) Option {
-	return func(e *Engine) { e.seed = seed }
 }
 
 // WithObserver registers an observer for the engine's progress events.
@@ -142,29 +135,6 @@ func NewEngine(opts ...Option) *Engine {
 	return e
 }
 
-// Parallelism reports the engine's simulation concurrency bound.
-func (e *Engine) Parallelism() int { return e.parallelism }
-
-// Stats is a snapshot of the engine's lifetime counters.
-type Stats struct {
-	// Simulations counts runs actually executed by the VM.
-	Simulations int64
-	// CacheHits counts run requests answered from the memoizing cache
-	// (including singleflight waiters that shared a leader's simulation).
-	CacheHits int64
-	// CachedResults is the number of results currently memoized.
-	CachedResults int
-}
-
-// Stats returns the engine's lifetime counters.
-func (e *Engine) Stats() Stats {
-	return Stats{
-		Simulations:   e.simulations.Load(),
-		CacheHits:     e.memoryHits.Load() + e.diskHits.Load() + e.shared.Load(),
-		CachedResults: e.cache.len(),
-	}
-}
-
 // CacheStats breaks the engine's cache behavior down by tier: where
 // each run request was answered from, how many were deduplicated
 // in-flight, and how many fell all the way through to a simulation.
@@ -220,16 +190,14 @@ func (e *Engine) emit(ctx context.Context, ev Event) {
 // must be treated as immutable. Runs carrying a TraceSink or LockProfiler
 // bypass the cache, since their value is the side-effecting event stream.
 //
-// Run blocks until a worker slot is free (at most Parallelism simulations
-// execute concurrently, across all of the engine's callers) or ctx is
-// done. A canceled context aborts the simulation at the simulator's next
-// event-loop checkpoint and returns an error wrapping ctx.Err().
+// Run blocks until a worker slot is free (at most WithParallelism
+// simulations execute concurrently, across all of the engine's callers)
+// or ctx is done. A canceled context aborts the simulation at the
+// simulator's next event-loop checkpoint and returns an error wrapping
+// ctx.Err().
 func (e *Engine) Run(ctx context.Context, spec workload.Spec, cfg vm.Config) (*vm.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = e.seed
 	}
 	key, cacheable := runKey(spec, cfg)
 	if !cacheable {
@@ -325,7 +293,7 @@ func (e *Engine) simulate(ctx context.Context, spec workload.Spec, cfg vm.Config
 // Sweep returns ctx.Err() as soon as the context dies; already-completed
 // points stay memoized for a later retry.
 func (e *Engine) Sweep(ctx context.Context, spec workload.Spec, cfg SweepConfig) (*Sweep, error) {
-	snaps := e.acquireTapes(spec, cfg.Base)
+	snaps := e.tapes.Acquire(spec, cfg.Base)
 	defer e.tapes.Release(snaps)
 	return e.sweep(ctx, spec, cfg, snaps)
 }
@@ -421,13 +389,4 @@ func (e *Engine) sweep(ctx context.Context, spec workload.Spec, cfg SweepConfig,
 	}
 	e.emit(ctx, Event{Kind: SweepDone, Workload: spec.Name, Seed: cfg.Base.Seed})
 	return s, nil
-}
-
-// acquireTapes acquires from the engine's table the warm-start provider
-// for a sweep of spec over base; pair it with e.tapes.Release.
-func (e *Engine) acquireTapes(spec workload.Spec, base vm.Config) *vm.SnapshotProvider {
-	if base.Seed == 0 {
-		base.Seed = e.seed
-	}
-	return e.tapes.Acquire(spec, base)
 }

@@ -87,8 +87,8 @@ func TestEngineRunMemoizes(t *testing.T) {
 	if got := obs.count(RunCached); got != 1 {
 		t.Errorf("cache-hit events = %d, want 1", got)
 	}
-	st := e.Stats()
-	if st.Simulations != 1 || st.CacheHits != 1 || st.CachedResults != 1 {
+	st := e.CacheStats()
+	if st.Misses != 1 || st.MemoryHits+st.DiskHits+st.Shared != 1 || st.Entries != 1 {
 		t.Errorf("stats = %+v", st)
 	}
 }
@@ -304,24 +304,8 @@ func TestEngineRunPreCanceled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if st := e.Stats(); st.Simulations != 0 {
+	if st := e.CacheStats(); st.Misses != 0 {
 		t.Errorf("pre-canceled run still simulated: %+v", st)
-	}
-}
-
-func TestEngineWithSeedDefault(t *testing.T) {
-	e := NewEngine(WithSeed(77))
-	spec := testSpec(t, "jython", 0.02)
-	a, err := e.Run(context.Background(), spec, vm.Config{Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := e.Run(context.Background(), spec, vm.Config{Threads: 2, Seed: 77})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Error("WithSeed default did not map to the explicit-seed cache entry")
 	}
 }
 
@@ -452,7 +436,7 @@ func TestDisabledCacheStillRuns(t *testing.T) {
 	if got := obs.count(RunStarted); got != 2 {
 		t.Errorf("uncached engine simulated %d times, want 2", got)
 	}
-	if st := e.Stats(); st.CachedResults != 0 {
-		t.Errorf("disabled cache holds %d results", st.CachedResults)
+	if st := e.CacheStats(); st.Entries != 0 {
+		t.Errorf("disabled cache holds %d results", st.Entries)
 	}
 }

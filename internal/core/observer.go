@@ -25,8 +25,8 @@ const (
 	SweepPointDone
 	// SweepDone fires when a whole sweep is assembled.
 	SweepDone
-	// ArtifactRendered fires when a plan report or a design-choice study
-	// has been rendered; Artifact names it.
+	// ArtifactRendered fires when a plan report has been rendered;
+	// Artifact names it.
 	ArtifactRendered
 	// ScenarioDone fires when a plan scenario's sweeps and outputs are
 	// complete; Scenario names it.

@@ -854,7 +854,7 @@ func (e *Engine) prepareScenario(p *Plan, sc *Scenario) scenarioRun {
 		r.cfgs[i] = swCfg
 		r.cfgs[i].Base = base
 		r.cfgs[i].Base.Seed = deriveSeed(seed, i)
-		r.snaps[i] = e.acquireTapes(spec, r.cfgs[i].Base)
+		r.snaps[i] = e.tapes.Acquire(spec, r.cfgs[i].Base)
 	}
 	return r
 }

@@ -227,12 +227,12 @@ func TestRunPlanMemoization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := eng.Stats()
-	if st.Simulations != 2 {
-		t.Errorf("simulations = %d, want 2 (two unique points)", st.Simulations)
+	st := eng.CacheStats()
+	if st.Misses != 2 {
+		t.Errorf("simulations = %d, want 2 (two unique points)", st.Misses)
 	}
-	if st.CacheHits != 2 {
-		t.Errorf("cache hits = %d, want 2 (scenario b served from cache/singleflight)", st.CacheHits)
+	if hits := st.MemoryHits + st.DiskHits + st.Shared; hits != 2 {
+		t.Errorf("cache hits = %d, want 2 (scenario b served from cache/singleflight)", hits)
 	}
 	// The shared points are literally the same memoized results.
 	a, b := pr.Scenario("a").Sweep(), pr.Scenario("b").Sweep()

@@ -118,11 +118,11 @@ func TestCachedSweepDrawsNothing(t *testing.T) {
 	}
 	held := eng.tapes.Acquire(spec, sw.Base)
 	defer eng.tapes.Release(held)
-	sims := eng.Stats().Simulations
+	sims := eng.CacheStats().Misses
 	if _, err := eng.Sweep(ctx, spec, sw); err != nil {
 		t.Fatal(err)
 	}
-	if n := eng.Stats().Simulations - sims; n != 0 {
+	if n := eng.CacheStats().Misses - sims; n != 0 {
 		t.Fatalf("the repeated sweep simulated %d points", n)
 	}
 	if n := held.Snapshot().Drawn(); n != 0 {

@@ -240,9 +240,6 @@ func (m *Machine) Config() Config { return m.cfg }
 // NumCores returns the total number of schedulable units, enabled or not.
 func (m *Machine) NumCores() int { return len(m.cores) }
 
-// NumSockets returns the number of sockets.
-func (m *Machine) NumSockets() int { return m.cfg.Sockets }
-
 // Core returns the unit with the given global index.
 func (m *Machine) Core(i int) *Core { return &m.cores[i] }
 

@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // ScalingPoint is one measurement in a thread/core sweep.
 type ScalingPoint struct {
@@ -202,16 +199,4 @@ func sortDescending(xs []float64) {
 			xs[j], xs[j-1] = xs[j-1], xs[j]
 		}
 	}
-}
-
-// FormatSpeedups renders a speedup table row, for reports.
-func FormatSpeedups(c ScalingCurve) string {
-	s := ""
-	for i, p := range c {
-		if i > 0 {
-			s += " "
-		}
-		s += fmt.Sprintf("%d:%.2fx", p.Threads, c.Speedups()[i])
-	}
-	return s
 }

@@ -126,13 +126,6 @@ func TestTopKShare(t *testing.T) {
 	}
 }
 
-func TestFormatSpeedups(t *testing.T) {
-	s := FormatSpeedups(linearCurve())
-	if s == "" {
-		t.Error("empty format output")
-	}
-}
-
 // Property: speedups are positive whenever times are positive, and the
 // first entry is exactly 1.
 func TestSpeedupProperty(t *testing.T) {

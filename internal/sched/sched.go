@@ -754,15 +754,6 @@ func (sc *Scheduler) Kick() {
 	}
 }
 
-// RunQueueLength returns the total number of Ready threads.
-func (sc *Scheduler) RunQueueLength() int {
-	n := 0
-	for i := range sc.cores {
-		n += len(sc.cores[i].queue)
-	}
-	return n
-}
-
 // IdleTime returns the accumulated idle time of scheduler core idx (not
 // the machine core ID).
 func (sc *Scheduler) IdleTime(idx int) sim.Time {

@@ -162,17 +162,6 @@ func (r *Rand) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*r.NormFloat64())
 }
 
-// Pareto returns a Pareto(alpha) value with minimum xm. Heavy-tailed draws
-// model the rare long-lived objects and oversized work units.
-func (r *Rand) Pareto(xm, alpha float64) float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return xm / math.Pow(u, 1/alpha)
-		}
-	}
-}
-
 // Geometric returns the number of failures before the first success in
 // Bernoulli(p) trials; the mean is (1-p)/p.
 func (r *Rand) Geometric(p float64) int {

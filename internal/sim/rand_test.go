@@ -153,15 +153,6 @@ func TestLogNormalPositive(t *testing.T) {
 	}
 }
 
-func TestParetoMinimum(t *testing.T) {
-	r := NewRand(12)
-	for i := 0; i < 10000; i++ {
-		if v := r.Pareto(2.0, 1.5); v < 2.0 {
-			t.Fatalf("Pareto(2, 1.5) = %v below minimum", v)
-		}
-	}
-}
-
 func TestGeometricMean(t *testing.T) {
 	r := NewRand(13)
 	p := 0.25

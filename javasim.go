@@ -137,8 +137,6 @@ type (
 	Engine = core.Engine
 	// Option configures an Engine at construction.
 	Option = core.Option
-	// EngineStats is a snapshot of an engine's lifetime counters.
-	EngineStats = core.Stats
 	// Observer receives engine progress events; implementations must be
 	// safe for concurrent use.
 	Observer = core.Observer
@@ -154,10 +152,11 @@ type (
 	// ResultStore is the persistent second cache tier behind the
 	// engine's in-memory LRU, keyed by Fingerprint hashes.
 	ResultStore = core.ResultStore
-	// Store is the content-addressed on-disk ResultStore (one JSON entry
-	// per fingerprint, written atomically, corrupt entries read as
-	// misses). Open with OpenStore, attach with WithDiskCache, and Close
-	// it on shutdown to drain pending writes.
+	// Store is the content-addressed on-disk ResultStore (one entry per
+	// fingerprint, a JSON envelope around a binary result payload,
+	// written atomically, corrupt entries read as misses). Open with
+	// OpenStore, attach with WithDiskCache, and Close it on shutdown to
+	// drain pending writes.
 	Store = store.Store
 	// StoreStats is a snapshot of a Store's hit/miss/corruption counters.
 	StoreStats = store.Stats
@@ -178,7 +177,7 @@ const (
 	SweepPointDone = core.SweepPointDone
 	// SweepDone fires when a whole sweep is assembled.
 	SweepDone = core.SweepDone
-	// ArtifactRendered fires when a plan report or a study is rendered.
+	// ArtifactRendered fires when a plan report is rendered.
 	ArtifactRendered = core.ArtifactRendered
 	// ScenarioDone fires when a plan scenario completes.
 	ScenarioDone = core.ScenarioDone
@@ -217,41 +216,6 @@ type (
 	WorkloadRef = workload.Ref
 )
 
-// Per-scenario output kinds.
-const (
-	OutputSweep          = core.OutputSweep
-	OutputClassification = core.OutputClassification
-	OutputFactors        = core.OutputFactors
-	OutputLifespanCDF    = core.OutputLifespanCDF
-	OutputReplication    = core.OutputReplication
-	OutputGoodput        = core.OutputGoodput
-	OutputUSL            = core.OutputUSL
-)
-
-// Cross-scenario report kinds.
-const (
-	ReportSeries           = core.ReportSeries
-	ReportLifespanCDF      = core.ReportLifespanCDF
-	ReportMutatorGC        = core.ReportMutatorGC
-	ReportClassification   = core.ReportClassification
-	ReportWorkDistribution = core.ReportWorkDistribution
-	ReportFactors          = core.ReportFactors
-	ReportCompare          = core.ReportCompare
-	ReportGoodput          = core.ReportGoodput
-	ReportUSL              = core.ReportUSL
-)
-
-// Series metrics.
-const (
-	MetricAcquisitions   = core.MetricAcquisitions
-	MetricContentions    = core.MetricContentions
-	MetricTotalSeconds   = core.MetricTotalSeconds
-	MetricMutatorSeconds = core.MetricMutatorSeconds
-	MetricGCSeconds      = core.MetricGCSeconds
-	MetricGCShare        = core.MetricGCShare
-	MetricCDFBelow1KB    = core.MetricCDFBelow1KB
-)
-
 // LoadPlan reads and validates a declarative plan from JSON; unknown
 // fields are rejected so typos in plan files surface immediately.
 func LoadPlan(r io.Reader) (*Plan, error) { return core.LoadPlan(r) }
@@ -266,12 +230,6 @@ func PaperPlan(cfg ExperimentConfig) *Plan { return core.PaperPlan(cfg) }
 // scenario at the top of the config's thread sweep. Run it whole with
 // Engine.RunPlan, or one study of it via Plan.Select.
 func StudyPlan(cfg ExperimentConfig) *Plan { return core.StudyPlan(cfg) }
-
-// NameWorkload references a registered workload by name in a Scenario.
-func NameWorkload(name string) WorkloadRef { return workload.NameRef(name) }
-
-// InlineWorkload embeds a complete Spec in a Scenario.
-func InlineWorkload(s Spec) WorkloadRef { return workload.SpecRef(s) }
 
 // Analysis types.
 type (
@@ -304,8 +262,7 @@ type (
 // sweep, separating contention cost (σ — what the paper ablates with
 // lock disciplines) from coherency cost (κ — the GC/bandwidth/placement
 // flavored losses). Sweep.FitUSL fits a simulated sweep directly, and
-// the "usl" report kind (ReportUSL / OutputUSL) renders fits inside
-// plans.
+// the "usl" report and output kinds render fits inside plans.
 type (
 	// USLFit is a complete fitting result: the USL and Amdahl models
 	// plus the residual-based choice between them.
@@ -313,39 +270,7 @@ type (
 	// USLModel is one fitted scalability law: sigma, kappa, the
 	// throughput scale, R^2, and the predicted peak via PeakN.
 	USLModel = fit.Model
-	// FitPoint is one measured (concurrency, throughput) observation.
-	FitPoint = fit.Point
 )
-
-// Fitted model kinds reported in USLFit.Preferred and USLModel.Kind.
-const (
-	// USLKind marks the full two-parameter law (sigma and kappa free).
-	USLKind = fit.KindUSL
-	// AmdahlKind marks the contention-only special case (kappa = 0).
-	AmdahlKind = fit.KindAmdahl
-)
-
-// MinFitPoints is the smallest sweep the fitter accepts: with two shape
-// parameters plus the throughput scale, fewer than three points is an
-// interpolation, not a fit.
-const MinFitPoints = fit.MinPoints
-
-// FitUSL fits the Universal Scalability Law and the Amdahl special case
-// to a measured (concurrency, throughput) series and selects between
-// them by residual. Points must be strictly ascending in concurrency
-// with positive finite throughput, and at least MinFitPoints long.
-// Fitting is fully deterministic: equal inputs produce bit-equal fits.
-func FitUSL(pts []FitPoint) (USLFit, error) { return fit.Both(pts) }
-
-// FitSeries pairs a thread-count sweep with its measured throughputs as
-// fit points, validating them for FitUSL.
-func FitSeries(threads []int, throughput []float64) ([]FitPoint, error) {
-	return fit.Series(threads, throughput)
-}
-
-// DefaultThreadCounts is the paper's sweep: 4 to 48 threads with cores =
-// threads.
-var DefaultThreadCounts = core.DefaultThreadCounts
 
 // NewEngine builds an Engine from functional options. With no options it
 // parallelizes up to runtime.GOMAXPROCS(0) simulations and memoizes 256
@@ -355,9 +280,6 @@ func NewEngine(opts ...Option) *Engine { return core.NewEngine(opts...) }
 // WithParallelism bounds the number of simulations the engine executes
 // concurrently; sweeps never spawn more simulation goroutines than this.
 func WithParallelism(n int) Option { return core.WithParallelism(n) }
-
-// WithSeed sets the seed substituted into runs whose Config.Seed is zero.
-func WithSeed(seed uint64) Option { return core.WithSeed(seed) }
 
 // WithObserver registers an observer for the engine's progress events.
 func WithObserver(o Observer) Option { return core.WithObserver(o) }
@@ -595,17 +517,6 @@ func NewMachineModel(name string, cfg MachineConfig) MachineModel { return machi
 // MachineNames returns every registered machine-model name in
 // registration order: the three built-ins, then user registrations.
 func MachineNames() []string { return machine.ModelNames() }
-
-// LookupMachine resolves a registered machine model by name.
-func LookupMachine(name string) (MachineModel, error) { return machine.LookupModel(name) }
-
-// SparcT3Config returns the SPARC T3-4 configuration the "sparc-t3-4"
-// model is registered with — a starting point for tuned CMT variants.
-func SparcT3Config() MachineConfig { return machine.SparcT3_4() }
-
-// Opteron6168Config returns the paper-testbed configuration the
-// "opteron-6168" model is registered with.
-func Opteron6168Config() MachineConfig { return machine.Opteron6168() }
 
 // Open-system traffic types. Setting Config.Traffic (or a scenario's
 // TrafficSpec) switches a run from the paper's closed loop — a fixed

@@ -2,7 +2,14 @@ package javasim_test
 
 import (
 	"context"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -272,5 +279,77 @@ func TestFacadeLockProfiler(t *testing.T) {
 	}
 	if prof.Summary().Acquisitions == 0 {
 		t.Error("profiler saw nothing")
+	}
+}
+
+// TestFacadeNamesHaveCallers keeps the facade to the names its callers
+// use. Every exported function or variable of javasim.go needs one
+// caller, and a const group needs one for any of its members. A caller
+// is javasim.Name in examples/, cmd/, example_test.go, README.md or
+// docs/*.md, or a bare Name in README.md or docs/*.md not preceded by
+// '.' or a word character (which would make it a method or field). Type
+// aliases are exempt: they name the types of exported signatures and
+// fields.
+func TestFacadeNamesHaveCallers(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "javasim.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var code, docs strings.Builder
+	read := func(path string, into *strings.Builder) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		into.Write(data)
+		into.WriteByte('\n')
+	}
+	for _, root := range []string{"examples", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
+				read(path, &code)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	read("example_test.go", &code)
+	mds, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range append([]string{"README.md"}, mds...) {
+		read(path, &docs)
+	}
+	called := func(name string) bool {
+		q := regexp.QuoteMeta(name)
+		return regexp.MustCompile(`\bjavasim\.`+q+`\b`).MatchString(code.String()) ||
+			regexp.MustCompile(`(^|[^.\w]|\bjavasim\.)`+q+`\b`).MatchString(docs.String())
+	}
+
+	for _, decl := range f.Decls {
+		var names []string
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil && d.Name.IsExported() {
+				names = []string{d.Name.Name}
+			}
+		case *ast.GenDecl:
+			if d.Tok != token.CONST && d.Tok != token.VAR {
+				continue
+			}
+			for _, spec := range d.Specs {
+				for _, n := range spec.(*ast.ValueSpec).Names {
+					if n.IsExported() {
+						names = append(names, n.Name)
+					}
+				}
+			}
+		}
+		if len(names) > 0 && !slices.ContainsFunc(names, called) {
+			t.Errorf("javasim.go: %s has no caller in examples, cmd, example_test.go, README.md or docs", strings.Join(names, ", "))
+		}
 	}
 }
