@@ -4,8 +4,8 @@
 // and serves the rendered artifacts. With -store, the engine's result
 // cache is backed by a content-addressed on-disk store, so no plan any
 // client has ever submitted is simulated twice — across requests,
-// daemons, or restarts. With -workers, sweep points are sharded across
-// child worker processes (the daemon re-executes itself with -worker).
+// daemons, or restarts. Every simulation runs in the daemon's own
+// process, on the engine's goroutine pool bounded by -parallel.
 // Submitted plans may target any registered machine model (the plan's
 // Machine field or a per-scenario override); unknown model names are
 // rejected at plan load, before any simulation runs, and the selected
@@ -14,7 +14,7 @@
 // Usage:
 //
 //	javasimd [-addr :8077] [-store DIR] [-parallel N] [-cache N]
-//	         [-workers N] [-drain 30s] [-max-jobs N] [-v]
+//	         [-drain 30s] [-max-jobs N] [-v]
 //
 // SIGINT/SIGTERM drain gracefully: new submissions get 503, running
 // plans get -drain to finish (then they are canceled), and the store is
@@ -43,22 +43,11 @@ func main() {
 		storeDir = flag.String("store", "", "content-addressed result store directory (empty = memory-only)")
 		parallel = flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 		cache    = flag.Int("cache", 0, "in-memory result cache entries (0 = default)")
-		workers  = flag.Int("workers", 0, "shard simulations across this many worker processes (0 = in-process)")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful-shutdown deadline for running plans")
 		maxJobs  = flag.Int("max-jobs", 0, "max concurrently running plans (0 = default)")
 		verbose  = flag.Bool("v", false, "log requests and job progress")
-		worker   = flag.Bool("worker", false, "internal: serve the shard protocol on stdin/stdout and exit")
 	)
 	flag.Parse()
-
-	if *worker {
-		// Child mode: one shard of the parent's worker pool. stdin EOF
-		// (the parent closing the pipe) is the shutdown signal.
-		if err := serve.RunWorker(context.Background(), os.Stdin, os.Stdout); err != nil {
-			log.Fatalf("javasimd: worker: %v", err)
-		}
-		return
-	}
 
 	logf := func(string, ...any) {}
 	if *verbose {
@@ -83,20 +72,6 @@ func main() {
 		}
 		opts = append(opts, javasim.WithDiskCache(st))
 		logf("store: %s (%d entries)", st.Dir(), st.Len())
-	}
-
-	var pool *serve.WorkerPool
-	if *workers > 0 {
-		bin, err := os.Executable()
-		if err != nil {
-			log.Fatalf("javasimd: locate executable for workers: %v", err)
-		}
-		pool, err = serve.StartWorkerPool(*workers, bin, []string{"-worker"}, logf)
-		if err != nil {
-			log.Fatalf("javasimd: %v", err)
-		}
-		opts = append(opts, javasim.WithRunner(pool.Run))
-		logf("sharding simulations across %d worker processes", *workers)
 	}
 
 	eng := javasim.NewEngine(opts...)
@@ -135,11 +110,6 @@ func main() {
 	defer cancelHTTP()
 	if err := httpSrv.Shutdown(httpCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		log.Printf("javasimd: http shutdown: %v", err)
-	}
-	if pool != nil {
-		if err := pool.Close(); err != nil {
-			log.Printf("javasimd: worker pool: %v", err)
-		}
 	}
 	if st != nil {
 		if err := st.Close(); err != nil {

@@ -13,7 +13,7 @@
 //	curl localhost:8077/v1/plans/p0001/events          # SSE until job-done
 //	curl localhost:8077/v1/plans/p0001/artifacts?format=text
 //
-// See docs/serving.md for the full API, store layout, and sharding.
+// See docs/serving.md for the full API and the store layout.
 package main
 
 import (
@@ -79,6 +79,11 @@ func main() {
 		}
 	}
 
+	// Drain the write-behind queue so the entry count is every result
+	// written, not only those already on disk.
+	if err := st.Flush(); err != nil {
+		log.Fatal(err)
+	}
 	cs := eng.CacheStats()
 	fmt.Printf("\nengine cache tiers: %d misses, %d memory hits, %d disk writes; store holds %d entries\n",
 		cs.Misses, cs.MemoryHits, cs.DiskWrites, st.Len())

@@ -13,12 +13,12 @@ import (
 
 // Fingerprint returns the content hash that identifies one (spec,
 // canonical config) run everywhere results are shared: the engine's
-// in-memory LRU, the on-disk result store, and the sweep-shard worker
-// protocol all key by it. The config is canonicalized first, so
-// configurations that only differ in unresolved zero values (Threads 0
-// vs the default 4, say) map to the same fingerprint. The second return
-// is false for runs that cannot be cached — those carrying a trace sink
-// or lock profiler, whose value is the side-effecting event stream.
+// in-memory LRU and the on-disk result store both key by it. The config
+// is canonicalized first, so configurations that only differ in
+// unresolved zero values (Threads 0 vs the default 4, say) map to the
+// same fingerprint. The second return is false for runs that cannot be
+// cached — those carrying a trace sink or lock profiler, whose value is
+// the side-effecting event stream.
 func Fingerprint(spec workload.Spec, cfg vm.Config) (string, bool) {
 	return runKey(spec, cfg)
 }

@@ -97,9 +97,8 @@ func WithDiskStore(s ResultStore) Option {
 }
 
 // Runner executes one simulation. The engine's default runner is
-// vm.RunContext; WithRunner substitutes a different execution substrate
-// — e.g. the serving daemon's worker-process pool, which shards sweep
-// points across child processes by fingerprint.
+// vm.RunContext; WithRunner wraps or replaces it, e.g. to time each run
+// or to record the warm-start snapshot a run received.
 type Runner func(ctx context.Context, spec workload.Spec, cfg vm.Config) (*vm.Result, error)
 
 // WithRunner replaces the engine's simulation executor. The runner is

@@ -9,7 +9,6 @@ package metrics
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -190,64 +189,9 @@ type Bucket struct {
 	Count      int64
 }
 
-// histogramJSON is the wire form of a Histogram: every internal field,
-// with the count array stored sparsely as (bucket, count) pairs. It
-// exists so results carrying histograms can cross process boundaries
-// (sweep-shard workers) and come back DeepEqual to the original; the
-// on-disk result store uses AppendBinary/UnmarshalBinary instead.
-type histogramJSON struct {
-	Name    string        `json:",omitempty"`
-	Buckets []bucketCount `json:",omitempty"`
-	Total   int64         `json:",omitempty"`
-	Sum     int64         `json:",omitempty"`
-	Min     int64         `json:",omitempty"`
-	Max     int64         `json:",omitempty"`
-	HasData bool          `json:",omitempty"`
-}
-
-// bucketCount is one non-empty bucket on the wire: count N in bucket I.
-type bucketCount struct {
-	I int
-	N int64
-}
-
-// MarshalJSON encodes the histogram's full internal state, so a
-// marshal/unmarshal round trip reproduces it exactly (reflect.DeepEqual).
-func (h *Histogram) MarshalJSON() ([]byte, error) {
-	w := histogramJSON{
-		Name: h.name, Total: h.total, Sum: h.sum,
-		Min: h.min, Max: h.max, HasData: h.hasData,
-	}
-	for i, c := range h.counts {
-		if c != 0 {
-			w.Buckets = append(w.Buckets, bucketCount{I: i, N: c})
-		}
-	}
-	return json.Marshal(w)
-}
-
-// UnmarshalJSON restores a histogram encoded by MarshalJSON, replacing
-// the receiver's state. Bucket indexes outside the fixed range are
-// rejected rather than silently dropped, so a corrupted frame surfaces
-// as a decode error.
-func (h *Histogram) UnmarshalJSON(data []byte) error {
-	var w histogramJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	*h = Histogram{name: w.Name, total: w.Total, sum: w.Sum,
-		min: w.Min, max: w.Max, hasData: w.HasData}
-	for _, b := range w.Buckets {
-		if b.I < 0 || b.I >= len(h.counts) {
-			return fmt.Errorf("metrics: histogram bucket index %d out of range", b.I)
-		}
-		h.counts[b.I] = b.N
-	}
-	return nil
-}
-
-// AppendBinary implements encoding.BinaryAppender with the same state
-// MarshalJSON carries: the name, total, sum, min and max, a has-data
+// AppendBinary implements encoding.BinaryAppender with the histogram's
+// full internal state, so a round trip reproduces it exactly
+// (reflect.DeepEqual): the name, total, sum, min and max, a has-data
 // byte, and the non-empty buckets as (index byte, varint count) pairs
 // after a one-byte count.
 func (h *Histogram) AppendBinary(b []byte) ([]byte, error) {

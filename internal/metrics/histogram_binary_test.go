@@ -1,16 +1,14 @@
 package metrics
 
 import (
-	"encoding/json"
 	"reflect"
 	"testing"
 )
 
-// TestHistogramJSONRoundTrip verifies that a marshal/unmarshal cycle,
-// in JSON and in binary, reproduces the histogram exactly — the
-// property the sweep-shard worker protocol and the on-disk result store
-// depend on.
-func TestHistogramJSONRoundTrip(t *testing.T) {
+// TestHistogramBinaryRoundTrip verifies that a binary marshal/unmarshal
+// cycle reproduces the histogram exactly — the property the on-disk
+// result store depends on.
+func TestHistogramBinaryRoundTrip(t *testing.T) {
 	cases := map[string]*Histogram{
 		"empty": NewHistogram("empty"),
 		"zeros": func() *Histogram {
@@ -33,13 +31,13 @@ func TestHistogramJSONRoundTrip(t *testing.T) {
 		}(),
 	}
 	for name, h := range cases {
-		data, err := json.Marshal(h)
+		bin, err := h.AppendBinary(nil)
 		if err != nil {
-			t.Fatalf("%s: marshal: %v", name, err)
+			t.Fatalf("%s: append binary: %v", name, err)
 		}
 		got := NewHistogram("overwritten")
-		if err := json.Unmarshal(data, got); err != nil {
-			t.Fatalf("%s: unmarshal: %v", name, err)
+		if err := got.UnmarshalBinary(bin); err != nil {
+			t.Fatalf("%s: unmarshal binary: %v", name, err)
 		}
 		if !reflect.DeepEqual(h, got) {
 			t.Errorf("%s: round trip diverged:\n  in  %#v\n  out %#v", name, h, got)
@@ -47,18 +45,6 @@ func TestHistogramJSONRoundTrip(t *testing.T) {
 		// The statistical surface must survive too, not just DeepEqual.
 		if h.FractionBelow(1024) != got.FractionBelow(1024) || h.Percentile(99) != got.Percentile(99) {
 			t.Errorf("%s: derived statistics diverged after round trip", name)
-		}
-
-		bin, err := h.AppendBinary(nil)
-		if err != nil {
-			t.Fatalf("%s: append binary: %v", name, err)
-		}
-		got = NewHistogram("overwritten")
-		if err := got.UnmarshalBinary(bin); err != nil {
-			t.Fatalf("%s: unmarshal binary: %v", name, err)
-		}
-		if !reflect.DeepEqual(h, got) {
-			t.Errorf("%s: binary round trip diverged:\n  in  %#v\n  out %#v", name, h, got)
 		}
 	}
 }
@@ -85,19 +71,5 @@ func TestHistogramBinaryRejectsMalformed(t *testing.T) {
 	// name "", four zero scalars, no data, one bucket at index 65.
 	if err := new(Histogram).UnmarshalBinary([]byte{0, 0, 0, 0, 0, 0, 1, 65, 2}); err == nil {
 		t.Error("bucket index 65 accepted")
-	}
-}
-
-// TestHistogramJSONRejectsBadBuckets ensures corrupted bucket indexes
-// fail decoding loudly instead of clipping silently.
-func TestHistogramJSONRejectsBadBuckets(t *testing.T) {
-	for _, bad := range []string{
-		`{"Buckets":[{"I":65,"N":1}],"Total":1}`,
-		`{"Buckets":[{"I":-1,"N":1}],"Total":1}`,
-	} {
-		h := &Histogram{}
-		if err := json.Unmarshal([]byte(bad), h); err == nil {
-			t.Errorf("decode %s: want error, got nil", bad)
-		}
 	}
 }

@@ -9,15 +9,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"javasim/internal/core"
 	"javasim/internal/store"
-	"javasim/internal/vm"
-	"javasim/internal/workload"
 )
 
 // testPlan is a tiny but representative plan: one scenario, two sweep
@@ -235,6 +232,11 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestServeRestartOverSharedStore pins the store contract across a
+// restart: the first daemon's sweep runs down the engine's warm-start
+// snapshot path, and its results must land in the content-addressed
+// store under the fingerprints cold runs look up, so a fresh daemon over
+// the same directory answers the re-POST entirely from disk.
 func TestServeRestartOverSharedStore(t *testing.T) {
 	dir := t.TempDir()
 
@@ -245,10 +247,15 @@ func TestServeRestartOverSharedStore(t *testing.T) {
 	eng1 := core.NewEngine(core.WithDiskStore(st1))
 	srv1, ts1 := newTestServer(t, Options{Engine: eng1, Store: st1})
 	j := submit(t, ts1.URL, testPlan)
-	if _, terminal := consumeSSE(t, ts1.URL, j.ID); terminal.State != StateDone {
-		t.Fatalf("first daemon run: %+v", terminal)
+	if _, terminal := consumeSSE(t, ts1.URL, j.ID); terminal.State != StateDone || terminal.Simulated != testPlanPoints {
+		t.Fatalf("first daemon run: %+v, want done with %d points simulated", terminal, testPlanPoints)
 	}
 	text1 := artifactsText(t, ts1.URL, j.ID)
+	// The engine runs the sweep warm (one shared tape per sweep), yet the
+	// artifacts must match a fresh cold rendering byte for byte.
+	if ref := renderCLI(t, testPlan); text1 != ref {
+		t.Errorf("daemon artifacts diverge from in-process rendering:\n--- daemon ---\n%s\n--- cli ---\n%s", text1, ref)
+	}
 	// Graceful shutdown flushes the store before the daemon exits.
 	if err := srv1.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
@@ -397,156 +404,5 @@ func TestServeRejectsBadPlans(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job: status %d, want 404", resp.StatusCode)
-	}
-}
-
-// startPipeWorkers runs n RunWorker loops in-process over pipes and
-// returns a pool routed at them — the whole shard protocol without
-// processes.
-func startPipeWorkers(t *testing.T, n int) *WorkerPool {
-	t.Helper()
-	procs := make([]*workerProc, n)
-	for i := range procs {
-		reqR, reqW := io.Pipe()
-		respR, respW := io.Pipe()
-		go func() {
-			if err := RunWorker(context.Background(), reqR, respW); err != nil {
-				t.Errorf("worker: %v", err)
-			}
-			respW.Close()
-		}()
-		procs[i] = &workerProc{enc: json.NewEncoder(reqW), dec: json.NewDecoder(respR), closer: reqW}
-	}
-	pool := newPipePool(procs, t.Logf)
-	t.Cleanup(func() { pool.Close() })
-	return pool
-}
-
-func TestWorkerProtocolMatchesInProcess(t *testing.T) {
-	spec, _ := workload.Lookup("xalan")
-	spec = spec.Scale(0.02)
-	pool := startPipeWorkers(t, 3)
-
-	eng := core.NewEngine(core.WithRunner(pool.Run))
-	sw, err := eng.Sweep(context.Background(), spec, core.SweepConfig{
-		ThreadCounts: []int{2, 4}, Base: vm.Config{Seed: 7},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := core.NewEngine().Sweep(context.Background(), spec, core.SweepConfig{
-		ThreadCounts: []int{2, 4}, Base: vm.Config{Seed: 7},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ref.Points {
-		if !reflect.DeepEqual(ref.Points[i].Result, sw.Points[i].Result) {
-			t.Errorf("point %d: worker-simulated result diverges from in-process", i)
-		}
-	}
-	if cs := eng.CacheStats(); cs.Misses != int64(len(ref.Points)) {
-		t.Errorf("sharded sweep recorded %d misses, want %d", cs.Misses, len(ref.Points))
-	}
-}
-
-// TestServeRePostSnapshotStoreHit pins the warm-start store contract:
-// results produced down the snapshot path (sharded workers with their
-// per-worker tape cache) must land in the content-addressed store under
-// the same fingerprints cold runs would use, so a re-POST of the plan to
-// a fresh daemon over the same store is answered entirely from disk —
-// zero engine misses, zero simulations.
-func TestServeRePostSnapshotStoreHit(t *testing.T) {
-	dir := t.TempDir()
-
-	st1, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := startPipeWorkers(t, 2)
-	eng1 := core.NewEngine(core.WithDiskStore(st1), core.WithRunner(pool.Run))
-	srv1, ts1 := newTestServer(t, Options{Engine: eng1, Store: st1})
-	j := submit(t, ts1.URL, testPlan)
-	_, terminal := consumeSSE(t, ts1.URL, j.ID)
-	if terminal.State != StateDone || terminal.Simulated != testPlanPoints {
-		t.Fatalf("sharded warm run: %+v", terminal)
-	}
-	text1 := artifactsText(t, ts1.URL, j.ID)
-	// The worker-warm results must render exactly what a fresh in-process
-	// engine produces — snapshots change no bytes anywhere.
-	if ref := renderCLI(t, testPlan); text1 != ref {
-		t.Errorf("worker snapshot-path artifacts diverge from in-process rendering:\n--- daemon ---\n%s\n--- cli ---\n%s", text1, ref)
-	}
-	if err := srv1.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	ts1.Close()
-	if err := st1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Re-POST to a fresh daemon over the same store directory: every
-	// point must be a disk hit under the cold fingerprint.
-	st2, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	eng2 := core.NewEngine(core.WithDiskStore(st2))
-	_, ts2 := newTestServer(t, Options{Engine: eng2, Store: st2})
-	j2 := submit(t, ts2.URL, testPlan)
-	_, terminal2 := consumeSSE(t, ts2.URL, j2.ID)
-	if terminal2.State != StateDone {
-		t.Fatalf("re-POST run: %+v", terminal2)
-	}
-	if terminal2.Simulated != 0 {
-		t.Errorf("re-POST simulated %d points, want 0 (all snapshot-path results from disk)", terminal2.Simulated)
-	}
-	if cs := eng2.CacheStats(); cs.Misses != 0 || cs.DiskHits == 0 {
-		t.Errorf("re-POST: CacheStats = %+v, want Misses 0 and DiskHits > 0", cs)
-	}
-	if text2 := artifactsText(t, ts2.URL, j2.ID); text2 != text1 {
-		t.Errorf("artifacts replayed from the store diverge from the snapshot-path originals")
-	}
-}
-
-func TestWorkerErrorPropagates(t *testing.T) {
-	pool := startPipeWorkers(t, 1)
-	spec, _ := workload.Lookup("xalan")
-	spec = spec.Scale(0.02)
-	// Invalid config errors inside the worker and must come back as an
-	// error, not a broken pipe.
-	_, err := pool.Run(context.Background(), spec, vm.Config{Threads: -1, Seed: 7})
-	if err == nil {
-		t.Fatal("invalid config did not error through the worker")
-	}
-	// The transport survives an application error: the next run works.
-	res, err := pool.Run(context.Background(), spec, vm.Config{Threads: 2, Seed: 7})
-	if err != nil || res == nil {
-		t.Fatalf("worker unusable after an application error: %v", err)
-	}
-}
-
-func TestWorkerFailureFallsBackInProcess(t *testing.T) {
-	reqR, reqW := io.Pipe()
-	respR, _ := io.Pipe()
-	// No worker on the far side: the first exchange hangs unless we tear
-	// it down, so break it immediately — every run must fall back.
-	reqR.Close()
-	reqW.Close()
-	pool := newPipePool([]*workerProc{{enc: json.NewEncoder(reqW), dec: json.NewDecoder(respR), closer: reqW}}, t.Logf)
-
-	spec, _ := workload.Lookup("xalan")
-	spec = spec.Scale(0.02)
-	res, err := pool.Run(context.Background(), spec, vm.Config{Threads: 2, Seed: 7})
-	if err != nil || res == nil {
-		t.Fatalf("broken worker did not fall back: %v", err)
-	}
-	ref, err := vm.Run(spec, vm.Config{Threads: 2, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ref, res) {
-		t.Error("fallback result diverges from direct simulation")
 	}
 }

@@ -1,7 +1,7 @@
 package vm
 
 import (
-	"encoding/json"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -20,7 +20,8 @@ func xalanSpecScaled(t *testing.T, scale float64) workload.Spec {
 
 // TestGCPolicyDeterminism runs every GC policy twice — concurrently, so
 // the race detector watches the registry and any policy state — and
-// requires byte-identical Results for equal seeds, correctly labeled.
+// requires deeply equal Results for equal seeds (histogram internals
+// included), correctly labeled.
 func TestGCPolicyDeterminism(t *testing.T) {
 	spec := xalanSpecScaled(t, 0.03)
 	for _, policy := range gc.PolicyNames() {
@@ -46,15 +47,7 @@ func TestGCPolicyDeterminism(t *testing.T) {
 			if t.Failed() {
 				return
 			}
-			a, err := json.Marshal(results[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := json.Marshal(results[1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(a) != string(b) {
+			if !reflect.DeepEqual(results[0], results[1]) {
 				t.Errorf("same seed + gc policy %s produced different Results", policy)
 			}
 			if results[0].GCPolicy != policy {
@@ -64,9 +57,9 @@ func TestGCPolicyDeterminism(t *testing.T) {
 	}
 }
 
-// TestGCPolicyDefaultIsByteIdentical pins the tentpole's compatibility
+// TestGCPolicyDefaultIsByteIdentical pins the default's compatibility
 // contract: an explicit stw-serial selection and the zero-value config
-// produce the same Result, byte for byte.
+// produce the same Result, every field deeply equal.
 func TestGCPolicyDefaultIsByteIdentical(t *testing.T) {
 	spec := xalanSpecScaled(t, 0.03)
 	implicit, err := Run(spec, Config{Threads: 8, Seed: 42})
@@ -77,9 +70,7 @@ func TestGCPolicyDefaultIsByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := json.Marshal(implicit)
-	b, _ := json.Marshal(explicit)
-	if string(a) != string(b) {
+	if !reflect.DeepEqual(implicit, explicit) {
 		t.Error("explicit stw-serial diverged from the default configuration")
 	}
 	if implicit.GCPolicy != gc.PolicyStwSerial {

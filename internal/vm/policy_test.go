@@ -1,7 +1,7 @@
 package vm
 
 import (
-	"encoding/json"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -22,7 +22,8 @@ func serverSpecScaled(t *testing.T, scale float64) workload.Spec {
 
 // TestPolicyDeterminism runs every (lock policy, placement) pair twice —
 // concurrently, so the race detector watches the policy state — and
-// requires byte-identical Results for equal seeds.
+// requires deeply equal Results for equal seeds, histogram internals
+// included.
 func TestPolicyDeterminism(t *testing.T) {
 	spec := serverSpecScaled(t, 0.03)
 	for _, policy := range locks.PolicyNames() {
@@ -50,15 +51,7 @@ func TestPolicyDeterminism(t *testing.T) {
 				if t.Failed() {
 					return
 				}
-				a, err := json.Marshal(results[0])
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := json.Marshal(results[1])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if string(a) != string(b) {
+				if !reflect.DeepEqual(results[0], results[1]) {
 					t.Errorf("same seed + policy %s/%s produced different Results", policy, place)
 				}
 				if results[0].LockPolicy != policy || results[0].Placement != place {

@@ -35,11 +35,12 @@ import (
 // a (workload, seed) under other lock, GC or traffic settings replay
 // the tapes the first one draws.
 //
-// The snapshot rides the context (ContextWithSnapshot), not the Config:
-// a warm run and a cold run have identical configurations, so engine
-// cache keys and disk-store fingerprints are identical by construction
-// — snapshot-derived results land in (and hit) the same store entries
-// as cold ones. A run whose context carries no snapshot runs cold.
+// The snapshot rides the context (ContextWithSnapshotProvider), not the
+// Config: a warm run and a cold run have identical configurations, so
+// engine cache keys and disk-store fingerprints are identical by
+// construction — snapshot-derived results land in (and hit) the same
+// store entries as cold ones. A run whose context carries no snapshot
+// runs cold.
 
 // snapshotObserver, when non-nil, is called once per run that attaches a
 // snapshot tape — a test hook (mirroring fuseObserver) so differential
@@ -219,18 +220,9 @@ func (t *SnapshotTable) Len() int {
 
 type snapshotCtxKey struct{}
 
-// ContextWithSnapshot returns a context carrying the snapshot; RunContext
-// warm-starts from it when the run's spec and seed match. A nil snapshot
-// returns ctx unchanged.
-func ContextWithSnapshot(ctx context.Context, s *Snapshot) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, snapshotCtxKey{}, s)
-}
-
 // ContextWithSnapshotProvider returns a context carrying a lazy snapshot
-// source; SnapshotFrom resolves it only when a run consults it.
+// source; SnapshotFrom resolves it only when a run consults it, and
+// RunContext warm-starts from it when the run's spec and seed match.
 func ContextWithSnapshotProvider(ctx context.Context, p *SnapshotProvider) context.Context {
 	if p == nil {
 		return ctx
@@ -238,14 +230,11 @@ func ContextWithSnapshotProvider(ctx context.Context, p *SnapshotProvider) conte
 	return context.WithValue(ctx, snapshotCtxKey{}, p)
 }
 
-// SnapshotFrom extracts the snapshot carried by ctx — resolving a lazy
-// provider if that is what rides there — or nil.
+// SnapshotFrom resolves the provider carried by ctx and returns its
+// snapshot, or nil.
 func SnapshotFrom(ctx context.Context) *Snapshot {
-	switch v := ctx.Value(snapshotCtxKey{}).(type) {
-	case *Snapshot:
-		return v
-	case *SnapshotProvider:
-		return v.Snapshot()
+	if p, ok := ctx.Value(snapshotCtxKey{}).(*SnapshotProvider); ok {
+		return p.Snapshot()
 	}
 	return nil
 }

@@ -17,16 +17,16 @@ import (
 // traffic — including a tape shorter than the run, which must hand back
 // to live generation seamlessly.
 
-// runSnapshotPair executes (spec, cfg) warm — RunContext with snap on
-// the context — and cold, asserting the warm run actually attached a
-// tape (a differential test that never replays proves nothing).
-func runSnapshotPair(t *testing.T, spec workload.Spec, cfg Config, snap *Snapshot) (*Result, *Result) {
+// runSnapshotPair executes (spec, cfg) warm — RunContext with p on the
+// context — and cold, asserting the warm run actually attached a tape (a
+// differential test that never replays proves nothing).
+func runSnapshotPair(t *testing.T, spec workload.Spec, cfg Config, p *SnapshotProvider) (*Result, *Result) {
 	t.Helper()
 	attaches := 0
 	snapshotObserver = func() { attaches++ }
 	defer func() { snapshotObserver = nil }()
 
-	warm, err := RunContext(ContextWithSnapshot(context.Background(), snap), spec, cfg)
+	warm, err := RunContext(ContextWithSnapshotProvider(context.Background(), p), spec, cfg)
 	if err != nil {
 		t.Fatalf("%s warm run: %v", spec.Name, err)
 	}
@@ -47,12 +47,9 @@ func runSnapshotPair(t *testing.T, spec workload.Spec, cfg Config, snap *Snapsho
 func TestSnapshotDifferentialPaperSet(t *testing.T) {
 	for _, spec := range workload.PaperSet() {
 		spec := spec.Scale(0.04)
-		snap, err := NewSnapshot(spec, Config{Seed: 11})
-		if err != nil {
-			t.Fatalf("%s: NewSnapshot: %v", spec.Name, err)
-		}
+		p := NewSnapshotProvider(spec, Config{Seed: 11})
 		for _, threads := range []int{4, 16} {
-			warm, cold := runSnapshotPair(t, spec, Config{Threads: threads, Seed: 11}, snap)
+			warm, cold := runSnapshotPair(t, spec, Config{Threads: threads, Seed: 11}, p)
 			diffResults(t, spec.Name, warm, cold)
 		}
 	}
@@ -82,14 +79,15 @@ func TestSnapshotDifferentialFeatureMatrix(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			snap, err := NewSnapshot(c.spec, c.cfg)
-			if err != nil {
-				t.Fatal(err)
+			p := NewSnapshotProvider(c.spec, c.cfg)
+			snap := p.Snapshot()
+			if snap == nil {
+				t.Fatal("snapshot did not build")
 			}
 			if c.cfg.Iterations > 1 && snap.Iterations() != c.cfg.Iterations {
 				t.Fatalf("snapshot holds %d tapes, want %d", snap.Iterations(), c.cfg.Iterations)
 			}
-			warm, cold := runSnapshotPair(t, c.spec, c.cfg, snap)
+			warm, cold := runSnapshotPair(t, c.spec, c.cfg, p)
 			diffResults(t, c.name, warm, cold)
 		})
 	}
@@ -102,12 +100,8 @@ func TestSnapshotDifferentialFeatureMatrix(t *testing.T) {
 func TestSnapshotShortTapeOverflow(t *testing.T) {
 	spec := workload.XalanSpec().Scale(0.04)
 	cfg := Config{Threads: 4, Seed: 9}
-	tape, err := workload.BuildTape(spec, cfg.withDefaults().Seed, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := &Snapshot{spec: spec, seed: cfg.withDefaults().Seed, tapes: []*workload.Tape{tape}}
-	warm, cold := runSnapshotPair(t, spec, cfg, snap)
+	p := &SnapshotProvider{key: SnapshotKey{Spec: spec, Seed: cfg.withDefaults().Seed, Iterations: 1, Units: 8}}
+	warm, cold := runSnapshotPair(t, spec, cfg, p)
 	diffResults(t, "short-tape", warm, cold)
 }
 
@@ -116,16 +110,16 @@ func TestSnapshotShortTapeOverflow(t *testing.T) {
 // sweeps run repeats under derived seeds through the same context.
 func TestSnapshotSeedMismatchStaysCold(t *testing.T) {
 	spec := workload.SunflowSpec().Scale(0.04)
-	snap, err := NewSnapshot(spec, Config{Seed: 12})
-	if err != nil {
-		t.Fatal(err)
+	p := NewSnapshotProvider(spec, Config{Seed: 12})
+	if p.Snapshot() == nil {
+		t.Fatal("seed-12 snapshot did not build")
 	}
 	attaches := 0
 	snapshotObserver = func() { attaches++ }
 	defer func() { snapshotObserver = nil }()
 
 	cfg := Config{Threads: 4, Seed: 11}
-	warm, err := RunContext(ContextWithSnapshot(context.Background(), snap), spec, cfg)
+	warm, err := RunContext(ContextWithSnapshotProvider(context.Background(), p), spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

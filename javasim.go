@@ -160,9 +160,6 @@ type (
 	Store = store.Store
 	// StoreStats is a snapshot of a Store's hit/miss/corruption counters.
 	StoreStats = store.Stats
-	// Runner executes one simulation on behalf of an engine; see
-	// WithRunner.
-	Runner = core.Runner
 )
 
 // Progress event kinds streamed to observers.
@@ -296,21 +293,14 @@ func WithCache(entries int) Option { return core.WithCache(entries) }
 // ResultStore implementation works.
 func WithDiskCache(s ResultStore) Option { return core.WithDiskStore(s) }
 
-// WithRunner replaces the engine's simulation executor (default
-// vm.RunContext run in-process). The serving daemon uses this to shard
-// simulations across worker processes. Runners must be deterministic
-// for equal (spec, canonical config) inputs.
-func WithRunner(r Runner) Option { return core.WithRunner(r) }
-
 // OpenStore creates (if needed) and opens the content-addressed on-disk
 // result store rooted at dir. Close it to drain pending writes.
 func OpenStore(dir string) (*Store, error) { return store.Open(dir) }
 
 // Fingerprint returns the content hash identifying one (spec,
 // canonical config) run everywhere results are shared — the in-memory
-// cache, the disk store, and the serving daemon's shard protocol. The
-// second return is false for runs that cannot be cached (those carrying
-// a TraceSink or LockProfiler).
+// cache and the disk store. The second return is false for runs that
+// cannot be cached (those carrying a TraceSink or LockProfiler).
 func Fingerprint(spec Spec, cfg Config) (string, bool) { return core.Fingerprint(spec, cfg) }
 
 // ContextWithObserver returns a context that routes every engine event
