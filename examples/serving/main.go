@@ -79,8 +79,7 @@ func main() {
 		}
 	}
 
-	// Drain the write-behind queue so the entry count is every result
-	// written, not only those already on disk.
+	// Drain the write-behind queue so a failed write is reported here.
 	if err := st.Flush(); err != nil {
 		log.Fatal(err)
 	}

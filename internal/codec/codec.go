@@ -1,4 +1,27 @@
-package store
+// Package codec is a compact binary encoding of a value built from
+// booleans, integers, floats, strings, slices, pointers, interfaces and
+// structs. The result store writes its payloads with it, and the engine
+// hashes a run's spec and canonical config through it. It walks the
+// value by reflection:
+//
+//   - booleans are one byte, 0 or 1;
+//   - integers are varints (signed ones zig-zag encoded);
+//   - floats are the 8 little-endian bytes of their float64 bits;
+//   - strings carry a uvarint length prefix;
+//   - slices carry a uvarint of len+1, with 0 for nil, so nil and empty
+//     stay distinct and round trips stay reflect.DeepEqual;
+//   - pointers carry a presence byte;
+//   - an interface encodes only when nil, as one absence byte;
+//   - a struct whose pointer implements encoding.BinaryAppender and
+//     encoding.BinaryUnmarshaler (metrics.Histogram) is encoded by those
+//     methods, length-prefixed; any other struct is its exported fields
+//     in declaration order.
+//
+// Nothing names a field or a type, so only a build with the same schema
+// can read an encoding; Walk describes that schema. Every encoded value
+// takes at least one byte, which lets the decoder bound each length by
+// the bytes left and keep its allocation in proportion to its input.
+package codec
 
 import (
 	"encoding"
@@ -9,27 +32,6 @@ import (
 	"reflect"
 	"sync"
 )
-
-// The payload codec is a compact binary encoding of a value built from
-// integers, floats, strings, slices, pointers and structs. It
-// walks the value by reflection:
-//
-//   - integers are varints (signed ones zig-zag encoded);
-//   - floats are the 8 little-endian bytes of their float64 bits;
-//   - strings carry a uvarint length prefix;
-//   - slices carry a uvarint of len+1, with 0 for nil, so nil and empty
-//     stay distinct and round trips stay reflect.DeepEqual;
-//   - pointers carry a presence byte;
-//   - a struct whose pointer implements encoding.BinaryAppender and
-//     encoding.BinaryUnmarshaler (metrics.Histogram) is encoded by those
-//     methods, length-prefixed; any other struct is its exported fields
-//     in declaration order.
-//
-// Nothing names a field or a type, so only a build with the same result
-// schema can read a payload; the entry's Version guards that. Every
-// encoded value takes at least one byte, which lets the decoder bound
-// each length by the bytes left and keep its allocation in proportion
-// to its input.
 
 var (
 	appenderType    = reflect.TypeFor[encoding.BinaryAppender]()
@@ -61,21 +63,26 @@ func infoOf(t reflect.Type) *structInfo {
 	return si
 }
 
-// marshal encodes the value v points to.
-func marshal(v any) ([]byte, error) {
-	return appendValue(nil, reflect.ValueOf(v).Elem())
+// Marshal encodes the value v points to.
+func Marshal(v any) ([]byte, error) {
+	return Append(nil, v)
 }
 
-// unmarshal decodes data into the zero value v points to. Truncated
+// Append appends the encoding of the value v points to to b.
+func Append(b []byte, v any) ([]byte, error) {
+	return appendValue(b, reflect.ValueOf(v).Elem())
+}
+
+// Unmarshal decodes data into the zero value v points to. Truncated
 // input, a length past the end, a value out of its type's range and
 // trailing bytes are errors, never panics.
-func unmarshal(data []byte, v any) error {
+func Unmarshal(data []byte, v any) error {
 	d := decoder{data}
 	if err := d.value(reflect.ValueOf(v).Elem()); err != nil {
 		return err
 	}
 	if len(d.b) != 0 {
-		return fmt.Errorf("store: %d trailing bytes after payload", len(d.b))
+		return fmt.Errorf("codec: %d trailing bytes after payload", len(d.b))
 	}
 	return nil
 }
@@ -85,6 +92,11 @@ func unmarshal(data []byte, v any) error {
 func appendValue(b []byte, v reflect.Value) ([]byte, error) {
 	var err error
 	switch v.Kind() {
+	case reflect.Bool:
+		if v.Bool() {
+			return append(b, 1), nil
+		}
+		return append(b, 0), nil
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
 		return binary.AppendVarint(b, v.Int()), nil
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
@@ -109,6 +121,11 @@ func appendValue(b []byte, v reflect.Value) ([]byte, error) {
 			return append(b, 0), nil
 		}
 		return appendValue(append(b, 1), v.Elem())
+	case reflect.Interface:
+		if v.IsNil() {
+			return append(b, 0), nil
+		}
+		return nil, fmt.Errorf("codec: cannot encode a non-nil %s", v.Type())
 	case reflect.Struct:
 		si := infoOf(v.Type())
 		if si.binary {
@@ -128,16 +145,16 @@ func appendValue(b []byte, v reflect.Value) ([]byte, error) {
 		}
 		return b, nil
 	}
-	return nil, fmt.Errorf("cannot encode %s", v.Type())
+	return nil, fmt.Errorf("codec: cannot encode %s", v.Type())
 }
 
 // errMalformed reports a payload the encoder cannot have produced.
-var errMalformed = errors.New("store: malformed payload")
+var errMalformed = errors.New("codec: malformed payload")
 
 // decoder reads a payload from the front of b.
 type decoder struct{ b []byte }
 
-// flag reads a pointer's presence byte.
+// flag reads a boolean or a presence byte.
 func (d *decoder) flag() (bool, error) {
 	if len(d.b) == 0 || d.b[0] > 1 {
 		return false, errMalformed
@@ -161,6 +178,10 @@ func (d *decoder) length(slack int) (int, error) {
 // value decodes into v, which must be settable and hold its zero value.
 func (d *decoder) value(v reflect.Value) error {
 	switch v.Kind() {
+	case reflect.Bool:
+		f, err := d.flag()
+		v.SetBool(f)
+		return err
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
 		x, k := binary.Varint(d.b)
 		if k <= 0 || v.OverflowInt(x) {
@@ -220,6 +241,13 @@ func (d *decoder) value(v reflect.Value) error {
 		}
 		v.Set(p)
 		return nil
+	case reflect.Interface:
+		// Only a nil interface encodes, so a presence byte of 1 is as
+		// malformed as any other.
+		if present, err := d.flag(); err != nil || present {
+			return errMalformed
+		}
+		return nil
 	case reflect.Struct:
 		si := infoOf(v.Type())
 		if si.binary {
@@ -228,7 +256,7 @@ func (d *decoder) value(v reflect.Value) error {
 				return err
 			}
 			if err := v.Addr().Interface().(encoding.BinaryUnmarshaler).UnmarshalBinary(d.b[:n]); err != nil {
-				return fmt.Errorf("store: decode %s: %w", v.Type(), err)
+				return fmt.Errorf("codec: decode %s: %w", v.Type(), err)
 			}
 			d.b = d.b[n:]
 			return nil
@@ -243,5 +271,58 @@ func (d *decoder) value(v reflect.Value) error {
 		}
 		return nil
 	}
-	return fmt.Errorf("store: cannot decode %s", v.Type())
+	return fmt.Errorf("codec: cannot decode %s", v.Type())
+}
+
+// NilOnly reports whether values of type t encode only when nil:
+// interfaces, and structs with neither exported fields nor binary
+// methods, which a pointer can still hold as nil.
+func NilOnly(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Interface:
+		return true
+	case reflect.Struct:
+		si := infoOf(t)
+		return !si.binary && len(si.fields) == 0
+	}
+	return false
+}
+
+// Walk calls visit for t and every type the codec reaches from it, in
+// encoding order, with its path: the root is t's name, a struct field
+// appends "." and the field name, and a slice or pointer element
+// appends "[]". Types with binary methods and NilOnly types are visited
+// but not entered. The lines "path type" of a walk are therefore the
+// schema an encoding of t depends on. Walk returns an error for each
+// kind the codec can never encode and for a recursive type.
+func Walk(t reflect.Type, visit func(path string, t reflect.Type)) error {
+	var errs []error
+	onPath := map[reflect.Type]bool{}
+	var walk func(t reflect.Type, path string)
+	walk = func(t reflect.Type, path string) {
+		visit(path, t)
+		if onPath[t] {
+			errs = append(errs, fmt.Errorf("%s: recursive type %s", path, t))
+			return
+		}
+		onPath[t] = true
+		defer delete(onPath, t)
+		switch t.Kind() {
+		case reflect.Bool, reflect.String, reflect.Interface,
+			reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+		case reflect.Slice, reflect.Pointer:
+			walk(t.Elem(), path+"[]")
+		case reflect.Struct:
+			for _, i := range infoOf(t).fields {
+				f := t.Field(i)
+				walk(f.Type, path+"."+f.Name)
+			}
+		default:
+			errs = append(errs, fmt.Errorf("%s: kind %s (%s) cannot be encoded", path, t.Kind(), t))
+		}
+	}
+	walk(t, t.Name())
+	return errors.Join(errs...)
 }

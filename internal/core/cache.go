@@ -4,9 +4,12 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
+	"errors"
+	"fmt"
+	"reflect"
 	"sync"
 
+	"javasim/internal/codec"
 	"javasim/internal/vm"
 	"javasim/internal/workload"
 )
@@ -26,24 +29,65 @@ func Fingerprint(spec workload.Spec, cfg vm.Config) (string, bool) {
 // runKey fingerprints one (spec, config) pair for the engine's result
 // cache. The config is canonicalized first, so configurations that only
 // differ in unresolved zero values (Threads 0 vs the default 4, say) map
-// to the same entry. Runs that attach side-effecting sinks — a trace sink
-// or a lock profiler — are not cacheable: replaying a memoized Result
-// would silently skip their event streams.
+// to the same entry.
 func runKey(spec workload.Spec, cfg vm.Config) (string, bool) {
-	if cfg.TraceSink != nil || cfg.LockProfiler != nil {
-		return "", false
-	}
-	canon := cfg.Canonical()
-	h := sha256.New()
-	enc := json.NewEncoder(h)
-	if err := enc.Encode(&spec); err != nil {
-		return "", false
-	}
-	if err := enc.Encode(&canon); err != nil {
-		return "", false
-	}
-	return hex.EncodeToString(h.Sum(nil)), true
+	return canonKey(spec, cfg.Canonical())
 }
+
+// keySchema is the sha256 of the field paths and types of workload.Spec
+// and vm.Config as codec.Walk reports them. It seeds every fingerprint,
+// so renaming, reordering or retyping a field changes every key: the
+// encodings name no fields, and keys from another schema must not match.
+var keySchema = sync.OnceValues(func() ([sha256.Size]byte, error) {
+	h := sha256.New()
+	line := func(path string, t reflect.Type) { fmt.Fprintln(h, path, t) }
+	err := errors.Join(
+		codec.Walk(reflect.TypeFor[workload.Spec](), line),
+		codec.Walk(reflect.TypeFor[vm.Config](), line))
+	return [sha256.Size]byte(h.Sum(nil)), err
+})
+
+// canonKey is runKey for a config that is already canonical: the hex
+// sha256 of the key schema followed by the codec encodings of spec and
+// canon. Runs that attach side-effecting sinks — a trace sink or a lock
+// profiler — are not cacheable: replaying a memoized Result would
+// silently skip their event streams. Neither is a run whose spec or
+// config does not encode.
+func canonKey(spec workload.Spec, canon vm.Config) (string, bool) {
+	if canon.TraceSink != nil || canon.LockProfiler != nil {
+		return "", false
+	}
+	schema, err := keySchema()
+	if err != nil {
+		return "", false
+	}
+	ks := keyScratches.Get().(*keyScratch)
+	defer keyScratches.Put(ks)
+	ks.spec, ks.canon = spec, canon
+	b := append(ks.buf[:0], schema[:]...)
+	if b, err = codec.Append(b, &ks.spec); err == nil {
+		b, err = codec.Append(b, &ks.canon)
+	}
+	if err != nil {
+		return "", false
+	}
+	ks.buf = b
+	sum := sha256.Sum256(b)
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return string(key[:]), true
+}
+
+// keyScratch is canonKey's working set, pooled so that a fingerprint
+// allocates only its key: the walker needs addressable copies of the
+// spec and the config, and the encoding buffer is reused.
+type keyScratch struct {
+	spec  workload.Spec
+	canon vm.Config
+	buf   []byte
+}
+
+var keyScratches = sync.Pool{New: func() any { return new(keyScratch) }}
 
 // resultCache is a concurrency-safe LRU of memoized run results keyed by
 // runKey fingerprints. Results are stored by pointer and shared between

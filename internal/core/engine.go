@@ -198,13 +198,14 @@ func (e *Engine) Run(ctx context.Context, spec workload.Spec, cfg vm.Config) (*v
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	key, cacheable := runKey(spec, cfg)
+	canon := cfg.Canonical()
+	key, cacheable := canonKey(spec, canon)
 	if !cacheable {
-		return e.simulate(ctx, spec, cfg)
+		return e.simulate(ctx, spec, cfg, canon.Threads)
 	}
 	hit := func(res *vm.Result, tier *atomic.Int64) *vm.Result {
 		tier.Add(1)
-		e.emit(ctx, Event{Kind: RunCached, Workload: spec.Name, Threads: cfg.Canonical().Threads, Seed: cfg.Seed})
+		e.emit(ctx, Event{Kind: RunCached, Workload: spec.Name, Threads: canon.Threads, Seed: cfg.Seed})
 		return res
 	}
 	for {
@@ -229,7 +230,7 @@ func (e *Engine) Run(ctx context.Context, spec workload.Spec, cfg vm.Config) (*v
 					return hit(res, &e.diskHits), nil
 				}
 			}
-			res, err := e.simulate(ctx, spec, cfg)
+			res, err := e.simulate(ctx, spec, cfg, canon.Threads)
 			if err == nil {
 				e.cache.put(key, res)
 				if e.store != nil {
@@ -258,8 +259,9 @@ func (e *Engine) Run(ctx context.Context, spec workload.Spec, cfg vm.Config) (*v
 	}
 }
 
-// simulate acquires a worker slot and runs the VM.
-func (e *Engine) simulate(ctx context.Context, spec workload.Spec, cfg vm.Config) (*vm.Result, error) {
+// simulate acquires a worker slot and runs the VM; threads is the
+// canonical thread count its events report.
+func (e *Engine) simulate(ctx context.Context, spec workload.Spec, cfg vm.Config, threads int) (*vm.Result, error) {
 	select {
 	case e.sem <- struct{}{}:
 	case <-ctx.Done():
@@ -269,7 +271,6 @@ func (e *Engine) simulate(ctx context.Context, spec workload.Spec, cfg vm.Config
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	threads := cfg.Canonical().Threads
 	e.emit(ctx, Event{Kind: RunStarted, Workload: spec.Name, Threads: threads, Seed: cfg.Seed})
 	e.simulations.Add(1)
 	res, err := e.runner(ctx, spec, cfg)

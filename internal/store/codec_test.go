@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"testing"
 
+	"javasim/internal/codec"
 	"javasim/internal/metrics"
 	"javasim/internal/sim"
 	"javasim/internal/traffic"
@@ -29,45 +30,20 @@ const (
 )
 
 // TestCodecCoversResult walks every type reachable from vm.Result and
-// fails on any the codec cannot encode, so a new field of such a type
-// fails here instead of at the first Put. It also fails when the shape
-// changes without a Version bump.
+// fails on any the codec cannot encode, or can encode only when nil, so
+// a new field of such a type fails here instead of at the first Put. It
+// also fails when the shape changes without a Version bump.
 func TestCodecCoversResult(t *testing.T) {
 	shape := sha256.New()
-	onPath := map[reflect.Type]bool{}
-	var walk func(t reflect.Type, path string)
-	walk = func(typ reflect.Type, path string) {
+	err := codec.Walk(reflect.TypeFor[vm.Result](), func(path string, typ reflect.Type) {
 		fmt.Fprintln(shape, path, typ)
-		if onPath[typ] {
-			t.Errorf("%s: recursive type %s", path, typ)
-			return
+		if codec.NilOnly(typ) {
+			t.Errorf("%s: %s encodes only when nil", path, typ)
 		}
-		onPath[typ] = true
-		defer delete(onPath, typ)
-		switch typ.Kind() {
-		case reflect.String,
-			reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
-			reflect.Float32, reflect.Float64:
-		case reflect.Slice, reflect.Pointer:
-			walk(typ.Elem(), path+"[]")
-		case reflect.Struct:
-			si := infoOf(typ)
-			if si.binary {
-				return
-			}
-			if len(si.fields) == 0 {
-				t.Errorf("%s: struct %s has no exported fields and no binary methods", path, typ)
-			}
-			for _, i := range si.fields {
-				f := typ.Field(i)
-				walk(f.Type, path+"."+f.Name)
-			}
-		default:
-			t.Errorf("%s: kind %s (%s) cannot be encoded", path, typ.Kind(), typ)
-		}
+	})
+	if err != nil {
+		t.Error(err)
 	}
-	walk(reflect.TypeOf(vm.Result{}), "Result")
 	got := hex.EncodeToString(shape.Sum(nil))
 	if Version != shapeVersion || got != resultShape {
 		t.Errorf("vm.Result's encoded shape is %s at Version %d; pinned %s at %d: "+
@@ -104,8 +80,10 @@ func fillValue(v reflect.Value, n *int64) {
 		v.Set(reflect.New(v.Type().Elem()))
 		fillValue(v.Elem(), n)
 	case reflect.Struct:
-		for _, i := range infoOf(v.Type()).fields {
-			fillValue(v.Field(i), n)
+		for i := range v.NumField() {
+			if v.Type().Field(i).IsExported() {
+				fillValue(v.Field(i), n)
+			}
 		}
 	}
 }
@@ -133,23 +111,23 @@ func TestCodecRoundTrip(t *testing.T) {
 	sparse.Traffic = &traffic.Stats{QueueLog: []traffic.QueueSample{}}
 
 	for name, res := range map[string]*vm.Result{"full": full, "sparse": &sparse} {
-		data, err := marshal(res)
+		data, err := codec.Marshal(res)
 		if err != nil {
 			t.Fatalf("%s: marshal: %v", name, err)
 		}
 		got := new(vm.Result)
-		if err := unmarshal(data, got); err != nil {
+		if err := codec.Unmarshal(data, got); err != nil {
 			t.Fatalf("%s: unmarshal: %v", name, err)
 		}
 		if !reflect.DeepEqual(res, got) {
 			t.Errorf("%s: round trip diverged:\n  in  %+v\n  out %+v", name, res, got)
 		}
 		for i := range data {
-			if err := unmarshal(data[:i], new(vm.Result)); err == nil {
+			if err := codec.Unmarshal(data[:i], new(vm.Result)); err == nil {
 				t.Fatalf("%s: truncation to %d of %d bytes decoded", name, i, len(data))
 			}
 		}
-		if err := unmarshal(append(data, 0), new(vm.Result)); err == nil {
+		if err := codec.Unmarshal(append(data, 0), new(vm.Result)); err == nil {
 			t.Errorf("%s: trailing byte accepted", name)
 		}
 	}

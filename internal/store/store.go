@@ -11,8 +11,8 @@
 //	<dir>/<fp[0:2]>/<fp>.json
 //
 // where each entry is a version-stamped JSON envelope {Version,
-// Fingerprint, Result} and Result is the binary payload of codec.go,
-// carried as base64. Entries are immutable once written — the
+// Fingerprint, Result} and Result is the result's internal/codec
+// encoding, carried as base64. Entries are immutable once written — the
 // fingerprint is a hash of everything that determines the result, so a
 // rewrite can only ever produce the same bytes (modulo schema version).
 //
@@ -39,6 +39,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"javasim/internal/codec"
 	"javasim/internal/vm"
 )
 
@@ -56,7 +57,7 @@ const entryExt = ".json"
 type entry struct {
 	Version     int
 	Fingerprint string
-	Result      []byte // the vm.Result, encoded by marshal
+	Result      []byte // the vm.Result, encoded by codec.Marshal
 }
 
 // Stats are the store's lifetime counters, all monotone.
@@ -162,7 +163,7 @@ func (s *Store) Get(fp string) (*vm.Result, bool) {
 	var e entry
 	res := new(vm.Result)
 	if err := json.Unmarshal(data, &e); err != nil ||
-		e.Version != Version || e.Fingerprint != fp || unmarshal(e.Result, res) != nil {
+		e.Version != Version || e.Fingerprint != fp || codec.Unmarshal(e.Result, res) != nil {
 		s.corrupt.Add(1)
 		s.misses.Add(1)
 		return nil, false
@@ -235,7 +236,7 @@ func (s *Store) writeEntry(fp string, res *vm.Result) error {
 	if err := os.MkdirAll(shard, 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	payload, err := marshal(res)
+	payload, err := codec.Marshal(res)
 	if err != nil {
 		return fmt.Errorf("store: encode %s: %w", fp, err)
 	}
@@ -300,19 +301,31 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Len counts the entries currently on disk (queued-but-unwritten
-// entries are not included). It walks the directory, so it is a
-// stats-endpoint convenience, not a hot-path call.
+// Len counts the store's entries: those on disk plus the queued and
+// in-flight writes whose files are not there yet, so a Put counts at
+// once. It walks the directory, so it is a stats-endpoint convenience,
+// not a hot-path call.
 func (s *Store) Len() int {
+	s.mu.Lock()
+	unwritten := make(map[string]bool, len(s.pending)+len(s.writing))
+	for fp := range s.pending {
+		unwritten[fp] = true
+	}
+	for fp := range s.writing {
+		unwritten[fp] = true
+	}
+	s.mu.Unlock()
 	n := 0
 	filepath.WalkDir(s.dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return nil // a racing rename is not worth failing a count over
 		}
-		if !d.IsDir() && strings.HasSuffix(d.Name(), entryExt) && !strings.HasPrefix(d.Name(), ".") {
+		name := d.Name()
+		if !d.IsDir() && strings.HasSuffix(name, entryExt) && !strings.HasPrefix(name, ".") {
 			n++
+			delete(unwritten, strings.TrimSuffix(name, entryExt))
 		}
 		return nil
 	})
-	return n
+	return n + len(unwritten)
 }

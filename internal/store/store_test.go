@@ -74,6 +74,32 @@ func TestStoreGetServesPendingWrites(t *testing.T) {
 	}
 }
 
+// TestStoreLenCountsPendingWrites checks that Len counts an entry from
+// its Put, before and after the writer renames it into place, and that
+// re-putting an entry already on disk does not count it twice.
+func TestStoreLenCountsPendingWrites(t *testing.T) {
+	s := mustOpen(t, t.TempDir())
+	defer s.Close()
+	res := testResult(t, "xalan", 2)
+	fps := []string{fpA, "bb" + fpA, "cc" + fpA}
+	for _, fp := range fps {
+		s.Put(fp, res)
+	}
+	if n := s.Len(); n != len(fps) {
+		t.Fatalf("Len after Put = %d, want %d", n, len(fps))
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Len(); n != len(fps) {
+		t.Fatalf("Len after Flush = %d, want %d", n, len(fps))
+	}
+	s.Put(fpA, res)
+	if n := s.Len(); n != len(fps) {
+		t.Fatalf("Len after re-Put = %d, want %d", n, len(fps))
+	}
+}
+
 func TestStoreConcurrentWritersSameFingerprint(t *testing.T) {
 	dir := t.TempDir()
 	res := testResult(t, "xalan", 2)
