@@ -127,9 +127,6 @@ func main() {
 	if *biasGroups > 1 {
 		cfg.Sched.Bias.Groups = *biasGroups
 		cfg.Sched.Bias.PhaseLength = sim.Time(biasPhase.Nanoseconds())
-		if cfg.Sched.Bias.PhaseLength <= 0 {
-			cfg.Sched.Bias.PhaseLength = 2 * sim.Millisecond
-		}
 	}
 
 	var traceFile *os.File

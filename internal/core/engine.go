@@ -340,32 +340,28 @@ func (e *Engine) sweep(ctx context.Context, spec workload.Spec, cfg SweepConfig,
 			e.emit(ctx, Event{Kind: SweepPointDone, Workload: spec.Name, Threads: vcfg.Threads, Seed: vcfg.Seed})
 		}
 	}
+	workers := min(e.parallelism, n)
 	if cfg.Base.TraceSink != nil || cfg.Base.LockProfiler != nil {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				break
-			}
-			runPoint(i)
-		}
-	} else {
-		workers := min(e.parallelism, n)
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for i := range idx {
+		workers = 1 // a sink observes one run at a time, in point order
+	}
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				if ctx.Err() == nil {
 					runPoint(i)
 				}
-			}()
-		}
-		for i := 0; i < n; i++ {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
+			}
+		}()
 	}
+	for i := 0; i < n; i++ {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

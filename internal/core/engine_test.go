@@ -111,9 +111,10 @@ func TestEngineRunCanonicalizesConfigKeys(t *testing.T) {
 	}
 }
 
-// TestFingerprintCanonicalizesGCDefaults pins the collector's defaults
-// into the cache key: StudyPlan's tenure-2 scenario is the default run
-// and must hit its cache entry.
+// TestFingerprintCanonicalizesGCDefaults pins the collector's and the
+// heap's defaults into the cache key: StudyPlan's tenure-2 scenario is
+// the default run and must hit its cache entry, and so must a run that
+// spells out HotSpot's NewRatio 2 and SurvivorRatio 8.
 func TestFingerprintCanonicalizesGCDefaults(t *testing.T) {
 	spec := testSpec(t, "xalan", 0.02)
 	unset, ok := Fingerprint(spec, vm.Config{Threads: 8, Seed: 7})
@@ -127,6 +128,10 @@ func TestFingerprintCanonicalizesGCDefaults(t *testing.T) {
 	other, _ := Fingerprint(spec, vm.Config{Threads: 8, Seed: 7, GC: gc.Config{TenuringThreshold: 3}})
 	if other == unset {
 		t.Error("TenuringThreshold 3 fingerprints like the default")
+	}
+	ratios, _ := Fingerprint(spec, vm.Config{Threads: 8, Seed: 7, NewRatio: 2, SurvivorRatio: 8})
+	if ratios != unset {
+		t.Error("explicit default heap ratios fingerprint apart from the unset ones")
 	}
 }
 

@@ -43,20 +43,6 @@ func (c ExperimentConfig) withDefaults() ExperimentConfig {
 // Figure 1c/1d distributions.
 var cdfLimits = []int64{256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20}
 
-func imbalance(shares []float64) float64 {
-	var max, sum float64
-	for _, s := range shares {
-		if s > max {
-			max = s
-		}
-		sum += s
-	}
-	if sum == 0 || len(shares) == 0 {
-		return 1
-	}
-	return max / (sum / float64(len(shares)))
-}
-
 func meanPause(ps []gc.Pause) sim.Time {
 	if len(ps) == 0 {
 		return 0

@@ -119,9 +119,6 @@ func (o *ConfigOverrides) apply(cfg *vm.Config) {
 	if o.BiasGroups != 0 {
 		cfg.Sched.Bias.Groups = o.BiasGroups
 		cfg.Sched.Bias.PhaseLength = o.BiasPhase
-		if cfg.Sched.Bias.PhaseLength <= 0 {
-			cfg.Sched.Bias.PhaseLength = 2 * sim.Millisecond
-		}
 	}
 	if o.GCWorkers != 0 {
 		cfg.GC.Workers = o.GCWorkers

@@ -199,7 +199,7 @@ func renderWorkDistribution(in *inputs) (*report.Table, error) {
 		f := sw.ComputeFactors()
 		t.AddRow(in.labels[i], fmt.Sprintf("%d", last.Threads), fmt.Sprintf("%d", busy),
 			report.FormatPct(f.Top4Share),
-			fmt.Sprintf("%.2f", imbalance(shares)))
+			fmt.Sprintf("%.2f", metrics.ImbalanceRatio(shares)))
 	}
 	return t, nil
 }

@@ -26,13 +26,13 @@ func (c *Collector) OldLiveCount() int64 {
 // MarkWork returns the total CPU time concurrent marking needs for the
 // given live-object count, before division across concurrent GC threads.
 func (c *Collector) MarkWork(liveObjects int64) sim.Time {
-	return sim.Time(liveObjects) * c.cfg.ConcMarkCostPerObject
+	return sim.Time(liveObjects) * concMarkCostPerObject
 }
 
 // SweepWork returns the total CPU time a concurrent sweep over the old
 // region needs.
 func (c *Collector) SweepWork() sim.Time {
-	return sim.Time(c.heap.OldSize()/1024) * c.cfg.SweepCostPerKB
+	return sim.Time(c.heap.OldSize()/1024) * sweepCostPerKB
 }
 
 // InitialMark records the brief stop-the-world pause that begins a
@@ -42,8 +42,8 @@ func (c *Collector) InitialMark(now sim.Time) Pause {
 	p := Pause{
 		Kind:        InitialMark,
 		Start:       now,
-		Duration:    c.cfg.InitialMarkPause,
-		Phases:      Breakdown{Setup: c.cfg.InitialMarkPause},
+		Duration:    initialMarkPause,
+		Phases:      Breakdown{Setup: initialMarkPause},
 		Compartment: -1,
 	}
 	c.record(p)
@@ -56,8 +56,8 @@ func (c *Collector) Remark(now sim.Time) Pause {
 	p := Pause{
 		Kind:        Remark,
 		Start:       now,
-		Duration:    c.cfg.RemarkPause,
-		Phases:      Breakdown{Setup: c.cfg.RemarkPause},
+		Duration:    remarkPause,
+		Phases:      Breakdown{Setup: remarkPause},
 		Compartment: -1,
 	}
 	c.record(p)
@@ -74,7 +74,7 @@ type SweepResult struct {
 
 // SweepOld reclaims dead old-generation objects in place, freeing their
 // registry slots as it goes. There is no compaction, so
-// FragmentationRatio of the freed space is lost until the next full
+// fragmentationRatio of the freed space is lost until the next full
 // collection. It never fails: sweeping only shrinks occupancy.
 func (c *Collector) SweepOld(now sim.Time) SweepResult {
 	c.notePeak()
@@ -92,7 +92,7 @@ func (c *Collector) SweepOld(now sim.Time) SweepResult {
 		newOld = append(newOld, id)
 	}
 	c.old = newOld
-	res.FragAdded = int64(float64(res.ReclaimedB) * c.cfg.FragmentationRatio)
+	res.FragAdded = int64(float64(res.ReclaimedB) * fragmentationRatio)
 	if err := c.heap.CommitSweep(res.LiveOldBytes, res.FragAdded); err != nil {
 		// Sweeping with non-negative inputs cannot fail; a failure here is
 		// a programming error in the collector.

@@ -29,7 +29,7 @@ func TestOldLiveCountAndMarkWork(t *testing.T) {
 	if got := c.OldLiveCount(); got != 38 {
 		t.Errorf("old live after kills = %d, want 38", got)
 	}
-	if c.MarkWork(38) != 38*c.Config().ConcMarkCostPerObject {
+	if c.MarkWork(38) != 38*concMarkCostPerObject {
 		t.Error("mark work miscomputed")
 	}
 	if c.SweepWork() <= 0 {
@@ -61,7 +61,7 @@ func TestSweepOldReclaimsWithFragmentation(t *testing.T) {
 	if res.LiveOldBytes != 40*2048 {
 		t.Errorf("live %d, want %d", res.LiveOldBytes, 40*2048)
 	}
-	wantFrag := int64(float64(res.ReclaimedB) * c.Config().FragmentationRatio)
+	wantFrag := int64(float64(res.ReclaimedB) * fragmentationRatio)
 	if res.FragAdded != wantFrag {
 		t.Errorf("frag %d, want %d", res.FragAdded, wantFrag)
 	}
@@ -94,11 +94,11 @@ func TestSweepOldReclaimsWithFragmentation(t *testing.T) {
 func TestInitialMarkRemarkPauses(t *testing.T) {
 	_, _, c := newWorld(4, 1)
 	im := c.InitialMark(100)
-	if im.Kind != InitialMark || im.Duration != c.Config().InitialMarkPause {
+	if im.Kind != InitialMark || im.Duration != initialMarkPause {
 		t.Errorf("initial mark pause %+v", im)
 	}
 	rm := c.Remark(200)
-	if rm.Kind != Remark || rm.Duration != c.Config().RemarkPause {
+	if rm.Kind != Remark || rm.Duration != remarkPause {
 		t.Errorf("remark pause %+v", rm)
 	}
 	st := c.Stats()

@@ -40,91 +40,53 @@ type Config struct {
 	// TenuringThreshold is the number of minor collections an object must
 	// survive before promotion.
 	TenuringThreshold uint8
-	// CopyCostPerKB is the time to evacuate 1 KiB of live data with one
-	// worker.
-	CopyCostPerKB sim.Time
-	// ScanCostPerObject is the per-live-object tracing overhead.
-	ScanCostPerObject sim.Time
-	// FixedMinorPause is the setup/teardown floor of a minor collection.
-	FixedMinorPause sim.Time
-	// FixedFullPause is the setup/teardown floor of a full collection.
-	FixedFullPause sim.Time
-	// EfficiencyAlpha shapes parallel efficiency: eff(w) = 1/(1+alpha*(w-1)).
-	// Larger alpha means worker synchronization costs bite sooner.
-	EfficiencyAlpha float64
-	// CompactCostPerKB is the per-KiB cost of sliding live old-generation
-	// data during a full collection.
-	CompactCostPerKB sim.Time
-
-	// ConcurrentThreads is the background GC thread count of a policy
-	// that collects the old generation concurrently; zero selects
-	// max(1, Workers/4), HotSpot's ConcGCThreads heuristic.
-	ConcurrentThreads int
 	// TriggerRatio is the old-generation occupancy starting a concurrent
 	// cycle; zero means 0.65.
 	TriggerRatio float64
-	// ConcMarkCostPerObject is the live-object scanning cost during
-	// concurrent marking (slower than STW scanning: barrier overhead).
-	ConcMarkCostPerObject sim.Time
-	// SweepCostPerKB is the concurrent sweep cost over the old region.
-	SweepCostPerKB sim.Time
-	// InitialMarkPause and RemarkPause are the brief stop-the-world
-	// pauses bracketing the concurrent phases.
-	InitialMarkPause sim.Time
-	RemarkPause      sim.Time
-	// FragmentationRatio is the fraction of swept (freed) bytes lost to
-	// fragmentation until the next compacting collection; zero means 0.25.
-	FragmentationRatio float64
 }
 
-// WithDefaults fills zero fields with defaults calibrated against the
-// paper's platform generation (2010-era Opteron: ~1 GB/s/thread evacuation
-// bandwidth, tens-of-microsecond safepoint machinery).
+// The cost model, calibrated against the paper's platform generation
+// (2010-era Opteron: ~1 GB/s/thread evacuation bandwidth,
+// tens-of-microsecond safepoint machinery). Results are stored under
+// fingerprints of the run's inputs, not of these constants, so changing
+// one needs a store.Version bump.
+const (
+	// copyCostPerKB is the time to evacuate 1 KiB of live data with one
+	// worker.
+	copyCostPerKB = 1200 * sim.Nanosecond
+	// scanCostPerObject is the per-live-object tracing overhead.
+	scanCostPerObject = 60 * sim.Nanosecond
+	// fixedMinorPause is the setup/teardown floor of a minor collection.
+	fixedMinorPause = 30 * sim.Microsecond
+	// fixedFullPause is the setup/teardown floor of a full collection.
+	fixedFullPause = 400 * sim.Microsecond
+	// efficiencyAlpha shapes parallel efficiency: eff(w) = 1/(1+alpha*(w-1)).
+	// Larger alpha means worker synchronization costs bite sooner.
+	efficiencyAlpha = 0.09
+	// compactCostPerKB is the per-KiB cost of sliding live old-generation
+	// data during a full collection.
+	compactCostPerKB = 1500 * sim.Nanosecond
+	// concMarkCostPerObject is the live-object scanning cost during
+	// concurrent marking (slower than STW scanning: barrier overhead).
+	concMarkCostPerObject = 120 * sim.Nanosecond
+	// sweepCostPerKB is the concurrent sweep cost over the old region.
+	sweepCostPerKB = 400 * sim.Nanosecond
+	// initialMarkPause and remarkPause are the brief stop-the-world
+	// pauses bracketing the concurrent phases.
+	initialMarkPause = 40 * sim.Microsecond
+	remarkPause      = 60 * sim.Microsecond
+	// fragmentationRatio is the fraction of swept (freed) bytes lost to
+	// fragmentation until the next compacting collection.
+	fragmentationRatio = 0.25
+)
+
+// WithDefaults fills the zero tenuring threshold and trigger ratio.
 func (c Config) WithDefaults() Config {
 	if c.TenuringThreshold == 0 {
 		c.TenuringThreshold = 2
 	}
-	if c.CopyCostPerKB == 0 {
-		c.CopyCostPerKB = 1200 * sim.Nanosecond
-	}
-	if c.ScanCostPerObject == 0 {
-		c.ScanCostPerObject = 60 * sim.Nanosecond
-	}
-	if c.FixedMinorPause == 0 {
-		c.FixedMinorPause = 30 * sim.Microsecond
-	}
-	if c.FixedFullPause == 0 {
-		c.FixedFullPause = 400 * sim.Microsecond
-	}
-	if c.EfficiencyAlpha == 0 {
-		c.EfficiencyAlpha = 0.09
-	}
-	if c.CompactCostPerKB == 0 {
-		c.CompactCostPerKB = 1500 * sim.Nanosecond
-	}
-	if c.ConcurrentThreads == 0 {
-		c.ConcurrentThreads = c.Workers / 4
-		if c.ConcurrentThreads < 1 {
-			c.ConcurrentThreads = 1
-		}
-	}
 	if c.TriggerRatio == 0 {
 		c.TriggerRatio = 0.65
-	}
-	if c.ConcMarkCostPerObject == 0 {
-		c.ConcMarkCostPerObject = 120 * sim.Nanosecond
-	}
-	if c.SweepCostPerKB == 0 {
-		c.SweepCostPerKB = 400 * sim.Nanosecond
-	}
-	if c.InitialMarkPause == 0 {
-		c.InitialMarkPause = 40 * sim.Microsecond
-	}
-	if c.RemarkPause == 0 {
-		c.RemarkPause = 60 * sim.Microsecond
-	}
-	if c.FragmentationRatio == 0 {
-		c.FragmentationRatio = 0.25
 	}
 	return c
 }
@@ -460,13 +422,13 @@ func (c *Collector) CollectMinor(comp int, now sim.Time) (Pause, error) {
 	c.promoted = promoted
 
 	copied := survivorBytes + promotedBytes
-	scanCost := sim.Time(scanned) * c.cfg.ScanCostPerObject
-	copyCost := sim.Time(copied/1024) * c.cfg.CopyCostPerKB
+	scanCost := sim.Time(scanned) * scanCostPerObject
+	copyCost := sim.Time(copied/1024) * copyCostPerKB
 	if c.copyFactor != nil {
 		copyCost = sim.Time(float64(copyCost) * c.copyFactor[comp])
 	}
 	phases := Breakdown{
-		Setup: c.cfg.FixedMinorPause,
+		Setup: fixedMinorPause,
 		Scan:  c.parallelTime(scanCost),
 		Copy:  c.parallelTime(copyCost),
 	}
@@ -537,10 +499,10 @@ func (c *Collector) CollectFull(now sim.Time) (Pause, error) {
 		return Pause{}, err // genuine OutOfMemoryError
 	}
 	c.free(dead)
-	markFixup := sim.Time(scanned) * c.cfg.ScanCostPerObject * 2 // mark + fixup passes
-	compact := sim.Time(liveOldBytes/1024) * c.cfg.CompactCostPerKB
+	markFixup := sim.Time(scanned) * scanCostPerObject * 2 // mark + fixup passes
+	compact := sim.Time(liveOldBytes/1024) * compactCostPerKB
 	phases := Breakdown{
-		Setup: c.cfg.FixedFullPause,
+		Setup: fixedFullPause,
 		Scan:  c.parallelTime(markFixup),
 		Copy:  c.parallelTime(compact),
 	}

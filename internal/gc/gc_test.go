@@ -295,7 +295,7 @@ func TestPauseBreakdown(t *testing.T) {
 	if p.Phases.Total() != p.Duration {
 		t.Errorf("phase sum %v != duration %v", p.Phases.Total(), p.Duration)
 	}
-	if p.Phases.Setup != c.Config().FixedMinorPause {
+	if p.Phases.Setup != fixedMinorPause {
 		t.Errorf("setup phase %v, want fixed pause", p.Phases.Setup)
 	}
 	if p.Phases.Copy <= 0 || p.Phases.Scan <= 0 {

@@ -177,7 +177,7 @@ func (stwSerialPolicy) ConcurrentOld() bool { return false }
 
 func (stwSerialPolicy) PhaseTime(cfg Config, sequential sim.Time) sim.Time {
 	w := float64(cfg.Workers)
-	eff := 1 / (1 + cfg.EfficiencyAlpha*(w-1))
+	eff := 1 / (1 + efficiencyAlpha*(w-1))
 	return sim.Time(float64(sequential) / (w * eff))
 }
 
@@ -230,8 +230,7 @@ func (p *stwParallelPolicy) Layout(req LayoutRequest) Layout {
 // stay stop-the-world under the calibrated cost model, while the old
 // generation is marked and swept by background GC threads whose CPU time
 // is accounted as mutator-overlap (vm.Result.ConcGCCPUTime), bracketed by
-// brief initial-mark/remark pauses. Collector-level knobs (trigger ratio,
-// concurrent thread count, mark/sweep costs) stay in Config.
+// brief initial-mark/remark pauses. The trigger ratio stays in Config.
 func Concurrent() Policy { return concurrentPolicy{} }
 
 type concurrentPolicy struct{}

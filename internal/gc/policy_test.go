@@ -83,7 +83,7 @@ func TestStwSerialMatchesSeedCostModel(t *testing.T) {
 	p := StwSerial()
 	for _, seq := range []sim.Time{0, 1000, 123456, 7 * sim.Millisecond} {
 		w := float64(cfg.Workers)
-		eff := 1 / (1 + cfg.EfficiencyAlpha*(w-1))
+		eff := 1 / (1 + 0.09*(w-1)) // the seed's calibrated alpha
 		want := sim.Time(float64(seq) / (w * eff))
 		if got := p.PhaseTime(cfg, seq); got != want {
 			t.Errorf("PhaseTime(%v) = %v, want %v", seq, got, want)

@@ -13,7 +13,7 @@ import (
 // the scheduler — so the cycle itself must report zero allocs/op.
 func BenchmarkDispatchCycle(b *testing.B) {
 	s := sim.New()
-	sc := New(s, multiCoreMachine(8), Config{Steal: true})
+	sc := New(s, multiCoreMachine(8), Config{})
 	const nThreads = 16
 	threads := make([]*Thread, nThreads)
 	for i := range threads {
@@ -69,7 +69,7 @@ func BenchmarkSchedContinuation(b *testing.B) {
 func BenchmarkNUMAPenaltyPath(b *testing.B) {
 	s := sim.New()
 	m := machine.MustNew(machine.Opteron6168())
-	sc := New(s, m, Config{Steal: true})
+	sc := New(s, m, Config{})
 	th := sc.NewThread("w", 0)
 	th.MemoryIntensity = 0.8
 	remaining := b.N

@@ -6,13 +6,12 @@ import (
 	"javasim/internal/sim"
 )
 
-// TestNoStealIsolation: with stealing disabled, a thread queued behind a
-// busy core stays there even while another core idles.
+// TestNoStealIsolation: stealing is always on, so a thread queued behind
+// a busy core never stays isolated there while another core idles.
 func TestNoStealIsolation(t *testing.T) {
 	s := sim.New()
-	sc := New(s, multiCoreMachine(2), Config{Steal: false})
-	// Occupy both cores, then queue a third thread; it lands on the
-	// least-loaded queue and must wait for that core specifically.
+	sc := New(s, multiCoreMachine(2), Config{})
+	// Occupy both cores, then queue a third thread behind one of them.
 	a := sc.NewThread("a", 0)
 	b := sc.NewThread("b", 0)
 	c := sc.NewThread("c", 0)
@@ -21,25 +20,9 @@ func TestNoStealIsolation(t *testing.T) {
 	sc.Submit(b, 1*sim.Millisecond, func() {})
 	sc.Submit(c, 1*sim.Millisecond, func() { cDone = s.Now() })
 	s.Run()
-	// c queued behind one of the busy cores; with both equally loaded it
-	// picks the lower index (a's core, 10ms) — without stealing it cannot
-	// migrate to b's core when b finishes at 1ms.
-	if cDone != 11*sim.Millisecond && cDone != 2*sim.Millisecond {
-		t.Errorf("c done at %v, want 11ms (stuck) or 2ms (queued on b)", cDone)
-	}
-	// The same scenario with stealing enabled always finishes by 2ms.
-	s2 := sim.New()
-	sc2 := New(s2, multiCoreMachine(2), Config{Steal: true})
-	a2 := sc2.NewThread("a", 0)
-	b2 := sc2.NewThread("b", 0)
-	c2 := sc2.NewThread("c", 0)
-	var c2Done sim.Time
-	sc2.Submit(a2, 10*sim.Millisecond, func() {})
-	sc2.Submit(b2, 1*sim.Millisecond, func() {})
-	sc2.Submit(c2, 1*sim.Millisecond, func() { c2Done = s2.Now() })
-	s2.Run()
-	if c2Done != 2*sim.Millisecond {
-		t.Errorf("with stealing, c done at %v, want 2ms", c2Done)
+	// Wherever c queued, b's core steals it when b finishes at 1ms.
+	if cDone != 2*sim.Millisecond {
+		t.Errorf("c done at %v, want 2ms", cDone)
 	}
 }
 

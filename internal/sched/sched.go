@@ -148,26 +148,17 @@ type PhaseBias struct {
 	PhaseLength sim.Time
 }
 
+// quantum is the preemption time slice.
+const quantum = sim.Millisecond
+
 // Config parameterizes the scheduler.
 type Config struct {
-	// Quantum is the preemption time slice. Zero means 1ms.
-	Quantum sim.Time
-	// Steal enables idle work stealing across run queues.
-	Steal bool
 	// Bias enables phase-biased scheduling when Bias.Groups > 1.
 	Bias PhaseBias
 	// Placement selects the run-queue placement discipline by registry
 	// name ("affinity", "round-robin", "least-loaded", or a user
 	// registration); empty means affinity.
 	Placement string
-}
-
-// WithDefaults fills zero fields.
-func (c Config) WithDefaults() Config {
-	if c.Quantum == 0 {
-		c.Quantum = sim.Millisecond
-	}
-	return c
 }
 
 type coreState struct {
@@ -216,7 +207,6 @@ type Scheduler struct {
 // unknown Config.Placement name panics — validate with KnownPlacement (or
 // resolve through NewPlacement) before constructing.
 func New(s *sim.Simulator, m *machine.Machine, cfg Config) *Scheduler {
-	cfg = cfg.WithDefaults()
 	enabled := m.EnabledCores()
 	if len(enabled) == 0 {
 		panic("sched: no enabled cores")
@@ -458,14 +448,11 @@ func (sc *Scheduler) coreIndex(coreID int) (int, bool) {
 }
 
 // pickNext removes and returns the next thread for core idx: the eligible
-// minimum-vruntime thread in its own queue, else (with stealing) the
+// minimum-vruntime thread in its own queue, else one stolen: the
 // eligible min-vruntime thread from the longest other queue.
 func (sc *Scheduler) pickNext(idx int) *Thread {
 	if t := sc.takeMin(idx); t != nil {
 		return t
-	}
-	if !sc.cfg.Steal {
-		return nil
 	}
 	victim, victimLen := -1, 0
 	for i := range sc.cores {
@@ -553,8 +540,8 @@ func (sc *Scheduler) dispatch(idx int) {
 	}
 	t.startedAt = sc.sim.Now()
 	slice := sc.effRemaining(t)
-	if slice > sc.cfg.Quantum {
-		slice = sc.cfg.Quantum
+	if slice > quantum {
+		slice = quantum
 	}
 	t.sliceEvent = sc.sim.ScheduleCall(slice, c)
 }
@@ -650,8 +637,8 @@ func (sc *Scheduler) tick(idx int) {
 	}
 	t.startedAt = sc.sim.Now()
 	slice := sc.effRemaining(t)
-	if slice > sc.cfg.Quantum {
-		slice = sc.cfg.Quantum
+	if slice > quantum {
+		slice = quantum
 	}
 	t.sliceEvent = sc.sim.ScheduleCall(slice, c)
 }
@@ -682,8 +669,8 @@ func (sc *Scheduler) completeSegment(t *Thread, idx int) {
 		}
 		t.startedAt = sc.sim.Now()
 		slice := sc.effRemaining(t)
-		if slice > sc.cfg.Quantum {
-			slice = sc.cfg.Quantum
+		if slice > quantum {
+			slice = quantum
 		}
 		t.sliceEvent = sc.sim.ScheduleCall(slice, c)
 		return

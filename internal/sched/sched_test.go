@@ -79,7 +79,7 @@ func TestContinuationKeepsCore(t *testing.T) {
 
 func TestTwoThreadsShareOneCore(t *testing.T) {
 	s := sim.New()
-	sc := New(s, singleCoreMachine(), Config{Quantum: sim.Millisecond})
+	sc := New(s, singleCoreMachine(), Config{})
 	a := sc.NewThread("a", 0)
 	b := sc.NewThread("b", 0)
 	var aDone, bDone sim.Time
@@ -112,7 +112,7 @@ func TestTwoThreadsShareOneCore(t *testing.T) {
 
 func TestWeightedFairness(t *testing.T) {
 	s := sim.New()
-	sc := New(s, singleCoreMachine(), Config{Quantum: 100 * sim.Microsecond})
+	sc := New(s, singleCoreMachine(), Config{})
 	heavy := sc.NewThread("heavy", DefaultWeight)
 	light := sc.NewThread("light", DefaultWeight/4)
 	// Both want effectively unlimited work; run for a fixed window and
@@ -150,7 +150,7 @@ func TestMultiCoreParallelism(t *testing.T) {
 
 func TestWorkStealing(t *testing.T) {
 	s := sim.New()
-	sc := New(s, multiCoreMachine(2), Config{Steal: true})
+	sc := New(s, multiCoreMachine(2), Config{})
 	// Three threads submitted at t=0: two dispatch, one queues. When a
 	// core frees, the queued thread must run there even if it was queued
 	// on the other core.
@@ -235,7 +235,7 @@ func TestMigrationAccounting(t *testing.T) {
 		Sockets: 2, CoresPerSocket: 1, MemoryPerNode: 1 << 30,
 		LocalAccess: 65, RemoteAccessPerHop: 45, MigrationCost: 10 * sim.Microsecond,
 	})
-	sc := New(s, m, Config{Steal: true, Quantum: 100 * sim.Microsecond})
+	sc := New(s, m, Config{})
 	hog := sc.NewThread("hog", 0)
 	mover := sc.NewThread("mover", 0)
 	// mover runs on core 0 first (establishing home and affinity). After
@@ -268,7 +268,7 @@ func TestNUMAPenaltySlowsRemotePlacement(t *testing.T) {
 		Sockets: 2, CoresPerSocket: 1, MemoryPerNode: 1 << 30,
 		LocalAccess: 50, RemoteAccessPerHop: 50, // remote = 2x local
 	})
-	sc := New(s, m, Config{Steal: true, Quantum: 10 * sim.Millisecond})
+	sc := New(s, m, Config{})
 	hog := sc.NewThread("hog", 0)
 	th := sc.NewThread("numa", 0)
 	th.MemoryIntensity = 1.0
@@ -356,7 +356,7 @@ func TestConservationProperty(t *testing.T) {
 			plan = plan[:24]
 		}
 		s := sim.New()
-		sc := New(s, multiCoreMachine(3), Config{Steal: true, Quantum: 50 * sim.Microsecond})
+		sc := New(s, multiCoreMachine(3), Config{})
 		const nThreads = 4
 		threads := make([]*Thread, nThreads)
 		remaining := make([][]sim.Time, nThreads)
@@ -365,7 +365,8 @@ func TestConservationProperty(t *testing.T) {
 		}
 		var total sim.Time
 		for i, p := range plan {
-			d := sim.Time(p%100+1) * sim.Microsecond
+			// Up to twice the quantum, so some segments are preempted.
+			d := sim.Time(p%100+1) * 20 * sim.Microsecond
 			remaining[i%nThreads] = append(remaining[i%nThreads], d)
 			total += d
 		}
@@ -419,7 +420,7 @@ func TestCMTDispatchRespectsEnabledUnits(t *testing.T) {
 			t.Fatalf("EnableCores(%d): %v", n, err)
 		}
 		s := sim.New()
-		sc := New(s, m, Config{Quantum: 100 * sim.Microsecond, Steal: true})
+		sc := New(s, m, Config{})
 		nThreads := 1 + int(thSeed)%40
 		ok := true
 		for i := 0; i < nThreads; i++ {

@@ -57,7 +57,8 @@ func (v *vm) setupCMS() {
 	if !v.cms.on {
 		return
 	}
-	n := v.gc.Config().ConcurrentThreads
+	// HotSpot's ConcGCThreads heuristic.
+	n := max(1, v.gc.Config().Workers/4)
 	for i := 0; i < n; i++ {
 		v.cms.threads = append(v.cms.threads,
 			v.sched.NewThread(fmt.Sprintf("cms-%d", i), sched.DefaultWeight))

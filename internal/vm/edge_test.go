@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -82,6 +83,26 @@ func TestCompartmentsExceedingThreads(t *testing.T) {
 	}
 	if res.TotalTime <= 0 {
 		t.Error("degenerate run")
+	}
+}
+
+// TestBiasPhaseDefault: bias groups without a phase length run with the
+// 2ms default, the same run as an explicit 2ms phase.
+func TestBiasPhaseDefault(t *testing.T) {
+	spec := workload.XalanSpec().Scale(0.03)
+	cfg := Config{Threads: 8, Seed: 1}
+	cfg.Sched.Bias.Groups = 2
+	unset, err := Run(spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Sched.Bias.PhaseLength = 2 * sim.Millisecond
+	explicit, err := Run(spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(unset, explicit) {
+		t.Error("unset bias phase diverged from an explicit 2ms phase")
 	}
 }
 

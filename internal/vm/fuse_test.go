@@ -34,7 +34,7 @@ func runPair(t *testing.T, spec workload.Spec, cfg Config, expectFusion bool) (*
 	}
 	observed := fusedRuns
 
-	unfused, err := runContext(context.Background(), spec, cfg, false)
+	unfused, err := runContext(context.Background(), spec, cfg, false, maxVirtualTime)
 	if err != nil {
 		t.Fatalf("%s unfused run: %v", spec.Name, err)
 	}

@@ -10,7 +10,7 @@ import (
 // effects are modeled, both computed once from the machine's static
 // latencies so runs stay deterministic:
 //
-//   - evacuation locality: the collector's CopyCostPerKB is calibrated
+//   - evacuation locality: the collector's copy cost per KiB is calibrated
 //     for a heap interleaved across the spanned memory nodes, so a
 //     compartment whose region and collecting workers sit on one node
 //     evacuates at the local latency instead of the interleaved mean —

@@ -72,8 +72,9 @@ type Config struct {
 	// user registration); empty means stw-serial, the paper's baseline.
 	GCPolicy string
 	// Sched configures the scheduler, including phase-bias (future-work
-	// (a)) and the placement discipline (Sched.Placement registry name;
-	// empty means affinity). Steal defaults to on.
+	// (a); a zero Sched.Bias.PhaseLength with Groups > 1 means 2ms) and
+	// the placement discipline (Sched.Placement registry name; empty
+	// means affinity).
 	Sched sched.Config
 	// LockPolicy selects the contended-monitor discipline by locks
 	// registry name ("fifo", "barging", "spin-then-park", "restricted",
@@ -96,13 +97,6 @@ type Config struct {
 	TraceSink trace.Sink
 	// LockProfiler, when non-nil, observes every monitor event.
 	LockProfiler *lockprof.Profiler
-	// MaxVirtualTime aborts runs that exceed this much simulated time;
-	// zero defaults to 300 virtual seconds.
-	MaxVirtualTime sim.Time
-	// HelperPeriod and HelperBurst shape the JVM background threads (JIT
-	// compiler, profiler): every period each helper computes for burst.
-	HelperPeriod sim.Time
-	HelperBurst  sim.Time
 	// Traffic selects the open-system arrival model: requests injected
 	// at a rate and served by the mutator pool, instead of the default
 	// closed loop where N threads iterate over a fixed work pool. The
@@ -143,9 +137,8 @@ func (c Config) withDefaults() Config {
 			c.Cores = max
 		}
 	}
-	if c.HeapFactor == 0 {
-		c.HeapFactor = 3
-	}
+	hc := heap.Config{Factor: c.HeapFactor, NewRatio: c.NewRatio, SurvivorRatio: c.SurvivorRatio}.WithDefaults()
+	c.HeapFactor, c.NewRatio, c.SurvivorRatio = hc.Factor, hc.NewRatio, hc.SurvivorRatio
 	// Compartments stays 0 when unset: the GC policy's Layout may default
 	// it (compartment picks one slice per socket), while an explicit 1
 	// requests the single shared eden. RunContext clamps the laid-out
@@ -157,15 +150,6 @@ func (c Config) withDefaults() Config {
 		c.GC.Workers = gc.DefaultWorkers(c.Cores)
 	}
 	c.GC = c.GC.WithDefaults()
-	if c.MaxVirtualTime == 0 {
-		c.MaxVirtualTime = 300 * sim.Second
-	}
-	if c.HelperPeriod == 0 {
-		c.HelperPeriod = 5 * sim.Millisecond
-	}
-	if c.HelperBurst == 0 {
-		c.HelperBurst = 100 * sim.Microsecond
-	}
 	if c.Iterations < 1 {
 		c.Iterations = 1
 	}
@@ -178,7 +162,9 @@ func (c Config) withDefaults() Config {
 	if c.Sched.Placement == "" {
 		c.Sched.Placement = sched.PlacementAffinity
 	}
-	c.Sched.Steal = true
+	if c.Sched.Bias.Groups > 1 && c.Sched.Bias.PhaseLength <= 0 {
+		c.Sched.Bias.PhaseLength = 2 * sim.Millisecond
+	}
 	c.Traffic = c.Traffic.Canonical()
 	return c
 }
@@ -480,13 +466,19 @@ const cancelCheckEvents = 4096
 // canceled context aborts the run promptly and returns an error wrapping
 // ctx.Err(); the partial simulation state is discarded.
 func RunContext(ctx context.Context, spec workload.Spec, cfg Config) (*Result, error) {
-	return runContext(ctx, spec, cfg, true)
+	return runContext(ctx, spec, cfg, true, maxVirtualTime)
 }
 
-// runContext is RunContext with op-run fusion selectable. Fusion is
-// invisible in results, so only the fusion differential tests pass fuse
-// false, to compare against the op-by-op path.
-func runContext(ctx context.Context, spec workload.Spec, cfg Config, fuse bool) (*Result, error) {
+// maxVirtualTime is the simulated-time budget of a run; exceeding it
+// means a model bug (livelock), not a slow workload.
+const maxVirtualTime = 300 * sim.Second
+
+// runContext is RunContext with op-run fusion and the virtual-time budget
+// selectable. Fusion is invisible in results, so only the fusion
+// differential tests pass fuse false, to compare against the op-by-op
+// path; only the guard's own test passes a budget other than
+// maxVirtualTime.
+func runContext(ctx context.Context, spec workload.Spec, cfg Config, fuse bool, budget sim.Time) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -655,10 +647,10 @@ func runContext(ctx context.Context, spec workload.Spec, cfg Config, fuse bool) 
 	// Abort guard: a run exceeding the virtual budget indicates a model
 	// bug (livelock); surface it as an error rather than spinning. The
 	// guard is canceled at run end so it does not drag the clock forward.
-	v.guardEv = s.At(cfg.MaxVirtualTime, func() {
+	v.guardEv = s.At(budget, func() {
 		if !v.finished {
 			v.runErr = fmt.Errorf("vm: %s with %d threads exceeded %v virtual time",
-				spec.Name, cfg.Threads, cfg.MaxVirtualTime)
+				spec.Name, cfg.Threads, budget)
 			s.Stop()
 		}
 	})
@@ -763,6 +755,12 @@ func (v *vm) setupMutators() {
 	}
 }
 
+// Each JVM helper thread computes for helperBurst every helperPeriod.
+const (
+	helperPeriod = 5 * sim.Millisecond
+	helperBurst  = 100 * sim.Microsecond
+)
+
 // setupHelpers spawns the JVM background threads (JIT compiler, profiler).
 // They are low-weight and periodic: real competitors for cores, but not
 // workload executors.
@@ -775,15 +773,15 @@ func (v *vm) setupHelpers() {
 			if v.finished {
 				return
 			}
-			v.sched.Submit(th, v.cfg.HelperBurst, func() {
+			v.sched.Submit(th, helperBurst, func() {
 				if v.finished {
 					return
 				}
-				v.sim.Schedule(v.cfg.HelperPeriod, cycle)
+				v.sim.Schedule(helperPeriod, cycle)
 			})
 		}
 		// Stagger helper wakeups so they do not thunder together.
-		v.sim.Schedule(sim.Time(i+1)*v.cfg.HelperPeriod/sim.Time(v.spec.HelperThreads+1), cycle)
+		v.sim.Schedule(sim.Time(i+1)*helperPeriod/sim.Time(v.spec.HelperThreads+1), cycle)
 	}
 }
 

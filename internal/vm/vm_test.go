@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -420,7 +421,7 @@ func TestCompartmentsRun(t *testing.T) {
 }
 
 func TestMaxVirtualTimeGuard(t *testing.T) {
-	_, err := Run(workload.XalanSpec(), Config{Threads: 4, Seed: 1, MaxVirtualTime: sim.Millisecond})
+	_, err := runContext(context.Background(), workload.XalanSpec(), Config{Threads: 4, Seed: 1}, true, sim.Millisecond)
 	if err == nil {
 		t.Fatal("expected budget-exceeded error")
 	}
