@@ -33,7 +33,7 @@ import (
 
 func main() {
 	var (
-		name         = flag.String("workload", "xalan", "benchmark: any registered workload (see -list)")
+		name         = flag.String("workload", "xalan", "benchmark: "+strings.Join(javasim.WorkloadNames(), ", ")+" (see -list)")
 		specFile     = flag.String("spec", "", "load a custom workload Spec from this JSON file (overrides -workload)")
 		dumpSpec     = flag.Bool("dump-spec", false, "print the selected workload's Spec as JSON and exit")
 		planFile     = flag.String("plan", "", "execute a declarative scenario plan from this JSON file and exit")
@@ -85,11 +85,9 @@ func main() {
 			fatalf("%v", err)
 		}
 	} else {
-		var ok bool
-		spec, ok = javasim.LookupWorkload(*name)
-		if !ok {
-			fatalf("unknown workload %q; choose one of %s (or -spec a custom file)",
-				*name, strings.Join(javasim.WorkloadNames(), ", "))
+		var err error
+		if spec, err = workload.Registry.Get(*name); err != nil {
+			fatalf("%v", err)
 		}
 	}
 	if *dumpSpec {

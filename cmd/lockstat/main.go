@@ -17,6 +17,7 @@ import (
 	"os/signal"
 
 	"javasim"
+	"javasim/internal/workload"
 )
 
 func main() {
@@ -30,9 +31,9 @@ func main() {
 	)
 	flag.Parse()
 
-	spec, ok := javasim.LookupWorkload(*name)
-	if !ok {
-		fatalf("unknown workload %q", *name)
+	spec, err := workload.Registry.Get(*name)
+	if err != nil {
+		fatalf("%v", err)
 	}
 	if *scale != 1 {
 		spec = spec.Scale(*scale)

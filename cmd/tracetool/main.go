@@ -25,12 +25,19 @@ import (
 
 func main() {
 	dumpN := flag.Int("n", 50, "dump: number of events to print (0 = all)")
+	flag.Usage = usage
 	flag.Parse()
 	args := flag.Args()
-	if len(args) != 2 {
+	if len(args) < 2 {
 		usage()
 	}
+	// flag.Parse stops at the first positional argument, so the flags
+	// that follow <cmd> <file> are parsed separately.
 	cmd, path := args[0], args[1]
+	flag.CommandLine.Parse(args[2:])
+	if flag.NArg() != 0 {
+		usage()
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		fatalf("%v", err)
@@ -57,7 +64,7 @@ func main() {
 
 // threads prints the per-thread allocation and lifespan breakdown.
 func threads(ctx context.Context, r *trace.Reader) {
-	a, err := trace.AnalyzeDetailedContext(ctx, r, 0)
+	a, err := trace.Analyze(ctx, r, 0)
 	if err != nil {
 		fatalf("analyze: %v", err)
 	}
@@ -84,7 +91,7 @@ func peakChurn(ws []trace.ChurnWindow) string {
 // cdf prints the cumulative lifespan distribution in the paper's
 // Figure 1c/1d bucket layout.
 func cdf(ctx context.Context, r *trace.Reader) {
-	a, err := trace.AnalyzeContext(ctx, r)
+	a, err := trace.Analyze(ctx, r, 0)
 	if err != nil {
 		fatalf("analyze: %v", err)
 	}
@@ -95,7 +102,7 @@ func cdf(ctx context.Context, r *trace.Reader) {
 }
 
 func stats(ctx context.Context, r *trace.Reader) {
-	a, err := trace.AnalyzeContext(ctx, r)
+	a, err := trace.Analyze(ctx, r, 0)
 	if err != nil {
 		fatalf("analyze: %v", err)
 	}

@@ -18,8 +18,8 @@ var testEngine = NewEngine()
 // testSweep runs a reduced-scale sweep for unit tests.
 func testSweep(t *testing.T, name string, counts []int) *Sweep {
 	t.Helper()
-	spec, ok := workload.Lookup(name)
-	if !ok {
+	spec, err := workload.Registry.Get(name)
+	if err != nil {
 		t.Fatalf("unknown workload %s", name)
 	}
 	sw, err := testEngine.Sweep(context.Background(), spec.Scale(0.08), SweepConfig{

@@ -17,8 +17,8 @@ import (
 
 func testSpec(t testing.TB, name string, scale float64) workload.Spec {
 	t.Helper()
-	spec, ok := workload.Lookup(name)
-	if !ok {
+	spec, err := workload.Registry.Get(name)
+	if err != nil {
 		t.Fatalf("unknown workload %s", name)
 	}
 	return spec.Scale(scale)

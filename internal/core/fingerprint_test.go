@@ -130,7 +130,7 @@ func FuzzFingerprint(f *testing.F) {
 	f.Add("xalan", 1000, int64(20000), 0.5, 8, 0, 3.0, "", false, uint64(42), uint8(0), "", 0.0, uint8(0))
 	f.Add("", -1, int64(-1), math.NaN(), 0, -3, math.Inf(1), "concurrent", true, uint64(0), uint8(255), "poisson", 1e9, uint8(7))
 	f.Add("h2", 1<<40, int64(1)<<62, -0.0, 1<<20, 48, 0.0, "compartment", true, ^uint64(0), uint8(15), "bursty", -5.0, uint8(200))
-	base, _ := workload.Lookup("xalan")
+	base, _ := workload.Registry.Get("xalan")
 	f.Fuzz(func(t *testing.T, name string, units int, compute int64, cv float64,
 		threads, cores int, heap float64, gcPolicy string, pretenure bool, seed uint64,
 		tenuring uint8, process string, rate float64, which uint8) {

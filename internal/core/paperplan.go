@@ -35,7 +35,7 @@ func PaperPlan(cfg ExperimentConfig) *Plan {
 	var workloadNames []string
 	for _, w := range cfg.Workloads {
 		ref := workload.SpecRef(w)
-		if reg, ok := workload.Lookup(w.Name); ok && reg == w {
+		if reg, err := workload.Registry.Get(w.Name); err == nil && reg == w {
 			ref = workload.NameRef(w.Name)
 		}
 		p.Scenarios = append(p.Scenarios, Scenario{Name: w.Name, Workload: ref})

@@ -181,19 +181,16 @@ func (o *ConfigOverrides) validate() error {
 	if o.NewRatio < 0 || o.SurvivorRatio < 0 {
 		return fmt.Errorf("negative heap ratio override")
 	}
-	if err := locks.ValidatePolicy(o.LockPolicy); err != nil {
+	if err := locks.Policies.Validate(o.LockPolicy); err != nil {
 		return err
 	}
-	if err := sched.ValidatePlacement(o.Placement); err != nil {
+	if err := sched.Placements.Validate(o.Placement); err != nil {
 		return err
 	}
-	if err := gc.ValidatePolicy(o.GCPolicy); err != nil {
+	if err := gc.Policies.Validate(o.GCPolicy); err != nil {
 		return err
 	}
-	if err := machine.ValidateModel(o.Machine); err != nil {
-		return err
-	}
-	return nil
+	return machine.Models.Validate(o.Machine)
 }
 
 // TrafficSpec switches a scenario to the open-system model: instead of a

@@ -117,7 +117,7 @@ func TestGoldenPlans(t *testing.T) {
 		writePlanText(t, &buf, pr.Tables())
 	}
 
-	xalan, _ := workload.Lookup("xalan")
+	xalan, _ := workload.Registry.Get("xalan")
 	paper := PaperPlan(ExperimentConfig{
 		ThreadCounts: []int{2, 4}, Scale: 0.02, Seed: 5, Workloads: []workload.Spec{xalan}})
 	eng := NewEngine()

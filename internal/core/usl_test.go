@@ -93,8 +93,8 @@ func TestUSLCrossValidation(t *testing.T) {
 func TestPolicySigmaOrdering(t *testing.T) {
 	eng := NewEngine()
 	fit := func(policy string) float64 {
-		spec, ok := workload.Lookup("server-contended")
-		if !ok {
+		spec, err := workload.Registry.Get("server-contended")
+		if err != nil {
 			t.Fatal("server-contended not registered")
 		}
 		cfg := SweepConfig{ThreadCounts: []int{4, 16, 32}}

@@ -33,12 +33,13 @@ func BenchmarkCollectMinor(b *testing.B) {
 // registered GC policy, so policy-dispatch overhead regressions are
 // visible in the bench smoke.
 func BenchmarkGCPolicy(b *testing.B) {
-	for _, name := range PolicyNames() {
+	for _, name := range Policies.Names() {
 		b.Run(name, func(b *testing.B) {
-			p, err := NewPolicy(name)
+			newPolicy, err := Policies.Get(name)
 			if err != nil {
 				b.Fatal(err)
 			}
+			p := newPolicy()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				h := heap.New(heap.Config{MinHeap: 64 << 20, Factor: 3})

@@ -1,8 +1,6 @@
 package gc
 
 import (
-	"fmt"
-
 	"javasim/internal/registry"
 	"javasim/internal/sim"
 )
@@ -107,61 +105,18 @@ type Policy interface {
 
 // --- Registry ----------------------------------------------------------
 
-var policyRegistry = registry.New[Policy]("gc policy")
+// Policies is the GC-policy catalog. Entries are factories that return
+// a fresh instance per call. The empty name selects stw-serial.
+var Policies = registry.New[func() Policy]("gc policy", PolicyStwSerial, nil)
 
 func init() {
-	policyRegistry.MustRegister(PolicyStwSerial, func() Policy { return StwSerial() })
-	policyRegistry.MustRegister(PolicyStwParallel, func() Policy {
+	Policies.MustRegister(PolicyStwSerial, func() Policy { return StwSerial() })
+	Policies.MustRegister(PolicyStwParallel, func() Policy {
 		return StwParallel(DefaultParallelAlpha, DefaultSyncTax)
 	})
-	policyRegistry.MustRegister(PolicyConcurrent, func() Policy { return Concurrent() })
-	policyRegistry.MustRegister(PolicyCompartment, func() Policy { return Compartment(0) })
+	Policies.MustRegister(PolicyConcurrent, func() Policy { return Concurrent() })
+	Policies.MustRegister(PolicyCompartment, func() Policy { return Compartment(0) })
 }
-
-// RegisterPolicy adds a policy factory to the registry under name. Names
-// are unique; registering an existing name (including the built-ins) is
-// an error.
-func RegisterPolicy(name string, factory func() Policy) error {
-	if err := policyRegistry.Register(name, factory); err != nil {
-		return fmt.Errorf("gc: %w", err)
-	}
-	return nil
-}
-
-// NewPolicy builds a fresh instance of the named policy. The empty name
-// selects the default stw-serial discipline.
-func NewPolicy(name string) (Policy, error) {
-	if name == "" {
-		name = PolicyStwSerial
-	}
-	p, err := policyRegistry.New(name)
-	if err != nil {
-		return nil, fmt.Errorf("gc: %w", err)
-	}
-	return p, nil
-}
-
-// KnownPolicy reports whether name resolves in the registry (the empty
-// name resolves to stw-serial).
-func KnownPolicy(name string) bool {
-	return name == "" || policyRegistry.Known(name)
-}
-
-// ValidatePolicy returns the canonical unknown-name error for a policy
-// name that does not resolve, or nil — the one error every configuration
-// layer (plans, vm config, CLI) reports, with the same prefix NewPolicy
-// uses.
-func ValidatePolicy(name string) error {
-	if KnownPolicy(name) {
-		return nil
-	}
-	_, err := NewPolicy(name)
-	return err
-}
-
-// PolicyNames returns every registered policy name in registration order:
-// the four built-ins, then user registrations.
-func PolicyNames() []string { return policyRegistry.Names() }
 
 // --- stw-serial --------------------------------------------------------
 

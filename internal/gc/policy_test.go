@@ -1,7 +1,6 @@
 package gc
 
 import (
-	"strings"
 	"sync"
 	"testing"
 
@@ -9,50 +8,6 @@ import (
 	"javasim/internal/objmodel"
 	"javasim/internal/sim"
 )
-
-// TestPolicyRegistry pins the registry contract: the four built-ins in
-// registration order, unknown names rejected with the known set named,
-// duplicates (including the built-ins) rejected, empty name resolving to
-// the default.
-func TestPolicyRegistry(t *testing.T) {
-	names := PolicyNames()
-	if len(names) < 4 {
-		t.Fatalf("PolicyNames() = %v, want at least the four built-ins", names)
-	}
-	want := []string{PolicyStwSerial, PolicyStwParallel, PolicyConcurrent, PolicyCompartment}
-	for i, w := range want {
-		if names[i] != w {
-			t.Errorf("PolicyNames()[%d] = %q, want %q", i, names[i], w)
-		}
-	}
-
-	if _, err := NewPolicy("no-such-gc"); err == nil {
-		t.Error("unknown policy resolved")
-	} else if !strings.Contains(err.Error(), "known:") || !strings.Contains(err.Error(), PolicyStwSerial) {
-		t.Errorf("unknown-name error %q does not list the known set", err)
-	}
-	if err := ValidatePolicy("no-such-gc"); err == nil {
-		t.Error("unknown policy validated")
-	}
-	if err := ValidatePolicy(""); err != nil {
-		t.Errorf("empty name rejected: %v", err)
-	}
-
-	p, err := NewPolicy("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Name() != PolicyStwSerial {
-		t.Errorf("empty name resolved to %q, want stw-serial", p.Name())
-	}
-
-	if err := RegisterPolicy(PolicyConcurrent, func() Policy { return Concurrent() }); err == nil {
-		t.Error("duplicate built-in registration succeeded")
-	}
-	if err := RegisterPolicy("", func() Policy { return StwSerial() }); err == nil {
-		t.Error("empty-name registration succeeded")
-	}
-}
 
 // TestPolicyRegistryConcurrentAccess hammers resolution and enumeration
 // from many goroutines so the race detector watches the registry.
@@ -63,12 +18,15 @@ func TestPolicyRegistryConcurrentAccess(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				for _, name := range PolicyNames() {
-					if _, err := NewPolicy(name); err != nil {
+				for _, name := range Policies.Names() {
+					newPolicy, err := Policies.Get(name)
+					if err != nil {
 						t.Error(err)
+						continue
 					}
+					newPolicy()
 				}
-				_ = KnownPolicy("no-such-gc")
+				_ = Policies.Validate("no-such-gc")
 			}
 		}()
 	}

@@ -35,12 +35,13 @@ func BenchmarkContendedHandoff(b *testing.B) {
 // released thread immediately re-attempting. A regression here is
 // policy-dispatch overhead leaking into the simulator's hottest loop.
 func BenchmarkTableContended(b *testing.B) {
-	for _, name := range PolicyNames() {
+	for _, name := range Policies.Names() {
 		b.Run(name, func(b *testing.B) {
-			p, err := NewPolicy(name)
+			newPolicy, err := Policies.Get(name)
 			if err != nil {
 				b.Fatal(err)
 			}
+			p := newPolicy()
 			tb := NewTableWithPolicy(p, nil)
 			m := tb.Create("bench")
 			const threads = 8

@@ -1,8 +1,6 @@
 package locks
 
 import (
-	"fmt"
-
 	"javasim/internal/registry"
 	"javasim/internal/sim"
 )
@@ -14,7 +12,7 @@ import (
 // not explore: competitive handoff ("barging"), bounded busy-waiting
 // ("spin-then-park"), and Dice & Kogan-style concurrency restriction
 // ("restricted"). Policies are stateful and per-Table: build one per VM
-// through NewPolicy, never share an instance across tables.
+// from the Policies catalog, never share an instance across tables.
 //
 // Two counters diverge once the discipline is swappable. The Listener's
 // contended flag reports the raw truth — the attempt found the monitor
@@ -81,60 +79,17 @@ type Policy interface {
 
 // --- Registry ----------------------------------------------------------
 
-var policyRegistry = registry.New[Policy]("lock policy")
+// Policies is the lock-policy catalog. Entries are factories that must
+// return a fresh instance per call — policies hold per-table state. The
+// empty name selects fifo.
+var Policies = registry.New[func() Policy]("lock policy", PolicyFIFO, nil)
 
 func init() {
-	policyRegistry.MustRegister(PolicyFIFO, func() Policy { return FIFO() })
-	policyRegistry.MustRegister(PolicyBarging, func() Policy { return Barging() })
-	policyRegistry.MustRegister(PolicySpinThenPark, func() Policy { return SpinThenPark(DefaultSpinBudget) })
-	policyRegistry.MustRegister(PolicyRestricted, func() Policy { return Restricted(DefaultRestrictedCap) })
+	Policies.MustRegister(PolicyFIFO, func() Policy { return FIFO() })
+	Policies.MustRegister(PolicyBarging, func() Policy { return Barging() })
+	Policies.MustRegister(PolicySpinThenPark, func() Policy { return SpinThenPark(DefaultSpinBudget) })
+	Policies.MustRegister(PolicyRestricted, func() Policy { return Restricted(DefaultRestrictedCap) })
 }
-
-// RegisterPolicy adds a policy factory to the registry under name. The
-// factory must return a fresh instance on every call — policies hold
-// per-table state. Names are unique; registering an existing name
-// (including the built-ins) is an error.
-func RegisterPolicy(name string, factory func() Policy) error {
-	if err := policyRegistry.Register(name, factory); err != nil {
-		return fmt.Errorf("locks: %w", err)
-	}
-	return nil
-}
-
-// NewPolicy builds a fresh instance of the named policy. The empty name
-// selects the default fifo discipline.
-func NewPolicy(name string) (Policy, error) {
-	if name == "" {
-		name = PolicyFIFO
-	}
-	p, err := policyRegistry.New(name)
-	if err != nil {
-		return nil, fmt.Errorf("locks: %w", err)
-	}
-	return p, nil
-}
-
-// KnownPolicy reports whether name resolves in the registry (the empty
-// name resolves to fifo).
-func KnownPolicy(name string) bool {
-	return name == "" || policyRegistry.Known(name)
-}
-
-// ValidatePolicy returns the canonical unknown-name error for a policy
-// name that does not resolve, or nil — the one error every
-// configuration layer (plans, vm config, CLI) reports, with the same
-// prefix NewPolicy uses.
-func ValidatePolicy(name string) error {
-	if KnownPolicy(name) {
-		return nil
-	}
-	_, err := NewPolicy(name)
-	return err
-}
-
-// PolicyNames returns every registered policy name in registration order:
-// the four built-ins, then user registrations.
-func PolicyNames() []string { return policyRegistry.Names() }
 
 // --- fifo --------------------------------------------------------------
 

@@ -8,49 +8,21 @@ import (
 
 func mustPolicy(t testing.TB, name string) Policy {
 	t.Helper()
-	p, err := NewPolicy(name)
+	newPolicy, err := Policies.Get(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p
+	return newPolicy()
 }
 
+// TestPolicyRegistry checks that catalog factories mint fresh instances —
+// policies hold per-table state. The naming rules every catalog shares
+// are checked once, in the root package's catalog table test.
 func TestPolicyRegistry(t *testing.T) {
-	names := PolicyNames()
-	want := []string{PolicyFIFO, PolicyBarging, PolicySpinThenPark, PolicyRestricted}
-	if len(names) < len(want) {
-		t.Fatalf("registry names = %v, want at least %v", names, want)
-	}
-	for i, w := range want {
-		if names[i] != w {
-			t.Errorf("names[%d] = %q, want %q", i, names[i], w)
-		}
-	}
-	if err := RegisterPolicy(PolicyFIFO, func() Policy { return FIFO() }); err == nil {
-		t.Error("duplicate registration of fifo succeeded")
-	}
-	if err := RegisterPolicy("", func() Policy { return FIFO() }); err == nil {
-		t.Error("empty-name registration succeeded")
-	}
-	if err := RegisterPolicy("nil-factory", nil); err == nil {
-		t.Error("nil-factory registration succeeded")
-	}
-	if _, err := NewPolicy("no-such-policy"); err == nil {
-		t.Error("unknown policy name resolved")
-	}
-	if !KnownPolicy("") || !KnownPolicy(PolicyRestricted) || KnownPolicy("no-such-policy") {
-		t.Error("KnownPolicy verdicts wrong")
-	}
-	// The empty name resolves to the default discipline.
-	p, err := NewPolicy("")
-	if err != nil || p.Name() != PolicyFIFO {
-		t.Errorf("NewPolicy(\"\") = %v, %v; want fifo", p, err)
-	}
-	// Factories mint fresh instances — policies hold per-table state.
 	a := mustPolicy(t, PolicyRestricted)
 	b := mustPolicy(t, PolicyRestricted)
 	if a == b {
-		t.Error("NewPolicy returned a shared restricted instance")
+		t.Error("the restricted factory returned a shared instance")
 	}
 }
 

@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -273,56 +272,21 @@ func TestBillTrafficUnlimited(t *testing.T) {
 	}
 }
 
+// TestModelRegistry checks what only the machine catalog does: each
+// built-in is registered under its own Name, and registration rejects an
+// invalid Config.
 func TestModelRegistry(t *testing.T) {
 	for _, name := range []string{DefaultModel, ModelSparcT3, ModelOpteronBW, ModelOpteronFlat} {
-		mdl, err := LookupModel(name)
+		mdl, err := Models.Get(name)
 		if err != nil {
-			t.Fatalf("LookupModel(%q): %v", name, err)
+			t.Fatalf("Models.Get(%q): %v", name, err)
 		}
 		if mdl.Name() != name {
 			t.Errorf("model %q reports name %q", name, mdl.Name())
 		}
-		if !KnownModel(name) {
-			t.Errorf("KnownModel(%q) = false", name)
-		}
 	}
-	if err := RegisterModel(NewModel(DefaultModel, Opteron6168())); err == nil {
-		t.Error("duplicate registration accepted")
-	}
-	if _, err := LookupModel("no-such-machine"); err == nil {
-		t.Error("unknown model lookup succeeded")
-	} else if !strings.Contains(err.Error(), "no-such-machine") {
-		t.Errorf("unknown-model error %q does not name the model", err)
-	}
-	if err := RegisterModel(NewModel("bad-config", Config{})); err == nil {
+	if err := Models.Register("bad-config", NewModel("bad-config", Config{})); err == nil {
 		t.Error("invalid model config accepted")
-	}
-}
-
-func TestValidateModel(t *testing.T) {
-	if err := ValidateModel(""); err != nil {
-		t.Errorf("empty name rejected: %v", err)
-	}
-	if err := ValidateModel(DefaultModel); err != nil {
-		t.Errorf("default model rejected: %v", err)
-	}
-	if err := ValidateModel("no-such-machine"); err == nil {
-		t.Error("unknown model accepted")
-	}
-}
-
-func TestModelNamesIncludeBuiltins(t *testing.T) {
-	names := ModelNames()
-	want := map[string]bool{DefaultModel: false, ModelSparcT3: false, ModelOpteronBW: false, ModelOpteronFlat: false}
-	for _, n := range names {
-		if _, ok := want[n]; ok {
-			want[n] = true
-		}
-	}
-	for n, seen := range want {
-		if !seen {
-			t.Errorf("built-in model %q missing from ModelNames", n)
-		}
 	}
 }
 

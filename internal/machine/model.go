@@ -1,8 +1,6 @@
 package machine
 
 import (
-	"fmt"
-
 	"javasim/internal/registry"
 	"javasim/internal/sim"
 )
@@ -93,52 +91,19 @@ func Opteron6168Flat() Config {
 	return cfg
 }
 
-// models is the global machine-model registry. Factories return the
-// Model itself — models are stateless, so one value serves every lookup.
-var models = registry.New[Model]("machine model")
+// Models is the machine-model catalog. Models are stateless, so one
+// value serves every lookup; registration rejects an invalid Config. The
+// empty name selects the default model.
+var Models = registry.New[Model]("machine model", DefaultModel,
+	func(m Model) error { return m.Config().Validate() })
 
 func init() {
-	MustRegisterModel(NewModel(DefaultModel, Opteron6168()))
-	MustRegisterModel(NewModel(ModelSparcT3, SparcT3_4()))
-	MustRegisterModel(NewModel(ModelOpteronBW, Opteron6168BW()))
-	MustRegisterModel(NewModel(ModelOpteronFlat, Opteron6168Flat()))
-}
-
-// RegisterModel adds a model to the registry under its Name. Duplicate or
-// empty names and invalid configurations are rejected.
-func RegisterModel(m Model) error {
-	if m == nil {
-		return fmt.Errorf("machine: nil model")
-	}
-	if err := m.Config().Validate(); err != nil {
-		return fmt.Errorf("machine: model %q: %w", m.Name(), err)
-	}
-	return models.Register(m.Name(), func() Model { return m })
-}
-
-// MustRegisterModel is RegisterModel that panics on error — for package
-// init blocks wiring in built-ins.
-func MustRegisterModel(m Model) {
-	if err := RegisterModel(m); err != nil {
-		panic(err)
+	for _, m := range []Model{
+		NewModel(DefaultModel, Opteron6168()),
+		NewModel(ModelSparcT3, SparcT3_4()),
+		NewModel(ModelOpteronBW, Opteron6168BW()),
+		NewModel(ModelOpteronFlat, Opteron6168Flat()),
+	} {
+		Models.MustRegister(m.Name(), m)
 	}
 }
-
-// LookupModel returns the registered model with the given name.
-func LookupModel(name string) (Model, error) { return models.New(name) }
-
-// KnownModel reports whether name is a registered model.
-func KnownModel(name string) bool { return models.Known(name) }
-
-// ValidateModel checks a plan- or CLI-supplied model name. The empty
-// string is valid and means "the default model".
-func ValidateModel(name string) error {
-	if name == "" || models.Known(name) {
-		return nil
-	}
-	_, err := models.New(name)
-	return err
-}
-
-// ModelNames returns every registered model name in registration order.
-func ModelNames() []string { return models.Names() }

@@ -1,10 +1,6 @@
 package sched
 
-import (
-	"fmt"
-
-	"javasim/internal/registry"
-)
+import "javasim/internal/registry"
 
 // Where a waking thread's segment runs is a Placement: the discipline that
 // picks the run queue for every enqueue. The seed behavior — prefer the
@@ -12,7 +8,7 @@ import (
 // home-socket tie-break — is the "affinity" placement; "round-robin" and
 // "least-loaded" trade cache/NUMA locality for spread. Placements may hold
 // per-scheduler state (the round-robin cursor), so each Scheduler builds
-// its own instance through NewPlacement.
+// its own instance from the Placements catalog.
 
 // Registry names of the built-in placements.
 const (
@@ -42,59 +38,16 @@ type Placement interface {
 	PickCore(sc *Scheduler, t *Thread) int
 }
 
-var placementRegistry = registry.New[Placement]("placement")
+// Placements is the placement catalog. Entries are factories that must
+// return a fresh instance per call — placements may hold per-scheduler
+// state. The empty name selects affinity.
+var Placements = registry.New[func() Placement]("placement", PlacementAffinity, nil)
 
 func init() {
-	placementRegistry.MustRegister(PlacementAffinity, func() Placement { return affinityPlacement{} })
-	placementRegistry.MustRegister(PlacementRoundRobin, func() Placement { return &roundRobinPlacement{} })
-	placementRegistry.MustRegister(PlacementLeastLoaded, func() Placement { return leastLoadedPlacement{} })
+	Placements.MustRegister(PlacementAffinity, func() Placement { return affinityPlacement{} })
+	Placements.MustRegister(PlacementRoundRobin, func() Placement { return &roundRobinPlacement{} })
+	Placements.MustRegister(PlacementLeastLoaded, func() Placement { return leastLoadedPlacement{} })
 }
-
-// RegisterPlacement adds a placement factory to the registry under name.
-// The factory must return a fresh instance on every call — placements may
-// hold per-scheduler state. Names are unique; registering an existing
-// name (including the built-ins) is an error.
-func RegisterPlacement(name string, factory func() Placement) error {
-	if err := placementRegistry.Register(name, factory); err != nil {
-		return fmt.Errorf("sched: %w", err)
-	}
-	return nil
-}
-
-// NewPlacement builds a fresh instance of the named placement. The empty
-// name selects the default affinity discipline.
-func NewPlacement(name string) (Placement, error) {
-	if name == "" {
-		name = PlacementAffinity
-	}
-	p, err := placementRegistry.New(name)
-	if err != nil {
-		return nil, fmt.Errorf("sched: %w", err)
-	}
-	return p, nil
-}
-
-// KnownPlacement reports whether name resolves in the registry (the empty
-// name resolves to affinity).
-func KnownPlacement(name string) bool {
-	return name == "" || placementRegistry.Known(name)
-}
-
-// ValidatePlacement returns the canonical unknown-name error for a
-// placement name that does not resolve, or nil — the one error every
-// configuration layer (plans, vm config, CLI) reports, with the same
-// prefix NewPlacement uses.
-func ValidatePlacement(name string) error {
-	if KnownPlacement(name) {
-		return nil
-	}
-	_, err := NewPlacement(name)
-	return err
-}
-
-// PlacementNames returns every registered placement name in registration
-// order: the three built-ins, then user registrations.
-func PlacementNames() []string { return placementRegistry.Names() }
 
 // --- Built-in placements -----------------------------------------------
 

@@ -6,34 +6,6 @@ import (
 	"javasim/internal/sim"
 )
 
-func TestPlacementRegistry(t *testing.T) {
-	names := PlacementNames()
-	want := []string{PlacementAffinity, PlacementRoundRobin, PlacementLeastLoaded}
-	if len(names) < len(want) {
-		t.Fatalf("registry names = %v, want at least %v", names, want)
-	}
-	for i, w := range want {
-		if names[i] != w {
-			t.Errorf("names[%d] = %q, want %q", i, names[i], w)
-		}
-	}
-	if err := RegisterPlacement(PlacementAffinity, func() Placement { return affinityPlacement{} }); err == nil {
-		t.Error("duplicate registration succeeded")
-	}
-	if err := RegisterPlacement("", func() Placement { return affinityPlacement{} }); err == nil {
-		t.Error("empty-name registration succeeded")
-	}
-	if _, err := NewPlacement("no-such-placement"); err == nil {
-		t.Error("unknown placement resolved")
-	}
-	if p, err := NewPlacement(""); err != nil || p.Name() != PlacementAffinity {
-		t.Errorf("NewPlacement(\"\") = %v, %v; want affinity", p, err)
-	}
-	if !KnownPlacement("") || !KnownPlacement(PlacementRoundRobin) || KnownPlacement("nope") {
-		t.Error("KnownPlacement verdicts wrong")
-	}
-}
-
 func TestUnknownPlacementPanicsAtConstruction(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -204,19 +204,19 @@ type Scheduler struct {
 }
 
 // New builds a scheduler over the machine's currently enabled cores. An
-// unknown Config.Placement name panics — validate with KnownPlacement (or
-// resolve through NewPlacement) before constructing.
+// unknown Config.Placement name panics — check it with
+// Placements.Validate before constructing.
 func New(s *sim.Simulator, m *machine.Machine, cfg Config) *Scheduler {
 	enabled := m.EnabledCores()
 	if len(enabled) == 0 {
 		panic("sched: no enabled cores")
 	}
-	place, err := NewPlacement(cfg.Placement)
+	newPlace, err := Placements.Get(cfg.Placement)
 	if err != nil {
 		panic(err.Error())
 	}
 	sc := &Scheduler{
-		sim: s, machine: m, cfg: cfg, place: place,
+		sim: s, machine: m, cfg: cfg, place: newPlace(),
 		cores:     make([]coreState, len(enabled)),
 		phaseWake: make([]*sim.Event, len(enabled)),
 		idleStart: make([]sim.Time, len(enabled)),

@@ -197,7 +197,7 @@ func FuzzStoreEntry(f *testing.F) {
 // BenchmarkStoreGet reads back one full-scale 48-thread xalan result
 // from disk: the per-point cost of a disk-store hit.
 func BenchmarkStoreGet(b *testing.B) {
-	spec, _ := workload.Lookup("xalan")
+	spec, _ := workload.Registry.Get("xalan")
 	res, err := vm.Run(spec, vm.Config{Threads: 48, Seed: 42})
 	if err != nil {
 		b.Fatal(err)

@@ -16,8 +16,8 @@ import (
 // testResult simulates one small run to use as store payload.
 func testResult(t testing.TB, name string, threads int) *vm.Result {
 	t.Helper()
-	spec, ok := workload.Lookup(name)
-	if !ok {
+	spec, err := workload.Registry.Get(name)
+	if err != nil {
 		t.Fatalf("unknown workload %s", name)
 	}
 	res, err := vm.Run(spec.Scale(0.02), vm.Config{Threads: threads, Seed: 42})

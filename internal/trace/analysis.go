@@ -11,9 +11,9 @@ import (
 	"javasim/internal/sim"
 )
 
-// Detailed trace analyses beyond the basic lifespan statistics — the kind
-// of per-thread and time-windowed views the Elephant Tracks ecosystem's
-// downstream tools computed from its traces.
+// Trace analysis: lifespan statistics from paired Alloc/Death events,
+// plus the per-thread and time-windowed views the Elephant Tracks
+// ecosystem's downstream tools computed from its traces.
 
 // ThreadProfile aggregates one thread's allocation behavior.
 type ThreadProfile struct {
@@ -32,10 +32,15 @@ type ChurnWindow struct {
 	Deaths     int64
 }
 
-// DetailedAnalysis extends Analysis with per-thread and time-windowed
-// views.
-type DetailedAnalysis struct {
-	Analysis
+// Analysis summarizes a trace.
+type Analysis struct {
+	Events    int64
+	Allocs    int64
+	Deaths    int64
+	GCs       int64
+	Lifespans *metrics.Histogram
+	// Leaked counts objects with an Alloc but no Death event.
+	Leaked int64
 	// Threads holds per-thread profiles, sorted by thread ID.
 	Threads []ThreadProfile
 	// Churn is allocation volume per window, in time order.
@@ -44,27 +49,23 @@ type DetailedAnalysis struct {
 	WindowSize sim.Time
 }
 
-// ctxCheckInterval is how many streamed events the analysis loops let
+// ctxCheckInterval is how many streamed events the analysis loop lets
 // pass between context checks — frequent enough that cancellation of a
 // huge trace analysis is prompt, rare enough to cost nothing.
 const ctxCheckInterval = 8192
 
-// AnalyzeDetailed streams a trace and computes the full analysis. The
-// churn windows use the given granularity; zero selects 1ms.
-func AnalyzeDetailed(r *Reader, window sim.Time) (*DetailedAnalysis, error) {
-	return AnalyzeDetailedContext(context.Background(), r, window)
-}
-
-// AnalyzeDetailedContext is AnalyzeDetailed with cancellation: the
-// streaming loop checks ctx every ctxCheckInterval events.
-func AnalyzeDetailedContext(ctx context.Context, r *Reader, window sim.Time) (*DetailedAnalysis, error) {
+// Analyze streams a trace and computes lifespan statistics by pairing
+// each object's Alloc and Death clocks — exactly how the paper's Figure
+// 1c/1d distributions are derived from Elephant Tracks output — with the
+// per-thread and churn views alongside. The churn windows use the given
+// granularity; zero selects 1ms. The streaming loop checks ctx every
+// ctxCheckInterval events, so analyses of arbitrarily large trace files
+// abort promptly.
+func Analyze(ctx context.Context, r *Reader, window sim.Time) (*Analysis, error) {
 	if window <= 0 {
 		window = sim.Millisecond
 	}
-	a := &DetailedAnalysis{
-		Analysis:   Analysis{Lifespans: metrics.NewHistogram("lifespan-bytes")},
-		WindowSize: window,
-	}
+	a := &Analysis{Lifespans: metrics.NewHistogram("lifespan-bytes"), WindowSize: window}
 	type birth struct {
 		clock  int64
 		thread int32

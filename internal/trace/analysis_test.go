@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"javasim/internal/sim"
@@ -32,12 +33,12 @@ func detailedFixture(t *testing.T) *Reader {
 }
 
 func TestAnalyzeDetailedThreads(t *testing.T) {
-	a, err := AnalyzeDetailed(detailedFixture(t), 0)
+	a, err := Analyze(context.Background(), detailedFixture(t), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Allocs != 3 || a.Deaths != 3 || a.GCs != 1 || a.Leaked != 0 {
-		t.Errorf("totals %+v", a.Analysis)
+		t.Errorf("totals %+v", a)
 	}
 	if len(a.Threads) != 2 {
 		t.Fatalf("threads = %d, want 2", len(a.Threads))
@@ -60,7 +61,7 @@ func TestAnalyzeDetailedThreads(t *testing.T) {
 }
 
 func TestAnalyzeDetailedChurn(t *testing.T) {
-	a, err := AnalyzeDetailed(detailedFixture(t), 0)
+	a, err := Analyze(context.Background(), detailedFixture(t), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,19 +78,25 @@ func TestAnalyzeDetailedChurn(t *testing.T) {
 }
 
 func TestAnalyzeDetailedMatchesBasic(t *testing.T) {
-	// The detailed analysis must agree with the basic one on shared
-	// statistics.
-	basic, err := Analyze(detailedFixture(t))
+	// The per-thread and churn views must add up to the trace totals.
+	a, err := Analyze(context.Background(), detailedFixture(t), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	detailed, err := AnalyzeDetailed(detailedFixture(t), 0)
-	if err != nil {
-		t.Fatal(err)
+	var allocs, lifespans, lifespanSum, deaths int64
+	for _, tp := range a.Threads {
+		allocs += tp.Allocs
+		lifespans += tp.Lifespans.Total()
+		lifespanSum += tp.Lifespans.Sum()
 	}
-	if basic.Lifespans.Sum() != detailed.Lifespans.Sum() ||
-		basic.Lifespans.Total() != detailed.Lifespans.Total() {
-		t.Error("detailed and basic lifespan stats disagree")
+	for _, w := range a.Churn {
+		deaths += w.Deaths
+	}
+	if allocs != a.Allocs || deaths != a.Deaths {
+		t.Errorf("views count %d allocs and %d deaths, totals %d and %d", allocs, deaths, a.Allocs, a.Deaths)
+	}
+	if lifespans != a.Lifespans.Total() || lifespanSum != a.Lifespans.Sum() {
+		t.Error("per-thread and whole-trace lifespan stats disagree")
 	}
 }
 
@@ -98,7 +105,7 @@ func TestAnalyzeDetailedUnknownDeath(t *testing.T) {
 	w := NewWriter(&buf)
 	w.Emit(Event{Kind: Death, Time: 1, Object: 42})
 	w.Flush()
-	if _, err := AnalyzeDetailed(NewReader(&buf), 0); err == nil {
+	if _, err := Analyze(context.Background(), NewReader(&buf), 0); err == nil {
 		t.Error("unknown death accepted")
 	}
 }

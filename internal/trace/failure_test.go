@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 
@@ -69,7 +70,7 @@ func TestAnalyzeCorruptStream(t *testing.T) {
 	w.Emit(Event{Kind: Alloc, Time: 1, Object: 1, Size: 10, Clock: 10})
 	w.Flush()
 	data := buf.Bytes()
-	if _, err := Analyze(NewReader(bytes.NewReader(data[:len(data)-1]))); err == nil {
+	if _, err := Analyze(context.Background(), NewReader(bytes.NewReader(data[:len(data)-1])), 0); err == nil {
 		t.Error("Analyze accepted truncated stream")
 	}
 }

@@ -10,13 +10,11 @@ package trace
 
 import (
 	"bufio"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 
-	"javasim/internal/metrics"
 	"javasim/internal/sim"
 )
 
@@ -236,62 +234,4 @@ func corrupt(err error) error {
 		return fmt.Errorf("trace: truncated record: %w", io.ErrUnexpectedEOF)
 	}
 	return err
-}
-
-// Analysis summarizes a trace.
-type Analysis struct {
-	Events    int64
-	Allocs    int64
-	Deaths    int64
-	GCs       int64
-	Lifespans *metrics.Histogram
-	// Leaked counts objects with an Alloc but no Death event.
-	Leaked int64
-}
-
-// Analyze streams a trace and computes lifespan statistics by pairing each
-// object's Alloc and Death clocks — exactly how the paper's Figure 1c/1d
-// distributions are derived from Elephant Tracks output.
-func Analyze(r *Reader) (*Analysis, error) {
-	return AnalyzeContext(context.Background(), r)
-}
-
-// AnalyzeContext is Analyze with cancellation: the streaming loop checks
-// ctx every ctxCheckInterval events, so analyses of arbitrarily large
-// trace files abort promptly.
-func AnalyzeContext(ctx context.Context, r *Reader) (*Analysis, error) {
-	a := &Analysis{Lifespans: metrics.NewHistogram("lifespan-bytes")}
-	births := make(map[uint32]int64)
-	for {
-		if a.Events%ctxCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		ev, err := r.Read()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		a.Events++
-		switch ev.Kind {
-		case Alloc:
-			a.Allocs++
-			births[ev.Object] = ev.Clock
-		case Death:
-			a.Deaths++
-			birth, ok := births[ev.Object]
-			if !ok {
-				return nil, fmt.Errorf("trace: death of unknown object %d", ev.Object)
-			}
-			delete(births, ev.Object)
-			a.Lifespans.Add(ev.Clock - birth)
-		case GCStart:
-			a.GCs++
-		}
-	}
-	a.Leaked = int64(len(births))
-	return a, nil
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"testing"
@@ -109,7 +110,7 @@ func TestAnalyze(t *testing.T) {
 		w.Emit(ev)
 	}
 	w.Flush()
-	a, err := Analyze(NewReader(&buf))
+	a, err := Analyze(context.Background(), NewReader(&buf), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestAnalyzeLeaked(t *testing.T) {
 	w := NewWriter(&buf)
 	w.Emit(Event{Kind: Alloc, Time: 1, Object: 7, Size: 10, Clock: 10})
 	w.Flush()
-	a, err := Analyze(NewReader(&buf))
+	a, err := Analyze(context.Background(), NewReader(&buf), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestAnalyzeUnknownDeath(t *testing.T) {
 	w := NewWriter(&buf)
 	w.Emit(Event{Kind: Death, Time: 1, Object: 9, Clock: 0})
 	w.Flush()
-	if _, err := Analyze(NewReader(&buf)); err == nil {
+	if _, err := Analyze(context.Background(), NewReader(&buf), 0); err == nil {
 		t.Error("death of unknown object accepted")
 	}
 }
@@ -229,7 +230,7 @@ func TestAnalyzeLifespanProperty(t *testing.T) {
 		if w.Flush() != nil {
 			return false
 		}
-		a, err := Analyze(NewReader(&buf))
+		a, err := Analyze(context.Background(), NewReader(&buf), 0)
 		if err != nil {
 			return false
 		}

@@ -131,7 +131,7 @@ func (c Config) Validate() error {
 	if !c.Open() {
 		return nil
 	}
-	if err := ValidateProcess(c.Process); err != nil {
+	if err := Processes.Validate(c.Process); err != nil {
 		return err
 	}
 	if c.RatePerSec <= 0 {
@@ -158,56 +158,27 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// processes is the arrival-process registry. Factories receive the
+// Processes is the arrival-process catalog. Factories receive the
 // canonicalized config and mint a fresh Process per run (processes hold
-// per-run state).
-var processes = registry.New[Factory]("arrival process")
-
-// Register adds an arrival process under name. Names are unique;
-// registering an existing one (including the built-ins) is an error.
-func Register(name string, factory Factory) error {
-	if factory == nil {
-		return fmt.Errorf("traffic: nil factory for arrival process %q", name)
-	}
-	if err := processes.Register(name, func() Factory { return factory }); err != nil {
-		return fmt.Errorf("traffic: %w", err)
-	}
-	return nil
-}
+// per-run state). The empty name selects the closed-loop adapter.
+var Processes = registry.New[Factory]("arrival process", ProcessClosed, nil)
 
 // NewProcess builds the named process from the canonicalized cfg. The
 // "closed" adapter returns a nil Process: the caller runs the existing
 // closed-loop model.
 func NewProcess(name string, cfg Config) (Process, error) {
-	factory, err := processes.New(name)
+	factory, err := Processes.Get(name)
 	if err != nil {
-		return nil, fmt.Errorf("traffic: %w", err)
+		return nil, err
 	}
 	return factory(cfg.Canonical())
 }
 
-// ValidateProcess reports whether name resolves in the registry. The
-// empty name is valid (closed-loop default), mirroring the other policy
-// validators.
-func ValidateProcess(name string) error {
-	if name == "" || processes.Known(name) {
-		return nil
-	}
-	_, err := processes.New(name)
-	return fmt.Errorf("traffic: %w", err)
-}
-
-// Names returns every registered arrival-process name in registration
-// order.
-func Names() []string { return processes.Names() }
-
 func init() {
-	processes.MustRegister(ProcessPoisson, func() Factory { return newPoisson })
-	processes.MustRegister(ProcessBursty, func() Factory { return newBursty })
-	processes.MustRegister(ProcessDiurnal, func() Factory { return newDiurnal })
-	processes.MustRegister(ProcessClosed, func() Factory {
-		return func(Config) (Process, error) { return nil, nil }
-	})
+	Processes.MustRegister(ProcessPoisson, newPoisson)
+	Processes.MustRegister(ProcessBursty, newBursty)
+	Processes.MustRegister(ProcessDiurnal, newDiurnal)
+	Processes.MustRegister(ProcessClosed, func(Config) (Process, error) { return nil, nil })
 }
 
 // --- Poisson ------------------------------------------------------------

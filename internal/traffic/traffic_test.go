@@ -161,37 +161,20 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// TestRegister verifies registration uniqueness and custom resolution.
+// TestRegister checks that a custom registration resolves through
+// NewProcess with the canonicalized config.
 func TestRegister(t *testing.T) {
-	if err := Register("test-fixed", func(cfg Config) (Process, error) {
+	if err := Processes.Register("test-fixed", func(cfg Config) (Process, error) {
 		return fixedGap(sim.Time(1e9 / cfg.RatePerSec)), nil
 	}); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	if err := Register("test-fixed", func(Config) (Process, error) { return nil, nil }); err == nil {
-		t.Fatalf("duplicate registration accepted")
-	}
-	if err := Register("nil-factory", nil); err == nil {
-		t.Fatalf("nil factory accepted")
-	}
-	if err := ValidateProcess("test-fixed"); err != nil {
-		t.Fatalf("ValidateProcess: %v", err)
-	}
-	if err := ValidateProcess("absent"); err == nil {
-		t.Fatalf("ValidateProcess accepted unknown name")
+	if err := (Config{Process: "test-fixed", RatePerSec: 1000}).Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
 	}
 	p := mkProcess(t, "test-fixed", Config{Process: "test-fixed", RatePerSec: 1000})
 	if gap := p.Next(0, sim.NewRand(1)); gap != sim.Time(1e6) {
 		t.Fatalf("custom process gap = %v, want 1ms", gap)
-	}
-	found := false
-	for _, n := range Names() {
-		if n == "test-fixed" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("Names() missing registered process: %v", Names())
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // trigger concurrent cycles: the server workload's session cache under a
 // tight heap.
 func cmsSpec() workload.Spec {
-	spec, _ := workload.Lookup("server")
+	spec, _ := workload.Registry.Get("server")
 	return spec.Scale(0.5)
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 func TestRunContextPreCanceled(t *testing.T) {
-	spec, _ := workload.Lookup("xalan")
+	spec, _ := workload.Registry.Get("xalan")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := RunContext(ctx, spec.Scale(0.02), Config{Threads: 2, Seed: 1})
@@ -20,7 +20,7 @@ func TestRunContextPreCanceled(t *testing.T) {
 }
 
 func TestRunContextCancelMidRun(t *testing.T) {
-	spec, _ := workload.Lookup("xalan")
+	spec, _ := workload.Registry.Get("xalan")
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	start := time.Now()
@@ -46,7 +46,7 @@ func TestRunContextCancelMidRun(t *testing.T) {
 }
 
 func TestRunContextBackgroundMatchesRun(t *testing.T) {
-	spec, _ := workload.Lookup("jython")
+	spec, _ := workload.Registry.Get("jython")
 	spec = spec.Scale(0.02)
 	cfg := Config{Threads: 4, Seed: 11}
 	a, err := Run(spec, cfg)

@@ -120,8 +120,8 @@ func TestBiasAndCompartmentsCombined(t *testing.T) {
 }
 
 func TestServerWorkloadBarrierFree(t *testing.T) {
-	spec, ok := workload.Lookup("server")
-	if !ok {
+	spec, err := workload.Registry.Get("server")
+	if err != nil {
 		t.Fatal("server extension missing")
 	}
 	res, err := Run(spec.Scale(0.05), Config{Threads: 16, Seed: 1})

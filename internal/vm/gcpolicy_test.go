@@ -11,8 +11,8 @@ import (
 
 func xalanSpecScaled(t *testing.T, scale float64) workload.Spec {
 	t.Helper()
-	spec, ok := workload.Lookup("xalan")
-	if !ok {
+	spec, err := workload.Registry.Get("xalan")
+	if err != nil {
 		t.Fatal("xalan workload missing")
 	}
 	return spec.Scale(scale)
@@ -24,7 +24,7 @@ func xalanSpecScaled(t *testing.T, scale float64) workload.Spec {
 // included), correctly labeled.
 func TestGCPolicyDeterminism(t *testing.T) {
 	spec := xalanSpecScaled(t, 0.03)
-	for _, policy := range gc.PolicyNames() {
+	for _, policy := range gc.Policies.Names() {
 		policy := policy
 		t.Run(policy, func(t *testing.T) {
 			t.Parallel()

@@ -13,8 +13,8 @@ import (
 
 func serverSpecScaled(t *testing.T, scale float64) workload.Spec {
 	t.Helper()
-	spec, ok := workload.Lookup("server")
-	if !ok {
+	spec, err := workload.Registry.Get("server")
+	if err != nil {
 		t.Fatal("server workload missing")
 	}
 	return spec.Scale(scale)
@@ -26,8 +26,8 @@ func serverSpecScaled(t *testing.T, scale float64) workload.Spec {
 // included.
 func TestPolicyDeterminism(t *testing.T) {
 	spec := serverSpecScaled(t, 0.03)
-	for _, policy := range locks.PolicyNames() {
-		for _, place := range sched.PlacementNames() {
+	for _, policy := range locks.Policies.Names() {
+		for _, place := range sched.Placements.Names() {
 			policy, place := policy, place
 			t.Run(policy+"/"+place, func(t *testing.T) {
 				t.Parallel()

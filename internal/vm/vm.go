@@ -121,7 +121,7 @@ func (c Config) withDefaults() Config {
 		// A registered name overrides any inline config so the label and
 		// the hardware can never disagree. Unknown names keep the inline
 		// config (or the default) here and are rejected by RunContext.
-		if mdl, err := machine.LookupModel(c.MachineName); err == nil {
+		if mdl, err := machine.Models.Get(c.MachineName); err == nil {
 			c.Machine = mdl.Config()
 		} else if c.Machine.Sockets == 0 {
 			c.Machine = machine.Opteron6168()
@@ -486,17 +486,18 @@ func runContext(ctx context.Context, spec workload.Spec, cfg Config, fuse bool, 
 	// Resolve the pluggable policies up front so an unknown name is a
 	// configuration error, not a panic mid-simulation. The placement is
 	// only checked here — sched.New resolves its own instance.
-	policy, err := locks.NewPolicy(cfg.LockPolicy)
+	newPolicy, err := locks.Policies.Get(cfg.LockPolicy)
 	if err != nil {
 		return nil, fmt.Errorf("vm: %w", err)
 	}
-	if err := sched.ValidatePlacement(cfg.Sched.Placement); err != nil {
+	if err := sched.Placements.Validate(cfg.Sched.Placement); err != nil {
 		return nil, fmt.Errorf("vm: %w", err)
 	}
-	gcPolicy, err := gc.NewPolicy(cfg.GCPolicy)
+	newGCPolicy, err := gc.Policies.Get(cfg.GCPolicy)
 	if err != nil {
 		return nil, fmt.Errorf("vm: %w", err)
 	}
+	policy, gcPolicy := newPolicy(), newGCPolicy()
 	if err := cfg.Traffic.Validate(); err != nil {
 		return nil, fmt.Errorf("vm: %w", err)
 	}
@@ -531,7 +532,7 @@ func runContext(ctx context.Context, spec workload.Spec, cfg Config, fuse bool, 
 
 	var mach *machine.Machine
 	if cfg.MachineName != "" {
-		mdl, merr := machine.LookupModel(cfg.MachineName)
+		mdl, merr := machine.Models.Get(cfg.MachineName)
 		if merr != nil {
 			return nil, fmt.Errorf("vm: %w", merr)
 		}

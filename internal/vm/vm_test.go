@@ -274,7 +274,7 @@ func TestTraceObjectIDsAreDense(t *testing.T) {
 		if int64(next) != res.ObjectsAllocated {
 			t.Errorf("%s: %d alloc events for %d objects", tc.name, next, res.ObjectsAllocated)
 		}
-		a, err := trace.Analyze(trace.NewReader(bytes.NewReader(buf.Bytes())))
+		a, err := trace.Analyze(context.Background(), trace.NewReader(bytes.NewReader(buf.Bytes())), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

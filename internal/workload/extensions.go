@@ -4,7 +4,7 @@ import "javasim/internal/sim"
 
 // Extension workloads beyond the paper's six benchmarks. They are not part
 // of PaperSet() — the paper's experiment set — but are registered in the
-// workload registry and resolve through Lookup for the future-work
+// workload Registry and resolve by name for the future-work
 // studies.
 
 // ServerSpec models the "large multi-threaded server application" the

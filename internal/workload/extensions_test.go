@@ -19,7 +19,7 @@ func TestExtensionsNotInAll(t *testing.T) {
 	// The paper's experiment set must stay exactly the six benchmarks:
 	// no registered extension may leak into PaperSet.
 	for _, s := range PaperSet() {
-		for _, e := range Registered() {
+		for _, e := range registered(t) {
 			if !IsPaperBenchmark(e.Name) && s.Name == e.Name {
 				t.Errorf("extension %s leaked into PaperSet()", e.Name)
 			}
@@ -28,9 +28,9 @@ func TestExtensionsNotInAll(t *testing.T) {
 }
 
 func TestByNameFindsExtensions(t *testing.T) {
-	s, ok := Lookup("server")
-	if !ok || s.Name != "server" {
-		t.Error("Lookup(server) failed")
+	s, err := Registry.Get("server")
+	if err != nil || s.Name != "server" {
+		t.Error("Get(server) failed")
 	}
 }
 

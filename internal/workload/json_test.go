@@ -7,7 +7,7 @@ import (
 )
 
 func TestSpecJSONRoundTrip(t *testing.T) {
-	for _, spec := range Registered() {
+	for _, spec := range registered(t) {
 		var buf bytes.Buffer
 		if err := spec.WriteJSON(&buf); err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"strings"
 )
 
 // Ref names a workload without committing to where it comes from: either
@@ -40,12 +39,7 @@ func (r Ref) Resolve() (Spec, error) {
 		}
 		return s, nil
 	case r.Name != "":
-		s, ok := Lookup(r.Name)
-		if !ok {
-			return Spec{}, fmt.Errorf("workload: unknown workload %q (registered: %s)",
-				r.Name, strings.Join(Names(), ", "))
-		}
-		return s, nil
+		return Registry.Get(r.Name)
 	default:
 		return Spec{}, fmt.Errorf("workload: empty ref (need a registered name or an inline spec)")
 	}

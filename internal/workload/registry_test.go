@@ -7,8 +7,22 @@ import (
 	"testing"
 )
 
+// registered returns every registered spec in registration order.
+func registered(t testing.TB) []Spec {
+	t.Helper()
+	var out []Spec
+	for _, name := range Registry.Names() {
+		s, err := Registry.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
 func TestRegistryBuiltins(t *testing.T) {
-	names := Names()
+	names := Registry.Names()
 	want := []string{"sunflow", "lusearch", "xalan", "h2", "eclipse", "jython", "server", "server-contended"}
 	for i, w := range want {
 		if i >= len(names) || names[i] != w {
@@ -16,13 +30,13 @@ func TestRegistryBuiltins(t *testing.T) {
 		}
 	}
 	for _, w := range want {
-		s, ok := Lookup(w)
-		if !ok || s.Name != w {
-			t.Errorf("Lookup(%q) = %v, %v", w, s.Name, ok)
+		s, err := Registry.Get(w)
+		if err != nil || s.Name != w {
+			t.Errorf("Get(%q) = %v, %v", w, s.Name, err)
 		}
 	}
-	if _, ok := Lookup("nope"); ok {
-		t.Error("Lookup(nope) succeeded")
+	if _, err := Registry.Get("nope"); err == nil {
+		t.Error("Get(nope) succeeded")
 	}
 }
 
@@ -42,26 +56,29 @@ func TestRegistryPaperSet(t *testing.T) {
 }
 
 func TestRegisterValidatesAndRejectsDuplicates(t *testing.T) {
-	if err := Register(Spec{Name: ""}); err == nil {
+	bad := XalanSpec()
+	bad.Name = "registry-test-invalid"
+	bad.TotalUnits = 0
+	if err := Registry.Register(bad.Name, bad); err == nil {
 		t.Error("invalid spec registered")
 	}
-	if err := Register(XalanSpec()); err == nil {
+	if err := Registry.Register("xalan", XalanSpec()); err == nil {
 		t.Error("duplicate xalan registered")
 	}
 	custom := XalanSpec()
 	custom.Name = "registry-test-custom"
-	if err := Register(custom); err != nil {
+	if err := Registry.Register(custom.Name, custom); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := Lookup("registry-test-custom"); !ok {
+	if _, err := Registry.Get("registry-test-custom"); err != nil {
 		t.Error("registered workload not found")
 	}
-	if err := Register(custom); err == nil || !strings.Contains(err.Error(), "already registered") {
+	if err := Registry.Register(custom.Name, custom); err == nil || !strings.Contains(err.Error(), "already registered") {
 		t.Errorf("duplicate register error = %v", err)
 	}
 	// User registrations are part of the catalog but never the paper set.
 	inExt := false
-	for _, s := range Registered() {
+	for _, s := range registered(t) {
 		if s.Name == custom.Name && !IsPaperBenchmark(s.Name) {
 			inExt = true
 		}
@@ -76,7 +93,7 @@ func TestRefResolve(t *testing.T) {
 		t.Errorf("NameRef(h2).Resolve() = %v, %v", s.Name, err)
 	}
 	if _, err := NameRef("missing-workload").Resolve(); err == nil ||
-		!strings.Contains(err.Error(), "registered:") {
+		!strings.Contains(err.Error(), "known:") {
 		t.Errorf("unknown-name error should list the registry, got %v", err)
 	}
 	if _, err := (Ref{}).Resolve(); err == nil {

@@ -37,7 +37,7 @@ func drainUnits(t *testing.T, r *Run, threads int) []Unit {
 // tape hands out bit-identical units to a run generating live, whether
 // the runs recycle their op buffers (the VM's mode) or not.
 func TestTapeReplayMatchesLive(t *testing.T) {
-	for _, spec := range Registered() {
+	for _, spec := range registered(t) {
 		spec := spec.Scale(0.05)
 		for _, reuse := range []bool{false, true} {
 			const threads, seed = 4, 7

@@ -17,8 +17,8 @@
 //
 // Every spec the framework can run lives in the workload registry: the
 // six benchmarks and the bundled extensions are pre-registered, custom
-// models join via Register, and consumers resolve names through Lookup
-// (or a Ref, the registry-or-inline reference that scenario plans
+// models join through Registry, and consumers resolve names there (or
+// through a Ref, the registry-or-inline reference that scenario plans
 // serialize).
 package workload
 

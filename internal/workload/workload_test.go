@@ -27,12 +27,12 @@ func TestAllSpecsValid(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	s, ok := Lookup("xalan")
-	if !ok || s.Name != "xalan" {
-		t.Error("Lookup(xalan) failed")
+	s, err := Registry.Get("xalan")
+	if err != nil || s.Name != "xalan" {
+		t.Error("Get(xalan) failed")
 	}
-	if _, ok := Lookup("nope"); ok {
-		t.Error("Lookup(nope) succeeded")
+	if _, err := Registry.Get("nope"); err == nil {
+		t.Error("Get(nope) succeeded")
 	}
 }
 

@@ -92,6 +92,7 @@ package javasim
 
 import (
 	"context"
+	"errors"
 	"io"
 
 	"javasim/internal/core"
@@ -319,19 +320,29 @@ func NewLockProfiler() *LockProfiler { return lockprof.New() }
 // it resolvable by name everywhere — scenario plans, the experiment
 // suite, and the command-line drivers. Names are unique; registering an
 // existing name (including the built-ins) is an error.
-func RegisterWorkload(s Spec) error { return workload.Register(s) }
+func RegisterWorkload(s Spec) error { return workload.Registry.Register(s.Name, s) }
 
 // Workloads returns every registered workload model in registration
 // order: the six paper benchmarks, the bundled extensions, then user
 // registrations.
-func Workloads() []Spec { return workload.Registered() }
+func Workloads() []Spec {
+	var out []Spec
+	for _, name := range workload.Registry.Names() {
+		s, _ := workload.Registry.Get(name)
+		out = append(out, s)
+	}
+	return out
+}
 
 // WorkloadNames returns every registered workload name in registration
 // order.
-func WorkloadNames() []string { return workload.Names() }
+func WorkloadNames() []string { return workload.Registry.Names() }
 
 // LookupWorkload resolves a registered workload by name.
-func LookupWorkload(name string) (Spec, bool) { return workload.Lookup(name) }
+func LookupWorkload(name string) (Spec, bool) {
+	s, err := workload.Registry.Get(name)
+	return s, err == nil
+}
 
 // PaperBenchmarks returns the six DaCapo-9.12 workload models in the
 // paper's order: the scalable trio, then the non-scalable trio.
@@ -410,24 +421,24 @@ const (
 // disciplines implement the Policy interface against internal/locks
 // types, so they can only be authored inside this module.
 func RegisterLockPolicy(name string, factory func() LockPolicy) error {
-	return locks.RegisterPolicy(name, factory)
+	return locks.Policies.Register(name, factory)
 }
 
 // LockPolicyNames returns every registered lock-policy name in
 // registration order: the four built-ins, then user registrations.
-func LockPolicyNames() []string { return locks.PolicyNames() }
+func LockPolicyNames() []string { return locks.Policies.Names() }
 
 // RegisterPlacement adds a placement factory to the registry, making it
 // selectable by name through Config.Sched.Placement, plan files, and
 // cmd/javasim -placement. The same uniqueness, freshness, and
 // in-module-authorship rules as RegisterLockPolicy apply.
 func RegisterPlacement(name string, factory func() Placement) error {
-	return sched.RegisterPlacement(name, factory)
+	return sched.Placements.Register(name, factory)
 }
 
 // PlacementNames returns every registered placement name in registration
 // order: the three built-ins, then user registrations.
-func PlacementNames() []string { return sched.PlacementNames() }
+func PlacementNames() []string { return sched.Placements.Names() }
 
 // SpinThenParkPolicy builds a spin-then-park lock policy with a custom
 // busy-wait budget — register tuned variants under their own names, e.g.
@@ -444,12 +455,12 @@ func RestrictedPolicy(cap int) LockPolicy { return locks.Restricted(cap) }
 // cmd/javasim -gc-policy. The same uniqueness, freshness, and
 // in-module-authorship rules as RegisterLockPolicy apply.
 func RegisterGCPolicy(name string, factory func() GCPolicy) error {
-	return gc.RegisterPolicy(name, factory)
+	return gc.Policies.Register(name, factory)
 }
 
 // GCPolicyNames returns every registered GC-policy name in registration
 // order: the four built-ins, then user registrations.
-func GCPolicyNames() []string { return gc.PolicyNames() }
+func GCPolicyNames() []string { return gc.Policies.Names() }
 
 // ParallelGCPolicy builds a stw-parallel GC policy with a custom
 // efficiency-curve alpha and per-worker synchronization tax (the
@@ -496,7 +507,12 @@ const (
 // lives in the machine instantiated from them), names are unique, and
 // registering an existing one — including the built-ins — is an error.
 // Invalid configurations are rejected at registration time.
-func RegisterMachine(m MachineModel) error { return machine.RegisterModel(m) }
+func RegisterMachine(m MachineModel) error {
+	if m == nil {
+		return errors.New("nil machine model")
+	}
+	return machine.Models.Register(m.Name(), m)
+}
 
 // NewMachineModel wraps a MachineConfig as a registrable model with the
 // default flat socket topology (every remote socket one hop away).
@@ -506,7 +522,7 @@ func NewMachineModel(name string, cfg MachineConfig) MachineModel { return machi
 
 // MachineNames returns every registered machine-model name in
 // registration order: the three built-ins, then user registrations.
-func MachineNames() []string { return machine.ModelNames() }
+func MachineNames() []string { return machine.Models.Names() }
 
 // Open-system traffic types. Setting Config.Traffic (or a scenario's
 // TrafficSpec) switches a run from the paper's closed loop — a fixed
@@ -557,12 +573,12 @@ const (
 // unique and registering an existing one — including the built-ins — is
 // an error.
 func RegisterArrivalProcess(name string, factory ArrivalFactory) error {
-	return traffic.Register(name, factory)
+	return traffic.Processes.Register(name, factory)
 }
 
 // ArrivalProcessNames returns every registered arrival-process name in
 // registration order: the built-ins, then user registrations.
-func ArrivalProcessNames() []string { return traffic.Names() }
+func ArrivalProcessNames() []string { return traffic.Processes.Names() }
 
 // Virtual-time units, for policy budgets and config durations.
 const (

@@ -2,18 +2,28 @@ package javasim_test
 
 import (
 	"context"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 
 	"javasim"
+	"javasim/internal/gc"
+	"javasim/internal/locks"
+	"javasim/internal/machine"
+	"javasim/internal/registry"
+	"javasim/internal/sched"
+	"javasim/internal/traffic"
+	"javasim/internal/workload"
 )
 
 func TestFacadeRun(t *testing.T) {
@@ -82,24 +92,9 @@ func TestFacadeWorkloadRegistry(t *testing.T) {
 	}
 }
 
+// TestFacadePolicyRegistries runs a registered custom lock policy; the
+// naming rules themselves are TestCatalogs' job.
 func TestFacadePolicyRegistries(t *testing.T) {
-	locks := javasim.LockPolicyNames()
-	if len(locks) < 4 || locks[0] != javasim.LockPolicyFIFO || locks[3] != javasim.LockPolicyRestricted {
-		t.Fatalf("lock policies = %v", locks)
-	}
-	places := javasim.PlacementNames()
-	if len(places) < 3 || places[0] != javasim.PlacementAffinity {
-		t.Fatalf("placements = %v", places)
-	}
-	if err := javasim.RegisterLockPolicy(javasim.LockPolicyFIFO, func() javasim.LockPolicy {
-		return javasim.RestrictedPolicy(2)
-	}); err == nil {
-		t.Error("duplicate lock-policy registration succeeded")
-	}
-	if err := javasim.RegisterPlacement(javasim.PlacementAffinity, nil); err == nil {
-		t.Error("duplicate placement registration succeeded")
-	}
-
 	// A tuned custom policy registers under its own name and is then
 	// selectable like a built-in. The registry is process-global, so a
 	// repeated in-process run (go test -count=2) finds it already there.
@@ -118,6 +113,173 @@ func TestFacadePolicyRegistries(t *testing.T) {
 	}
 	if res.LockPolicy != "facade-spin-10us" {
 		t.Errorf("run labeled %q", res.LockPolicy)
+	}
+}
+
+// catalog is one name-keyed catalog as TestCatalogs drives it:
+// enumeration and registration through the facade, resolution through
+// the catalog's registry value.
+type catalog struct {
+	noun     string
+	builtins []string
+	def      string // what "" resolves to; "" when the empty name is rejected
+	names    func() []string
+	register func(name string) error // a valid entry under name
+	regNil   func() error            // a nil entry; nil when values cannot be nil
+	get      func(name string) (any, error)
+}
+
+func getter[T any](r *registry.Registry[T]) func(string) (any, error) {
+	return func(name string) (any, error) { return r.Get(name) }
+}
+
+// sameEntry compares two resolved entries; funcs compare by code pointer.
+func sameEntry(a, b any) bool {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	if va.Kind() == reflect.Func {
+		return vb.Kind() == reflect.Func && va.Pointer() == vb.Pointer()
+	}
+	return reflect.DeepEqual(a, b)
+}
+
+// TestCatalogs checks the registration rules every name-keyed catalog
+// shares: built-ins first in order, the empty name's default, the one
+// unknown-name error, and the rejected registrations.
+func TestCatalogs(t *testing.T) {
+	defaultMachine, err := machine.Models.Get("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	catalogs := []catalog{
+		{
+			noun: "workload",
+			builtins: []string{"sunflow", "lusearch", "xalan", "h2", "eclipse", "jython",
+				"server", "server-contended"},
+			names: javasim.WorkloadNames,
+			register: func(name string) error {
+				s, _ := javasim.LookupWorkload("xalan")
+				s.Name = name
+				return javasim.RegisterWorkload(s)
+			},
+			get: getter(workload.Registry),
+		},
+		{
+			noun: "lock policy",
+			builtins: []string{javasim.LockPolicyFIFO, javasim.LockPolicyBarging,
+				javasim.LockPolicySpinThenPark, javasim.LockPolicyRestricted},
+			def:   javasim.LockPolicyFIFO,
+			names: javasim.LockPolicyNames,
+			register: func(name string) error {
+				return javasim.RegisterLockPolicy(name, func() javasim.LockPolicy { return javasim.RestrictedPolicy(2) })
+			},
+			regNil: func() error { return javasim.RegisterLockPolicy("catalog-nil", nil) },
+			get:    getter(locks.Policies),
+		},
+		{
+			noun: "placement",
+			builtins: []string{javasim.PlacementAffinity, javasim.PlacementRoundRobin,
+				javasim.PlacementLeastLoaded},
+			def:   javasim.PlacementAffinity,
+			names: javasim.PlacementNames,
+			register: func(name string) error {
+				place, _ := sched.Placements.Get("")
+				return javasim.RegisterPlacement(name, place)
+			},
+			regNil: func() error { return javasim.RegisterPlacement("catalog-nil", nil) },
+			get:    getter(sched.Placements),
+		},
+		{
+			noun: "gc policy",
+			builtins: []string{javasim.GCPolicyStwSerial, javasim.GCPolicyStwParallel,
+				javasim.GCPolicyConcurrent, javasim.GCPolicyCompartment},
+			def:   javasim.GCPolicyStwSerial,
+			names: javasim.GCPolicyNames,
+			register: func(name string) error {
+				return javasim.RegisterGCPolicy(name, func() javasim.GCPolicy { return javasim.CompartmentGCPolicy(2) })
+			},
+			regNil: func() error { return javasim.RegisterGCPolicy("catalog-nil", nil) },
+			get:    getter(gc.Policies),
+		},
+		{
+			noun: "arrival process",
+			builtins: []string{javasim.ArrivalPoisson, javasim.ArrivalBursty,
+				javasim.ArrivalDiurnal, javasim.ArrivalClosed},
+			def:   javasim.ArrivalClosed,
+			names: javasim.ArrivalProcessNames,
+			register: func(name string) error {
+				return javasim.RegisterArrivalProcess(name, func(javasim.TrafficConfig) (javasim.ArrivalProcess, error) {
+					return nil, nil
+				})
+			},
+			regNil: func() error { return javasim.RegisterArrivalProcess("catalog-nil", nil) },
+			get:    getter(traffic.Processes),
+		},
+		{
+			noun: "machine model",
+			builtins: []string{javasim.MachineOpteron6168, javasim.MachineSparcT3,
+				javasim.MachineOpteron6168BW, machine.ModelOpteronFlat},
+			def:   javasim.MachineOpteron6168,
+			names: javasim.MachineNames,
+			register: func(name string) error {
+				return javasim.RegisterMachine(javasim.NewMachineModel(name, defaultMachine.Config()))
+			},
+			regNil: func() error { return javasim.RegisterMachine(nil) },
+			get:    getter(machine.Models),
+		},
+	}
+	for _, c := range catalogs {
+		t.Run(c.noun, func(t *testing.T) {
+			if names := c.names(); len(names) < len(c.builtins) || !slices.Equal(names[:len(c.builtins)], c.builtins) {
+				t.Errorf("names = %v, want the built-ins %v first", names, c.builtins)
+			}
+
+			if c.def == "" {
+				if _, err := c.get(""); err == nil {
+					t.Error("the empty name resolved")
+				}
+			} else {
+				got, err := c.get("")
+				want, _ := c.get(c.def)
+				if err != nil || !sameEntry(got, want) {
+					t.Errorf(`"" resolved to %v, %v; want the %q entry`, got, err, c.def)
+				}
+			}
+
+			// A custom entry joins after the built-ins and resolves. The
+			// catalogs are process-global, so a repeated run (go test
+			// -count=2) finds it already there.
+			custom := "catalog-custom"
+			if err := c.register(custom); err != nil && !strings.Contains(err.Error(), "already registered") {
+				t.Fatal(err)
+			}
+			if !slices.Contains(c.names()[len(c.builtins):], custom) {
+				t.Errorf("names = %v, missing %q after the built-ins", c.names(), custom)
+			}
+			if _, err := c.get(custom); err != nil {
+				t.Error(err)
+			}
+
+			known := c.names()
+			sort.Strings(known)
+			want := fmt.Sprintf("unknown %s %q (known: %s)", c.noun, "nope", strings.Join(known, ", "))
+			if _, err := c.get("nope"); err == nil || err.Error() != want {
+				t.Errorf("unknown-name error = %v, want %s", err, want)
+			}
+
+			for _, name := range c.builtins {
+				if err := c.register(name); err == nil || !strings.Contains(err.Error(), "already registered") {
+					t.Errorf("re-registering %q: %v", name, err)
+				}
+			}
+			if err := c.register(""); err == nil {
+				t.Error("empty name registered")
+			}
+			if c.regNil != nil {
+				if err := c.regNil(); err == nil {
+					t.Error("nil entry registered")
+				}
+			}
+		})
 	}
 }
 
