@@ -290,6 +290,33 @@ func TestModelRegistry(t *testing.T) {
 	}
 }
 
+func TestValidateModel(t *testing.T) {
+	if err := Models.Validate(""); err != nil {
+		t.Errorf("empty name rejected: %v", err)
+	}
+	if err := Models.Validate(DefaultModel); err != nil {
+		t.Errorf("default model rejected: %v", err)
+	}
+	if err := Models.Validate("no-such-machine"); err == nil {
+		t.Error("unknown model accepted")
+	}
+}
+
+func TestModelNamesIncludeBuiltins(t *testing.T) {
+	names := Models.Names()
+	want := map[string]bool{DefaultModel: false, ModelSparcT3: false, ModelOpteronBW: false, ModelOpteronFlat: false}
+	for _, n := range names {
+		if _, ok := want[n]; ok {
+			want[n] = true
+		}
+	}
+	for n, seen := range want {
+		if !seen {
+			t.Errorf("built-in model %q missing from Models.Names", n)
+		}
+	}
+}
+
 // Property: for any valid small topology, every unit maps to a valid
 // socket and pipeline, and memory latency is minimized at the local node.
 func TestTopologyProperty(t *testing.T) {
