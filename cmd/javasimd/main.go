@@ -42,7 +42,7 @@ func main() {
 		addr     = flag.String("addr", ":8077", "listen address")
 		storeDir = flag.String("store", "", "content-addressed result store directory (empty = memory-only)")
 		parallel = flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-		cache    = flag.Int("cache", 0, "in-memory result cache entries (0 = default)")
+		cache    = flag.Int("cache", 0, "in-memory result cache and artifact memo entries, each (0 = default)")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful-shutdown deadline for running plans")
 		maxJobs  = flag.Int("max-jobs", 0, "max concurrently running plans (0 = default)")
 		verbose  = flag.Bool("v", false, "log requests and job progress")

@@ -3,6 +3,7 @@ package core
 import (
 	"container/list"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -89,70 +90,120 @@ type keyScratch struct {
 
 var keyScratches = sync.Pool{New: func() any { return new(keyScratch) }}
 
-// resultCache is a concurrency-safe LRU of memoized run results keyed by
-// runKey fingerprints. Results are stored by pointer and shared between
-// callers; they are treated as immutable after a run completes.
-type resultCache struct {
+// artifactKey digests everything a renderer reads for one output or
+// report, so equal keys render equal tables: the kind (its type tells an
+// Output from the ReportKind of the same name), the codec encoding of
+// the report spec, the labels, and the key of every sweep in in.sweeps
+// and in.repeats, in order — each the digest of its points'
+// fingerprints. The second return is false when some sweep has no key
+// (a point carried a trace sink or lock profiler), and the artifact
+// must be rendered fresh.
+func artifactKey(kind any, in *inputs) (string, bool) {
+	b := fmt.Appendf(make([]byte, 0, 512), "%T %q", kind, kind)
+	b, err := codec.Append(b, in.spec)
+	if err == nil {
+		b, err = codec.Append(b, &in.labels)
+	}
+	if err != nil {
+		return "", false
+	}
+	for _, sweeps := range [][]*Sweep{in.sweeps, in.repeats} {
+		b = binary.AppendUvarint(b, uint64(len(sweeps)))
+		for _, sw := range sweeps {
+			if sw.key == "" {
+				return "", false
+			}
+			b = append(b, sw.key...)
+		}
+	}
+	sum := sha256.Sum256(b)
+	return string(sum[:]), true
+}
+
+// sweepKey digests the fingerprints of a sweep's points, in order, or
+// returns "" when some point has none.
+func sweepKey(fingerprints []string) string {
+	b := make([]byte, 0, len(fingerprints)*2*sha256.Size)
+	for _, fp := range fingerprints {
+		if fp == "" {
+			return ""
+		}
+		b = append(b, fp...)
+	}
+	sum := sha256.Sum256(b)
+	return string(sum[:])
+}
+
+// lru is a concurrency-safe least-recently-used map from string keys to
+// values. The engine keeps two, both sized by WithCache: the result cache
+// (runKey fingerprints to run results) and the artifact memo
+// (artifactKey digests to rendered tables). Values are stored by pointer
+// and shared between callers; they are treated as immutable once stored.
+// A nil *lru is a disabled cache: it never hits and stores nothing.
+type lru[V any] struct {
 	mu    sync.Mutex
 	cap   int
-	order *list.List // front = most recently used; values are *cacheEntry
+	order *list.List // front = most recently used; values are *lruEntry[V]
 	items map[string]*list.Element
 }
 
-type cacheEntry struct {
+type lruEntry[V any] struct {
 	key string
-	res *vm.Result
+	val V
 }
 
-func newResultCache(capacity int) *resultCache {
+// newLRU returns an LRU holding up to capacity entries, or nil (a
+// disabled cache) when capacity is zero or below.
+func newLRU[V any](capacity int) *lru[V] {
 	if capacity <= 0 {
 		return nil
 	}
-	return &resultCache{
+	return &lru[V]{
 		cap:   capacity,
 		order: list.New(),
 		items: make(map[string]*list.Element, capacity),
 	}
 }
 
-// get returns the cached result for key, refreshing its recency.
-func (c *resultCache) get(key string) (*vm.Result, bool) {
+// get returns the value stored under key, refreshing its recency.
+func (c *lru[V]) get(key string) (V, bool) {
+	var zero V
 	if c == nil {
-		return nil, false
+		return zero, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		return nil, false
+		return zero, false
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
+	return el.Value.(*lruEntry[V]).val, true
 }
 
-// put stores res under key, evicting the least recently used entry when
+// put stores val under key, evicting the least recently used entry when
 // the cache is full.
-func (c *resultCache) put(key string, res *vm.Result) {
+func (c *lru[V]) put(key string, val V) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		el.Value.(*cacheEntry).res = res
+		el.Value.(*lruEntry[V]).val = val
 		c.order.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.order.PushFront(&cacheEntry{key: key, res: res})
+	c.items[key] = c.order.PushFront(&lruEntry[V]{key: key, val: val})
 	for c.order.Len() > c.cap {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheEntry).key)
+		delete(c.items, oldest.Value.(*lruEntry[V]).key)
 	}
 }
 
-// len reports the number of cached results.
-func (c *resultCache) len() int {
+// len reports the number of stored entries.
+func (c *lru[V]) len() int {
 	if c == nil {
 		return 0
 	}

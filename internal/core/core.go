@@ -71,6 +71,10 @@ type Point struct {
 type Sweep struct {
 	Spec   workload.Spec
 	Points []Point
+	// key digests the points' fingerprints, in order (see sweepKey); it
+	// is "" when a point was not cacheable. The artifact memo keys
+	// rendered tables by it.
+	key string
 }
 
 // Open reports whether the sweep varied offered rate rather than thread

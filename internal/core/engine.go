@@ -8,18 +8,20 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"javasim/internal/report"
 	"javasim/internal/vm"
 	"javasim/internal/workload"
 )
 
 // Engine is the long-lived entry point of the framework: it owns a
-// bounded worker pool and a concurrency-safe memoizing result cache, and
-// every run, sweep, and plan dispatched through it shares both. Many
-// goroutines may call an Engine concurrently — concurrent figure
-// generation, batch studies, servers sweeping on behalf of request
-// handlers — and the engine guarantees that at most WithParallelism
-// simulations execute at once, that identical in-flight requests are
-// deduplicated, and that completed results are memoized.
+// bounded worker pool, a concurrency-safe memoizing result cache and a
+// memo of rendered artifacts, and every run, sweep, and plan dispatched
+// through it shares them. Many goroutines may call an Engine
+// concurrently — concurrent figure generation, batch studies, servers
+// sweeping on behalf of request handlers — and the engine guarantees
+// that at most WithParallelism simulations execute at once, that
+// identical in-flight requests are deduplicated, and that completed
+// results are memoized.
 //
 // Construct engines with NewEngine and functional options; the zero
 // Engine is not usable.
@@ -30,10 +32,11 @@ type Engine struct {
 	store       ResultStore
 	runner      Runner
 
-	sem     chan struct{} // worker-slot semaphore, capacity = parallelism
-	cache   *resultCache
-	flights flightGroup
-	tapes   vm.SnapshotTable // warm-start snapshots of the sweeps in flight
+	sem       chan struct{} // worker-slot semaphore, capacity = parallelism
+	cache     *lru[*vm.Result]
+	artifacts *lru[*report.Table] // rendered tables by artifactKey
+	flights   flightGroup
+	tapes     vm.SnapshotTable // warm-start snapshots of the sweeps in flight
 
 	simulations atomic.Int64
 	memoryHits  atomic.Int64
@@ -63,8 +66,9 @@ func WithObserver(o Observer) Option {
 	}
 }
 
-// WithCache sizes the memoizing result cache (entries, not bytes). A size
-// of zero or below disables memoization entirely. The default is 256
+// WithCache sizes the memoizing result cache and the memo of rendered
+// artifacts (entries, not bytes; each holds up to this many). A size of
+// zero or below disables memoization entirely. The default is 256
 // entries — comfortably a full six-workload sweep of the paper's
 // methodology plus every study configuration.
 func WithCache(entries int) Option {
@@ -130,7 +134,8 @@ func NewEngine(opts ...Option) *Engine {
 		e.runner = vm.RunContext
 	}
 	e.sem = make(chan struct{}, e.parallelism)
-	e.cache = newResultCache(e.cacheSize)
+	e.cache = newLRU[*vm.Result](e.cacheSize)
+	e.artifacts = newLRU[*report.Table](e.cacheSize)
 	return e
 }
 
@@ -195,17 +200,32 @@ func (e *Engine) emit(ctx context.Context, ev Event) {
 // simulator's next event-loop checkpoint and returns an error wrapping
 // ctx.Err().
 func (e *Engine) Run(ctx context.Context, spec workload.Spec, cfg vm.Config) (*vm.Result, error) {
+	res, _, err := e.run(ctx, spec, cfg)
+	return res, err
+}
+
+// run is Run that also returns the run's fingerprint, or "" when the run
+// is not cacheable.
+func (e *Engine) run(ctx context.Context, spec workload.Spec, cfg vm.Config) (*vm.Result, string, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	canon := cfg.Canonical()
 	key, cacheable := canonKey(spec, canon)
 	if !cacheable {
-		return e.simulate(ctx, spec, cfg, canon.Threads)
+		res, err := e.simulate(ctx, spec, cfg, canon.Threads)
+		return res, "", err
 	}
+	res, err := e.runCached(ctx, spec, cfg, canon.Threads, key)
+	return res, key, err
+}
+
+// runCached answers a cacheable run from the memory tier, an identical
+// run in flight, the disk store, or, failing all three, a simulation.
+func (e *Engine) runCached(ctx context.Context, spec workload.Spec, cfg vm.Config, threads int, key string) (*vm.Result, error) {
 	hit := func(res *vm.Result, tier *atomic.Int64) *vm.Result {
 		tier.Add(1)
-		e.emit(ctx, Event{Kind: RunCached, Workload: spec.Name, Threads: canon.Threads, Seed: cfg.Seed})
+		e.emit(ctx, Event{Kind: RunCached, Workload: spec.Name, Threads: threads, Seed: cfg.Seed})
 		return res
 	}
 	for {
@@ -230,7 +250,7 @@ func (e *Engine) Run(ctx context.Context, spec workload.Spec, cfg vm.Config) (*v
 					return hit(res, &e.diskHits), nil
 				}
 			}
-			res, err := e.simulate(ctx, spec, cfg, canon.Threads)
+			res, err := e.simulate(ctx, spec, cfg, threads)
 			if err == nil {
 				e.cache.put(key, res)
 				if e.store != nil {
@@ -325,6 +345,7 @@ func (e *Engine) sweep(ctx context.Context, spec workload.Spec, cfg SweepConfig,
 	// simulates, so fully cached sweeps draw nothing.
 	ctx = vm.ContextWithSnapshotProvider(ctx, snaps)
 	results := make([]*vm.Result, n)
+	keys := make([]string, n)
 	errs := make([]error, n)
 	runPoint := func(i int) {
 		vcfg := cfg.Base
@@ -335,7 +356,7 @@ func (e *Engine) sweep(ctx context.Context, spec workload.Spec, cfg SweepConfig,
 			vcfg.Threads = counts[i]
 		}
 		vcfg.Cores = 0 // paper methodology: cores = threads
-		results[i], errs[i] = e.Run(ctx, spec, vcfg)
+		results[i], keys[i], errs[i] = e.run(ctx, spec, vcfg)
 		if errs[i] == nil {
 			e.emit(ctx, Event{Kind: SweepPointDone, Workload: spec.Name, Threads: vcfg.Threads, Seed: vcfg.Seed})
 		}
@@ -344,23 +365,27 @@ func (e *Engine) sweep(ctx context.Context, spec workload.Spec, cfg SweepConfig,
 	if cfg.Base.TraceSink != nil || cfg.Base.LockProfiler != nil {
 		workers = 1 // a sink observes one run at a time, in point order
 	}
-	idx := make(chan int)
+	// The calling goroutine is one of the workers, so a single-worker
+	// sweep starts no goroutine; workers claim points in order from next.
+	var next atomic.Int64
+	work := func() {
+		for ctx.Err() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			runPoint(i)
+		}
+	}
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				if ctx.Err() == nil {
-					runPoint(i)
-				}
-			}
+			work()
 		}()
 	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
+	work()
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -373,7 +398,7 @@ func (e *Engine) sweep(ctx context.Context, spec workload.Spec, cfg SweepConfig,
 			return nil, fmt.Errorf("core: sweep %s at %d threads: %w", spec.Name, counts[i], err)
 		}
 	}
-	s := &Sweep{Spec: spec}
+	s := &Sweep{Spec: spec, key: sweepKey(keys)}
 	if open {
 		for i, r := range cfg.Rates {
 			s.Points = append(s.Points, Point{Threads: openThreads, Rate: r, Result: results[i]})

@@ -405,7 +405,7 @@ func TestSuiteConcurrentFigureGeneration(t *testing.T) {
 }
 
 func TestResultCacheLRUEvicts(t *testing.T) {
-	c := newResultCache(2)
+	c := newLRU[*vm.Result](2)
 	r1, r2, r3 := &vm.Result{Threads: 1}, &vm.Result{Threads: 2}, &vm.Result{Threads: 3}
 	c.put("a", r1)
 	c.put("b", r2)

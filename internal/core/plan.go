@@ -700,6 +700,8 @@ type ScenarioResult struct {
 	// Sweeps holds one sweep per repeat, repeat 0 first.
 	Sweeps []*Sweep
 	// Tables are the scenario's rendered Outputs, in declaration order.
+	// The engine memoizes rendered tables, so they may be shared with
+	// other results and must be treated as immutable, like vm.Result.
 	Tables []*report.Table
 }
 
@@ -712,7 +714,9 @@ type PlanResult struct {
 	Plan string
 	// Scenarios hold per-scenario results, in plan order.
 	Scenarios []*ScenarioResult
-	// Reports are the plan's cross-scenario tables, in plan order.
+	// Reports are the plan's cross-scenario tables, in plan order. Like
+	// ScenarioResult.Tables, they may be shared with other results and
+	// must be treated as immutable.
 	Reports []*report.Table
 }
 
@@ -802,7 +806,7 @@ func (e *Engine) RunPlan(ctx context.Context, p *Plan) (*PlanResult, error) {
 		for j, name := range names {
 			sweeps[j] = byName[name].Sweep()
 		}
-		t, err := render(rs.Kind, &inputs{spec: rs, labels: names, sweeps: sweeps, repeats: byName[names[0]].Sweeps})
+		t, err := e.render(rs.Kind, &inputs{spec: rs, labels: names, sweeps: sweeps, repeats: byName[names[0]].Sweeps})
 		if err != nil {
 			return nil, err
 		}
@@ -868,7 +872,7 @@ func (e *Engine) runScenario(ctx context.Context, p *Plan, sc *Scenario, run *sc
 	}
 	res := &ScenarioResult{Name: sc.Name, Workload: run.spec.Name, Sweeps: sweeps}
 	for _, out := range sc.Outputs {
-		t, err := render(out, &inputs{spec: &ReportSpec{}, labels: []string{sc.Name}, sweeps: sweeps[:1], repeats: sweeps})
+		t, err := e.render(out, &inputs{spec: &ReportSpec{}, labels: []string{sc.Name}, sweeps: sweeps[:1], repeats: sweeps})
 		if err != nil {
 			return nil, err
 		}
@@ -876,4 +880,27 @@ func (e *Engine) runScenario(ctx context.Context, p *Plan, sc *Scenario, run *sc
 	}
 	e.emit(ctx, Event{Kind: ScenarioDone, Scenario: sc.Name, Workload: run.spec.Name, Seed: sc.seed(p)})
 	return res, nil
+}
+
+// render renders one output or report through the engine's artifact
+// memo: a table whose artifactKey was rendered before is returned as
+// stored, so a warm re-run of a plan recomputes no fit, factor or
+// format. Tables are stored only when every point they read has a
+// fingerprint, and render errors are never stored.
+func (e *Engine) render(kind any, in *inputs) (*report.Table, error) {
+	if e.artifacts == nil {
+		return render(kind, in)
+	}
+	key, ok := artifactKey(kind, in)
+	if !ok {
+		return render(kind, in)
+	}
+	if t, hit := e.artifacts.get(key); hit {
+		return t, nil
+	}
+	t, err := render(kind, in)
+	if err == nil {
+		e.artifacts.put(key, t)
+	}
+	return t, err
 }

@@ -201,21 +201,29 @@ func uslDenom(n, sigma, kappa float64) float64 {
 // profileLambda computes, for fixed (sigma, kappa), the closed-form
 // least-squares throughput scale and the resulting residual sum — the
 // variable-projection step that keeps the nonlinear search
-// two-dimensional.
-func profileLambda(pts []Point, sigma, kappa float64) (lambda, sse float64) {
+// two-dimensional. A non-nil out receives the residual vector
+// r_i = X_i - lambda*g_i; when the scale is degenerate (no g_i is
+// nonzero) the residuals are taken at lambda = 0 and the sum is +Inf.
+func profileLambda(pts []Point, sigma, kappa float64, out []float64) (lambda, sse float64) {
 	var num, den float64
 	for _, p := range pts {
 		g := p.N / uslDenom(p.N, sigma, kappa)
 		num += p.X * g
 		den += g * g
 	}
-	if den <= 0 {
-		return 0, math.Inf(1)
+	degenerate := den <= 0
+	if !degenerate {
+		lambda = num / den
 	}
-	lambda = num / den
-	for _, p := range pts {
+	for i, p := range pts {
 		r := p.X - lambda*p.N/uslDenom(p.N, sigma, kappa)
+		if out != nil {
+			out[i] = r
+		}
 		sse += r * r
+	}
+	if degenerate {
+		return 0, math.Inf(1)
 	}
 	return lambda, sse
 }
@@ -229,7 +237,7 @@ func profileLambda(pts []Point, sigma, kappa float64) (lambda, sse float64) {
 // and the slope coefficients divided by rho recover sigma and kappa
 // exactly on clean data.
 func seed(pts []Point, withKappa bool) (sigma, kappa float64) {
-	lambda0, _ := profileLambda(pts, 0, 0)
+	lambda0, _ := profileLambda(pts, 0, 0, nil)
 	if lambda0 <= 0 {
 		return 0, 0
 	}
@@ -305,29 +313,23 @@ func clamp(v float64) float64 {
 // on the lambda-profiled residual vector r_i = X_i - lambda*g_i, with a
 // forward-difference Jacobian and projection onto the non-negative
 // orthant after every trial step. At most two parameters, so the normal
-// equations are solved in closed form.
+// equations are solved in closed form. r holds the residuals at the
+// current point and rt those of the last trial step, which become r when
+// the step is accepted.
 func refine(pts []Point, sigma, kappa float64, withKappa bool) (float64, float64) {
-	residuals := func(s, k float64, out []float64) float64 {
-		lambda, sse := profileLambda(pts, s, k)
-		if out != nil {
-			for i, p := range pts {
-				out[i] = p.X - lambda*p.N/uslDenom(p.N, s, k)
-			}
-		}
-		return sse
-	}
 	m := len(pts)
 	r := make([]float64, m)
 	rs := make([]float64, m)
 	rk := make([]float64, m)
-	sse := residuals(sigma, kappa, r)
+	rt := make([]float64, m)
+	_, sse := profileLambda(pts, sigma, kappa, r)
 	mu := 1e-4
 	for iter := 0; iter < maxIterations; iter++ {
 		hs := step(sigma)
-		residuals(sigma+hs, kappa, rs)
+		profileLambda(pts, sigma+hs, kappa, rs)
 		hk := step(kappa)
 		if withKappa {
-			residuals(sigma, kappa+hk, rk)
+			profileLambda(pts, sigma, kappa+hk, rk)
 		}
 		// Normal equations J^T J delta = -J^T r with J from forward
 		// differences.
@@ -350,11 +352,11 @@ func refine(pts []Point, sigma, kappa float64, withKappa bool) (float64, float64
 			ds = -gs / (jss * (1 + mu))
 		}
 		trialS, trialK := clamp(sigma+ds), clamp(kappa+dk)
-		trialSSE := residuals(trialS, trialK, nil)
+		_, trialSSE := profileLambda(pts, trialS, trialK, rt)
 		if trialSSE < sse {
 			improvement := sse - trialSSE
 			sigma, kappa, sse = trialS, trialK, trialSSE
-			residuals(sigma, kappa, r)
+			r, rt = rt, r
 			if mu > 1e-12 {
 				mu /= 4
 			}
@@ -382,7 +384,7 @@ func step(v float64) float64 {
 // finish assembles the Model record: the profiled lambda, the residual,
 // and R^2 against the mean-throughput baseline.
 func finish(kind string, pts []Point, sigma, kappa float64) Model {
-	lambda, sse := profileLambda(pts, sigma, kappa)
+	lambda, sse := profileLambda(pts, sigma, kappa, nil)
 	var mean float64
 	for _, p := range pts {
 		mean += p.X

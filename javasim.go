@@ -282,8 +282,8 @@ func WithParallelism(n int) Option { return core.WithParallelism(n) }
 // WithObserver registers an observer for the engine's progress events.
 func WithObserver(o Observer) Option { return core.WithObserver(o) }
 
-// WithCache sizes the engine's memoizing result cache in entries; zero or
-// negative disables memoization.
+// WithCache sizes the engine's memoizing result cache and its memo of
+// rendered artifacts, each in entries; zero or negative disables both.
 func WithCache(entries int) Option { return core.WithCache(entries) }
 
 // WithDiskCache backs the engine's in-memory result cache with a
