@@ -199,11 +199,10 @@ func main() {
 		for i, u := range res.PerThreadUnits {
 			fmt.Printf("  worker-%-3d %6d %12v %12v\n", i, u, res.PerThreadCPU[i], res.PerThreadReadyWait[i])
 		}
-		fmt.Println("\ngc pauses: kind start duration (setup/scan/copy)")
-		for _, p := range res.GCPauses {
-			fmt.Printf("  %-5s %12v %12v (%v/%v/%v)\n", p.Kind, p.Start, p.Duration,
-				p.Phases.Setup, p.Phases.Scan, p.Phases.Copy)
-		}
+		fmt.Printf("\ngc pauses: %d, max %v, phases %v/%v/%v (setup/scan/copy);\n",
+			res.GCStats.Collections(), res.GCStats.MaxPause,
+			res.GCPhases.Setup, res.GCPhases.Scan, res.GCPhases.Copy)
+		fmt.Println("  for each pause, run with -trace out.trace, then tracetool dump out.trace")
 	}
 	if prof != nil {
 		fmt.Println()

@@ -135,7 +135,7 @@ func ExampleConfig_gcPolicy() {
 	}
 	serial := run(javasim.GCPolicyStwSerial)
 	comp := run(javasim.GCPolicyCompartment)
-	fmt.Println("compartment slices collections:", len(comp.GCPauses) > len(serial.GCPauses))
+	fmt.Println("compartment slices collections:", comp.GCStats.Collections() > serial.GCStats.Collections())
 	// Output: compartment slices collections: true
 }
 

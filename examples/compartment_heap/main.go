@@ -37,16 +37,6 @@ func run(label string, mutate func(*javasim.Config)) *javasim.Result {
 	return res
 }
 
-func maxPause(res *javasim.Result) javasim.Time {
-	var m javasim.Time
-	for _, p := range res.GCPauses {
-		if p.Duration > m {
-			m = p.Duration
-		}
-	}
-	return m
-}
-
 func main() {
 	base := run("baseline", nil)
 	biased := run("biased", func(c *javasim.Config) {
@@ -65,13 +55,13 @@ func main() {
 	row("total time", func(r *javasim.Result) string { return r.TotalTime.String() })
 	row("gc time", func(r *javasim.Result) string { return r.GCTime.String() })
 	row("mean gc pause", func(r *javasim.Result) string {
-		if len(r.GCPauses) == 0 {
+		if r.GCStats.Collections() == 0 {
 			return "-"
 		}
-		return (r.GCTime / javasim.Time(len(r.GCPauses))).String()
+		return (r.GCTime / javasim.Time(r.GCStats.Collections())).String()
 	})
-	row("max gc pause", func(r *javasim.Result) string { return maxPause(r).String() })
-	row("collections", func(r *javasim.Result) string { return fmt.Sprint(len(r.GCPauses)) })
+	row("max gc pause", func(r *javasim.Result) string { return r.GCStats.MaxPause.String() })
+	row("collections", func(r *javasim.Result) string { return fmt.Sprint(r.GCStats.Collections()) })
 	row("%objects <1KB", func(r *javasim.Result) string {
 		return fmt.Sprintf("%.1f%%", 100*r.Lifespans.FractionBelow(1024))
 	})

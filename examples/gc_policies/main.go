@@ -46,18 +46,12 @@ func main() {
 		"policy", "total", "stw-gc", "gcs", "max-pause", "conc-cpu", "setup-share")
 	for _, policy := range javasim.GCPolicyNames() {
 		r := results[policy]
-		var maxPause javasim.Time
-		for _, p := range r.GCPauses {
-			if p.Duration > maxPause {
-				maxPause = p.Duration
-			}
-		}
 		setupShare := 0.0
 		if total := r.GCPhases.Total(); total > 0 {
 			setupShare = float64(r.GCPhases.Setup) / float64(total)
 		}
 		fmt.Printf("%-14s %10v %10v %6d %12v %12v %9.0f%%\n",
-			policy, r.TotalTime, r.GCTime, len(r.GCPauses), maxPause,
+			policy, r.TotalTime, r.GCTime, r.GCStats.Collections(), r.GCStats.MaxPause,
 			r.ConcGCCPUTime, 100*setupShare)
 	}
 

@@ -43,25 +43,11 @@ func (c ExperimentConfig) withDefaults() ExperimentConfig {
 // Figure 1c/1d distributions.
 var cdfLimits = []int64{256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20}
 
-func meanPause(ps []gc.Pause) sim.Time {
-	if len(ps) == 0 {
+func meanPause(s gc.Stats) sim.Time {
+	if s.Collections() == 0 {
 		return 0
 	}
-	var sum sim.Time
-	for _, p := range ps {
-		sum += p.Duration
-	}
-	return sum / sim.Time(len(ps))
-}
-
-func maxPause(ps []gc.Pause) sim.Time {
-	var m sim.Time
-	for _, p := range ps {
-		if p.Duration > m {
-			m = p.Duration
-		}
-	}
-	return m
+	return s.TotalTime() / sim.Time(s.Collections())
 }
 
 func formatBytes(b int64) string {

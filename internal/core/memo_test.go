@@ -10,6 +10,7 @@ import (
 
 	"javasim/internal/lockprof"
 	"javasim/internal/report"
+	"javasim/internal/store"
 	"javasim/internal/trace"
 	"javasim/internal/vm"
 	"javasim/internal/workload"
@@ -252,6 +253,48 @@ func BenchmarkPlanMemoryTier(b *testing.B) {
 			if err := tb.WriteASCII(io.Discard); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// BenchmarkPlanDiskTier re-runs PaperPlan from a filled disk store and
+// writes every table as text, as BenchmarkPlanMemoryTier does from
+// memory: each iteration is a fresh engine, so every point is a store
+// read and every table a fresh render. Any miss is fatal.
+func BenchmarkPlanDiskTier(b *testing.B) {
+	dir := b.TempDir()
+	ctx := context.Background()
+	p := PaperPlan(ExperimentConfig{Scale: 0.05, Seed: 3})
+	st, err := store.Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := NewEngine(WithDiskStore(st)).RunPlan(ctx, p); err != nil {
+		b.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+	st, err = store.Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng := NewEngine(WithDiskStore(st))
+		pr, err := eng.RunPlan(ctx, p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, tb := range pr.Tables() {
+			if err := tb.WriteASCII(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if cs := eng.CacheStats(); cs.Misses != 0 || cs.DiskHits == 0 {
+			b.Fatalf("re-run from the store: %+v, want disk hits only", cs)
 		}
 	}
 }

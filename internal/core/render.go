@@ -258,9 +258,9 @@ func compareRows(t *report.Table, results []*vm.Result) {
 	}
 	row("total time", func(r *vm.Result) string { return r.TotalTime.String() })
 	row("gc time", func(r *vm.Result) string { return r.GCTime.String() })
-	row("mean gc pause", func(r *vm.Result) string { return meanPause(r.GCPauses).String() })
-	row("max gc pause", func(r *vm.Result) string { return maxPause(r.GCPauses).String() })
-	row("collections", func(r *vm.Result) string { return fmt.Sprintf("%d", len(r.GCPauses)) })
+	row("mean gc pause", func(r *vm.Result) string { return meanPause(r.GCStats).String() })
+	row("max gc pause", func(r *vm.Result) string { return r.GCStats.MaxPause.String() })
+	row("collections", func(r *vm.Result) string { return fmt.Sprintf("%d", r.GCStats.Collections()) })
 	if slices.ContainsFunc(results, nonDefaultGC) {
 		row("gc phases s/s/c", func(r *vm.Result) string { return formatPhases(r.GCPhases) })
 		row("conc gc cpu", func(r *vm.Result) string { return r.ConcGCCPUTime.String() })
@@ -481,7 +481,7 @@ func renderRows(in *inputs) (*report.Table, error) {
 			fmt.Sprintf("%d", r.GCStats.MinorCount),
 			fmt.Sprintf("%d", r.GCStats.FullCount),
 			meanMinor.String(),
-			maxPause(r.GCPauses).String(),
+			r.GCStats.MaxPause.String(),
 			fmt.Sprintf("%.2f", float64(r.GCStats.CopiedBytes)/(1<<20)),
 			fmt.Sprintf("%.2f", float64(r.GCStats.PromotedBytes)/(1<<20))}
 		if conc {

@@ -108,8 +108,11 @@ func TestInitialMarkRemarkPauses(t *testing.T) {
 	if st.TotalTime() != st.ConcPauseTime {
 		t.Error("TotalTime must include concurrent pauses")
 	}
-	if len(c.Pauses()) != 2 {
-		t.Error("pauses not recorded")
+	if st.ConcPauses != 2 || st.Collections() != 2 {
+		t.Errorf("pauses not counted: %d concurrent, %d in all", st.ConcPauses, st.Collections())
+	}
+	if st.MaxPause != max(im.Duration, rm.Duration) {
+		t.Errorf("max pause %v", st.MaxPause)
 	}
 }
 

@@ -27,7 +27,6 @@ import (
 	"slices"
 
 	"javasim/internal/heap"
-	"javasim/internal/metrics"
 	"javasim/internal/objmodel"
 	"javasim/internal/sim"
 )
@@ -167,7 +166,9 @@ type Stats struct {
 	MinorTime     sim.Time
 	FullTime      sim.Time
 	ConcCycles    int64    // completed concurrent mark-sweep cycles
+	ConcPauses    int64    // initial-mark and remark pauses
 	ConcPauseTime sim.Time // initial-mark + remark stop-the-world time
+	MaxPause      sim.Time // the longest pause of any kind
 	PromotedBytes int64
 	CopiedBytes   int64
 	ReclaimedB    int64
@@ -175,6 +176,9 @@ type Stats struct {
 
 // TotalTime returns the combined stop-the-world pause time.
 func (s Stats) TotalTime() sim.Time { return s.MinorTime + s.FullTime + s.ConcPauseTime }
+
+// Collections returns the number of stop-the-world pauses of every kind.
+func (s Stats) Collections() int64 { return s.MinorCount + s.FullCount + s.ConcPauses }
 
 // Collector tracks generation membership and executes collections.
 type Collector struct {
@@ -213,8 +217,7 @@ type Collector struct {
 	peak int
 
 	stats     Stats
-	pauses    []Pause
-	pauseHist *metrics.Histogram
+	phases    Breakdown
 	onPromote func(objmodel.ID)
 }
 
@@ -243,7 +246,6 @@ func NewWithPolicy(p Policy, cfg Config, h *heap.Heap, reg *objmodel.Registry) *
 		young:     make([][]objmodel.ID, h.Compartments()),
 		spare:     make([][]objmodel.ID, h.Compartments()),
 		survBytes: make([]int64, h.Compartments()),
-		pauseHist: metrics.NewHistogram("gc-pause-ns"),
 	}
 }
 
@@ -268,11 +270,9 @@ func (c *Collector) Config() Config { return c.cfg }
 // Stats returns a copy of the accumulated statistics.
 func (c *Collector) Stats() Stats { return c.stats }
 
-// Pauses returns every recorded pause in order.
-func (c *Collector) Pauses() []Pause { return c.pauses }
-
-// PauseHistogram returns the distribution of pause durations (ns).
-func (c *Collector) PauseHistogram() *metrics.Histogram { return c.pauseHist }
+// Phases returns the stop-the-world pause time of every recorded pause,
+// split into its phases.
+func (c *Collector) Phases() Breakdown { return c.phases }
 
 // OnAlloc registers a freshly allocated object with its compartment's
 // young generation. The VM calls this for every allocation.
@@ -531,8 +531,6 @@ func (c *Collector) free(dead []objmodel.ID) {
 }
 
 func (c *Collector) record(p Pause) {
-	c.pauses = append(c.pauses, p)
-	c.pauseHist.Add(int64(p.Duration))
 	switch p.Kind {
 	case Minor:
 		c.stats.MinorCount++
@@ -541,8 +539,13 @@ func (c *Collector) record(p Pause) {
 		c.stats.FullCount++
 		c.stats.FullTime += p.Duration
 	case InitialMark, Remark:
+		c.stats.ConcPauses++
 		c.stats.ConcPauseTime += p.Duration
 	}
+	c.stats.MaxPause = max(c.stats.MaxPause, p.Duration)
+	c.phases.Setup += p.Phases.Setup
+	c.phases.Scan += p.Phases.Scan
+	c.phases.Copy += p.Phases.Copy
 	c.stats.PromotedBytes += p.PromotedBytes
 	c.stats.CopiedBytes += p.CopiedBytes
 	c.stats.ReclaimedB += p.ReclaimedB

@@ -316,8 +316,8 @@ func TestStatsAccumulate(t *testing.T) {
 		id := reg.Alloc(256, 0)
 		c.OnAlloc(id, 0)
 	}
-	c.CollectMinor(0, 0)
-	c.CollectFull(0)
+	minor, _ := c.CollectMinor(0, 0)
+	full, _ := c.CollectFull(0)
 	st := c.Stats()
 	if st.MinorCount != 1 || st.FullCount != 1 {
 		t.Errorf("counts %d/%d, want 1/1", st.MinorCount, st.FullCount)
@@ -325,11 +325,14 @@ func TestStatsAccumulate(t *testing.T) {
 	if st.TotalTime() != st.MinorTime+st.FullTime {
 		t.Error("TotalTime inconsistent")
 	}
-	if len(c.Pauses()) != 2 {
-		t.Errorf("pauses %d, want 2", len(c.Pauses()))
+	if st.Collections() != 2 {
+		t.Errorf("collections %d, want 2", st.Collections())
 	}
-	if c.PauseHistogram().Total() != 2 {
-		t.Error("pause histogram not fed")
+	if st.MaxPause != max(minor.Duration, full.Duration) {
+		t.Errorf("max pause %v, want the longer of %v and %v", st.MaxPause, minor.Duration, full.Duration)
+	}
+	if ph := c.Phases(); ph.Total() != st.TotalTime() {
+		t.Errorf("phases sum to %v, pause time %v", ph.Total(), st.TotalTime())
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table is a titled grid of cells. The first header names the row key.
@@ -42,35 +43,48 @@ func (t *Table) WriteASCII(w io.Writer) error {
 			}
 		}
 	}
+	total := len(widths) - 1
+	for _, w := range widths {
+		total += w + 1
+	}
 	var b strings.Builder
+	b.Grow(len(t.Title) + (total+1)*(len(t.Rows)+2) + len(t.Note) + 8)
 	if t.Title != "" {
-		fmt.Fprintf(&b, "%s\n", t.Title)
+		b.WriteString(t.Title)
+		b.WriteByte('\n')
 	}
 	writeRow := func(cells []string) {
 		for i, c := range cells {
 			if i > 0 {
 				b.WriteString("  ")
 			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
+			b.WriteString(c)
+			// Pad by runes, as fmt's %-*s does, while widths count
+			// bytes: a cell holding "µs" gets one space more than its
+			// byte length implies.
+			for n := widths[i] - utf8.RuneCountInString(c); n > 0; n -= len(spaces) {
+				b.WriteString(spaces[:min(n, len(spaces))])
+			}
 		}
 		b.WriteByte('\n')
 	}
 	writeRow(t.Headers)
-	total := len(widths) - 1
-	for _, w := range widths {
-		total += w + 1
-	}
 	b.WriteString(strings.Repeat("-", total))
 	b.WriteByte('\n')
 	for _, row := range t.Rows {
 		writeRow(row)
 	}
 	if t.Note != "" {
-		fmt.Fprintf(&b, "note: %s\n", t.Note)
+		b.WriteString("note: ")
+		b.WriteString(t.Note)
+		b.WriteByte('\n')
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
 }
+
+// spaces pads WriteASCII's cells.
+const spaces = "                                "
 
 // WriteCSV renders the table as CSV (headers first, title omitted).
 func (t *Table) WriteCSV(w io.Writer) error {

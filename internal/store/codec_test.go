@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -25,8 +24,8 @@ import (
 // payload names no fields, so a changed shape needs a Version bump (as
 // does a change to a type's own binary form, which the shape omits).
 const (
-	shapeVersion = 3
-	resultShape  = "6325a2661275a1acb7213e4fc87816311fe5fc7fe99a830feba7dc213d4dd8a3"
+	shapeVersion = 4
+	resultShape  = "69175166f4536e7bf6d0b861fc3f4298a99fdbe8a78c120b3fb634e43177529c"
 )
 
 // TestCodecCoversResult walks every type reachable from vm.Result and
@@ -101,14 +100,14 @@ func TestCodecRoundTrip(t *testing.T) {
 			t.Fatalf("fill left %s zero", rv.Type().Field(i).Name)
 		}
 	}
-	if full.Traffic.Latency == nil || full.Traffic.QueueWait == nil || len(full.Traffic.QueueLog) == 0 {
-		t.Fatal("fill left Traffic's histograms or QueueLog empty")
+	if full.Traffic.Latency == nil || full.Traffic.QueueWait == nil {
+		t.Fatal("fill left Traffic's histograms empty")
 	}
 	// DeepEqual tells a nil slice from an empty one, so this fails if
 	// the codec conflates them.
 	sparse := *full
 	sparse.PerThreadCPU, sparse.PerThreadBlocked = nil, []sim.Time{}
-	sparse.Traffic = &traffic.Stats{QueueLog: []traffic.QueueSample{}}
+	sparse.Traffic = &traffic.Stats{}
 
 	for name, res := range map[string]*vm.Result{"full": full, "sparse": &sparse} {
 		data, err := codec.Marshal(res)
@@ -134,11 +133,12 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 // FuzzStoreEntry writes arbitrary bytes at an entry's path, first as
-// they are and then as the payload of a valid envelope (byte mutations
-// of a whole entry rarely get past the JSON and base64 around the
-// payload). Each time, Get must either serve a hit or count one miss
-// and one corrupt entry, never panic, and allocate no more than in
-// proportion to the input.
+// they are and then as the payload of an entry sealed with a valid
+// header and checksum (byte mutations of a whole entry almost never get
+// past the CRC-32, so only the sealed form reaches the codec's decoder).
+// Each time, Get must either serve a hit or count one miss and one
+// corrupt entry, never panic, and allocate no more than in proportion to
+// the input.
 func FuzzStoreEntry(f *testing.F) {
 	dir := f.TempDir()
 	s := mustOpen(f, dir)
@@ -152,25 +152,19 @@ func FuzzStoreEntry(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var e entry
-	if err := json.Unmarshal(valid, &e); err != nil {
-		f.Fatal(err)
+	sealed := func(payload []byte) []byte { return seal(append(header(fpA), payload...)) }
+	payload := valid[len(header(fpA)) : len(valid)-crcLen]
+	if !bytes.Equal(sealed(payload), valid) {
+		f.Fatal("a stored entry is not its sealed payload")
 	}
-	envelope := func(payload []byte) []byte {
-		data, err := json.Marshal(entry{Version: Version, Fingerprint: fpA, Result: payload})
-		if err != nil {
-			f.Fatal(err)
-		}
-		return data
-	}
-	for _, seed := range [][]byte{valid, e.Result, envelope(bytes.Repeat([]byte{0xff}, 64))} {
+	for _, seed := range [][]byte{valid, payload, sealed(bytes.Repeat([]byte{0xff}, 64))} {
 		for _, n := range []int{len(seed), 0, 1, len(seed) / 3, len(seed) / 2, len(seed) - 2} {
 			f.Add(seed[:n])
 		}
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, file := range [][]byte{data, envelope(data)} {
+		for _, file := range [][]byte{data, sealed(data)} {
 			if err := os.WriteFile(path, file, 0o644); err != nil {
 				t.Fatal(err)
 			}

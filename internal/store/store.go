@@ -6,32 +6,39 @@
 // same directory — so no fingerprint any client has ever run is
 // simulated twice, across engines, daemons, or restarts.
 //
-// Layout: one JSON entry per fingerprint at
+// Layout: one binary entry per fingerprint at
 //
 //	<dir>/<fp[0:2]>/<fp>.json
 //
-// where each entry is a version-stamped JSON envelope {Version,
-// Fingerprint, Result} and Result is the result's internal/codec
-// encoding, carried as base64. Entries are immutable once written — the
-// fingerprint is a hash of everything that determines the result, so a
-// rewrite can only ever produce the same bytes (modulo schema version).
+// where each entry is
+//
+//	magic (8 bytes) | uvarint Version | uvarint len(fp) | fp | payload | CRC-32
+//
+// with the result's internal/codec encoding as the payload and the
+// little-endian IEEE CRC-32 of everything before it as the trailer.
+// Entries are immutable once written — the fingerprint is a hash of
+// everything that determines the result, so a rewrite can only ever
+// produce the same bytes (modulo schema version).
 //
 // Writes are write-behind: Put enqueues, a background writer persists
 // entries with the temp-file+rename idiom (readers never observe a
 // partial entry), and Flush/Close drain the queue — the serving
 // daemon's graceful shutdown calls Close before exiting.
 //
-// Reads are corruption-tolerant by design: a truncated file, garbage
-// bytes, a schema-version mismatch, a fingerprint that does not match
-// its filename, or a payload that does not decode all count as a miss
-// (and a Corrupt tick in Stats), never an error. The engine then
-// re-simulates and rewrites the entry.
+// Reads are corruption-tolerant by design: a bad checksum (any
+// truncation, flipped byte or trailing garbage), a bad magic, a schema-
+// version mismatch, a fingerprint that does not match its filename, or
+// a payload that does not decode all count as a miss (and a Corrupt tick
+// in Stats), never an error. The engine then re-simulates and rewrites
+// the entry.
 package store
 
 import (
-	"encoding/json"
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -48,16 +55,45 @@ import (
 // names no fields, so any added, removed or reordered field is
 // incompatible): old entries then read as misses and are lazily
 // replaced by re-simulation, instead of decoding into wrong fields.
-const Version = 3
+const Version = 4
 
-// entryExt is the on-disk entry suffix.
+// entryExt is the on-disk entry suffix. Entries are binary, but the
+// suffix stays from the JSON envelope of versions 1-3: perfbench's fault
+// injection finds entries by globbing */*.json and overwrites one with
+// `{"Version":`, which must still read as one corrupt miss (it fails the
+// checksum, as does an old JSON entry).
 const entryExt = ".json"
 
-// entry is the on-disk envelope around one result.
-type entry struct {
-	Version     int
-	Fingerprint string
-	Result      []byte // the vm.Result, encoded by codec.Marshal
+// magic opens every entry.
+const magic = "JSIMRES\x00"
+
+// crcLen is the size of the CRC-32 trailer.
+const crcLen = 4
+
+// header returns the bytes every current entry for fp starts with:
+// magic, Version and the length-prefixed fingerprint.
+func header(fp string) []byte {
+	b := make([]byte, 0, len(magic)+2*binary.MaxVarintLen64+len(fp))
+	b = append(b, magic...)
+	b = binary.AppendUvarint(b, Version)
+	b = binary.AppendUvarint(b, uint64(len(fp)))
+	return append(b, fp...)
+}
+
+// seal appends the CRC-32 trailer over b.
+func seal(b []byte) []byte {
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// decode fills res from an entry read at fp's path, reporting whether
+// its checksum, header and payload all hold.
+func decode(data []byte, fp string, res *vm.Result) bool {
+	n := len(data) - crcLen
+	if n < 0 || crc32.ChecksumIEEE(data[:n]) != binary.LittleEndian.Uint32(data[n:]) {
+		return false
+	}
+	payload, ok := bytes.CutPrefix(data[:n], header(fp))
+	return ok && codec.Unmarshal(payload, res) == nil
 }
 
 // Stats are the store's lifetime counters, all monotone.
@@ -160,10 +196,8 @@ func (s *Store) Get(fp string) (*vm.Result, bool) {
 		s.misses.Add(1)
 		return nil, false
 	}
-	var e entry
 	res := new(vm.Result)
-	if err := json.Unmarshal(data, &e); err != nil ||
-		e.Version != Version || e.Fingerprint != fp || codec.Unmarshal(e.Result, res) != nil {
+	if !decode(data, fp, res) {
 		s.corrupt.Add(1)
 		s.misses.Add(1)
 		return nil, false
@@ -236,14 +270,11 @@ func (s *Store) writeEntry(fp string, res *vm.Result) error {
 	if err := os.MkdirAll(shard, 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	payload, err := codec.Marshal(res)
+	data, err := codec.Append(header(fp), res)
 	if err != nil {
 		return fmt.Errorf("store: encode %s: %w", fp, err)
 	}
-	data, err := json.Marshal(entry{Version: Version, Fingerprint: fp, Result: payload})
-	if err != nil {
-		return fmt.Errorf("store: encode %s: %w", fp, err)
-	}
+	data = seal(data)
 	f, err := os.CreateTemp(shard, "."+fp+".tmp-")
 	if err != nil {
 		return fmt.Errorf("store: %w", err)

@@ -1,7 +1,8 @@
 package store
 
 import (
-	"encoding/json"
+	"bytes"
+	"encoding/base64"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -185,6 +186,10 @@ func TestStoreCorruptEntriesAreMisses(t *testing.T) {
 	}
 }
 
+// TestStoreVersionMismatchInvalidates checks that an entry of another
+// schema version reads as one corrupt miss, whether it is a sealed
+// binary entry stamped with a later Version or a version-3 JSON
+// envelope, and that a rewrite turns it back into a hit.
 func TestStoreVersionMismatchInvalidates(t *testing.T) {
 	dir := t.TempDir()
 	res := testResult(t, "xalan", 2)
@@ -194,28 +199,76 @@ func TestStoreVersionMismatchInvalidates(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, fpA[:2], fpA+".json")
+	path := filepath.Join(dir, fpA[:2], fpA+entryExt)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var e map[string]json.RawMessage
-	if err := json.Unmarshal(data, &e); err != nil {
+	payload := data[len(header(fpA)) : len(data)-crcLen]
+	future := append([]byte(magic), Version+1, byte(len(fpA)))
+	future = seal(append(append(future, fpA...), payload...))
+	v3 := fmt.Sprintf(`{"Version":3,"Fingerprint":%q,"Result":%q}`, fpA, base64.StdEncoding.EncodeToString(payload))
+
+	for name, entry := range map[string][]byte{"future version": future, "version-3 JSON": []byte(v3)} {
+		if err := os.WriteFile(path, entry, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := s.Stats()
+		if _, ok := s.Get(fpA); ok {
+			t.Fatalf("%s entry served as a hit", name)
+		}
+		if after := s.Stats(); after.Misses != before.Misses+1 || after.Corrupt != before.Corrupt+1 {
+			t.Fatalf("%s: stats %+v -> %+v, want one miss and one corrupt tick", name, before, after)
+		}
+		s.Put(fpA, res)
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := s.Get(fpA); !ok || !reflect.DeepEqual(res, got) {
+			t.Fatalf("%s entry not rewritten", name)
+		}
+	}
+}
+
+// TestStoreEntryByteFlips flips each single byte of a valid entry (one
+// bit, then all eight), then tries every truncation: each Get must be
+// exactly one corrupt miss, never a hit. CRC-32 detects every error
+// confined to 32 consecutive bits, so no flip can pass as a different
+// result.
+func TestStoreEntryByteFlips(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	defer s.Close()
+	s.Put(fpA, testResult(t, "xalan", 2))
+	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	e["Version"] = json.RawMessage(fmt.Sprint(Version + 1))
-	bumped, err := json.Marshal(e)
+	path := filepath.Join(dir, fpA[:2], fpA+entryExt)
+	valid, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, bumped, 0o644); err != nil {
-		t.Fatal(err)
+	check := func(what string, entry []byte) {
+		t.Helper()
+		if err := os.WriteFile(path, entry, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := s.Stats()
+		_, hit := s.Get(fpA)
+		after := s.Stats()
+		if hit || after.Misses != before.Misses+1 || after.Corrupt != before.Corrupt+1 {
+			t.Fatalf("%s: hit %v, stats %+v -> %+v; want one corrupt miss", what, hit, before, after)
+		}
 	}
-	if _, ok := s.Get(fpA); ok {
-		t.Fatal("future-version entry served as a hit")
+	for i := range valid {
+		for _, mask := range []byte{0x01, 0xff} {
+			flipped := bytes.Clone(valid)
+			flipped[i] ^= mask
+			check(fmt.Sprintf("byte %d of %d ^ %#x", i, len(valid), mask), flipped)
+		}
 	}
-	if st := s.Stats(); st.Corrupt == 0 {
-		t.Fatal("version mismatch not counted as corrupt")
+	for n := range valid {
+		check(fmt.Sprintf("truncation to %d of %d bytes", n, len(valid)), valid[:n])
 	}
 }
 

@@ -26,9 +26,11 @@ const (
 	Alloc Kind = iota
 	// Death records an object death; Clock is the death clock.
 	Death
-	// GCStart marks the beginning of a collection; Arg is the gc.Kind.
+	// GCStart marks the beginning of a pause; Arg is the gc.Kind and
+	// Thread the compartment a minor collection evacuates (-1 for other
+	// kinds).
 	GCStart
-	// GCEnd marks the end of a collection; Arg is the pause in ns.
+	// GCEnd marks the end of a pause; Arg is its duration in ns.
 	GCEnd
 	// ThreadStart records a mutator thread starting.
 	ThreadStart

@@ -6,7 +6,7 @@ import (
 )
 
 // Stats is the open-system measurement record of one run: the
-// per-request latency distribution, queue behavior over time, and the
+// per-request latency distribution, queue-depth summaries, and the
 // offered/completed/timed-out accounting that goodput curves plot.
 // vm.Result carries one for open-system runs and nil for closed-loop
 // runs.
@@ -36,16 +36,6 @@ type Stats struct {
 	// run (the mean is time-weighted).
 	QueueDepthMax  int
 	QueueDepthMean float64
-
-	// QueueLog samples queue depth over time, decimated to a bounded
-	// number of points.
-	QueueLog []QueueSample
-}
-
-// QueueSample is one point of the queue-depth-over-time curve.
-type QueueSample struct {
-	Time  sim.Time
-	Depth int
 }
 
 // GoodputPerSec returns completed requests per virtual second over the

@@ -83,6 +83,7 @@ func (v *vm) cmsOnMinorPause(now sim.Time) sim.Time {
 	switch v.cms.phase {
 	case cmsMarkPending:
 		p := v.gc.InitialMark(now)
+		v.emitGCTrace(p)
 		v.cms.phase = cmsMarking
 		work := v.gc.MarkWork(v.gc.OldLiveCount())
 		v.cmsStartPhaseWork(work, func() {
@@ -91,6 +92,7 @@ func (v *vm) cmsOnMinorPause(now sim.Time) sim.Time {
 		return p.Duration
 	case cmsRemarkPending:
 		p := v.gc.Remark(now)
+		v.emitGCTrace(p)
 		v.cms.phase = cmsSweeping
 		v.cmsStartPhaseWork(v.gc.SweepWork(), func() {
 			v.gc.SweepOld(v.sim.Now())

@@ -192,8 +192,8 @@ func TestTTSPBoundedUnderBias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	basePer := base.SafepointTime / sim.Time(len(base.GCPauses))
-	biasPer := biased.SafepointTime / sim.Time(len(biased.GCPauses))
+	basePer := base.SafepointTime / sim.Time(base.GCStats.Collections())
+	biasPer := biased.SafepointTime / sim.Time(biased.GCStats.Collections())
 	// Without the override, each safepoint would wait most of a 4ms phase;
 	// with it, per-GC TTSP should stay within an order of magnitude of the
 	// baseline and far below the phase length.

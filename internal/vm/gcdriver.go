@@ -231,7 +231,7 @@ func (v *vm) maybeStartGC() {
 			return
 		}
 		v.cmsAbort()
-		v.emitGCTrace(gc.Full, now, fullPause.Duration)
+		v.emitGCTrace(fullPause)
 		total += fullPause.Duration
 		copied += fullPause.CopiedBytes + fullPause.PromotedBytes
 	}
@@ -254,7 +254,7 @@ func (v *vm) maybeStartGC() {
 		// A compacting collection supersedes any in-flight concurrent
 		// cycle (CMS's "concurrent mode failure" recovery).
 		v.cmsAbort()
-		v.emitGCTrace(gc.Full, now, fullPause.Duration)
+		v.emitGCTrace(fullPause)
 		total += fullPause.Duration
 		copied += fullPause.CopiedBytes + fullPause.PromotedBytes
 		pause, err = v.gc.CollectMinor(v.stwComp, now)
@@ -263,7 +263,7 @@ func (v *vm) maybeStartGC() {
 		v.fail(fmt.Errorf("vm: %s minor collection failed: %w", v.spec.Name, err))
 		return
 	}
-	v.emitGCTrace(gc.Minor, now, pause.Duration)
+	v.emitGCTrace(pause)
 	total += pause.Duration
 	copied += pause.CopiedBytes + pause.PromotedBytes
 	if v.cms.on {
@@ -277,12 +277,6 @@ func (v *vm) maybeStartGC() {
 	ttsp := now - v.stwStart
 	v.safepointTime += ttsp
 	v.gcTime += ttsp + total
-	v.heapLog = append(v.heapLog, HeapSample{
-		Time:          now,
-		OldUsed:       v.heap.OldUsed(),
-		LiveBytes:     v.reg.LiveBytes(),
-		Fragmentation: v.heap.Fragmentation(),
-	})
 	// The pause is now in progress: further parks must not re-run the
 	// collection or schedule duplicate world resumptions.
 	v.stwCollecting = true
@@ -331,9 +325,11 @@ func (v *vm) resumeWorld() {
 	}
 }
 
-func (v *vm) emitGCTrace(kind gc.Kind, start, dur sim.Time) {
-	v.emitTrace(trace.Event{Kind: trace.GCStart, Time: start, Clock: v.reg.Clock(), Arg: int64(kind)})
-	v.emitTrace(trace.Event{Kind: trace.GCEnd, Time: start, Clock: v.reg.Clock(), Arg: int64(dur)})
+// emitGCTrace records one pause as a GCStart/GCEnd pair: the per-pause
+// detail a Result keeps only as GCStats totals.
+func (v *vm) emitGCTrace(p gc.Pause) {
+	v.emitTrace(trace.Event{Kind: trace.GCStart, Time: p.Start, Thread: int32(p.Compartment), Clock: v.reg.Clock(), Arg: int64(p.Kind)})
+	v.emitTrace(trace.Event{Kind: trace.GCEnd, Time: p.Start, Clock: v.reg.Clock(), Arg: int64(p.Duration)})
 }
 
 // fail aborts the run with err.

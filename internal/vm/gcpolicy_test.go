@@ -98,29 +98,21 @@ func TestCompartmentPolicyLaysOutNUMAHeap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := Run(spec, Config{Threads: 24, Seed: 42, GCPolicy: gc.PolicyCompartment})
+	comp, pauses, err := tracedPauses(spec, Config{Threads: 24, Seed: 42, GCPolicy: gc.PolicyCompartment})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(comp.GCPauses) <= len(base.GCPauses) {
+	if comp.GCStats.Collections() <= base.GCStats.Collections() {
 		t.Errorf("compartment collections %d <= baseline %d — eden was not sliced",
-			len(comp.GCPauses), len(base.GCPauses))
+			comp.GCStats.Collections(), base.GCStats.Collections())
 	}
-	maxPause := func(r *Result) (m int64) {
-		for _, p := range r.GCPauses {
-			if int64(p.Duration) > m {
-				m = int64(p.Duration)
-			}
-		}
-		return m
-	}
-	if maxPause(comp) >= maxPause(base) {
-		t.Errorf("compartment max pause %d >= baseline %d — no pause isolation", maxPause(comp), maxPause(base))
+	if comp.GCStats.MaxPause >= base.GCStats.MaxPause {
+		t.Errorf("compartment max pause %v >= baseline %v — no pause isolation", comp.GCStats.MaxPause, base.GCStats.MaxPause)
 	}
 	// 24 threads span 2 sockets: minor pauses must name compartments 0
 	// and 1, nothing else.
 	seen := map[int]bool{}
-	for _, p := range comp.GCPauses {
+	for _, p := range pauses {
 		if p.Kind == gc.Minor {
 			seen[p.Compartment] = true
 		}
@@ -131,21 +123,15 @@ func TestCompartmentPolicyLaysOutNUMAHeap(t *testing.T) {
 }
 
 // TestResultRecordsGCPhases checks the per-phase GC CPU accounting: the
-// phase sums reconcile exactly with the recorded pauses.
+// phase sums reconcile exactly with the recorded pause time.
 func TestResultRecordsGCPhases(t *testing.T) {
 	spec := xalanSpecScaled(t, 0.05)
 	res, err := Run(spec, Config{Threads: 8, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want gc.Breakdown
-	for _, p := range res.GCPauses {
-		want.Setup += p.Phases.Setup
-		want.Scan += p.Phases.Scan
-		want.Copy += p.Phases.Copy
-	}
-	if res.GCPhases != want {
-		t.Errorf("GCPhases = %+v, want %+v", res.GCPhases, want)
+	if res.GCPhases.Total() != res.GCStats.TotalTime() {
+		t.Errorf("GCPhases = %+v sum to %v, pause time %v", res.GCPhases, res.GCPhases.Total(), res.GCStats.TotalTime())
 	}
 	if res.GCPhases.Total() == 0 {
 		t.Error("run collected nothing — phase accounting untested")

@@ -34,11 +34,11 @@ func (v *vm) recordIteration() {
 		Index:       v.iteration,
 		Duration:    now - v.iterStart,
 		GCTime:      v.gcTime - v.iterGCTime,
-		Collections: len(v.gc.Pauses()) - v.iterPauses,
+		Collections: int(v.gc.Stats().Collections() - v.iterPauses),
 	})
 	v.iterStart = now
 	v.iterGCTime = v.gcTime
-	v.iterPauses = len(v.gc.Pauses())
+	v.iterPauses = v.gc.Stats().Collections()
 }
 
 // startNextIteration releases the finished iteration's remaining objects,

@@ -86,8 +86,8 @@ func TestIterationGCAccounting(t *testing.T) {
 	if gcSum != res.GCTime {
 		t.Errorf("per-iteration GC sums to %v, total %v", gcSum, res.GCTime)
 	}
-	if colls != len(res.GCPauses) {
-		t.Errorf("per-iteration collections sum to %d, total %d", colls, len(res.GCPauses))
+	if int64(colls) != res.GCStats.Collections() {
+		t.Errorf("per-iteration collections sum to %d, total %d", colls, res.GCStats.Collections())
 	}
 }
 

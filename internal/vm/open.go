@@ -50,12 +50,10 @@ type openState struct {
 
 	stats *traffic.Stats
 
-	// Time-weighted queue-depth accounting and the decimated depth log.
+	// Time-weighted queue-depth accounting.
 	lastChange    sim.Time
 	depthIntegral float64
 	depthMax      int
-	logEvery      int64
-	changes       int64
 }
 
 // setupOpen installs the open-system driver and schedules the first
@@ -72,7 +70,6 @@ func (v *vm) setupOpen(proc traffic.Process) {
 			Latency:    metrics.NewHistogram(v.spec.Name + "-latency"),
 			QueueWait:  metrics.NewHistogram(v.spec.Name + "-queue-wait"),
 		},
-		logEvery: int64(requests/256) + 1,
 	}
 	o.arriveFn = v.openArrive
 	v.openSt = o
@@ -92,17 +89,13 @@ func openRequests(spec workload.Spec, cfg Config) int {
 // including entries that will lazily expire at their dequeue.
 func (o *openState) qlen() int { return len(o.queue) - o.head }
 
-// noteDepth closes the current depth interval and samples the log.
+// noteDepth closes the current depth interval.
 func (o *openState) noteDepth(now sim.Time) {
 	depth := o.qlen()
 	o.depthIntegral += float64(depth) * float64(now-o.lastChange)
 	o.lastChange = now
 	if depth > o.depthMax {
 		o.depthMax = depth
-	}
-	o.changes++
-	if o.changes%o.logEvery == 0 {
-		o.stats.QueueLog = append(o.stats.QueueLog, traffic.QueueSample{Time: now, Depth: depth})
 	}
 }
 

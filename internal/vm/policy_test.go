@@ -106,7 +106,7 @@ func TestSpinBudgetAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.GCTime != 0 || len(res.GCPauses) != 0 {
+		if res.GCTime != 0 || res.GCStats.Collections() != 0 {
 			t.Fatalf("lock-bound workload collected (%v GC) — blocked time is no longer pure lock wait", res.GCTime)
 		}
 		return res

@@ -194,8 +194,11 @@ type Result struct {
 	// SafepointTime is the time-to-safepoint portion of GCTime.
 	SafepointTime sim.Time
 
+	// GCStats counts and times the run's pauses by kind; its
+	// Collections, TotalTime and MaxPause summarize every pause, so a
+	// result carries no per-pause log (a TraceSink's GCStart/GCEnd
+	// events carry each pause).
 	GCStats   gc.Stats
-	GCPauses  []gc.Pause
 	HeapStats heap.Stats
 
 	// GCPhases splits stop-the-world pause time into its phases (fixed
@@ -234,11 +237,6 @@ type Result struct {
 	// (one entry for single-iteration runs).
 	Iterations []IterationStats
 
-	// HeapLog samples heap occupancy after every collection — the
-	// old-generation fill curve behind the paper's "mature region fills
-	// up more quickly" observation.
-	HeapLog []HeapSample
-
 	// PerThreadUnits is the §III work-distribution table: units executed
 	// by each mutator thread, summed across iterations.
 	PerThreadUnits []int64
@@ -255,14 +253,6 @@ type Result struct {
 	// queue behavior, offered/completed/timed-out accounting) for runs
 	// configured with an open arrival process; nil for closed-loop runs.
 	Traffic *traffic.Stats
-}
-
-// HeapSample is heap state observed right after one collection.
-type HeapSample struct {
-	Time          sim.Time
-	OldUsed       int64
-	LiveBytes     int64
-	Fragmentation int64
 }
 
 // GCShare returns GC time as a fraction of total time.
@@ -416,7 +406,7 @@ type vm struct {
 	iterStats  []IterationStats
 	iterStart  sim.Time
 	iterGCTime sim.Time
-	iterPauses int
+	iterPauses int64
 	unitsAccum []int64
 
 	// openSt is the open-system driver state; nil for closed-loop runs.
@@ -432,7 +422,6 @@ type vm struct {
 	traceSeq    []uint32
 	traceThread []int32
 
-	heapLog   []HeapSample
 	lifespans *metrics.Histogram
 	finished  bool
 	endTime   sim.Time
@@ -858,7 +847,7 @@ func (v *vm) result() *Result {
 		MutatorTime:      v.endTime - v.gcTime,
 		SafepointTime:    v.safepointTime,
 		GCStats:          v.gc.Stats(),
-		GCPauses:         v.gc.Pauses(),
+		GCPhases:         v.gc.Phases(),
 		HeapStats:        v.heap.Stats(),
 		LockAcquisitions: v.locks.TotalAcquisitions(),
 		LockContentions:  v.locks.TotalContentions(),
@@ -870,12 +859,6 @@ func (v *vm) result() *Result {
 		MemBWStall:       v.mach.BandwidthStall(),
 		MemTraffic:       v.mach.TrafficBytes(),
 		Iterations:       v.iterStats,
-		HeapLog:          v.heapLog,
-	}
-	for _, p := range res.GCPauses {
-		res.GCPhases.Setup += p.Phases.Setup
-		res.GCPhases.Scan += p.Phases.Scan
-		res.GCPhases.Copy += p.Phases.Copy
 	}
 	units := v.run.UnitsTaken()
 	for i := range units {

@@ -174,11 +174,7 @@ func TestGCOccursAndAccounts(t *testing.T) {
 	if res.SafepointTime <= 0 || res.SafepointTime > res.GCTime {
 		t.Errorf("safepoint time %v outside (0, GCTime=%v]", res.SafepointTime, res.GCTime)
 	}
-	var pauseSum sim.Time
-	for _, p := range res.GCPauses {
-		pauseSum += p.Duration
-	}
-	if pauseSum+res.SafepointTime != res.GCTime {
+	if pauseSum := res.GCStats.TotalTime(); pauseSum+res.SafepointTime != res.GCTime {
 		t.Errorf("pauses(%v) + safepoints(%v) != GCTime(%v)", pauseSum, res.SafepointTime, res.GCTime)
 	}
 }
@@ -489,18 +485,18 @@ func TestPauseIntervalProperty(t *testing.T) {
 	spec := workload.XalanSpec().Scale(0.3)
 	sawFull := false
 	f := func(seed uint64) bool {
-		res, err := Run(spec, Config{Threads: 48, Seed: seed})
+		res, pauses, err := tracedPauses(spec, Config{Threads: 48, Seed: seed})
 		if err != nil {
 			return false
 		}
-		if int64(len(res.GCPauses)) != res.GCStats.MinorCount+res.GCStats.FullCount {
+		if int64(len(pauses)) != res.GCStats.MinorCount+res.GCStats.FullCount {
 			return false
 		}
 		if res.GCStats.FullCount > 0 {
 			sawFull = true
 		}
 		var windowStart, windowEnd sim.Time = -1, 0
-		for _, p := range res.GCPauses {
+		for _, p := range pauses {
 			if p.Duration <= 0 {
 				return false
 			}
@@ -528,6 +524,55 @@ func TestPauseIntervalProperty(t *testing.T) {
 	}
 }
 
+// pauseLog keeps the GCStart/GCEnd pairs a traced run emits, one
+// gc.Pause (kind, compartment, start, duration) per pair: the per-pause
+// record a Result carries only as GCStats totals.
+type pauseLog []gc.Pause
+
+func (l *pauseLog) Emit(ev trace.Event) {
+	switch ev.Kind {
+	case trace.GCStart:
+		*l = append(*l, gc.Pause{Kind: gc.Kind(ev.Arg), Start: ev.Time, Compartment: int(ev.Thread)})
+	case trace.GCEnd:
+		(*l)[len(*l)-1].Duration = sim.Time(ev.Arg)
+	}
+}
+
+// tracedPauses runs spec under cfg with a pauseLog attached.
+func tracedPauses(spec workload.Spec, cfg Config) (*Result, []gc.Pause, error) {
+	var log pauseLog
+	cfg.TraceSink = &log
+	res, err := Run(spec, cfg)
+	return res, log, err
+}
+
+// TestPauseSummaryMatchesTrace pins the result's pause summary against
+// the per-pause truth in the trace: under every GC policy, the GCEnd
+// events give the same count, sum and maximum as GCStats' Collections,
+// TotalTime and MaxPause. cmsSpec's old-generation pressure makes the
+// concurrent policy pause for initial marks and remarks too.
+func TestPauseSummaryMatchesTrace(t *testing.T) {
+	for _, policy := range gc.Policies.Names() {
+		res, pauses, err := tracedPauses(cmsSpec(), Config{Threads: 32, Seed: 42, HeapFactor: 2, GCPolicy: policy})
+		if err != nil {
+			t.Fatalf("%s: %v", policy, err)
+		}
+		var sum, maxDur sim.Time
+		for _, p := range pauses {
+			sum += p.Duration
+			maxDur = max(maxDur, p.Duration)
+		}
+		st := res.GCStats
+		if int64(len(pauses)) != st.Collections() || sum != st.TotalTime() || maxDur != st.MaxPause {
+			t.Errorf("%s: trace has %d pauses, sum %v, max %v; GCStats %d, %v, %v",
+				policy, len(pauses), sum, maxDur, st.Collections(), st.TotalTime(), st.MaxPause)
+		}
+		if len(pauses) == 0 || policy == gc.PolicyConcurrent && st.ConcPauses == 0 {
+			t.Errorf("%s: %d pauses, %d concurrent: the summary is untested", policy, len(pauses), st.ConcPauses)
+		}
+	}
+}
+
 // Property: lifespan mean is finite and positive, and mean lifespan grows
 // (or at least does not collapse) when thread count rises for a
 // queue-distributed workload — the paper's core §III-B mechanism.
@@ -546,33 +591,6 @@ func TestLifespanStretchProperty(t *testing.T) {
 	}
 	if m16 <= m2 {
 		t.Errorf("mean lifespan at 16 threads (%v) not above 2 threads (%v)", m16, m2)
-	}
-}
-
-func TestHeapLogSampled(t *testing.T) {
-	res, err := Run(workload.XalanSpec().Scale(0.1), Config{Threads: 8, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.HeapLog) == 0 {
-		t.Fatal("no heap samples despite collections")
-	}
-	if int64(len(res.HeapLog)) > res.GCStats.MinorCount+res.GCStats.FullCount {
-		t.Error("more heap samples than stop-the-world windows")
-	}
-	var prev sim.Time = -1
-	for _, s := range res.HeapLog {
-		if s.Time < prev {
-			t.Fatal("heap log out of order")
-		}
-		prev = s.Time
-		if s.OldUsed < 0 || s.LiveBytes < 0 || s.Fragmentation < 0 {
-			t.Fatalf("negative sample %+v", s)
-		}
-	}
-	// Old generation occupancy grows over the run as promotion accrues.
-	if res.HeapLog[len(res.HeapLog)-1].OldUsed < res.HeapLog[0].OldUsed {
-		t.Error("old generation shrank without full collection")
 	}
 }
 

@@ -154,8 +154,9 @@ type (
 	// engine's in-memory LRU, keyed by Fingerprint hashes.
 	ResultStore = core.ResultStore
 	// Store is the content-addressed on-disk ResultStore (one entry per
-	// fingerprint, a JSON envelope around a binary result payload,
-	// written atomically, corrupt entries read as misses). Open with
+	// fingerprint, a binary payload behind a versioned header and a
+	// CRC-32 trailer, written atomically, corrupt entries read as
+	// misses). Open with
 	// OpenStore, attach with WithDiskCache, and Close it on shutdown to
 	// drain pending writes.
 	Store = store.Store
@@ -545,8 +546,6 @@ type (
 	ArrivalFactory = traffic.Factory
 	// TrafficStats is the open-system measurement record of one run.
 	TrafficStats = traffic.Stats
-	// QueueSample is one decimated point of the queue-depth trajectory.
-	QueueSample = traffic.QueueSample
 )
 
 // Registry names of the built-in arrival processes.
