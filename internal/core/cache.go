@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 
@@ -58,30 +59,70 @@ func canonKey(spec workload.Spec, canon vm.Config) (string, bool) {
 	if canon.TraceSink != nil || canon.LockProfiler != nil {
 		return "", false
 	}
-	schema, err := keySchema()
-	if err != nil {
-		return "", false
-	}
 	ks := keyScratches.Get().(*keyScratch)
 	defer keyScratches.Put(ks)
 	ks.spec, ks.canon = spec, canon
-	b := append(ks.buf[:0], schema[:]...)
-	if b, err = codec.Append(b, &ks.spec); err == nil {
-		b, err = codec.Append(b, &ks.canon)
-	}
-	if err != nil {
-		return "", false
+	var key string
+	b, ok := keyPrefix(ks.buf[:0], &ks.spec)
+	if ok {
+		b, ok = appendKey(b, &ks.canon, &key)
 	}
 	ks.buf = b
-	sum := sha256.Sum256(b)
-	var key [2 * sha256.Size]byte
-	hex.Encode(key[:], sum[:])
-	return string(key[:]), true
+	return key, ok
 }
 
-// keyScratch is canonKey's working set, pooled so that a fingerprint
-// allocates only its key: the walker needs addressable copies of the
-// spec and the config, and the encoding buffer is reused.
+// keyPrefix appends what every fingerprint of spec starts with to b:
+// the key schema and the codec encoding of spec. A sweep encodes it
+// once for all its points.
+func keyPrefix(b []byte, spec *workload.Spec) ([]byte, bool) {
+	schema, err := keySchema()
+	if err != nil {
+		return b, false
+	}
+	b, err = codec.Append(append(b, schema[:]...), spec)
+	return b, err == nil
+}
+
+// appendKey completes the fingerprint whose keyPrefix is b: it appends
+// the encoding of the canonical config canon and sets *key to the hex
+// sha256 of the whole. The bytes are returned for reuse.
+func appendKey(b []byte, canon *vm.Config, key *string) ([]byte, bool) {
+	b, err := codec.Append(b, canon)
+	if err != nil {
+		return b, false
+	}
+	sum := sha256.Sum256(b)
+	var hexKey [2 * sha256.Size]byte
+	hex.Encode(hexKey[:], sum[:])
+	*key = string(hexKey[:])
+	return b, true
+}
+
+// appendSweepInput appends what a sweep's fingerprints depend on beyond
+// its spec to b: the base config and the axis, whether the points vary
+// rate and each point's thread count and rate. The fingerprint memo keys
+// by keyPrefix followed by these bytes.
+func appendSweepInput(b []byte, base *vm.Config, open bool, points []Point) ([]byte, bool) {
+	b, err := codec.Append(b, base)
+	if err != nil {
+		return b, false
+	}
+	axis := byte('t')
+	if open {
+		axis = 'r'
+	}
+	b = binary.AppendUvarint(append(b, axis), uint64(len(points)))
+	for _, p := range points {
+		b = binary.AppendVarint(b, int64(p.Threads))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.Rate))
+	}
+	return b, true
+}
+
+// keyScratch is the working set of canonKey and of a sweep's
+// fingerprints, pooled so that a fingerprint allocates only its key: the
+// walker needs addressable copies of the spec and the config, and the
+// encoding buffer is reused.
 type keyScratch struct {
 	spec  workload.Spec
 	canon vm.Config
@@ -90,16 +131,27 @@ type keyScratch struct {
 
 var keyScratches = sync.Pool{New: func() any { return new(keyScratch) }}
 
-// artifactKey digests everything a renderer reads for one output or
+// artifactKey encodes everything a renderer reads for one output or
 // report, so equal keys render equal tables: the kind (its type tells an
 // Output from the ReportKind of the same name), the codec encoding of
 // the report spec, the labels, and the key of every sweep in in.sweeps
 // and in.repeats, in order — each the digest of its points'
-// fingerprints. The second return is false when some sweep has no key
-// (a point carried a trace sink or lock profiler), and the artifact
-// must be rendered fresh.
+// fingerprints. Every part is self-delimiting, so the bytes themselves
+// are the memo key and need no hash. The second return is false when
+// some sweep has no key (a point carried a trace sink or lock profiler),
+// and the artifact must be rendered fresh.
 func artifactKey(kind any, in *inputs) (string, bool) {
-	b := fmt.Appendf(make([]byte, 0, 512), "%T %q", kind, kind)
+	b := make([]byte, 0, 512)
+	switch k := kind.(type) {
+	case Output:
+		b = binary.AppendUvarint(append(b, 'o'), uint64(len(k)))
+		b = append(b, k...)
+	case ReportKind:
+		b = binary.AppendUvarint(append(b, 'r'), uint64(len(k)))
+		b = append(b, k...)
+	default:
+		return "", false
+	}
 	b, err := codec.Append(b, in.spec)
 	if err == nil {
 		b, err = codec.Append(b, &in.labels)
@@ -116,8 +168,7 @@ func artifactKey(kind any, in *inputs) (string, bool) {
 			b = append(b, sw.key...)
 		}
 	}
-	sum := sha256.Sum256(b)
-	return string(sum[:]), true
+	return string(b), true
 }
 
 // sweepKey digests the fingerprints of a sweep's points, in order, or
@@ -135,9 +186,10 @@ func sweepKey(fingerprints []string) string {
 }
 
 // lru is a concurrency-safe least-recently-used map from string keys to
-// values. The engine keeps two, both sized by WithCache: the result cache
-// (runKey fingerprints to run results) and the artifact memo
-// (artifactKey digests to rendered tables). Values are stored by pointer
+// values. The engine keeps three, all sized by WithCache: the result
+// cache (runKey fingerprints to run results), the fingerprint memo
+// (sweep inputs to their points' fingerprints) and the artifact memo
+// (artifactKey encodings to rendered tables). Values are stored by pointer
 // and shared between callers; they are treated as immutable once stored.
 // A nil *lru is a disabled cache: it never hits and stores nothing.
 type lru[V any] struct {
@@ -161,7 +213,7 @@ func newLRU[V any](capacity int) *lru[V] {
 	return &lru[V]{
 		cap:   capacity,
 		order: list.New(),
-		items: make(map[string]*list.Element, capacity),
+		items: make(map[string]*list.Element),
 	}
 }
 

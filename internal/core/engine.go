@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"javasim/internal/report"
@@ -34,6 +33,7 @@ type Engine struct {
 
 	sem       chan struct{} // worker-slot semaphore, capacity = parallelism
 	cache     *lru[*vm.Result]
+	prints    *lru[*sweepPrints]  // point fingerprints by sweep input
 	artifacts *lru[*report.Table] // rendered tables by artifactKey
 	flights   flightGroup
 	tapes     vm.SnapshotTable // warm-start snapshots of the sweeps in flight
@@ -66,11 +66,12 @@ func WithObserver(o Observer) Option {
 	}
 }
 
-// WithCache sizes the memoizing result cache and the memo of rendered
-// artifacts (entries, not bytes; each holds up to this many). A size of
-// zero or below disables memoization entirely. The default is 256
-// entries — comfortably a full six-workload sweep of the paper's
-// methodology plus every study configuration.
+// WithCache sizes the memoizing result cache, the memo of sweep
+// fingerprints and the memo of rendered artifacts (entries, not bytes;
+// each holds up to this many). A size of zero or below disables
+// memoization entirely. The default is 256 entries — comfortably a full
+// six-workload sweep of the paper's methodology plus every study
+// configuration.
 func WithCache(entries int) Option {
 	return func(e *Engine) { e.cacheSize = entries }
 }
@@ -135,6 +136,7 @@ func NewEngine(opts ...Option) *Engine {
 	}
 	e.sem = make(chan struct{}, e.parallelism)
 	e.cache = newLRU[*vm.Result](e.cacheSize)
+	e.prints = newLRU[*sweepPrints](e.cacheSize)
 	e.artifacts = newLRU[*report.Table](e.cacheSize)
 	return e
 }
@@ -200,29 +202,22 @@ func (e *Engine) emit(ctx context.Context, ev Event) {
 // simulator's next event-loop checkpoint and returns an error wrapping
 // ctx.Err().
 func (e *Engine) Run(ctx context.Context, spec workload.Spec, cfg vm.Config) (*vm.Result, error) {
-	res, _, err := e.run(ctx, spec, cfg)
-	return res, err
-}
-
-// run is Run that also returns the run's fingerprint, or "" when the run
-// is not cacheable.
-func (e *Engine) run(ctx context.Context, spec workload.Spec, cfg vm.Config) (*vm.Result, string, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	canon := cfg.Canonical()
-	key, cacheable := canonKey(spec, canon)
-	if !cacheable {
-		res, err := e.simulate(ctx, spec, cfg, canon.Threads)
-		return res, "", err
-	}
-	res, err := e.runCached(ctx, spec, cfg, canon.Threads, key)
-	return res, key, err
+	key, _ := canonKey(spec, canon)
+	return e.run(ctx, spec, cfg, canon.Threads, key)
 }
 
-// runCached answers a cacheable run from the memory tier, an identical
-// run in flight, the disk store, or, failing all three, a simulation.
-func (e *Engine) runCached(ctx context.Context, spec workload.Spec, cfg vm.Config, threads int, key string) (*vm.Result, error) {
+// run answers a run whose fingerprint is key from the memory tier, an
+// identical run in flight, the disk store, or, failing all three, a
+// simulation; threads is the canonical thread count its events report.
+// A run with no fingerprint (key "") is not cacheable and simulates.
+func (e *Engine) run(ctx context.Context, spec workload.Spec, cfg vm.Config, threads int, key string) (*vm.Result, error) {
+	if key == "" {
+		return e.simulate(ctx, spec, cfg, threads)
+	}
 	hit := func(res *vm.Result, tier *atomic.Int64) *vm.Result {
 		tier.Add(1)
 		e.emit(ctx, Event{Kind: RunCached, Workload: spec.Name, Threads: threads, Seed: cfg.Seed})
@@ -311,103 +306,16 @@ func (e *Engine) simulate(ctx context.Context, spec workload.Spec, cfg vm.Config
 // coherent event stream per point.
 //
 // Sweep returns ctx.Err() as soon as the context dies; already-completed
-// points stay memoized for a later retry.
+// points stay memoized for a later retry. The first point that fails
+// cancels the points not yet started, and its error is returned.
 func (e *Engine) Sweep(ctx context.Context, spec workload.Spec, cfg SweepConfig) (*Sweep, error) {
-	snaps := e.tapes.Acquire(spec, cfg.Base)
-	defer e.tapes.Release(snaps)
-	return e.sweep(ctx, spec, cfg, snaps)
-}
-
-// sweep runs Sweep with the warm-start provider snaps, which the caller
-// holds in the engine's table.
-func (e *Engine) sweep(ctx context.Context, spec workload.Spec, cfg SweepConfig, snaps *vm.SnapshotProvider) (*Sweep, error) {
-	open := len(cfg.Rates) > 0
-	if open && !cfg.Base.Traffic.Open() {
+	if len(cfg.Rates) > 0 && !cfg.Base.Traffic.Open() {
 		return nil, fmt.Errorf("core: sweep %s: Rates set but Base.Traffic names no open arrival process", spec.Name)
 	}
-	counts := cfg.threadCounts()
-	openThreads := cfg.Base.Threads
-	if openThreads <= 0 {
-		openThreads = DefaultOpenThreads
-	}
-	n := len(counts)
-	if open {
-		n = len(cfg.Rates)
-	}
-	// Warm-start: every point of the sweep forks its workload generation
-	// from one shared snapshot (unit tapes) instead of re-deriving the
-	// same draws per thread count or rate — see vm.Snapshot. Sweeps in
-	// flight with equal snapshot keys share one provider through the
-	// engine's table, so concurrent scenarios over one (workload, seed)
-	// draw its tapes once. The snapshot rides the context, never the
-	// config, so cache keys and disk fingerprints are identical to cold
-	// runs; the provider resolves on the first point that actually
-	// simulates, so fully cached sweeps draw nothing.
-	ctx = vm.ContextWithSnapshotProvider(ctx, snaps)
-	results := make([]*vm.Result, n)
-	keys := make([]string, n)
-	errs := make([]error, n)
-	runPoint := func(i int) {
-		vcfg := cfg.Base
-		if open {
-			vcfg.Threads = openThreads
-			vcfg.Traffic.RatePerSec = cfg.Rates[i]
-		} else {
-			vcfg.Threads = counts[i]
-		}
-		vcfg.Cores = 0 // paper methodology: cores = threads
-		results[i], keys[i], errs[i] = e.run(ctx, spec, vcfg)
-		if errs[i] == nil {
-			e.emit(ctx, Event{Kind: SweepPointDone, Workload: spec.Name, Threads: vcfg.Threads, Seed: vcfg.Seed})
-		}
-	}
-	workers := min(e.parallelism, n)
-	if cfg.Base.TraceSink != nil || cfg.Base.LockProfiler != nil {
-		workers = 1 // a sink observes one run at a time, in point order
-	}
-	// The calling goroutine is one of the workers, so a single-worker
-	// sweep starts no goroutine; workers claim points in order from next.
-	var next atomic.Int64
-	work := func() {
-		for ctx.Err() == nil {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			runPoint(i)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	x := &execution{}
+	sw := x.add(e.compileSweep(spec, cfg, nil))
+	if err := e.execute(ctx, x); err != nil {
 		return nil, err
 	}
-	for i, err := range errs {
-		if err != nil {
-			if open {
-				return nil, fmt.Errorf("core: sweep %s at %v req/s: %w", spec.Name, cfg.Rates[i], err)
-			}
-			return nil, fmt.Errorf("core: sweep %s at %d threads: %w", spec.Name, counts[i], err)
-		}
-	}
-	s := &Sweep{Spec: spec, key: sweepKey(keys)}
-	if open {
-		for i, r := range cfg.Rates {
-			s.Points = append(s.Points, Point{Threads: openThreads, Rate: r, Result: results[i]})
-		}
-	} else {
-		for i, c := range counts {
-			s.Points = append(s.Points, Point{Threads: c, Result: results[i]})
-		}
-	}
-	e.emit(ctx, Event{Kind: SweepDone, Workload: spec.Name, Seed: cfg.Base.Seed})
-	return s, nil
+	return sw.out, nil
 }

@@ -125,7 +125,9 @@ func BenchmarkFingerprint(b *testing.B) {
 // FuzzFingerprint sets scalar fields of a spec and a config. The
 // fingerprint must not panic, must be the same when computed twice, and
 // must change when one fuzzed field of the spec or of the canonical
-// config changes.
+// config changes. A thread sweep and a rate sweep over the config must
+// fingerprint each point as Fingerprint does, when the memo misses and
+// when it hits.
 func FuzzFingerprint(f *testing.F) {
 	f.Add("xalan", 1000, int64(20000), 0.5, 8, 0, 3.0, "", false, uint64(42), uint8(0), "", 0.0, uint8(0))
 	f.Add("", -1, int64(-1), math.NaN(), 0, -3, math.Inf(1), "concurrent", true, uint64(0), uint8(255), "poisson", 1e9, uint8(7))
@@ -159,6 +161,20 @@ func FuzzFingerprint(f *testing.F) {
 		bump(field)
 		if after, ok := canonKey(spec, canon); !ok || after == before {
 			t.Fatalf("changing fuzzed field %d (%s) left the fingerprint %q", int(which)%len(fields), field.Type(), after)
+		}
+
+		eng := NewEngine()
+		for _, sc := range []SweepConfig{
+			{ThreadCounts: []int{threads, cores}, Base: cfg},
+			{Rates: []float64{rate, heap}, Base: cfg},
+		} {
+			for _, hit := range []bool{false, true} {
+				x := &execution{}
+				sw := x.add(eng.compileSweep(spec, sc, nil))
+				checkPrints(t, "fuzzed sweep", x, hit)
+				eng.memoize(sw)
+				x.release(eng)
+			}
 		}
 	})
 }

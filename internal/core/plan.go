@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 
 	"javasim/internal/gc"
 	"javasim/internal/locks"
@@ -740,64 +739,31 @@ func (pr *PlanResult) Tables() []*report.Table {
 	return append(out, pr.Reports...)
 }
 
-// RunPlan validates and executes a declarative plan: scenarios run
-// concurrently through the engine's bounded worker pool (identical points
-// across overlapping scenarios are deduplicated and memoized by the
-// run cache), progress streams to the engine's observers, and the plan's
-// reports are rendered once every scenario has finished. A canceled
-// context aborts the in-flight sweeps and returns the context's error.
+// RunPlan validates and executes a declarative plan. The plan compiles
+// into one list of points in plan order, which the engine's bounded
+// worker pool runs as one batch (identical points across overlapping
+// scenarios are deduplicated and memoized by the run cache); progress
+// streams to the engine's observers, each scenario's outputs render as
+// its last sweep completes, and the plan's reports render once every
+// scenario has finished. The first failure cancels the points not yet
+// started. A canceled context aborts the in-flight points and returns
+// the context's error.
 func (e *Engine) RunPlan(ctx context.Context, p *Plan) (*PlanResult, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	// Scenarios run concurrently; the first real failure cancels the
-	// siblings so a doomed plan does not simulate its whole remaining
-	// matrix before reporting the error.
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make([]*ScenarioResult, len(p.Scenarios))
-	var (
-		wg        sync.WaitGroup
-		failOnce  sync.Once
-		firstErr  error
-		firstName string
-	)
-	// Every scenario acquires its sweeps' warm-start providers before
-	// any starts, and holds them until it finishes, so scenarios over
-	// one (workload, seed) share one draw however the scheduler orders
-	// their sweeps.
-	runs := make([]scenarioRun, len(p.Scenarios))
-	for i := range p.Scenarios {
-		runs[i] = e.prepareScenario(p, &p.Scenarios[i])
-	}
-	for i := range p.Scenarios {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var err error
-			results[i], err = e.runScenario(runCtx, p, &p.Scenarios[i], &runs[i])
-			for _, snaps := range runs[i].snaps {
-				e.tapes.Release(snaps)
-			}
-			if err != nil {
-				failOnce.Do(func() {
-					firstErr, firstName = err, p.Scenarios[i].Name
-					cancel()
-				})
-			}
-		}(i)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	x, err := e.compilePlan(p)
+	if err != nil {
 		return nil, err
 	}
-	if firstErr != nil {
-		return nil, fmt.Errorf("core: scenario %s: %w", firstName, firstErr)
+	if err := e.execute(ctx, x); err != nil {
+		return nil, err
 	}
-	pr := &PlanResult{Plan: p.Name, Scenarios: results}
-	byName := make(map[string]*ScenarioResult, len(results))
-	for _, r := range results {
-		byName[r.Name] = r
+	pr := &PlanResult{Plan: p.Name, Scenarios: make([]*ScenarioResult, len(x.scens))}
+	byName := make(map[string]*ScenarioResult, len(x.scens))
+	for i, sc := range x.scens {
+		pr.Scenarios[i] = sc.res
+		byName[sc.res.Name] = sc.res
 	}
 	for i := range p.Reports {
 		rs := &p.Reports[i]
@@ -817,75 +783,11 @@ func (e *Engine) RunPlan(ctx context.Context, p *Plan) (*PlanResult, error) {
 	return pr, nil
 }
 
-// scenarioRun is a scenario resolved for RunPlan: its workload, the
-// sweep config of each repeat (repeat 0 first) and the warm-start
-// provider each of those sweeps replays.
-type scenarioRun struct {
-	spec  workload.Spec
-	cfgs  []SweepConfig
-	snaps []*vm.SnapshotProvider
-	err   error // the workload did not resolve
-}
-
-// prepareScenario resolves sc and acquires its sweeps' providers.
-func (e *Engine) prepareScenario(p *Plan, sc *Scenario) scenarioRun {
-	spec, err := sc.Workload.Resolve()
-	if err != nil {
-		return scenarioRun{err: err}
-	}
-	if scale := sc.scale(p); scale != 1 {
-		spec = spec.Scale(scale)
-	}
-	seed := sc.seed(p)
-	base := vm.Config{Seed: seed, LockPolicy: p.LockPolicy, GCPolicy: p.GCPolicy, MachineName: p.Machine}
-	base.Sched.Placement = p.Placement
-	sc.Overrides.apply(&base)
-	swCfg := SweepConfig{ThreadCounts: sc.threadCounts(p)}
-	if sc.Traffic != nil {
-		// The rate becomes the sweep axis; Sweep fills it in per point.
-		base.Threads = sc.Traffic.threads()
-		base.Traffic = sc.Traffic.config(0)
-		swCfg = SweepConfig{Rates: sc.Traffic.Rates}
-	}
-	r := scenarioRun{spec: spec, cfgs: make([]SweepConfig, sc.repeats()), snaps: make([]*vm.SnapshotProvider, sc.repeats())}
-	for i := range r.cfgs {
-		r.cfgs[i] = swCfg
-		r.cfgs[i].Base = base
-		r.cfgs[i].Base.Seed = deriveSeed(seed, i)
-		r.snaps[i] = e.tapes.Acquire(spec, r.cfgs[i].Base)
-	}
-	return r
-}
-
-// runScenario executes one scenario's repeats and renders its outputs.
-func (e *Engine) runScenario(ctx context.Context, p *Plan, sc *Scenario, run *scenarioRun) (*ScenarioResult, error) {
-	if run.err != nil {
-		return nil, run.err
-	}
-	var sweeps []*Sweep
-	for i, cfg := range run.cfgs {
-		sw, err := e.sweep(ctx, run.spec, cfg, run.snaps[i])
-		if err != nil {
-			return nil, err
-		}
-		sweeps = append(sweeps, sw)
-	}
-	res := &ScenarioResult{Name: sc.Name, Workload: run.spec.Name, Sweeps: sweeps}
-	for _, out := range sc.Outputs {
-		t, err := e.render(out, &inputs{spec: &ReportSpec{}, labels: []string{sc.Name}, sweeps: sweeps[:1], repeats: sweeps})
-		if err != nil {
-			return nil, err
-		}
-		res.Tables = append(res.Tables, t)
-	}
-	e.emit(ctx, Event{Kind: ScenarioDone, Scenario: sc.Name, Workload: run.spec.Name, Seed: sc.seed(p)})
-	return res, nil
-}
-
 // render renders one output or report through the engine's artifact
 // memo: a table whose artifactKey was rendered before is returned as
 // stored, so a warm re-run of a plan recomputes no fit, factor or
-// format. Tables are stored only when every point they read has a
+// format. A stored table is frozen with its text, so writing it again
+// formats nothing. Tables are stored only when every point they read has a
 // fingerprint, and render errors are never stored.
 func (e *Engine) render(kind any, in *inputs) (*report.Table, error) {
 	if e.artifacts == nil {
@@ -900,6 +802,7 @@ func (e *Engine) render(kind any, in *inputs) (*report.Table, error) {
 	}
 	t, err := render(kind, in)
 	if err == nil {
+		t.Freeze()
 		e.artifacts.put(key, t)
 	}
 	return t, err

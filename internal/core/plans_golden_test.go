@@ -86,25 +86,10 @@ func TestGoldenPlans(t *testing.T) {
 	var buf bytes.Buffer
 	section := func(name string) { buf.WriteString("=== " + name + " ===\n") }
 
-	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.json"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no testdata plans: %v", err)
-	}
+	names, list := testdataPlans(t)
 	plans := map[string]*Plan{}
-	names := []string{}
-	for _, path := range files {
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := LoadPlan(f)
-		f.Close()
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		name := "testdata/" + filepath.Base(path)
-		plans[name] = p
-		names = append(names, name)
+	for i, name := range names {
+		plans[name] = list[i]
 	}
 	plans["every-kind"] = everyKindPlan()
 	names = append(names, "every-kind")

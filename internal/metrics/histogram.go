@@ -125,10 +125,7 @@ func (h *Histogram) FractionBelow(limit int64) float64 {
 		frac := float64(limit-lo) / float64(hi-lo)
 		below += int64(frac * float64(h.counts[b]))
 	}
-	if below > h.total {
-		below = h.total
-	}
-	return float64(below) / float64(h.total)
+	return h.fractionOf(below)
 }
 
 // Percentile returns an estimate of the p-th percentile (0 < p <= 100),
@@ -306,11 +303,17 @@ func (h *Histogram) String() string {
 // difference, evaluated on the shared power-of-two grid. It quantifies
 // distribution shifts — e.g. how far a lifespan distribution moved between
 // thread counts — in a single [0,1] number.
+//
+// It makes one pass over running prefix counts. FractionBelow(2^i) never
+// interpolates, because 2^i is the lower bound of bucket i+1, so it is
+// exactly the count of buckets 0..i over the total, as computed here.
 func KSDistance(a, b *Histogram) float64 {
 	max := 0.0
+	var belowA, belowB int64
 	for i := 0; i <= 62; i++ {
-		lim := int64(1) << uint(i)
-		d := a.FractionBelow(lim) - b.FractionBelow(lim)
+		belowA += a.counts[i]
+		belowB += b.counts[i]
+		d := a.fractionOf(belowA) - b.fractionOf(belowB)
 		if d < 0 {
 			d = -d
 		}
@@ -319,6 +322,15 @@ func KSDistance(a, b *Histogram) float64 {
 		}
 	}
 	return max
+}
+
+// fractionOf is below samples as a fraction of the total, as
+// FractionBelow computes it.
+func (h *Histogram) fractionOf(below int64) float64 {
+	if h.total == 0 {
+		return 0
+	}
+	return float64(min(below, h.total)) / float64(h.total)
 }
 
 // Summary holds basic descriptive statistics of a float64 sample set.

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/rand/v2"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -246,6 +247,39 @@ func TestKSDistance(t *testing.T) {
 	// Empty histograms are distance 0 from each other.
 	if ks := KSDistance(NewHistogram("e"), NewHistogram("f")); ks != 0 {
 		t.Errorf("empty KS = %v", ks)
+	}
+}
+
+// TestKSDistanceMatchesFractionBelow checks the one-pass KSDistance
+// bit for bit against its definition, the largest gap between two
+// FractionBelow calls at each power of two, on random histograms whose
+// samples span every bucket (AddN gives buckets counts up to 2^40).
+func TestKSDistanceMatchesFractionBelow(t *testing.T) {
+	ksByFractionBelow := func(a, b *Histogram) float64 {
+		max := 0.0
+		for i := 0; i <= 62; i++ {
+			d := math.Abs(a.FractionBelow(int64(1)<<i) - b.FractionBelow(int64(1)<<i))
+			if d > max {
+				max = d
+			}
+		}
+		return max
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	fill := func(h *Histogram) {
+		for range rng.IntN(20) {
+			v := rng.Int64N(math.MaxInt64) >> rng.IntN(63)
+			h.AddN(v, 1+rng.Int64N(int64(1)<<rng.IntN(41)))
+		}
+	}
+	for trial := range 2000 {
+		a, b := NewHistogram("a"), NewHistogram("b")
+		fill(a)
+		fill(b)
+		got, want := KSDistance(a, b), ksByFractionBelow(a, b)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: KSDistance = %v, FractionBelow gaps give %v", trial, got, want)
+		}
 	}
 }
 

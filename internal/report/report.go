@@ -18,7 +18,13 @@ type Table struct {
 	Note    string
 	Headers []string
 	Rows    [][]string
+	text    string // the ASCII rendering Freeze keeps; "" until then
 }
+
+// Freeze renders the table's ASCII text once and keeps it, so that every
+// later WriteASCII or String is a single write of those bytes. A frozen
+// table must not change: callers freeze tables they share.
+func (t *Table) Freeze() { t.text = t.ascii() }
 
 // AddRow appends a row; it panics when the arity does not match the
 // headers, which is always a construction bug in the experiment code.
@@ -32,6 +38,20 @@ func (t *Table) AddRow(cells ...string) {
 
 // WriteASCII renders the table with aligned columns.
 func (t *Table) WriteASCII(w io.Writer) error {
+	_, err := io.WriteString(w, t.String())
+	return err
+}
+
+// String renders ASCII into a string.
+func (t *Table) String() string {
+	if t.text != "" {
+		return t.text
+	}
+	return t.ascii()
+}
+
+// ascii renders the table with aligned columns.
+func (t *Table) ascii() string {
 	widths := make([]int, len(t.Headers))
 	for i, h := range t.Headers {
 		widths[i] = len(h)
@@ -79,8 +99,7 @@ func (t *Table) WriteASCII(w io.Writer) error {
 		b.WriteString(t.Note)
 		b.WriteByte('\n')
 	}
-	_, err := io.WriteString(w, b.String())
-	return err
+	return b.String()
 }
 
 // spaces pads WriteASCII's cells.
@@ -99,13 +118,6 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// String renders ASCII into a string.
-func (t *Table) String() string {
-	var b strings.Builder
-	t.WriteASCII(&b)
-	return b.String()
 }
 
 // Series is one named line in a chart.
