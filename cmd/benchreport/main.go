@@ -1,26 +1,20 @@
 // Command benchreport runs the repository's benchmark smoke and writes a
 // machine-readable JSON report — benchmark name to ns/op, allocs/op,
-// bytes/op, and any custom b.ReportMetric figures — seeding the perf
-// trajectory that successive PRs compare against (BENCH_<n>.json at the
-// repo root).
+// bytes/op, and any custom b.ReportMetric figures — that later changes
+// compare against (BENCH_<n>.json at the repo root).
 //
 // Usage:
 //
-//	go run ./cmd/benchreport -out BENCH_5.json -bench 'BenchmarkVMRun' -benchtime 3x .
-//	go run ./cmd/benchreport -baseline BENCH_4.json -out BENCH_5.json ./...
-//	go run ./cmd/benchreport -baseline BENCH_5.json,BENCH_8.json -out BENCH_10.json ./...
+//	go run ./cmd/benchreport -out NEW.json -bench 'BenchmarkVMRun' -benchtime 3x .
+//	go run ./cmd/benchreport -baseline BENCH_17.json -out NEW.json ./...
 //
 // The positional arguments are the packages to benchmark (default ./...).
-// -baseline takes one or more previous reports, comma-separated in
-// oldest-to-newest order. The newest is embedded under "baseline" and is
-// what the regression gate compares against; all of them are embedded
-// under "trajectory" and printed as a per-benchmark delta table, so a
-// report shows the whole optimization arc (BENCH_5 -> BENCH_8 -> now),
-// not just the last hop. -max-ns-regress, -max-allocs-regress and
+// -baseline takes one previous report; its measurements are embedded
+// under "baseline". -max-ns-regress, -max-allocs-regress and
 // -max-bytes-regress turn the comparison into a gate: the command exits
 // non-zero when any benchmark regresses past the percentage ceiling,
-// which is how CI holds the perf trajectory (allocation counts and bytes
-// are nearly deterministic, so their ceilings can sit tight; wall time on
+// which is how CI holds performance (allocation counts and bytes are
+// nearly deterministic, so their ceilings can sit tight; wall time on
 // shared runners needs a generous one).
 package main
 
@@ -48,8 +42,7 @@ type Measurement struct {
 }
 
 // Report is the file format: a schema tag, the toolchain, the
-// measurements, and optionally previous reports' measurements for
-// trajectory comparisons.
+// measurements, and optionally the baseline report's measurements.
 type Report struct {
 	Schema     string                 `json:"schema"`
 	GoVersion  string                 `json:"go_version"`
@@ -57,18 +50,9 @@ type Report struct {
 	GOARCH     string                 `json:"goarch"`
 	BenchTime  string                 `json:"bench_time"`
 	Benchmarks map[string]Measurement `json:"benchmarks"`
-	// Baseline holds the newest prior report's measurements — the gate's
+	// Baseline holds the -baseline report's measurements — the gate's
 	// comparison point.
 	Baseline map[string]Measurement `json:"baseline,omitempty"`
-	// Trajectory holds every prior report passed to -baseline, oldest
-	// first, so the file records the optimization arc across PRs.
-	Trajectory []TrajectoryPoint `json:"trajectory,omitempty"`
-}
-
-// TrajectoryPoint is one prior report in the perf trajectory.
-type TrajectoryPoint struct {
-	Source     string                 `json:"source"`
-	Benchmarks map[string]Measurement `json:"benchmarks"`
 }
 
 var cpuSuffix = regexp.MustCompile(`-\d+$`)
@@ -77,8 +61,7 @@ func main() {
 	out := flag.String("out", "BENCH_5.json", "output report path")
 	bench := flag.String("bench", ".", "benchmark regex passed to go test -bench")
 	benchtime := flag.String("benchtime", "1x", "go test -benchtime value")
-	baseline := flag.String("baseline", "",
-		"previous report(s) to compare against, comma-separated oldest first; the newest gates")
+	baseline := flag.String("baseline", "", "previous report to compare against")
 	maxNs := flag.Float64("max-ns-regress", -1,
 		"with -baseline: fail when a benchmark's ns/op regresses more than this percentage (negative disables)")
 	maxAllocs := flag.Float64("max-allocs-regress", -1,
@@ -121,24 +104,12 @@ func main() {
 	}
 
 	if *baseline != "" {
-		for _, path := range strings.Split(*baseline, ",") {
-			path = strings.TrimSpace(path)
-			if path == "" {
-				continue
-			}
-			prev, err := readReport(path)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "benchreport: baseline: %v\n", err)
-				os.Exit(1)
-			}
-			rep.Trajectory = append(rep.Trajectory, TrajectoryPoint{Source: path, Benchmarks: prev.Benchmarks})
-		}
-		if len(rep.Trajectory) == 0 {
-			fmt.Fprintln(os.Stderr, "benchreport: -baseline named no readable reports")
+		prev, err := readReport(*baseline)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "benchreport: baseline: %v\n", err)
 			os.Exit(1)
 		}
-		rep.Baseline = rep.Trajectory[len(rep.Trajectory)-1].Benchmarks
-		printTrajectory(rep)
+		rep.Baseline = prev.Benchmarks
 	}
 
 	data, err := json.MarshalIndent(&rep, "", "  ")
@@ -243,49 +214,4 @@ func readReport(path string) (Report, error) {
 		return r, fmt.Errorf("%s: %w", path, err)
 	}
 	return r, nil
-}
-
-// printTrajectory prints, per benchmark and axis, the measurement chain
-// across every baseline plus the current run, with the percentage
-// movement against the newest baseline — the axis the gate judges.
-func printTrajectory(rep Report) {
-	names := make([]string, 0, len(rep.Benchmarks))
-	for name := range rep.Benchmarks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	last := rep.Trajectory[len(rep.Trajectory)-1]
-	for _, axis := range []struct {
-		label string
-		pick  func(Measurement) float64
-	}{
-		{"ns/op", func(m Measurement) float64 { return m.NsPerOp }},
-		{"allocs/op", func(m Measurement) float64 { return m.AllocsPerOp }},
-		{"B/op", func(m Measurement) float64 { return m.BytesPerOp }},
-	} {
-		fmt.Printf("trajectory (%s):\n", axis.label)
-		for _, name := range names {
-			cur := axis.pick(rep.Benchmarks[name])
-			chain := make([]string, 0, len(rep.Trajectory)+1)
-			for _, pt := range rep.Trajectory {
-				if base, ok := pt.Benchmarks[name]; ok {
-					chain = append(chain, fmt.Sprintf("%.0f", axis.pick(base)))
-				} else {
-					chain = append(chain, "-")
-				}
-			}
-			chain = append(chain, fmt.Sprintf("%.0f", cur))
-			tail := "(new)"
-			if base, ok := last.Benchmarks[name]; ok {
-				if b := axis.pick(base); b != 0 {
-					tail = fmt.Sprintf("(%+.1f%% vs %s)", 100*(cur-b)/b, last.Source)
-				} else if cur == 0 {
-					tail = "(0, unchanged)"
-				} else {
-					tail = fmt.Sprintf("(regressed from 0 in %s)", last.Source)
-				}
-			}
-			fmt.Printf("  %-36s %s  %s\n", name, strings.Join(chain, " -> "), tail)
-		}
-	}
 }

@@ -155,7 +155,7 @@ func main() {
 	fmt.Printf("workload      %s (scale %.2f)\n", res.Workload, *scale)
 	fmt.Printf("threads/cores %d/%d\n", res.Threads, res.Cores)
 	fmt.Printf("policies      lock=%s placement=%s gc=%s\n", res.LockPolicy, res.Placement, res.GCPolicy)
-	if res.Machine != "" && res.Machine != javasim.MachineOpteron6168 {
+	if res.Machine != javasim.MachineOpteron6168 {
 		fmt.Printf("machine       %s\n", res.Machine)
 	}
 	fmt.Printf("total time    %v\n", res.TotalTime)

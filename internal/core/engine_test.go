@@ -9,6 +9,7 @@ import (
 
 	"javasim/internal/gc"
 	"javasim/internal/lockprof"
+	"javasim/internal/machine"
 	"javasim/internal/trace"
 	"javasim/internal/traffic"
 	"javasim/internal/vm"
@@ -112,9 +113,9 @@ func TestEngineRunCanonicalizesConfigKeys(t *testing.T) {
 }
 
 // TestFingerprintCanonicalizesGCDefaults pins the collector's and the
-// heap's defaults into the cache key: StudyPlan's tenure-2 scenario is
+// machine's defaults into the cache key: StudyPlan's tenure-2 scenario is
 // the default run and must hit its cache entry, and so must a run that
-// spells out HotSpot's NewRatio 2 and SurvivorRatio 8.
+// names the default machine model.
 func TestFingerprintCanonicalizesGCDefaults(t *testing.T) {
 	spec := testSpec(t, "xalan", 0.02)
 	unset, ok := Fingerprint(spec, vm.Config{Threads: 8, Seed: 7})
@@ -129,9 +130,9 @@ func TestFingerprintCanonicalizesGCDefaults(t *testing.T) {
 	if other == unset {
 		t.Error("TenuringThreshold 3 fingerprints like the default")
 	}
-	ratios, _ := Fingerprint(spec, vm.Config{Threads: 8, Seed: 7, NewRatio: 2, SurvivorRatio: 8})
-	if ratios != unset {
-		t.Error("explicit default heap ratios fingerprint apart from the unset ones")
+	named, _ := Fingerprint(spec, vm.Config{Threads: 8, Seed: 7, MachineName: machine.DefaultModel})
+	if named != unset {
+		t.Error("the named default machine model fingerprints apart from the unset one")
 	}
 }
 

@@ -129,17 +129,17 @@ func BenchmarkFingerprint(b *testing.B) {
 // fingerprint each point as Fingerprint does, when the memo misses and
 // when it hits.
 func FuzzFingerprint(f *testing.F) {
-	f.Add("xalan", 1000, int64(20000), 0.5, 8, 0, 3.0, "", false, uint64(42), uint8(0), "", 0.0, uint8(0))
-	f.Add("", -1, int64(-1), math.NaN(), 0, -3, math.Inf(1), "concurrent", true, uint64(0), uint8(255), "poisson", 1e9, uint8(7))
-	f.Add("h2", 1<<40, int64(1)<<62, -0.0, 1<<20, 48, 0.0, "compartment", true, ^uint64(0), uint8(15), "bursty", -5.0, uint8(200))
+	f.Add("xalan", 1000, int64(20000), 0.5, 8, 0, 3.0, "", "", false, uint64(42), uint8(0), "", 0.0, uint8(0))
+	f.Add("", -1, int64(-1), math.NaN(), 0, -3, math.Inf(1), "concurrent", "sparc-t3-4", true, uint64(0), uint8(255), "poisson", 1e9, uint8(7))
+	f.Add("h2", 1<<40, int64(1)<<62, -0.0, 1<<20, 48, 0.0, "compartment", "vax-780", true, ^uint64(0), uint8(15), "bursty", -5.0, uint8(8))
 	base, _ := workload.Registry.Get("xalan")
 	f.Fuzz(func(t *testing.T, name string, units int, compute int64, cv float64,
-		threads, cores int, heap float64, gcPolicy string, pretenure bool, seed uint64,
+		threads, cores int, heap float64, gcPolicy, machineName string, pretenure bool, seed uint64,
 		tenuring uint8, process string, rate float64, which uint8) {
 		spec := base
 		spec.Name, spec.TotalUnits, spec.UnitCompute, spec.ComputeCV = name, units, sim.Time(compute), cv
 		cfg := vm.Config{Threads: threads, Cores: cores, HeapFactor: heap, GCPolicy: gcPolicy,
-			Pretenuring: pretenure, Seed: seed}
+			MachineName: machineName, Pretenuring: pretenure, Seed: seed}
 		cfg.GC.TenuringThreshold = tenuring
 		cfg.Traffic.Process, cfg.Traffic.RatePerSec = process, rate
 		key, ok := Fingerprint(spec, cfg)
@@ -152,6 +152,7 @@ func FuzzFingerprint(f *testing.F) {
 			reflect.ValueOf(&spec.UnitCompute), reflect.ValueOf(&spec.ComputeCV),
 			reflect.ValueOf(&canon.Threads), reflect.ValueOf(&canon.Cores),
 			reflect.ValueOf(&canon.HeapFactor), reflect.ValueOf(&canon.GCPolicy),
+			reflect.ValueOf(&canon.MachineName),
 			reflect.ValueOf(&canon.Pretenuring), reflect.ValueOf(&canon.Seed),
 			reflect.ValueOf(&canon.GC.TenuringThreshold), reflect.ValueOf(&canon.Traffic.Process),
 			reflect.ValueOf(&canon.Traffic.RatePerSec),

@@ -7,6 +7,7 @@ import (
 
 	"javasim/internal/gc"
 	"javasim/internal/locks"
+	"javasim/internal/machine"
 	"javasim/internal/metrics"
 	"javasim/internal/vm"
 	"javasim/internal/workload"
@@ -39,13 +40,13 @@ func TestPlanRejectsUnknownGCPolicyNames(t *testing.T) {
 	}
 	p := testPlan()
 	p.GCPolicy = gc.PolicyStwParallel
-	p.Scenarios[0].Overrides = &ConfigOverrides{GCPolicy: gc.PolicyCompartment, NewRatio: 4}
+	p.Scenarios[0].Overrides = &ConfigOverrides{GCPolicy: gc.PolicyCompartment, Compartments: 4}
 	if err := p.Validate(); err != nil {
 		t.Errorf("valid gc policy names rejected: %v", err)
 	}
-	p.Scenarios[0].Overrides = &ConfigOverrides{NewRatio: -1}
+	p.Scenarios[0].Overrides = &ConfigOverrides{GCPolicy: gc.PolicyCompartment, Compartments: -1}
 	if err := p.Validate(); err == nil {
-		t.Error("negative NewRatio override validated")
+		t.Error("negative Compartments override validated")
 	}
 }
 
@@ -89,7 +90,7 @@ func TestGCPolicyTagLabeling(t *testing.T) {
 		{"", gc.PolicyConcurrent, "gc=concurrent"},
 		{locks.PolicyRestricted, gc.PolicyCompartment, "restricted gc=compartment"},
 	} {
-		r := &vm.Result{LockPolicy: tc.lock, GCPolicy: tc.gcp}
+		r := &vm.Result{LockPolicy: tc.lock, GCPolicy: tc.gcp, Machine: machine.DefaultModel}
 		if got := policyTag(r); got != tc.want {
 			t.Errorf("policyTag(lock=%q, gc=%q) = %q, want %q", tc.lock, tc.gcp, got, tc.want)
 		}
@@ -140,7 +141,7 @@ func TestCompareValidationVariants(t *testing.T) {
 // per-phase GC CPU row present once any column deviates from stw-serial.
 func TestRenderCompareColumns(t *testing.T) {
 	mk := func(gcp string) *vm.Result {
-		return &vm.Result{GCPolicy: gcp, Lifespans: metrics.NewHistogram("t")}
+		return &vm.Result{GCPolicy: gcp, Machine: machine.DefaultModel, Lifespans: metrics.NewHistogram("t")}
 	}
 	names := []string{"serial", "parallel", "conc"}
 	results := []*vm.Result{mk(gc.PolicyStwSerial), mk(gc.PolicyStwParallel), mk(gc.PolicyConcurrent)}

@@ -93,10 +93,6 @@ type ConfigOverrides struct {
 	// inherits the plan's (ultimately stw-serial). Unknown names are
 	// rejected at plan-load time.
 	GCPolicy string `json:",omitempty"`
-	// NewRatio and SurvivorRatio override the heap's generation split
-	// (HotSpot defaults 2 and 8) — the heap-sizing ablation knobs.
-	NewRatio      int `json:",omitempty"`
-	SurvivorRatio int `json:",omitempty"`
 	// Machine selects the hardware model by machine registry name
 	// ("opteron-6168", "sparc-t3-4", "opteron-6168-bw",
 	// "opteron-6168-flat"); empty inherits the plan's (ultimately
@@ -143,12 +139,6 @@ func (o *ConfigOverrides) apply(cfg *vm.Config) {
 	if o.GCPolicy != "" {
 		cfg.GCPolicy = o.GCPolicy
 	}
-	if o.NewRatio != 0 {
-		cfg.NewRatio = o.NewRatio
-	}
-	if o.SurvivorRatio != 0 {
-		cfg.SurvivorRatio = o.SurvivorRatio
-	}
 	if o.Machine != "" {
 		cfg.MachineName = o.Machine
 	}
@@ -176,9 +166,6 @@ func (o *ConfigOverrides) validate() error {
 	}
 	if o.GCTriggerRatio < 0 || o.GCTriggerRatio > 1 {
 		return fmt.Errorf("GCTriggerRatio = %v", o.GCTriggerRatio)
-	}
-	if o.NewRatio < 0 || o.SurvivorRatio < 0 {
-		return fmt.Errorf("negative heap ratio override")
 	}
 	if err := locks.Policies.Validate(o.LockPolicy); err != nil {
 		return err
@@ -214,15 +201,6 @@ type TrafficSpec struct {
 	// Timeout abandons requests that queue longer than this (virtual
 	// nanoseconds); 0 never abandons.
 	Timeout sim.Time `json:",omitempty"`
-	// BurstFactor, BurstOnFraction, and BurstPeriod tune the bursty
-	// process; zero picks the traffic package defaults.
-	BurstFactor     float64  `json:",omitempty"`
-	BurstOnFraction float64  `json:",omitempty"`
-	BurstPeriod     sim.Time `json:",omitempty"`
-	// DiurnalPeriod and DiurnalAmplitude tune the diurnal process; zero
-	// picks the traffic package defaults.
-	DiurnalPeriod    sim.Time `json:",omitempty"`
-	DiurnalAmplitude float64  `json:",omitempty"`
 }
 
 // config builds the per-point traffic configuration at one offered rate.
@@ -230,9 +208,6 @@ func (ts *TrafficSpec) config(rate float64) traffic.Config {
 	return traffic.Config{
 		Process: ts.Process, RatePerSec: rate,
 		Requests: ts.Requests, Timeout: ts.Timeout,
-		BurstFactor: ts.BurstFactor, BurstOnFraction: ts.BurstOnFraction,
-		BurstPeriod:   ts.BurstPeriod,
-		DiurnalPeriod: ts.DiurnalPeriod, DiurnalAmplitude: ts.DiurnalAmplitude,
 	}
 }
 

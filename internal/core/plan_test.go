@@ -89,14 +89,34 @@ func roundTrip(t *testing.T, p *Plan) *Plan {
 	return decoded
 }
 
+// TestLoadPlanRejectsUnknownFieldsAndBadRefs checks that a plan naming a
+// field the schema lacks — a typo, or a knob that became a constant —
+// fails to load with an error naming it, as does a bad registry
+// reference.
 func TestLoadPlanRejectsUnknownFieldsAndBadRefs(t *testing.T) {
-	if _, err := LoadPlan(strings.NewReader(`{"Scenarios":[],"Typo":1}`)); err == nil {
-		t.Error("unknown top-level field accepted")
+	override := func(field string) string {
+		return `{"Scenarios":[{"Name":"a","Workload":"xalan","Overrides":{"` + field + `":4}}]}`
 	}
-	bad := `{"Scenarios":[{"Name":"a","Workload":"no-such-workload"}]}`
-	_, err := LoadPlan(strings.NewReader(bad))
-	if err == nil || !strings.Contains(err.Error(), "no-such-workload") {
-		t.Errorf("unknown workload reference error = %v", err)
+	traffic := func(field string) string {
+		return `{"Scenarios":[{"Name":"a","Workload":"server",` +
+			`"Traffic":{"Process":"bursty","Rates":[100],"` + field + `":1}}]}`
+	}
+	for _, tc := range []struct{ plan, want string }{
+		{`{"Scenarios":[],"Typo":1}`, "Typo"},
+		{`{"Scenarios":[{"Name":"a","Workload":"no-such-workload"}]}`, "no-such-workload"},
+		// The heap's generation split and the arrival shapes are fixed.
+		{override("NewRatio"), "NewRatio"},
+		{override("SurvivorRatio"), "SurvivorRatio"},
+		{traffic("BurstFactor"), "BurstFactor"},
+		{traffic("BurstOnFraction"), "BurstOnFraction"},
+		{traffic("BurstPeriod"), "BurstPeriod"},
+		{traffic("DiurnalPeriod"), "DiurnalPeriod"},
+		{traffic("DiurnalAmplitude"), "DiurnalAmplitude"},
+	} {
+		_, err := LoadPlan(strings.NewReader(tc.plan))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("LoadPlan(%s) error = %v, want one naming %q", tc.plan, err, tc.want)
+		}
 	}
 }
 

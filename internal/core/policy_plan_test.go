@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"javasim/internal/locks"
+	"javasim/internal/machine"
 	"javasim/internal/metrics"
 	"javasim/internal/sched"
 	"javasim/internal/vm"
@@ -101,14 +102,14 @@ func TestPolicyTagLabeling(t *testing.T) {
 		{locks.PolicyBarging, sched.PlacementLeastLoaded, "barging/least-loaded"},
 	}
 	for _, tc := range cases {
-		r := &vm.Result{LockPolicy: tc.lock, Placement: tc.place}
+		r := &vm.Result{LockPolicy: tc.lock, Placement: tc.place, Machine: machine.DefaultModel}
 		if got := policyTag(r); got != tc.want {
 			t.Errorf("policyTag(%q, %q) = %q, want %q", tc.lock, tc.place, got, tc.want)
 		}
 	}
 
-	base := &vm.Result{LockPolicy: locks.PolicyFIFO, Placement: sched.PlacementAffinity}
-	mod := &vm.Result{LockPolicy: locks.PolicyRestricted, Placement: sched.PlacementAffinity}
+	base := &vm.Result{LockPolicy: locks.PolicyFIFO, Placement: sched.PlacementAffinity, Machine: machine.DefaultModel}
+	mod := &vm.Result{LockPolicy: locks.PolicyRestricted, Placement: sched.PlacementAffinity, Machine: machine.DefaultModel}
 	for _, r := range []*vm.Result{base, mod} {
 		r.Lifespans = metrics.NewHistogram("t")
 	}

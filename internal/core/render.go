@@ -44,7 +44,7 @@ func policyTag(r *vm.Result) string {
 		}
 		tag += "gc=" + g
 	}
-	if m := r.Machine; m != "" && m != machine.DefaultModel {
+	if m := r.Machine; m != machine.DefaultModel {
 		if tag != "" {
 			tag += " "
 		}

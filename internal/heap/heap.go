@@ -5,8 +5,8 @@
 // Space accounting lives here; object-level liveness lives in objmodel, and
 // the collection algorithms in gc. Sizing follows the paper's methodology:
 // the total heap is a configurable multiple (3x in the paper) of the
-// workload's minimum heap requirement, split young/old by NewRatio and
-// eden/survivor by SurvivorRatio as in HotSpot.
+// workload's minimum heap requirement, split young/old and eden/survivor
+// by HotSpot's default ratios.
 //
 // The package also implements the paper's second future-work proposal
 // (§IV): a compartmentalized heap. With Compartments > 1, eden is divided
@@ -26,12 +26,6 @@ type Config struct {
 	MinHeap int64
 	// Factor scales MinHeap to the actual heap size. The paper uses 3.
 	Factor float64
-	// NewRatio is the old:young size ratio; HotSpot's default 2 makes the
-	// young generation one third of the heap.
-	NewRatio int
-	// SurvivorRatio is the eden:survivor ratio; HotSpot's default 8 gives
-	// each survivor space 1/10 of the young generation.
-	SurvivorRatio int
 	// TLABSize is the thread-local allocation buffer size in bytes.
 	TLABSize int64
 	// Compartments divides eden into this many independent slices
@@ -44,12 +38,6 @@ type Config struct {
 func (c Config) WithDefaults() Config {
 	if c.Factor == 0 {
 		c.Factor = 3
-	}
-	if c.NewRatio == 0 {
-		c.NewRatio = 2
-	}
-	if c.SurvivorRatio == 0 {
-		c.SurvivorRatio = 8
 	}
 	if c.TLABSize == 0 {
 		c.TLABSize = 64 << 10
@@ -68,9 +56,6 @@ func (c Config) Validate() error {
 	if c.Factor < 1 {
 		return fmt.Errorf("heap: Factor = %v, need >= 1", c.Factor)
 	}
-	if c.NewRatio < 1 || c.SurvivorRatio < 1 {
-		return fmt.Errorf("heap: ratios must be >= 1")
-	}
 	if c.TLABSize <= 0 {
 		return fmt.Errorf("heap: TLABSize = %d, need > 0", c.TLABSize)
 	}
@@ -79,6 +64,18 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+// The generation split is HotSpot's default, which the paper held fixed.
+// Results are stored under fingerprints of the run's inputs, not of these
+// constants, so changing one needs a store.Version bump.
+const (
+	// newRatio is the old:young size ratio: the young generation is one
+	// third of the heap.
+	newRatio = 2
+	// survivorRatio is the eden:survivor ratio: each survivor space is
+	// 1/10 of the young generation.
+	survivorRatio = 8
+)
 
 // Stats accumulates heap-level counters across a run.
 type Stats struct {
@@ -121,10 +118,10 @@ func New(cfg Config) *Heap {
 	}
 	h := &Heap{cfg: cfg}
 	h.totalSize = int64(float64(cfg.MinHeap) * cfg.Factor)
-	h.youngSize = h.totalSize / int64(cfg.NewRatio+1)
+	h.youngSize = h.totalSize / (newRatio + 1)
 	h.oldSize = h.totalSize - h.youngSize
-	// Young = eden + 2 survivors; eden:survivor = SurvivorRatio:1.
-	h.survivorSize = h.youngSize / int64(cfg.SurvivorRatio+2)
+	// Young = eden + 2 survivors; eden:survivor = survivorRatio:1.
+	h.survivorSize = h.youngSize / (survivorRatio + 2)
 	h.edenSize = h.youngSize - 2*h.survivorSize
 	h.edenSlice = h.edenSize / int64(cfg.Compartments)
 	h.edenUsed = make([]int64, cfg.Compartments)

@@ -15,7 +15,7 @@ func TestSizing(t *testing.T) {
 	if h.TotalSize() != 288<<20 {
 		t.Errorf("total = %d, want 288 MiB", h.TotalSize())
 	}
-	// NewRatio 2: young = total/3.
+	// newRatio 2: young = total/3.
 	if h.youngSize != 96<<20 {
 		t.Errorf("young = %d, want 96 MiB", h.youngSize)
 	}
@@ -33,17 +33,16 @@ func TestSizing(t *testing.T) {
 
 func TestWithDefaults(t *testing.T) {
 	c := Config{MinHeap: 1 << 20}.WithDefaults()
-	if c.Factor != 3 || c.NewRatio != 2 || c.SurvivorRatio != 8 || c.TLABSize != 64<<10 || c.Compartments != 1 {
+	if c.Factor != 3 || c.TLABSize != 64<<10 || c.Compartments != 1 {
 		t.Errorf("defaults = %+v", c)
 	}
 }
 
 func TestValidate(t *testing.T) {
 	bad := []Config{
-		{MinHeap: 0, Factor: 3, NewRatio: 2, SurvivorRatio: 8, TLABSize: 1, Compartments: 1},
-		{MinHeap: 1, Factor: 0.5, NewRatio: 2, SurvivorRatio: 8, TLABSize: 1, Compartments: 1},
-		{MinHeap: 1, Factor: 3, NewRatio: 0, SurvivorRatio: 8, TLABSize: 1, Compartments: 1},
-		{MinHeap: 1, Factor: 3, NewRatio: 2, SurvivorRatio: 8, TLABSize: 0, Compartments: 1},
+		{MinHeap: 0, Factor: 3, TLABSize: 1, Compartments: 1},
+		{MinHeap: 1, Factor: 0.5, TLABSize: 1, Compartments: 1},
+		{MinHeap: 1, Factor: 3, TLABSize: 0, Compartments: 1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -213,13 +212,11 @@ func TestCompartments(t *testing.T) {
 // Property: for any valid sizing, the space decomposition is exact and all
 // spaces are positive.
 func TestSizingProperty(t *testing.T) {
-	f := func(minHeapMB uint8, factor uint8, newRatio, survRatio uint8) bool {
+	f := func(minHeapMB uint8, factor uint8) bool {
 		cfg := Config{
-			MinHeap:       (int64(minHeapMB%200) + 8) << 20,
-			Factor:        float64(factor%6) + 1,
-			NewRatio:      int(newRatio%4) + 1,
-			SurvivorRatio: int(survRatio%10) + 1,
-			TLABSize:      32 << 10,
+			MinHeap:  (int64(minHeapMB%200) + 8) << 20,
+			Factor:   float64(factor%6) + 1,
+			TLABSize: 32 << 10,
 		}
 		h := New(cfg)
 		if h.EdenSize() <= 0 || h.SurvivorSize() <= 0 || h.OldSize() <= 0 {

@@ -12,6 +12,7 @@ package locks
 
 import (
 	"fmt"
+	"slices"
 
 	"javasim/internal/sim"
 )
@@ -149,8 +150,8 @@ type Monitor struct {
 	owner     ThreadID
 	recursion int
 
-	waiters      []ThreadID
-	enqueueTimes []sim.Time
+	// waiters is the entry queue, in FIFO order.
+	waiters []Waiter
 
 	// spinners are threads busy-waiting on the monitor (Spinning
 	// outcome), in attempt order. A release that leaves the monitor free
@@ -281,8 +282,7 @@ func (tb *Table) TotalContentions() int64 {
 
 // enqueue appends t to the entry queue with its wait start.
 func (m *Monitor) enqueue(t ThreadID, since sim.Time) {
-	m.waiters = append(m.waiters, t)
-	m.enqueueTimes = append(m.enqueueTimes, since)
+	m.waiters = append(m.waiters, Waiter{ID: t, Since: since})
 }
 
 // dequeue pops the entry-queue head and its wait start.
@@ -291,12 +291,8 @@ func (m *Monitor) dequeue() (ThreadID, sim.Time, bool) {
 		return NoThread, 0, false
 	}
 	next := m.waiters[0]
-	since := m.enqueueTimes[0]
-	copy(m.waiters, m.waiters[1:])
-	m.waiters = m.waiters[:len(m.waiters)-1]
-	copy(m.enqueueTimes, m.enqueueTimes[1:])
-	m.enqueueTimes = m.enqueueTimes[:len(m.enqueueTimes)-1]
-	return next, since, true
+	m.waiters = m.waiters[:copy(m.waiters, m.waiters[1:])]
+	return next.ID, next.Since, true
 }
 
 // drain removes and returns every entry-queue waiter in FIFO order.
@@ -304,12 +300,8 @@ func (m *Monitor) drain() []Waiter {
 	if len(m.waiters) == 0 {
 		return nil
 	}
-	out := make([]Waiter, len(m.waiters))
-	for i, id := range m.waiters {
-		out[i] = Waiter{ID: id, Since: m.enqueueTimes[i]}
-	}
+	out := slices.Clone(m.waiters)
 	m.waiters = m.waiters[:0]
-	m.enqueueTimes = m.enqueueTimes[:0]
 	return out
 }
 

@@ -69,20 +69,6 @@ func Opteron6168() Config {
 	}
 }
 
-// WithDefaults returns the configuration with zero-valued CMT knobs
-// normalized: ThreadsPerCore and IssueWidth become 1. Machines built from
-// normalized and raw configs behave identically; normalizing keeps derived
-// quantities (TotalCores, UnitsPerSocket) simple.
-func (c Config) WithDefaults() Config {
-	if c.ThreadsPerCore == 0 {
-		c.ThreadsPerCore = 1
-	}
-	if c.IssueWidth == 0 {
-		c.IssueWidth = 1
-	}
-	return c
-}
-
 // Validate reports whether the configuration is internally consistent.
 func (c Config) Validate() error {
 	if c.Sockets <= 0 {

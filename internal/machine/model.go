@@ -93,7 +93,9 @@ func Opteron6168Flat() Config {
 
 // Models is the machine-model catalog. Models are stateless, so one
 // value serves every lookup; registration rejects an invalid Config. The
-// empty name selects the default model.
+// empty name selects the default model. Results are stored under
+// fingerprints that hold a run's model name, not its topology, so
+// changing a built-in model's configuration needs a store.Version bump.
 var Models = registry.New[Model]("machine model", DefaultModel,
 	func(m Model) error { return m.Config().Validate() })
 

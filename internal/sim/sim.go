@@ -54,7 +54,6 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 type Event struct {
 	at       Time
 	seq      uint64
-	fn       func()
 	cb       Callback
 	index    int // position in the heap, -1 once removed
 	canceled bool
@@ -68,6 +67,13 @@ type Event struct {
 type Callback interface {
 	OnEvent()
 }
+
+// funcCallback adapts a closure to Callback, so every event fires one
+// way. A func value is one pointer word, so the conversion to the
+// interface does not allocate.
+type funcCallback func()
+
+func (f funcCallback) OnEvent() { f() }
 
 // At reports the virtual time at which the event fires.
 func (e *Event) At() Time { return e.at }
@@ -119,10 +125,7 @@ func (s *Simulator) At(t Time, fn func()) *Event {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	ev := s.newEvent(t)
-	ev.fn = fn
-	s.queue.Push(ev)
-	return ev
+	return s.AtCall(t, funcCallback(fn))
 }
 
 // ScheduleCall is Schedule with a pre-bound Callback instead of a closure:
@@ -170,7 +173,7 @@ func (s *Simulator) newEvent(t Time) *Event {
 // canceled flag is deliberately left as-is so Canceled() stays truthful
 // until the record is reused (newEvent resets it).
 func (s *Simulator) recycle(ev *Event) {
-	ev.fn, ev.cb = nil, nil
+	ev.cb = nil
 	s.free = append(s.free, ev)
 }
 
@@ -200,11 +203,7 @@ func (s *Simulator) Step() bool {
 	}
 	s.now = ev.at
 	s.executed++
-	if ev.fn != nil {
-		ev.fn()
-	} else {
-		ev.cb.OnEvent()
-	}
+	ev.cb.OnEvent()
 	// Recycle after the callback so a Cancel of the just-fired event from
 	// inside its own callback still sees index == -1 and no-ops.
 	s.recycle(ev)

@@ -45,12 +45,11 @@ const (
 	// inter-arrival gaps at RatePerSec.
 	ProcessPoisson = "poisson"
 	// ProcessBursty is an MMPP-style on/off modulated Poisson process:
-	// the rate alternates between a burst rate (BurstFactor x the mean)
-	// and a trough rate chosen so the long-run average stays RatePerSec.
+	// the rate alternates between a burst rate (3x the mean) and a
+	// trough rate chosen so the long-run average stays RatePerSec.
 	ProcessBursty = "bursty"
-	// ProcessDiurnal modulates the rate along a sinusoid of period
-	// DiurnalPeriod and relative amplitude DiurnalAmplitude, sampled by
-	// thinning.
+	// ProcessDiurnal modulates the rate along a sinusoid of period 2s
+	// and relative amplitude 0.8, sampled by thinning.
 	ProcessDiurnal = "diurnal"
 	// ProcessClosed is the adapter onto today's closed-loop model: the
 	// run executes exactly as if no Traffic block were configured.
@@ -76,22 +75,26 @@ type Config struct {
 	// abandon. Timed-out requests count toward offered load but not
 	// goodput.
 	Timeout sim.Time `json:",omitempty"`
-	// BurstFactor is the bursty process's on-state rate multiple; zero
-	// defaults to 3.
-	BurstFactor float64 `json:",omitempty"`
-	// BurstOnFraction is the long-run fraction of time the bursty
-	// process spends in the on state; zero defaults to 0.3.
-	BurstOnFraction float64 `json:",omitempty"`
-	// BurstPeriod is the mean on+off cycle length; zero defaults to
-	// 50ms.
-	BurstPeriod sim.Time `json:",omitempty"`
-	// DiurnalPeriod is the sinusoid's full period; zero defaults to 2s
-	// (a day compressed to simulation scale).
-	DiurnalPeriod sim.Time `json:",omitempty"`
-	// DiurnalAmplitude is the sinusoid's relative amplitude in [0, 1);
-	// zero defaults to 0.8.
-	DiurnalAmplitude float64 `json:",omitempty"`
 }
+
+// The shapes of the bursty and diurnal processes are fixed: one bursty
+// and one diurnal load curve, held constant like the paper's testbed.
+// Results are stored under fingerprints of the run's inputs, not of these
+// constants, so changing one needs a store.Version bump.
+const (
+	// burstFactor is the bursty process's on-state rate multiple.
+	burstFactor = 3
+	// burstOnFraction is the long-run fraction of time the bursty
+	// process spends in the on state.
+	burstOnFraction = 0.3
+	// burstPeriod is the bursty process's mean on+off cycle length.
+	burstPeriod = 50 * sim.Millisecond
+	// diurnalPeriod is the diurnal sinusoid's full period: a day
+	// compressed to simulation scale.
+	diurnalPeriod = 2 * sim.Second
+	// diurnalAmplitude is the diurnal sinusoid's relative amplitude.
+	diurnalAmplitude = 0.8
+)
 
 // Open reports whether the config selects an open-system run. Empty and
 // "closed" both mean the existing closed-loop model.
@@ -99,29 +102,14 @@ func (c Config) Open() bool {
 	return c.Process != "" && c.Process != ProcessClosed
 }
 
-// Canonical resolves defaults into the form two configs must be
-// compared in to decide whether they describe the same run. A closed
-// config (empty or "closed") canonicalizes to the zero value, so a run
-// that spells out the closed adapter shares its cache entry — and its
-// Result — with a plain closed-loop run.
+// Canonical returns the form two configs must be compared in to decide
+// whether they describe the same run. A closed config (empty or
+// "closed") canonicalizes to the zero value, so a run that spells out
+// the closed adapter shares its cache entry — and its Result — with a
+// plain closed-loop run; an open config is already canonical.
 func (c Config) Canonical() Config {
 	if !c.Open() {
 		return Config{}
-	}
-	if c.BurstFactor == 0 {
-		c.BurstFactor = 3
-	}
-	if c.BurstOnFraction == 0 {
-		c.BurstOnFraction = 0.3
-	}
-	if c.BurstPeriod == 0 {
-		c.BurstPeriod = 50 * sim.Millisecond
-	}
-	if c.DiurnalPeriod == 0 {
-		c.DiurnalPeriod = 2 * sim.Second
-	}
-	if c.DiurnalAmplitude == 0 {
-		c.DiurnalAmplitude = 0.8
 	}
 	return c
 }
@@ -142,18 +130,6 @@ func (c Config) Validate() error {
 	}
 	if c.Timeout < 0 {
 		return fmt.Errorf("traffic: Timeout = %v", c.Timeout)
-	}
-	if c.BurstFactor < 0 || c.BurstPeriod < 0 {
-		return fmt.Errorf("traffic: negative burst parameter")
-	}
-	if c.BurstOnFraction < 0 || c.BurstOnFraction >= 1 {
-		return fmt.Errorf("traffic: BurstOnFraction = %v outside [0, 1)", c.BurstOnFraction)
-	}
-	if c.DiurnalPeriod < 0 {
-		return fmt.Errorf("traffic: DiurnalPeriod = %v", c.DiurnalPeriod)
-	}
-	if c.DiurnalAmplitude < 0 || c.DiurnalAmplitude >= 1 {
-		return fmt.Errorf("traffic: DiurnalAmplitude = %v outside [0, 1)", c.DiurnalAmplitude)
 	}
 	return nil
 }
@@ -213,7 +189,7 @@ func expGap(rng *sim.Rand, meanNS float64) sim.Time {
 // --- Bursty (MMPP-style on/off) -----------------------------------------
 
 // bursty is a two-state Markov-modulated Poisson process: exponential
-// sojourns in an "on" state arriving at BurstFactor x the mean rate and
+// sojourns in an "on" state arriving at burstFactor x the mean rate and
 // an "off" state at the complementary trough rate, chosen so the
 // long-run average equals RatePerSec. Memorylessness lets Next redraw
 // the pending gap whenever a state boundary passes before the arrival.
@@ -232,19 +208,20 @@ func newBursty(cfg Config) (Process, error) {
 	if cfg.RatePerSec <= 0 {
 		return nil, fmt.Errorf("traffic: bursty needs RatePerSec > 0 (got %v)", cfg.RatePerSec)
 	}
-	if cfg.BurstOnFraction <= 0 || cfg.BurstOnFraction >= 1 || cfg.BurstPeriod <= 0 || cfg.BurstFactor <= 0 {
-		return nil, fmt.Errorf("traffic: bursty needs BurstFactor, BurstOnFraction in (0,1), and BurstPeriod > 0 — canonicalize the config first")
-	}
-	f := cfg.BurstOnFraction
-	rateOn := cfg.RatePerSec * cfg.BurstFactor
+	// The shape parameters are float64 variables, not constant
+	// expressions: Go folds constant arithmetic exactly, which would round
+	// rateOff differently from the float64 arithmetic the arrival
+	// sequences were drawn with.
+	var f, k, period float64 = burstOnFraction, burstFactor, float64(burstPeriod)
+	rateOn := cfg.RatePerSec * k
 	// Long-run average: f*rateOn + (1-f)*rateOff = RatePerSec.
-	rateOff := cfg.RatePerSec * (1 - f*cfg.BurstFactor) / (1 - f)
+	rateOff := cfg.RatePerSec * (1 - f*k) / (1 - f)
 	if rateOff < 0 {
 		rateOff = 0
 	}
 	b := &bursty{
-		onMean:  f * float64(cfg.BurstPeriod),
-		offMean: (1 - f) * float64(cfg.BurstPeriod),
+		onMean:  f * period,
+		offMean: (1 - f) * period,
 	}
 	if rateOn > 0 {
 		b.onGapNS = 1e9 / rateOn
@@ -303,13 +280,13 @@ type diurnal struct {
 }
 
 func newDiurnal(cfg Config) (Process, error) {
-	if cfg.RatePerSec <= 0 || cfg.DiurnalPeriod <= 0 || cfg.DiurnalAmplitude < 0 || cfg.DiurnalAmplitude >= 1 {
-		return nil, fmt.Errorf("traffic: diurnal needs RatePerSec > 0, DiurnalPeriod > 0, and DiurnalAmplitude in [0,1) — canonicalize the config first")
+	if cfg.RatePerSec <= 0 {
+		return nil, fmt.Errorf("traffic: diurnal needs RatePerSec > 0 (got %v)", cfg.RatePerSec)
 	}
 	return &diurnal{
 		baseRate: cfg.RatePerSec / 1e9,
-		amp:      cfg.DiurnalAmplitude,
-		period:   float64(cfg.DiurnalPeriod),
+		amp:      diurnalAmplitude,
+		period:   float64(diurnalPeriod),
 	}, nil
 }
 

@@ -1,6 +1,8 @@
 package traffic
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -84,9 +86,8 @@ func TestMeanRate(t *testing.T) {
 // Poisson: the variance of per-window arrival counts must exceed the
 // Poisson variance (= mean) by a wide margin.
 func TestBurstyModulates(t *testing.T) {
-	cfg := Config{Process: ProcessBursty, RatePerSec: 100000}.Canonical()
-	trace := drawTrace(t, ProcessBursty, cfg, 3, 100000)
-	window := cfg.BurstPeriod / 4
+	trace := drawTrace(t, ProcessBursty, Config{RatePerSec: 100000}, 3, 100000)
+	window := burstPeriod / 4
 	counts := make(map[sim.Time]float64)
 	for _, at := range trace {
 		counts[at/window]++
@@ -120,19 +121,16 @@ func TestClosedAdapter(t *testing.T) {
 
 // TestCanonical verifies closed-equivalent configs collapse to the zero
 // value (sharing cache keys with plain closed-loop runs) and open
-// configs resolve their defaults.
+// configs stay as they are.
 func TestCanonical(t *testing.T) {
 	for _, c := range []Config{{}, {Process: ProcessClosed}, {Process: ProcessClosed, RatePerSec: 100}} {
 		if got := c.Canonical(); got != (Config{}) {
 			t.Errorf("Canonical(%+v) = %+v, want zero", c, got)
 		}
 	}
-	open := Config{Process: ProcessPoisson, RatePerSec: 100}.Canonical()
-	if open.BurstFactor != 3 || open.BurstOnFraction != 0.3 || open.BurstPeriod != 50*sim.Millisecond {
-		t.Errorf("open canonical burst defaults wrong: %+v", open)
-	}
-	if open.DiurnalPeriod != 2*sim.Second || open.DiurnalAmplitude != 0.8 {
-		t.Errorf("open canonical diurnal defaults wrong: %+v", open)
+	open := Config{Process: ProcessPoisson, RatePerSec: 100, Requests: 10, Timeout: sim.Millisecond}
+	if got := open.Canonical(); got != open {
+		t.Errorf("Canonical(%+v) = %+v, want it unchanged", open, got)
 	}
 }
 
@@ -151,8 +149,6 @@ func TestValidate(t *testing.T) {
 		{Process: ProcessPoisson, RatePerSec: -1},
 		{Process: ProcessPoisson, RatePerSec: 100, Requests: -1},
 		{Process: ProcessPoisson, RatePerSec: 100, Timeout: -1},
-		{Process: ProcessBursty, RatePerSec: 100, BurstOnFraction: 1},
-		{Process: ProcessDiurnal, RatePerSec: 100, DiurnalAmplitude: 1.5},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -181,3 +177,36 @@ func TestRegister(t *testing.T) {
 type fixedGap sim.Time
 
 func (f fixedGap) Next(sim.Time, *sim.Rand) sim.Time { return sim.Time(f) }
+
+// TestArrivalSequencesPinned hashes the first 100,000 arrival instants of
+// each built-in open process at three rates and one seed, against values
+// recorded before the bursty and diurnal shape parameters became
+// constants. An ulp of drift in a rate or a sojourn mean can flip a
+// rounded gap, so any change to the arithmetic shows here.
+func TestArrivalSequencesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		process string
+		rate    float64
+		want    uint64
+	}{
+		{ProcessPoisson, 10000, 0xebeed6c7853eeee1},
+		{ProcessPoisson, 50000, 0xe89324ccc4fa7763},
+		{ProcessPoisson, 200000, 0x37d6c9afbc4ca0b7},
+		{ProcessBursty, 10000, 0xd3dd2bec42f23ed8},
+		{ProcessBursty, 50000, 0x71d0f36282c8cd42},
+		{ProcessBursty, 200000, 0x5997e9cd3900c6be},
+		{ProcessDiurnal, 10000, 0xc57d2d4a0f6d552f},
+		{ProcessDiurnal, 50000, 0x9fe6d1d5c3202ceb},
+		{ProcessDiurnal, 200000, 0xa781ce314cd0dd2d},
+	} {
+		h := fnv.New64a()
+		var b [8]byte
+		for _, at := range drawTrace(t, tc.process, Config{RatePerSec: tc.rate}, 42, 100000) {
+			binary.LittleEndian.PutUint64(b[:], uint64(at))
+			h.Write(b[:])
+		}
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("%s at %.0f/s: arrival hash %#x, want %#x", tc.process, tc.rate, got, tc.want)
+		}
+	}
+}

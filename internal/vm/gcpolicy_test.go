@@ -137,22 +137,3 @@ func TestResultRecordsGCPhases(t *testing.T) {
 		t.Error("run collected nothing — phase accounting untested")
 	}
 }
-
-// TestHeapSizingOverrides checks NewRatio/SurvivorRatio reach the heap: a
-// larger NewRatio shrinks the young generation, forcing more minor
-// collections on the same workload.
-func TestHeapSizingOverrides(t *testing.T) {
-	spec := xalanSpecScaled(t, 0.05)
-	base, err := Run(spec, Config{Threads: 8, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tight, err := Run(spec, Config{Threads: 8, Seed: 42, NewRatio: 7, SurvivorRatio: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tight.GCStats.MinorCount <= base.GCStats.MinorCount {
-		t.Errorf("NewRatio=7 minor collections %d <= default %d — override did not reach the heap",
-			tight.GCStats.MinorCount, base.GCStats.MinorCount)
-	}
-}

@@ -10,10 +10,9 @@ import (
 )
 
 // TestRegistryDefaultMatchesSeedConfig is the differential guard for the
-// machine registry: selecting the default model by name, selecting
-// nothing at all, and passing the same topology anonymously must all be
-// the same simulation, bit for bit, across the whole paper set. Only
-// the self-label differs (anonymous configs carry no model name).
+// machine registry: selecting the default model by name and selecting
+// nothing at all must be the same simulation, bit for bit, across the
+// whole paper set, labeled with the default model's name.
 func TestRegistryDefaultMatchesSeedConfig(t *testing.T) {
 	for _, spec := range workload.PaperSet() {
 		spec := spec.Scale(0.02)
@@ -29,25 +28,12 @@ func TestRegistryDefaultMatchesSeedConfig(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s by name: %v", spec.Name, err)
 		}
-		anon := cfg
-		anon.Machine = machine.Opteron6168()
-		anonymous, err := Run(spec, anon)
-		if err != nil {
-			t.Fatalf("%s anonymous: %v", spec.Name, err)
-		}
 
 		if implicit.Machine != machine.DefaultModel {
 			t.Errorf("%s: implicit run labeled %q, want default model", spec.Name, implicit.Machine)
 		}
-		if anonymous.Machine != "" {
-			t.Errorf("%s: anonymous run labeled %q, want empty", spec.Name, anonymous.Machine)
-		}
 		if !reflect.DeepEqual(implicit, byName) {
 			t.Errorf("%s: naming the default model changed the result", spec.Name)
-		}
-		anonymous.Machine = implicit.Machine
-		if !reflect.DeepEqual(implicit, anonymous) {
-			t.Errorf("%s: anonymous Opteron config diverged from registry default", spec.Name)
 		}
 	}
 }
@@ -120,15 +106,20 @@ func TestBandwidthCeilingStretchesRuntime(t *testing.T) {
 // the same topology with an issue width wide enough for every strand
 // must beat the 2-wide pipeline once cores carry three runnable strands.
 func TestPipelineSharingSlowsOversubscribedCores(t *testing.T) {
-	narrow := machine.SparcT3_4()
-	wide := narrow
-	wide.IssueWidth = narrow.ThreadsPerCore // every strand gets an issue slot
+	// Registry entries cannot be replaced, so a repeated run (-count)
+	// reuses the first run's registration.
+	const wideModel = "sparc-t3-4-wide-issue"
+	if machine.Models.Validate(wideModel) != nil {
+		wide := machine.SparcT3_4()
+		wide.IssueWidth = wide.ThreadsPerCore // every strand gets an issue slot
+		machine.Models.MustRegister(wideModel, machine.NewModel(wideModel, wide))
+	}
 
-	shared, err := Run(smallSpec(), Config{Threads: 48, Seed: 42, Machine: narrow})
+	shared, err := Run(smallSpec(), Config{Threads: 48, Seed: 42, MachineName: machine.ModelSparcT3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	free, err := Run(smallSpec(), Config{Threads: 48, Seed: 42, Machine: wide})
+	free, err := Run(smallSpec(), Config{Threads: 48, Seed: 42, MachineName: wideModel})
 	if err != nil {
 		t.Fatal(err)
 	}

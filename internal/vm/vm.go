@@ -32,16 +32,10 @@ import (
 
 // Config selects the machine and JVM parameters for one run.
 type Config struct {
-	// Machine is the hardware model; zero value selects the paper's
-	// 4-socket Opteron 6168 testbed.
-	Machine machine.Config
-	// MachineName selects a registered machine model by name
+	// MachineName selects the hardware by machine registry name
 	// ("opteron-6168", "sparc-t3-4", "opteron-6168-bw",
-	// "opteron-6168-flat", or a user registration); when set it overrides
-	// Machine with the model's configuration and installs the model's
-	// topology hooks. Empty with a zero Machine resolves to the default
-	// model; empty with an explicit Machine keeps that anonymous
-	// configuration.
+	// "opteron-6168-flat", or a user registration); empty means
+	// opteron-6168, the paper's 4-socket testbed.
 	MachineName string
 	// Threads is the mutator thread count. Zero defaults to 4.
 	Threads int
@@ -49,15 +43,9 @@ type Config struct {
 	// methodology: cores = threads, capped at the machine size.
 	Cores int
 	// HeapFactor multiplies the workload's minimum heap requirement; the
-	// paper uses 3x. Zero defaults to 3.
+	// paper uses 3x. Zero defaults to 3. The heap splits into generations
+	// by HotSpot's default ratios.
 	HeapFactor float64
-	// NewRatio overrides the heap's old:young size ratio (HotSpot default
-	// 2: the young generation is one third of the heap). Zero keeps the
-	// default.
-	NewRatio int
-	// SurvivorRatio overrides the heap's eden:survivor ratio (HotSpot
-	// default 8). Zero keeps the default.
-	SurvivorRatio int
 	// Compartments splits eden into per-thread-group slices (future-work
 	// (b)); zero or one means one shared eden — except that the
 	// "compartment" GC policy defaults an *unset* (zero) count to one
@@ -114,31 +102,20 @@ func (c Config) Canonical() Config { return c.withDefaults() }
 
 // withDefaults resolves the zero values.
 func (c Config) withDefaults() Config {
-	if c.MachineName == "" && c.Machine.Sockets == 0 {
+	if c.MachineName == "" {
 		c.MachineName = machine.DefaultModel
 	}
-	if c.MachineName != "" {
-		// A registered name overrides any inline config so the label and
-		// the hardware can never disagree. Unknown names keep the inline
-		// config (or the default) here and are rejected by RunContext.
-		if mdl, err := machine.Models.Get(c.MachineName); err == nil {
-			c.Machine = mdl.Config()
-		} else if c.Machine.Sockets == 0 {
-			c.Machine = machine.Opteron6168()
-		}
-	}
-	c.Machine = c.Machine.WithDefaults()
 	if c.Threads == 0 {
 		c.Threads = 4
 	}
 	if c.Cores == 0 {
 		c.Cores = c.Threads
-		if max := c.Machine.TotalCores(); c.Cores > max {
-			c.Cores = max
+		// Unknown machine names are rejected by RunContext.
+		if mdl, err := machine.Models.Get(c.MachineName); err == nil {
+			c.Cores = min(c.Cores, mdl.Config().TotalCores())
 		}
 	}
-	hc := heap.Config{Factor: c.HeapFactor, NewRatio: c.NewRatio, SurvivorRatio: c.SurvivorRatio}.WithDefaults()
-	c.HeapFactor, c.NewRatio, c.SurvivorRatio = hc.Factor, hc.NewRatio, hc.SurvivorRatio
+	c.HeapFactor = heap.Config{Factor: c.HeapFactor}.WithDefaults().Factor
 	// Compartments stays 0 when unset: the GC policy's Layout may default
 	// it (compartment picks one slice per socket), while an explicit 1
 	// requests the single shared eden. RunContext clamps the laid-out
@@ -181,8 +158,7 @@ type Result struct {
 	LockPolicy string
 	Placement  string
 	GCPolicy   string
-	// Machine is the registered machine-model name the run executed on;
-	// empty for anonymous inline machine configurations.
+	// Machine is the registered machine-model name the run executed on.
 	Machine string
 
 	// TotalTime is the virtual wall-clock duration of the run; it splits
@@ -519,17 +495,12 @@ func runContext(ctx context.Context, spec workload.Spec, cfg Config, fuse bool, 
 		}
 	}
 
-	var mach *machine.Machine
-	if cfg.MachineName != "" {
-		mdl, merr := machine.Models.Get(cfg.MachineName)
-		if merr != nil {
-			return nil, fmt.Errorf("vm: %w", merr)
-		}
-		mach, merr = machine.NewFromModel(mdl)
-		if merr != nil {
-			return nil, fmt.Errorf("vm: %w", merr)
-		}
-	} else if mach, err = machine.New(cfg.Machine); err != nil {
+	mdl, err := machine.Models.Get(cfg.MachineName)
+	if err != nil {
+		return nil, fmt.Errorf("vm: %w", err)
+	}
+	mach, err := machine.NewFromModel(mdl)
+	if err != nil {
 		return nil, fmt.Errorf("vm: %w", err)
 	}
 	if err := mach.EnableCores(cfg.Cores); err != nil {
@@ -539,10 +510,10 @@ func runContext(ctx context.Context, spec workload.Spec, cfg Config, fuse bool, 
 	// Let the GC policy shape the heap: compartment count and NUMA region
 	// homes. Units are enabled socket-major, so the spanned socket count
 	// is a ceiling division over units (hardware threads) per socket.
-	unitsPerSocket := cfg.Machine.UnitsPerSocket()
+	unitsPerSocket, sockets := mach.Config().UnitsPerSocket(), mach.Config().Sockets
 	spanned := (cfg.Cores + unitsPerSocket - 1) / unitsPerSocket
-	if spanned > cfg.Machine.Sockets {
-		spanned = cfg.Machine.Sockets
+	if spanned > sockets {
+		spanned = sockets
 	}
 	if spanned < 1 {
 		spanned = 1
@@ -580,12 +551,10 @@ func runContext(ctx context.Context, spec workload.Spec, cfg Config, fuse bool, 
 		tlab = 64 << 10
 	}
 	hp := heap.New(heap.Config{
-		MinHeap:       spec.MinHeapBytes(),
-		Factor:        cfg.HeapFactor,
-		NewRatio:      cfg.NewRatio,
-		SurvivorRatio: cfg.SurvivorRatio,
-		TLABSize:      tlab,
-		Compartments:  cfg.Compartments,
+		MinHeap:      spec.MinHeapBytes(),
+		Factor:       cfg.HeapFactor,
+		TLABSize:     tlab,
+		Compartments: cfg.Compartments,
 	})
 
 	reg := objmodel.NewRegistry()

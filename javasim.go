@@ -554,8 +554,9 @@ const (
 	// memoryless open-system baseline.
 	ArrivalPoisson = traffic.ProcessPoisson
 	// ArrivalBursty modulates a Poisson process with MMPP-style on/off
-	// phases: bursts at BurstFactor times the mean rate, separated by
-	// quiet stretches that preserve the long-run mean.
+	// phases: bursts at three times the mean rate, on 30% of the time
+	// over a 50ms mean cycle, separated by quiet stretches that preserve
+	// the long-run mean.
 	ArrivalBursty = traffic.ProcessBursty
 	// ArrivalDiurnal modulates the rate sinusoidally around the mean —
 	// the load-follows-the-sun shape, compressed to simulation scale.
