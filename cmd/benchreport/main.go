@@ -1,12 +1,13 @@
-// Command benchreport runs the repository's benchmark smoke and writes a
-// machine-readable JSON report — benchmark name to ns/op, allocs/op,
-// bytes/op, and any custom b.ReportMetric figures — that later changes
-// compare against (BENCH_<n>.json at the repo root).
+// Command benchreport runs the repository's benchmark smoke and, with
+// -out, writes a machine-readable JSON report — benchmark name to ns/op,
+// allocs/op, bytes/op, and any custom b.ReportMetric figures — that later
+// changes compare against (BENCH_<n>.json at the repo root). Without -out
+// it writes no file: it only runs, compares and prints.
 //
 // Usage:
 //
 //	go run ./cmd/benchreport -out NEW.json -bench 'BenchmarkVMRun' -benchtime 3x .
-//	go run ./cmd/benchreport -baseline BENCH_17.json -out NEW.json ./...
+//	go run ./cmd/benchreport -baseline BENCH_17.json ./...
 //
 // The positional arguments are the packages to benchmark (default ./...).
 // -baseline takes one previous report; its measurements are embedded
@@ -58,7 +59,7 @@ type Report struct {
 var cpuSuffix = regexp.MustCompile(`-\d+$`)
 
 func main() {
-	out := flag.String("out", "BENCH_5.json", "output report path")
+	out := flag.String("out", "", "output report path; empty writes no file")
 	bench := flag.String("bench", ".", "benchmark regex passed to go test -bench")
 	benchtime := flag.String("benchtime", "1x", "go test -benchtime value")
 	baseline := flag.String("baseline", "", "previous report to compare against")
@@ -112,16 +113,20 @@ func main() {
 		rep.Baseline = prev.Benchmarks
 	}
 
-	data, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
-		os.Exit(1)
+	if *out == "" {
+		fmt.Printf("benchreport: measured %d benchmarks\n", len(rep.Benchmarks))
+	} else {
+		data, err := json.MarshalIndent(&rep, "", "  ")
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
+			os.Exit(1)
+		}
+		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
+			fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
+			os.Exit(1)
+		}
+		fmt.Printf("benchreport: wrote %d benchmarks to %s\n", len(rep.Benchmarks), *out)
 	}
-	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("benchreport: wrote %d benchmarks to %s\n", len(rep.Benchmarks), *out)
 
 	if violations := gate(rep, *maxNs, *maxAllocs, *maxBytes); len(violations) > 0 {
 		for _, v := range violations {

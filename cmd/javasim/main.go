@@ -50,7 +50,7 @@ func main() {
 		compartments = flag.Int("compartments", 0, "heap compartments (future-work b); 0 = off")
 		biasGroups   = flag.Int("bias-groups", 0, "phase-bias scheduling groups (future-work a); 0 = off")
 		biasPhase    = flag.Duration("bias-phase", 0, "phase length for biased scheduling (default 2ms)")
-		arrival      = flag.String("arrival", "", "open-system arrival process: "+strings.Join(javasim.ArrivalProcessNames(), ", ")+" (default closed loop)")
+		arrival      = flag.String("arrival", "", "open-system arrival process: "+strings.Join(javasim.ArrivalProcessNames(), ", ")+", or "+javasim.ArrivalClosed+" for the closed loop (the default)")
 		rate         = flag.Float64("rate", 0, "with -arrival: offered request rate per second")
 		requests     = flag.Int("requests", 0, "with -arrival: offered requests per run (0 = workload unit budget)")
 		reqTimeout   = flag.Duration("timeout", 0, "with -arrival: abandon requests queued longer than this (0 = never)")
@@ -112,7 +112,7 @@ func main() {
 		MachineName:  *machineName,
 	}
 	cfg.Sched.Placement = *placement
-	if *arrival != "" && *arrival != javasim.ArrivalClosed {
+	if (javasim.TrafficConfig{Process: *arrival}).Open() {
 		cfg.Traffic = javasim.TrafficConfig{
 			Process:    *arrival,
 			RatePerSec: *rate,

@@ -233,13 +233,13 @@ func (p fixedGap) Next(now javasim.Time, rng *javasim.Rand) javasim.Time { retur
 // compiled version of the "Custom machine models" guide in
 // docs/extending.md.
 func ExampleRegisterMachine() {
-	tolerateDup(javasim.RegisterMachine(javasim.NewMachineModel("docs-desktop", javasim.MachineConfig{
+	tolerateDup(javasim.RegisterMachine("docs-desktop", javasim.MachineConfig{
 		Sockets:        1,
 		CoresPerSocket: 8,
 		MemoryPerNode:  32 << 30,
 		LocalAccess:    70,
 		MigrationCost:  3000,
-	})))
+	}))
 	eng := javasim.NewEngine()
 	spec, _ := javasim.LookupWorkload("xalan")
 	res, err := eng.Run(context.Background(), spec.Scale(0.05), javasim.Config{

@@ -31,14 +31,14 @@ func main() {
 	// Registering a custom model: any name not already taken, any valid
 	// topology. After this it is addressable from configs, plan files,
 	// and the -machine CLI flag alike.
-	desktop := javasim.NewMachineModel("desktop-8", javasim.MachineConfig{
+	desktop := javasim.MachineConfig{
 		Sockets:        1,
 		CoresPerSocket: 8,
 		MemoryPerNode:  32 << 30,
 		LocalAccess:    70,
 		MigrationCost:  3000,
-	})
-	if err := javasim.RegisterMachine(desktop); err != nil {
+	}
+	if err := javasim.RegisterMachine("desktop-8", desktop); err != nil {
 		log.Fatalf("register: %v", err)
 	}
 	fmt.Printf("registered machine models: %v\n\n", javasim.MachineNames())

@@ -7,8 +7,6 @@ import (
 
 	"javasim/internal/gc"
 	"javasim/internal/locks"
-	"javasim/internal/machine"
-	"javasim/internal/metrics"
 	"javasim/internal/vm"
 	"javasim/internal/workload"
 )
@@ -85,12 +83,12 @@ func TestGCPolicyTagLabeling(t *testing.T) {
 	for _, tc := range []struct {
 		lock, gcp, want string
 	}{
-		{"", "", ""},
-		{"", gc.PolicyStwSerial, ""},
-		{"", gc.PolicyConcurrent, "gc=concurrent"},
+		{locks.PolicyFIFO, gc.PolicyStwSerial, ""},
+		{locks.PolicyFIFO, gc.PolicyConcurrent, "gc=concurrent"},
 		{locks.PolicyRestricted, gc.PolicyCompartment, "restricted gc=compartment"},
 	} {
-		r := &vm.Result{LockPolicy: tc.lock, GCPolicy: tc.gcp, Machine: machine.DefaultModel}
+		r := defaultResult()
+		r.LockPolicy, r.GCPolicy = tc.lock, tc.gcp
 		if got := policyTag(r); got != tc.want {
 			t.Errorf("policyTag(lock=%q, gc=%q) = %q, want %q", tc.lock, tc.gcp, got, tc.want)
 		}
@@ -141,7 +139,9 @@ func TestCompareValidationVariants(t *testing.T) {
 // per-phase GC CPU row present once any column deviates from stw-serial.
 func TestRenderCompareColumns(t *testing.T) {
 	mk := func(gcp string) *vm.Result {
-		return &vm.Result{GCPolicy: gcp, Machine: machine.DefaultModel, Lifespans: metrics.NewHistogram("t")}
+		r := defaultResult()
+		r.GCPolicy = gcp
+		return r
 	}
 	names := []string{"serial", "parallel", "conc"}
 	results := []*vm.Result{mk(gc.PolicyStwSerial), mk(gc.PolicyStwParallel), mk(gc.PolicyConcurrent)}
@@ -166,7 +166,7 @@ func TestRenderCompareColumns(t *testing.T) {
 	}
 
 	// All-default columns keep the historical row set: no phases row.
-	tbl = renderCompareColumns([]string{"a", "b"}, []*vm.Result{mk(""), mk(gc.PolicyStwSerial)})
+	tbl = renderCompareColumns([]string{"a", "b"}, []*vm.Result{mk(gc.PolicyStwSerial), mk(gc.PolicyStwSerial)})
 	for _, row := range tbl.Rows {
 		if row[0] == "gc phases s/s/c" {
 			t.Error("phases row rendered for all-default GC columns")

@@ -219,7 +219,7 @@ func (ts *TrafficSpec) threads() int {
 }
 
 func (ts *TrafficSpec) validate() error {
-	if ts.Process == "" || ts.Process == traffic.ProcessClosed {
+	if !(traffic.Config{Process: ts.Process}).Open() {
 		return fmt.Errorf("Traffic.Process must name an open arrival process (have %q)", ts.Process)
 	}
 	if len(ts.Rates) == 0 {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"javasim/internal/gc"
 	"javasim/internal/locks"
 	"javasim/internal/machine"
 	"javasim/internal/metrics"
@@ -94,27 +95,35 @@ func TestPolicyTagLabeling(t *testing.T) {
 	cases := []struct {
 		lock, place, want string
 	}{
-		{"", "", ""},
 		{locks.PolicyFIFO, sched.PlacementAffinity, ""},
-		{locks.PolicyRestricted, "", "restricted"},
 		{locks.PolicyRestricted, sched.PlacementAffinity, "restricted"},
-		{"", sched.PlacementRoundRobin, "fifo/round-robin"},
+		{locks.PolicyFIFO, sched.PlacementRoundRobin, "fifo/round-robin"},
 		{locks.PolicyBarging, sched.PlacementLeastLoaded, "barging/least-loaded"},
 	}
 	for _, tc := range cases {
-		r := &vm.Result{LockPolicy: tc.lock, Placement: tc.place, Machine: machine.DefaultModel}
+		r := defaultResult()
+		r.LockPolicy, r.Placement = tc.lock, tc.place
 		if got := policyTag(r); got != tc.want {
 			t.Errorf("policyTag(%q, %q) = %q, want %q", tc.lock, tc.place, got, tc.want)
 		}
 	}
 
-	base := &vm.Result{LockPolicy: locks.PolicyFIFO, Placement: sched.PlacementAffinity, Machine: machine.DefaultModel}
-	mod := &vm.Result{LockPolicy: locks.PolicyRestricted, Placement: sched.PlacementAffinity, Machine: machine.DefaultModel}
-	for _, r := range []*vm.Result{base, mod} {
-		r.Lifespans = metrics.NewHistogram("t")
-	}
+	base, mod := defaultResult(), defaultResult()
+	mod.LockPolicy = locks.PolicyRestricted
 	tbl := renderCompareColumns([]string{"baseline", "modified"}, []*vm.Result{base, mod})
 	if tbl.Headers[1] != "baseline" || tbl.Headers[2] != "modified [restricted]" {
 		t.Errorf("compare headers = %v", tbl.Headers)
+	}
+}
+
+// defaultResult is a result fixture that ran under the default policies
+// and machine, carrying their resolved names as every vm.Result does.
+func defaultResult() *vm.Result {
+	return &vm.Result{
+		LockPolicy: locks.PolicyFIFO,
+		Placement:  sched.PlacementAffinity,
+		GCPolicy:   gc.PolicyStwSerial,
+		Machine:    machine.DefaultModel,
+		Lifespans:  metrics.NewHistogram("t"),
 	}
 }

@@ -25,8 +25,8 @@ import (
 // artifact keeps its byte-identical form.
 func policyTag(r *vm.Result) string {
 	lock, place := r.LockPolicy, r.Placement
-	defaultLock := lock == "" || lock == locks.PolicyFIFO
-	defaultPlace := place == "" || place == sched.PlacementAffinity
+	defaultLock := lock == locks.PolicyFIFO
+	defaultPlace := place == sched.PlacementAffinity
 	var tag string
 	switch {
 	case defaultLock && defaultPlace:
@@ -38,7 +38,7 @@ func policyTag(r *vm.Result) string {
 	default:
 		tag = lock + "/" + place
 	}
-	if g := r.GCPolicy; g != "" && g != gc.PolicyStwSerial {
+	if g := r.GCPolicy; g != gc.PolicyStwSerial {
 		if tag != "" {
 			tag += " "
 		}
@@ -277,7 +277,7 @@ func compareRows(t *report.Table, results []*vm.Result) {
 // nonDefaultGC reports whether a run collected under a GC policy other
 // than the stw-serial default, which is when the GC-policy rows and
 // columns of the compare and rows tables appear.
-func nonDefaultGC(r *vm.Result) bool { return r.GCPolicy != "" && r.GCPolicy != gc.PolicyStwSerial }
+func nonDefaultGC(r *vm.Result) bool { return r.GCPolicy != gc.PolicyStwSerial }
 
 // renderCompare builds an ablation table contrasting the scenarios'
 // results at their largest thread counts. A Baseline/Modified pair heads

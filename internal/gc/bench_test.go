@@ -14,7 +14,7 @@ func BenchmarkCollectMinor(b *testing.B) {
 		b.StopTimer()
 		h := heap.New(heap.Config{MinHeap: 64 << 20, Factor: 3})
 		reg := objmodel.NewRegistry()
-		c := New(Config{Workers: 8}, h, reg)
+		c := New(StwSerial(), Config{Workers: 8}, h, reg)
 		for j := 0; j < 10000; j++ {
 			id := reg.Alloc(128, 0)
 			c.OnAlloc(id, 0)
@@ -44,7 +44,7 @@ func BenchmarkGCPolicy(b *testing.B) {
 				b.StopTimer()
 				h := heap.New(heap.Config{MinHeap: 64 << 20, Factor: 3})
 				reg := objmodel.NewRegistry()
-				c := NewWithPolicy(p, Config{Workers: 8}, h, reg)
+				c := New(p, Config{Workers: 8}, h, reg)
 				for j := 0; j < 10000; j++ {
 					id := reg.Alloc(128, 0)
 					c.OnAlloc(id, 0)
@@ -68,7 +68,7 @@ func BenchmarkCollectFull(b *testing.B) {
 		b.StopTimer()
 		h := heap.New(heap.Config{MinHeap: 64 << 20, Factor: 3})
 		reg := objmodel.NewRegistry()
-		c := New(Config{Workers: 8}, h, reg)
+		c := New(StwSerial(), Config{Workers: 8}, h, reg)
 		ids := make([]objmodel.ID, 10000)
 		for j := range ids {
 			ids[j] = reg.Alloc(256, 0)
@@ -100,7 +100,7 @@ func BenchmarkMinorCycle(b *testing.B) {
 	h := heap.New(heap.Config{MinHeap: 64 << 20, Factor: 3})
 	const n = 10000
 	reg := objmodel.NewRegistry()
-	c := New(Config{Workers: 8}, h, reg)
+	c := New(StwSerial(), Config{Workers: 8}, h, reg)
 	cycle := func() {
 		for j := 0; j < n; j++ {
 			id := reg.Alloc(128, 0)

@@ -221,22 +221,13 @@ type Collector struct {
 	onPromote func(objmodel.ID)
 }
 
-// New builds a collector over h and reg under the default stw-serial
-// policy. The worker count must be set (use DefaultWorkers) before any
-// collection runs.
-func New(cfg Config, h *heap.Heap, reg *objmodel.Registry) *Collector {
-	return NewWithPolicy(StwSerial(), cfg, h, reg)
-}
-
-// NewWithPolicy builds a collector whose pause cost model and heap
-// discipline come from p (nil selects stw-serial).
-func NewWithPolicy(p Policy, cfg Config, h *heap.Heap, reg *objmodel.Registry) *Collector {
+// New builds a collector over h and reg whose pause cost model and heap
+// discipline come from policy p. It panics unless the worker count is set
+// (use DefaultWorkers).
+func New(p Policy, cfg Config, h *heap.Heap, reg *objmodel.Registry) *Collector {
 	cfg = cfg.WithDefaults()
 	if cfg.Workers < 1 {
 		panic(fmt.Sprintf("gc: Workers = %d, need >= 1 (use DefaultWorkers)", cfg.Workers))
-	}
-	if p == nil {
-		p = StwSerial()
 	}
 	return &Collector{
 		cfg:       cfg,

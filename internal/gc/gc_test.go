@@ -15,7 +15,7 @@ func newWorld(minHeapMB int64, compartments int) (*heap.Heap, *objmodel.Registry
 		Compartments: compartments,
 	})
 	reg := objmodel.NewRegistry()
-	c := New(Config{Workers: 4}, h, reg)
+	c := New(StwSerial(), Config{Workers: 4}, h, reg)
 	return h, reg, c
 }
 
@@ -234,7 +234,7 @@ func TestMoreWorkersShortenPauses(t *testing.T) {
 	mk := func(workers int) Pause {
 		h := heap.New(heap.Config{MinHeap: 64 << 20, Factor: 3})
 		reg := objmodel.NewRegistry()
-		c := New(Config{Workers: workers}, h, reg)
+		c := New(StwSerial(), Config{Workers: workers}, h, reg)
 		for i := 0; i < 2000; i++ {
 			id := reg.Alloc(1024, 0)
 			c.OnAlloc(id, 0)
@@ -343,7 +343,7 @@ func TestNewPanicsWithoutWorkers(t *testing.T) {
 			t.Fatal("expected panic for Workers=0")
 		}
 	}()
-	New(Config{}, h, objmodel.NewRegistry())
+	New(StwSerial(), Config{}, h, objmodel.NewRegistry())
 }
 
 // Property: across random alloc/kill/collect sequences, the collector

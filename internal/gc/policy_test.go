@@ -136,7 +136,7 @@ func TestCopyFactorsScaleMinorCopyPhase(t *testing.T) {
 	build := func(factors []float64) (*Collector, Pause) {
 		h := heap.New(heap.Config{MinHeap: 64 << 20, Factor: 3})
 		reg := objmodel.NewRegistry()
-		c := New(Config{Workers: 8}, h, reg)
+		c := New(StwSerial(), Config{Workers: 8}, h, reg)
 		c.SetCopyFactors(factors)
 		for j := 0; j < 4096; j++ {
 			id := reg.Alloc(512, 0)

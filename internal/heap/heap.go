@@ -77,6 +77,21 @@ const (
 	survivorRatio = 8
 )
 
+// TLABSize returns the TLAB size for threads mutators sharing a heap of
+// minHeap*factor bytes whose eden is split into compartments slices.
+// TLABs adapt to the eden share per thread, as HotSpot does: each slice
+// holds eight TLABs for every thread mapped to it, clamped to [1 KiB,
+// 64 KiB]. Eden is estimated as young*survivorRatio/(survivorRatio+2),
+// which can round one way where New's young-2*survivor rounds the other;
+// results are pinned to the estimate.
+func TLABSize(minHeap int64, factor float64, threads, compartments int) int64 {
+	young := int64(float64(minHeap)*factor) / (newRatio + 1)
+	eden := young * survivorRatio / (survivorRatio + 2)
+	threadsPerComp := (threads + compartments - 1) / compartments
+	tlab := eden / int64(compartments) / int64(threadsPerComp*8)
+	return min(max(tlab, 1<<10), 64<<10)
+}
+
 // Stats accumulates heap-level counters across a run.
 type Stats struct {
 	TLABRefills      int64

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+
+	"javasim/internal/workload"
 )
 
 func testConfig() Config {
@@ -249,5 +251,45 @@ func TestEdenBoundProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTLABSizeMatchesFormula pins TLABSize to the eden estimate it
+// replaced, total/3*8/10 split across compartments and threads, over
+// every registered workload's minimum heap at several scales, so sizing
+// TLABs from the heap's own generation constants moves no result.
+func TestTLABSizeMatchesFormula(t *testing.T) {
+	old := func(minHeap int64, factor float64, threads, comps int) int64 {
+		edenEstimate := int64(float64(minHeap)*factor) / 3 * 8 / 10
+		threadsPerComp := (threads + comps - 1) / comps
+		tlab := edenEstimate / int64(comps) / int64(threadsPerComp*8)
+		if tlab < 1<<10 {
+			tlab = 1 << 10
+		}
+		if tlab > 64<<10 {
+			tlab = 64 << 10
+		}
+		return tlab
+	}
+	for _, name := range workload.Registry.Names() {
+		spec, err := workload.Registry.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, scale := range []float64{0.02, 0.05, 0.1, 1} {
+			s := spec.Scale(scale)
+			minHeap := s.MinHeapBytes()
+			for _, factor := range []float64{1.5, 1.6, 2, 3, 4, 6} {
+				for threads := 1; threads <= 48; threads++ {
+					for _, comps := range []int{1, 2, 4, 8} {
+						got, want := TLABSize(minHeap, factor, threads, comps), old(minHeap, factor, threads, comps)
+						if got != want {
+							t.Fatalf("%s@%v: TLABSize(%d, %v, %d, %d) = %d, want %d",
+								name, scale, minHeap, factor, threads, comps, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }

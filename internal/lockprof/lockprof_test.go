@@ -12,7 +12,7 @@ import (
 // the profiler: thread 1 takes the lock, threads 2 and 3 contend, then the
 // lock is handed down the queue.
 func drive(p *Profiler) *locks.Table {
-	tb := locks.NewTable(p)
+	tb := locks.NewTable(locks.FIFO(), p)
 	m := tb.Create("hot.lock")
 	cold := tb.Create("cold.lock")
 	tb.Acquire(m, 1, 0)

@@ -8,7 +8,7 @@ import (
 
 // BenchmarkUncontendedAcquireRelease measures the monitor fast path.
 func BenchmarkUncontendedAcquireRelease(b *testing.B) {
-	tb := NewTable(nil)
+	tb := NewTable(FIFO(), nil)
 	m := tb.Create("bench")
 	for i := 0; i < b.N; i++ {
 		tb.Acquire(m, 1, 0)
@@ -19,7 +19,7 @@ func BenchmarkUncontendedAcquireRelease(b *testing.B) {
 // BenchmarkContendedHandoff measures the slow path: a blocked waiter
 // receiving ownership on every release.
 func BenchmarkContendedHandoff(b *testing.B) {
-	tb := NewTable(nil)
+	tb := NewTable(FIFO(), nil)
 	m := tb.Create("bench")
 	tb.Acquire(m, 0, 0)
 	for i := 0; i < b.N; i++ {
@@ -42,7 +42,7 @@ func BenchmarkTableContended(b *testing.B) {
 				b.Fatal(err)
 			}
 			p := newPolicy()
-			tb := NewTableWithPolicy(p, nil)
+			tb := NewTable(p, nil)
 			m := tb.Create("bench")
 			const threads = 8
 			now := sim.Time(0)

@@ -223,19 +223,10 @@ type Table struct {
 	retrySince map[ThreadID]sim.Time
 }
 
-// NewTable returns an empty monitor table under the default fifo policy,
-// reporting to listener (which may be nil).
-func NewTable(listener Listener) *Table {
-	return NewTableWithPolicy(nil, listener)
-}
-
-// NewTableWithPolicy returns an empty monitor table under the given
-// contention policy (nil selects fifo), reporting to listener (which may
-// be nil). The policy instance must not be shared with another table.
-func NewTableWithPolicy(p Policy, listener Listener) *Table {
-	if p == nil {
-		p = FIFO()
-	}
+// NewTable returns an empty monitor table under contention policy p,
+// reporting to listener (which may be nil). The policy instance must not
+// be shared with another table.
+func NewTable(p Policy, listener Listener) *Table {
 	return &Table{listener: listener, policy: p, retrySince: make(map[ThreadID]sim.Time)}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 func TestUncontendedAcquire(t *testing.T) {
-	tb := NewTable(nil)
+	tb := NewTable(FIFO(), nil)
 	m := tb.Create("lock")
 	if got := tb.Acquire(m, 1, 0); got.Kind != Acquired {
 		t.Fatalf("Acquire = %v, want Acquired", got.Kind)
@@ -29,7 +29,7 @@ func TestUncontendedAcquire(t *testing.T) {
 }
 
 func TestReentrancy(t *testing.T) {
-	tb := NewTable(nil)
+	tb := NewTable(FIFO(), nil)
 	m := tb.Create("lock")
 	tb.Acquire(m, 1, 0)
 	if got := tb.Acquire(m, 1, 1); got.Kind != Acquired {
@@ -51,7 +51,7 @@ func TestReentrancy(t *testing.T) {
 }
 
 func TestContentionAndFIFOHandoff(t *testing.T) {
-	tb := NewTable(nil)
+	tb := NewTable(FIFO(), nil)
 	m := tb.Create("hot")
 	tb.Acquire(m, 1, 0)
 	if got := tb.Acquire(m, 2, 1); got.Kind != Parked {
@@ -84,7 +84,7 @@ func TestContentionAndFIFOHandoff(t *testing.T) {
 }
 
 func TestReleaseByNonOwnerPanics(t *testing.T) {
-	tb := NewTable(nil)
+	tb := NewTable(FIFO(), nil)
 	m := tb.Create("lock")
 	tb.Acquire(m, 1, 0)
 	defer func() {
@@ -96,7 +96,7 @@ func TestReleaseByNonOwnerPanics(t *testing.T) {
 }
 
 func TestTableTotals(t *testing.T) {
-	tb := NewTable(nil)
+	tb := NewTable(FIFO(), nil)
 	a, b := tb.Create("a"), tb.Create("b")
 	tb.Acquire(a, 1, 0)
 	tb.Acquire(b, 1, 0)
@@ -139,7 +139,7 @@ func (r *recordingListener) OnRelease(m *Monitor, t ThreadID, held sim.Time) {
 
 func TestListenerEvents(t *testing.T) {
 	rec := &recordingListener{}
-	tb := NewTable(rec)
+	tb := NewTable(FIFO(), rec)
 	m := tb.Create("observed")
 	tb.Acquire(m, 1, 100)
 	tb.Acquire(m, 2, 150) // blocks
@@ -160,7 +160,7 @@ func TestListenerEvents(t *testing.T) {
 // only ever changed by a release, and handoffs follow strict FIFO order.
 func TestMutualExclusionProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
-		tb := NewTable(nil)
+		tb := NewTable(FIFO(), nil)
 		m := tb.Create("prop")
 		const nThreads = 5
 		// held tracks which threads think they hold or wait on the lock.
@@ -227,7 +227,7 @@ func TestMutualExclusionProperty(t *testing.T) {
 // contentions never exceed acquisitions.
 func TestCounterConsistencyProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
-		tb := NewTable(nil)
+		tb := NewTable(FIFO(), nil)
 		m := tb.Create("ctr")
 		held := map[ThreadID]bool{}
 		waiting := map[ThreadID]bool{}

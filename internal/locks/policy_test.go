@@ -27,7 +27,7 @@ func TestPolicyRegistry(t *testing.T) {
 }
 
 func TestBargingWakesAllAndFirstRetryWins(t *testing.T) {
-	tb := NewTableWithPolicy(mustPolicy(t, PolicyBarging), nil)
+	tb := NewTable(mustPolicy(t, PolicyBarging), nil)
 	m := tb.Create("hot")
 	tb.Acquire(m, 1, 0)
 	if got := tb.Acquire(m, 2, 10); got.Kind != Parked {
@@ -78,7 +78,7 @@ func TestBargingWakesAllAndFirstRetryWins(t *testing.T) {
 
 func TestBargingHandoffListenerWait(t *testing.T) {
 	rec := &recordingListener{}
-	tb := NewTableWithPolicy(mustPolicy(t, PolicyBarging), rec)
+	tb := NewTable(mustPolicy(t, PolicyBarging), rec)
 	m := tb.Create("observed")
 	tb.Acquire(m, 1, 100)
 	tb.Acquire(m, 2, 150) // raw contended attempt
@@ -95,7 +95,7 @@ func TestBargingHandoffListenerWait(t *testing.T) {
 }
 
 func TestSpinThenParkSuccessfulSpin(t *testing.T) {
-	tb := NewTableWithPolicy(SpinThenPark(1*sim.Microsecond), nil)
+	tb := NewTable(SpinThenPark(1*sim.Microsecond), nil)
 	m := tb.Create("hot")
 	tb.Acquire(m, 1, 0)
 	got := tb.Acquire(m, 2, 10)
@@ -128,7 +128,7 @@ func TestSpinThenParkSuccessfulSpin(t *testing.T) {
 }
 
 func TestSpinThenParkReservationOrder(t *testing.T) {
-	tb := NewTableWithPolicy(SpinThenPark(1*sim.Microsecond), nil)
+	tb := NewTable(SpinThenPark(1*sim.Microsecond), nil)
 	m := tb.Create("hot")
 	tb.Acquire(m, 1, 0)
 	tb.Acquire(m, 2, 10) // spinning since t=10
@@ -155,7 +155,7 @@ func TestSpinThenParkReservationOrder(t *testing.T) {
 }
 
 func TestSpinThenParkFailedSpinParksOnce(t *testing.T) {
-	tb := NewTableWithPolicy(SpinThenPark(1*sim.Microsecond), nil)
+	tb := NewTable(SpinThenPark(1*sim.Microsecond), nil)
 	m := tb.Create("hot")
 	tb.Acquire(m, 1, 0)
 	if got := tb.Acquire(m, 2, 10); got.Kind != Spinning {
@@ -201,7 +201,7 @@ func (respinPolicy) Released(tb *Table, m *Monitor, now sim.Time) Handoff {
 // reservation-eligible, or a release during its second spin window would
 // leave the monitor free for a latecomer to steal.
 func TestRespinStaysReservationEligible(t *testing.T) {
-	tb := NewTableWithPolicy(respinPolicy{}, nil)
+	tb := NewTable(respinPolicy{}, nil)
 	m := tb.Create("hot")
 	tb.Acquire(m, 1, 0)
 	if got := tb.Acquire(m, 2, 10); got.Kind != Spinning {
@@ -223,7 +223,7 @@ func TestRespinStaysReservationEligible(t *testing.T) {
 }
 
 func TestRestrictedGatesExcessThreads(t *testing.T) {
-	tb := NewTableWithPolicy(Restricted(2), nil)
+	tb := NewTable(Restricted(2), nil)
 	m := tb.Create("hot")
 	tb.Acquire(m, 1, 0)
 	// Thread 2 joins the circulating set (owner + 1 waiter = cap).
@@ -259,7 +259,7 @@ func TestRestrictedGatesExcessThreads(t *testing.T) {
 }
 
 func TestRestrictedCapOneNeverFiresProbe(t *testing.T) {
-	tb := NewTableWithPolicy(Restricted(1), nil)
+	tb := NewTable(Restricted(1), nil)
 	m := tb.Create("hot")
 	tb.Acquire(m, 1, 0)
 	tb.Acquire(m, 2, 1)
@@ -283,10 +283,10 @@ func TestRestrictedCapOneNeverFiresProbe(t *testing.T) {
 }
 
 func TestPolicyNameSurfacesOnTable(t *testing.T) {
-	if got := NewTable(nil).PolicyName(); got != PolicyFIFO {
+	if got := NewTable(FIFO(), nil).PolicyName(); got != PolicyFIFO {
 		t.Errorf("default table policy = %q, want fifo", got)
 	}
-	if got := NewTableWithPolicy(Restricted(4), nil).PolicyName(); got != PolicyRestricted {
+	if got := NewTable(Restricted(4), nil).PolicyName(); got != PolicyRestricted {
 		t.Errorf("table policy = %q, want restricted", got)
 	}
 }
@@ -298,7 +298,7 @@ func TestPolicyNameSurfacesOnTable(t *testing.T) {
 // attempt, not the re-park after a lost race.
 func TestContendedFlagTracksProbe(t *testing.T) {
 	t.Run("fifo", func(t *testing.T) {
-		tb := NewTableWithPolicy(mustPolicy(t, PolicyFIFO), nil)
+		tb := NewTable(mustPolicy(t, PolicyFIFO), nil)
 		m := tb.Create("hot")
 		tb.Acquire(m, 1, 0)
 		if out := tb.Acquire(m, 2, 1); out.Kind != Parked || !out.Contended {
@@ -306,7 +306,7 @@ func TestContendedFlagTracksProbe(t *testing.T) {
 		}
 	})
 	t.Run("restricted", func(t *testing.T) {
-		tb := NewTableWithPolicy(Restricted(2), nil)
+		tb := NewTable(Restricted(2), nil)
 		m := tb.Create("hot")
 		tb.Acquire(m, 1, 0)
 		// Thread 2 joins the circulating set (owner + 1 < cap): probe fires.
@@ -322,7 +322,7 @@ func TestContendedFlagTracksProbe(t *testing.T) {
 		}
 	})
 	t.Run("barging re-park", func(t *testing.T) {
-		tb := NewTableWithPolicy(mustPolicy(t, PolicyBarging), nil)
+		tb := NewTable(mustPolicy(t, PolicyBarging), nil)
 		m := tb.Create("hot")
 		tb.Acquire(m, 1, 0)
 		if out := tb.Acquire(m, 2, 1); !out.Contended {

@@ -6,7 +6,7 @@ import (
 )
 
 func TestBiasFastPath(t *testing.T) {
-	tb := NewTable(nil)
+	tb := NewTable(FIFO(), nil)
 	m := tb.Create("lock")
 	if m.State() != StateBiasable {
 		t.Fatalf("fresh monitor state %v, want biasable", m.State())
@@ -28,7 +28,7 @@ func TestBiasFastPath(t *testing.T) {
 }
 
 func TestBiasRevocationOnSecondThread(t *testing.T) {
-	tb := NewTable(nil)
+	tb := NewTable(FIFO(), nil)
 	m := tb.Create("lock")
 	tb.Acquire(m, 1, 0)
 	tb.Release(m, 1, 1)
@@ -53,7 +53,7 @@ func TestBiasRevocationOnSecondThread(t *testing.T) {
 }
 
 func TestInflationOnContention(t *testing.T) {
-	tb := NewTable(nil)
+	tb := NewTable(FIFO(), nil)
 	m := tb.Create("lock")
 	tb.Acquire(m, 1, 0)
 	tb.Acquire(m, 2, 1) // contends while held
@@ -71,7 +71,7 @@ func TestInflationOnContention(t *testing.T) {
 }
 
 func TestBiasedContentionRevokesAndInflates(t *testing.T) {
-	tb := NewTable(nil)
+	tb := NewTable(FIFO(), nil)
 	m := tb.Create("lock")
 	tb.Acquire(m, 1, 0) // biased to 1, held
 	tb.Acquire(m, 2, 1) // revocation + inflation in one step
@@ -87,7 +87,7 @@ func TestBiasedContentionRevokesAndInflates(t *testing.T) {
 // inflated in acquisition order), and at most one revocation per monitor.
 func TestStateEscalationProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
-		tb := NewTable(nil)
+		tb := NewTable(FIFO(), nil)
 		m := tb.Create("prop")
 		held := map[ThreadID]bool{}
 		waiting := map[ThreadID]bool{}

@@ -44,8 +44,9 @@ type Config struct {
 	// LocalAccess is the cost of a memory access that hits the socket's own
 	// node.
 	LocalAccess sim.Time
-	// RemoteAccessPerHop is the additional cost per interconnect hop for an
-	// access to another socket's node.
+	// RemoteAccessPerHop is the additional cost of an access to another
+	// socket's node. Every modeled mesh keeps each socket one hop from
+	// every other, so a remote access pays it once.
 	RemoteAccessPerHop sim.Time
 	// MigrationCost is the scheduling penalty when a thread moves between
 	// cores: cache and TLB refill expressed as a lump sum. Cross-socket
@@ -146,9 +147,8 @@ type Core struct {
 
 // Machine is an instantiated NUMA system.
 type Machine struct {
-	cfg      Config
-	cores    []Core
-	distance func(socketA, socketB int) int
+	cfg   Config
+	cores []Core
 
 	// Memory-bandwidth queueing state, one virtual clock per socket.
 	// bwFree[s] is the virtual time at which socket s's memory channel
@@ -158,15 +158,6 @@ type Machine struct {
 	bwBytes int64
 }
 
-// defaultDistance is the flat HyperTransport-style topology: every socket
-// is one hop from every other.
-func defaultDistance(socketA, socketB int) int {
-	if socketA == socketB {
-		return 0
-	}
-	return 1
-}
-
 // New builds a machine from cfg with every unit enabled. It returns an
 // error if the configuration is invalid, so bad plan- or CLI-supplied
 // configs surface as load errors rather than panics.
@@ -174,11 +165,7 @@ func New(cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Machine{
-		cfg:      cfg,
-		cores:    make([]Core, cfg.TotalCores()),
-		distance: defaultDistance,
-	}
+	m := &Machine{cfg: cfg, cores: make([]Core, cfg.TotalCores())}
 	ups := cfg.UnitsPerSocket()
 	cps := cfg.CoresPerSocket
 	for i := range m.cores {
@@ -196,27 +183,6 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.SocketBandwidth > 0 {
 		m.bwFree = make([]sim.Time, cfg.Sockets)
 	}
-	return m, nil
-}
-
-// MustNew is New for static presets and tests where the configuration is
-// known valid; it panics on error.
-func MustNew(cfg Config) *Machine {
-	m, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// NewFromModel builds a machine from a registered model, installing the
-// model's Distance topology hook.
-func NewFromModel(mdl Model) (*Machine, error) {
-	m, err := New(mdl.Config())
-	if err != nil {
-		return nil, fmt.Errorf("machine: model %q: %w", mdl.Name(), err)
-	}
-	m.distance = mdl.Distance
 	return m, nil
 }
 
@@ -269,21 +235,16 @@ func (m *Machine) SocketOf(core int) int { return m.cores[core].Socket }
 // through.
 func (m *Machine) PipelineOf(core int) int { return m.cores[core].Pipeline }
 
-// Distance returns the number of interconnect hops between two sockets.
-// The default topology is the Opteron 6100 HyperTransport mesh, which
-// keeps every socket within one hop of every other: distance is 0 (same
-// socket) or 1 (different socket). Machines built through NewFromModel
-// use the model's topology hook instead, so routed multi-hop systems are
-// expressible.
-func (m *Machine) Distance(socketA, socketB int) int {
-	return m.distance(socketA, socketB)
-}
-
 // MemoryLatency returns the cost of one memory access issued by core
-// against the memory node of socket node.
+// against the memory node of socket node. Every modeled machine is a
+// flat mesh like the Opteron 6100's HyperTransport links, which keep
+// every socket within one hop of every other, so a remote access pays
+// RemoteAccessPerHop once.
 func (m *Machine) MemoryLatency(core, node int) sim.Time {
-	hops := m.Distance(m.cores[core].Socket, node)
-	return m.cfg.LocalAccess + sim.Time(hops)*m.cfg.RemoteAccessPerHop
+	if m.cores[core].Socket == node {
+		return m.cfg.LocalAccess
+	}
+	return m.cfg.LocalAccess + m.cfg.RemoteAccessPerHop
 }
 
 // RemotePenalty returns the multiplicative slowdown a thread suffers when

@@ -54,7 +54,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 }
 
 func TestSocketAssignment(t *testing.T) {
-	m := MustNew(Opteron6168())
+	m := mustNew(t, Opteron6168())
 	for i := 0; i < m.NumCores(); i++ {
 		want := i / 12
 		if got := m.SocketOf(i); got != want {
@@ -71,7 +71,7 @@ func TestSocketAssignment(t *testing.T) {
 }
 
 func TestCMTUnitLayout(t *testing.T) {
-	m := MustNew(SparcT3_4())
+	m := mustNew(t, SparcT3_4())
 	cps, ups := 16, 128
 	for i := 0; i < m.NumCores(); i++ {
 		c := m.Core(i)
@@ -99,7 +99,7 @@ func TestCMTUnitLayout(t *testing.T) {
 }
 
 func TestEnableCores(t *testing.T) {
-	m := MustNew(Opteron6168())
+	m := mustNew(t, Opteron6168())
 	if err := m.EnableCores(16); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestEnableCores(t *testing.T) {
 }
 
 func TestEnableCoresRange(t *testing.T) {
-	m := MustNew(Opteron6168())
+	m := mustNew(t, Opteron6168())
 	if err := m.EnableCores(0); err == nil {
 		t.Error("EnableCores(0) accepted")
 	}
@@ -130,67 +130,37 @@ func TestEnableCoresRange(t *testing.T) {
 	}
 }
 
+// TestDistance pins the flat mesh every modeled machine uses: a remote
+// socket is one hop away, so every cross-socket access costs the same,
+// and latency is the same from either end.
 func TestDistance(t *testing.T) {
-	m := MustNew(Opteron6168())
-	if d := m.Distance(2, 2); d != 0 {
-		t.Errorf("same-socket distance = %d, want 0", d)
-	}
-	if d := m.Distance(0, 3); d != 1 {
-		t.Errorf("cross-socket distance = %d, want 1", d)
-	}
-	// Symmetry.
+	cfg := Opteron6168()
+	m := mustNew(t, cfg)
+	local, remote := cfg.LocalAccess, cfg.LocalAccess+cfg.RemoteAccessPerHop
 	for a := 0; a < 4; a++ {
 		for b := 0; b < 4; b++ {
-			if m.Distance(a, b) != m.Distance(b, a) {
-				t.Errorf("Distance(%d,%d) asymmetric", a, b)
+			ca := a * (m.NumCores() / 4) // first core on socket a
+			cb := b * (m.NumCores() / 4)
+			if m.SocketOf(ca) != a || m.SocketOf(cb) != b {
+				t.Fatalf("cores %d, %d are not on sockets %d, %d", ca, cb, a, b)
+			}
+			want := local
+			if a != b {
+				want = remote
+			}
+			if got := m.MemoryLatency(ca, b); got != want {
+				t.Errorf("MemoryLatency(core on socket %d, node %d) = %v, want %v", a, b, got, want)
+			}
+			if m.MemoryLatency(ca, b) != m.MemoryLatency(cb, a) {
+				t.Errorf("latency between sockets %d and %d asymmetric", a, b)
 			}
 		}
 	}
 }
 
-// ringModel is a routed topology: sockets on a ring, distance = minimal
-// hop count around it. Exercises the Distance model hook.
-type ringModel struct{ cfg Config }
-
-func (r ringModel) Name() string   { return "ring-test" }
-func (r ringModel) Config() Config { return r.cfg }
-func (r ringModel) Distance(a, b int) int {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	if wrap := r.cfg.Sockets - d; wrap < d {
-		return wrap
-	}
-	return d
-}
-
-func TestDistanceModelHook(t *testing.T) {
-	cfg := Config{
-		Sockets: 8, CoresPerSocket: 2, MemoryPerNode: 1 << 30,
-		LocalAccess: 60 * sim.Nanosecond, RemoteAccessPerHop: 40 * sim.Nanosecond,
-	}
-	m, err := NewFromModel(ringModel{cfg: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := m.Distance(0, 4); d != 4 {
-		t.Errorf("Distance(0,4) = %d, want 4 (opposite side of ring)", d)
-	}
-	if d := m.Distance(0, 7); d != 1 {
-		t.Errorf("Distance(0,7) = %d, want 1 (wraparound)", d)
-	}
-	// Multi-hop distances compound through the latency model.
-	far := m.MemoryLatency(0, 4)
-	near := m.MemoryLatency(0, 1)
-	if far <= near {
-		t.Errorf("4-hop latency %v not beyond 1-hop %v", far, near)
-	}
-}
-
 func TestMemoryLatency(t *testing.T) {
 	cfg := Opteron6168()
-	m := MustNew(cfg)
+	m := mustNew(t, cfg)
 	local := m.MemoryLatency(0, 0) // core 0 is on socket 0
 	remote := m.MemoryLatency(0, 1)
 	if local != cfg.LocalAccess {
@@ -205,7 +175,7 @@ func TestMemoryLatency(t *testing.T) {
 }
 
 func TestRemotePenalty(t *testing.T) {
-	m := MustNew(Opteron6168())
+	m := mustNew(t, Opteron6168())
 	if p := m.RemotePenalty(0, 0); p != 1 {
 		t.Errorf("local penalty = %v, want 1", p)
 	}
@@ -220,19 +190,10 @@ func TestNewErrorsOnInvalid(t *testing.T) {
 	}
 }
 
-func TestMustNewPanicsOnInvalid(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustNew accepted invalid config")
-		}
-	}()
-	MustNew(Config{})
-}
-
 func TestBillTraffic(t *testing.T) {
 	cfg := Opteron6168()
 	cfg.SocketBandwidth = 1 << 20 // 1 MiB per virtual second
-	m := MustNew(cfg)
+	m := mustNew(t, cfg)
 	if !m.HasBandwidthLimit() {
 		t.Fatal("HasBandwidthLimit = false with SocketBandwidth set")
 	}
@@ -263,7 +224,7 @@ func TestBillTraffic(t *testing.T) {
 }
 
 func TestBillTrafficUnlimited(t *testing.T) {
-	m := MustNew(Opteron6168())
+	m := mustNew(t, Opteron6168())
 	if m.HasBandwidthLimit() {
 		t.Fatal("HasBandwidthLimit = true without SocketBandwidth")
 	}
@@ -273,19 +234,24 @@ func TestBillTrafficUnlimited(t *testing.T) {
 }
 
 // TestModelRegistry checks what only the machine catalog does: each
-// built-in is registered under its own Name, and registration rejects an
-// invalid Config.
+// built-in name resolves to its preset Config, and registration rejects
+// an invalid Config.
 func TestModelRegistry(t *testing.T) {
-	for _, name := range []string{DefaultModel, ModelSparcT3, ModelOpteronBW, ModelOpteronFlat} {
-		mdl, err := Models.Get(name)
+	for name, want := range map[string]Config{
+		DefaultModel:     Opteron6168(),
+		ModelSparcT3:     SparcT3_4(),
+		ModelOpteronBW:   Opteron6168BW(),
+		ModelOpteronFlat: Opteron6168Flat(),
+	} {
+		got, err := Models.Get(name)
 		if err != nil {
 			t.Fatalf("Models.Get(%q): %v", name, err)
 		}
-		if mdl.Name() != name {
-			t.Errorf("model %q reports name %q", name, mdl.Name())
+		if got != want {
+			t.Errorf("model %q = %+v, want %+v", name, got, want)
 		}
 	}
-	if err := Models.Register("bad-config", NewModel("bad-config", Config{})); err == nil {
+	if err := Models.Register("bad-config", Config{}); err == nil {
 		t.Error("invalid model config accepted")
 	}
 }
@@ -324,7 +290,7 @@ func TestTopologyProperty(t *testing.T) {
 		s := int(sockets%8) + 1
 		c := int(cores%16) + 1
 		tpc := int(strands%4) + 1
-		m := MustNew(Config{
+		m := mustNew(t, Config{
 			Sockets: s, CoresPerSocket: c, ThreadsPerCore: tpc,
 			MemoryPerNode: 1 << 30,
 			LocalAccess:   60 * sim.Nanosecond, RemoteAccessPerHop: 40 * sim.Nanosecond,
@@ -353,4 +319,14 @@ func TestTopologyProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+}
+
+// mustNew builds a machine from a configuration the test knows is valid.
+func mustNew(t *testing.T, cfg Config) *Machine {
+	t.Helper()
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }

@@ -5,20 +5,6 @@ import (
 	"javasim/internal/sim"
 )
 
-// Model is a named, registrable machine description: a Config plus the
-// topology hooks a plain Config cannot express. Models are stateless;
-// per-run state (core utilization, bandwidth clocks) lives in the Machine
-// built from one via NewFromModel.
-type Model interface {
-	// Name is the registry key, e.g. "opteron-6168".
-	Name() string
-	// Config returns the machine configuration.
-	Config() Config
-	// Distance returns the number of interconnect hops between two
-	// sockets. Same-socket distance must be 0.
-	Distance(socketA, socketB int) int
-}
-
 // Registry names for the built-in machine models.
 const (
 	// DefaultModel is the paper's testbed, the four-socket Opteron 6168.
@@ -36,22 +22,6 @@ const (
 	// NUMA model contributes.
 	ModelOpteronFlat = "opteron-6168-flat"
 )
-
-// basicModel is a Model with a flat (0/1 hop) topology, sufficient for
-// the built-ins and most user machines.
-type basicModel struct {
-	name string
-	cfg  Config
-}
-
-func (m basicModel) Name() string                      { return m.name }
-func (m basicModel) Config() Config                    { return m.cfg }
-func (m basicModel) Distance(socketA, socketB int) int { return defaultDistance(socketA, socketB) }
-
-// NewModel wraps a Config as a Model with the default flat 0/1 socket
-// distance. Implement the Model interface directly to supply a routed
-// multi-hop topology.
-func NewModel(name string, cfg Config) Model { return basicModel{name: name, cfg: cfg} }
 
 // SparcT3_4 returns the configuration of a four-socket SPARC T3-4: 16
 // cores per socket, 8 strands per core sharing a dual-issue pipeline (512
@@ -91,21 +61,16 @@ func Opteron6168Flat() Config {
 	return cfg
 }
 
-// Models is the machine-model catalog. Models are stateless, so one
-// value serves every lookup; registration rejects an invalid Config. The
-// empty name selects the default model. Results are stored under
-// fingerprints that hold a run's model name, not its topology, so
-// changing a built-in model's configuration needs a store.Version bump.
-var Models = registry.New[Model]("machine model", DefaultModel,
-	func(m Model) error { return m.Config().Validate() })
+// Models is the machine-model catalog: a model is a name and a Config.
+// Registration rejects an invalid Config, and the empty name selects the
+// default model. Results are stored under fingerprints that hold a run's
+// model name, not its topology, so changing a built-in model's
+// configuration needs a store.Version bump.
+var Models = registry.New[Config]("machine model", DefaultModel, Config.Validate)
 
 func init() {
-	for _, m := range []Model{
-		NewModel(DefaultModel, Opteron6168()),
-		NewModel(ModelSparcT3, SparcT3_4()),
-		NewModel(ModelOpteronBW, Opteron6168BW()),
-		NewModel(ModelOpteronFlat, Opteron6168Flat()),
-	} {
-		Models.MustRegister(m.Name(), m)
-	}
+	Models.MustRegister(DefaultModel, Opteron6168())
+	Models.MustRegister(ModelSparcT3, SparcT3_4())
+	Models.MustRegister(ModelOpteronBW, Opteron6168BW())
+	Models.MustRegister(ModelOpteronFlat, Opteron6168Flat())
 }

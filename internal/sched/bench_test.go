@@ -68,7 +68,7 @@ func BenchmarkSchedContinuation(b *testing.B) {
 // arithmetic active.
 func BenchmarkNUMAPenaltyPath(b *testing.B) {
 	s := sim.New()
-	m := machine.MustNew(machine.Opteron6168())
+	m := newMachine(machine.Opteron6168())
 	sc := New(s, m, Config{})
 	th := sc.NewThread("w", 0)
 	th.MemoryIntensity = 0.8

@@ -164,15 +164,12 @@ type Config struct {
 type coreState struct {
 	id      int
 	idx     int // index within Scheduler.cores
-	sched   *Scheduler
 	current *Thread
 	queue   []*Thread
+	// tick fires the core's slice timer. It is bound once in New, so
+	// with the kernel's event pool arming a slice allocates nothing.
+	tick func()
 }
-
-// OnEvent fires the core's slice timer. coreState implements sim.Callback
-// so slice events carry a pre-bound receiver instead of a fresh closure —
-// with the kernel's event pool, arming a slice allocates nothing.
-func (c *coreState) OnEvent() { c.sched.tick(c.idx) }
 
 // Scheduler multiplexes threads onto the machine's enabled cores.
 type Scheduler struct {
@@ -223,7 +220,7 @@ func New(s *sim.Simulator, m *machine.Machine, cfg Config) *Scheduler {
 		idleTotal: make([]sim.Time, len(enabled)),
 	}
 	for i, c := range enabled {
-		sc.cores[i] = coreState{id: c, idx: i, sched: sc}
+		sc.cores[i] = coreState{id: c, idx: i, tick: func() { sc.tick(i) }}
 		sc.idleStart[i] = 0
 	}
 	if cfg.Bias.Groups > 1 && cfg.Bias.PhaseLength <= 0 {
@@ -543,7 +540,7 @@ func (sc *Scheduler) dispatch(idx int) {
 	if slice > quantum {
 		slice = quantum
 	}
-	t.sliceEvent = sc.sim.ScheduleCall(slice, c)
+	t.sliceEvent = sc.sim.Schedule(slice, c.tick)
 }
 
 func (sc *Scheduler) effRemaining(t *Thread) sim.Time {
@@ -640,7 +637,7 @@ func (sc *Scheduler) tick(idx int) {
 	if slice > quantum {
 		slice = quantum
 	}
-	t.sliceEvent = sc.sim.ScheduleCall(slice, c)
+	t.sliceEvent = sc.sim.Schedule(slice, c.tick)
 }
 
 // completeSegment runs the done callback and either continues the thread
@@ -672,7 +669,7 @@ func (sc *Scheduler) completeSegment(t *Thread, idx int) {
 		if slice > quantum {
 			slice = quantum
 		}
-		t.sliceEvent = sc.sim.ScheduleCall(slice, c)
+		t.sliceEvent = sc.sim.Schedule(slice, c.tick)
 		return
 	}
 	c.current = nil

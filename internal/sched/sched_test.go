@@ -8,15 +8,25 @@ import (
 	"javasim/internal/sim"
 )
 
+// newMachine builds a machine from a configuration the test knows is
+// valid.
+func newMachine(cfg machine.Config) *machine.Machine {
+	m, err := machine.New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
 func singleCoreMachine() *machine.Machine {
-	return machine.MustNew(machine.Config{
+	return newMachine(machine.Config{
 		Sockets: 1, CoresPerSocket: 1, MemoryPerNode: 1 << 30,
 		LocalAccess: 65, RemoteAccessPerHop: 45,
 	})
 }
 
 func multiCoreMachine(cores int) *machine.Machine {
-	return machine.MustNew(machine.Config{
+	return newMachine(machine.Config{
 		Sockets: 1, CoresPerSocket: cores, MemoryPerNode: 1 << 30,
 		LocalAccess: 65, RemoteAccessPerHop: 45,
 	})
@@ -231,7 +241,7 @@ func TestDoubleSubmitPanics(t *testing.T) {
 
 func TestMigrationAccounting(t *testing.T) {
 	s := sim.New()
-	m := machine.MustNew(machine.Config{
+	m := newMachine(machine.Config{
 		Sockets: 2, CoresPerSocket: 1, MemoryPerNode: 1 << 30,
 		LocalAccess: 65, RemoteAccessPerHop: 45, MigrationCost: 10 * sim.Microsecond,
 	})
@@ -264,7 +274,7 @@ func TestMigrationAccounting(t *testing.T) {
 
 func TestNUMAPenaltySlowsRemotePlacement(t *testing.T) {
 	s := sim.New()
-	m := machine.MustNew(machine.Config{
+	m := newMachine(machine.Config{
 		Sockets: 2, CoresPerSocket: 1, MemoryPerNode: 1 << 30,
 		LocalAccess: 50, RemoteAccessPerHop: 50, // remote = 2x local
 	})
@@ -410,7 +420,7 @@ func TestConservationProperty(t *testing.T) {
 // thread is live on its core.
 func TestCMTDispatchRespectsEnabledUnits(t *testing.T) {
 	f := func(nSeed, thSeed uint8) bool {
-		m := machine.MustNew(machine.Config{
+		m := newMachine(machine.Config{
 			Sockets: 2, CoresPerSocket: 4, ThreadsPerCore: 4, IssueWidth: 2,
 			MemoryPerNode: 1 << 30, LocalAccess: 65, RemoteAccessPerHop: 45,
 		})

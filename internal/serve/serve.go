@@ -55,9 +55,6 @@ type Options struct {
 	// MaxJobs bounds concurrently running plans; submissions beyond it
 	// get 429. Zero means DefaultMaxJobs.
 	MaxJobs int
-	// Retain bounds how many finished jobs stay listable before the
-	// oldest are evicted. Zero means DefaultRetain.
-	Retain int
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -66,9 +63,9 @@ type Options struct {
 // is zero.
 const DefaultMaxJobs = 16
 
-// DefaultRetain is the finished-job retention when Options.Retain is
-// zero.
-const DefaultRetain = 64
+// retainJobs bounds how many finished jobs stay listable before the
+// oldest are evicted.
+const retainJobs = 64
 
 // eventBufferCap bounds the per-job replay buffer. A plan produces a few
 // events per sweep point, so this comfortably covers realistic matrices;
@@ -82,7 +79,6 @@ type Server struct {
 	eng     *core.Engine
 	st      *store.Store
 	maxJobs int
-	retain  int
 	logf    func(string, ...any)
 
 	mu       sync.Mutex
@@ -103,15 +99,11 @@ func New(opts Options) (*Server, error) {
 		eng:     opts.Engine,
 		st:      opts.Store,
 		maxJobs: opts.MaxJobs,
-		retain:  opts.Retain,
 		logf:    opts.Logf,
 		jobs:    make(map[string]*job),
 	}
 	if s.maxJobs <= 0 {
 		s.maxJobs = DefaultMaxJobs
-	}
-	if s.retain <= 0 {
-		s.retain = DefaultRetain
 	}
 	if s.logf == nil {
 		s.logf = func(string, ...any) {}
@@ -365,12 +357,12 @@ func (s *Server) evictLocked() {
 			finished++
 		}
 	}
-	if finished <= s.retain {
+	if finished <= retainJobs {
 		return
 	}
 	keep := s.order[:0]
 	for _, id := range s.order {
-		if finished > s.retain && s.jobs[id].snapshotState() != StateRunning {
+		if finished > retainJobs && s.jobs[id].snapshotState() != StateRunning {
 			delete(s.jobs, id)
 			finished--
 			continue

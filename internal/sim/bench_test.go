@@ -23,24 +23,26 @@ func BenchmarkEventThroughput(b *testing.B) {
 	}
 }
 
-type benchCallback struct {
+type benchTicker struct {
 	s     *Simulator
 	fired int
+	tick  func() // bound once, like the scheduler's slice timers
 }
 
-func (c *benchCallback) OnEvent() {
+func (c *benchTicker) onTick() {
 	c.fired++
-	c.s.ScheduleCall(100, c)
+	c.s.Schedule(100, c.tick)
 }
 
 // BenchmarkSimSchedule measures the allocation-free hot path: a pooled
-// event record carrying a pre-bound Callback, scheduled and fired through
-// a warm heap. Steady state must report zero allocs/op.
+// event record carrying a func bound once, scheduled and fired through a
+// warm heap. Steady state must report zero allocs/op.
 func BenchmarkSimSchedule(b *testing.B) {
 	s := New()
-	cb := &benchCallback{s: s}
+	c := &benchTicker{s: s}
+	c.tick = c.onTick
 	for i := 0; i < 64; i++ {
-		s.ScheduleCall(Time(i), cb)
+		s.Schedule(Time(i), c.tick)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -61,33 +61,34 @@ func TestRecycledEventNeverFiresStaleClosure(t *testing.T) {
 	}
 }
 
-type countingCallback struct{ n int }
+type counter struct{ n int }
 
-func (c *countingCallback) OnEvent() { c.n++ }
+func (c *counter) fire() { c.n++ }
 
-func TestScheduleCallFiresPreBoundReceiver(t *testing.T) {
+func TestScheduleFiresPreBoundFunc(t *testing.T) {
 	s := New()
-	cb := &countingCallback{}
-	s.ScheduleCall(5, cb)
-	s.ScheduleCall(7, cb)
-	ev := s.ScheduleCall(9, cb)
+	c := &counter{}
+	fire := c.fire
+	s.Schedule(5, fire)
+	s.Schedule(7, fire)
+	ev := s.Schedule(9, fire)
 	s.Cancel(ev)
 	s.Run()
-	if cb.n != 2 {
-		t.Errorf("OnEvent fired %d times, want 2", cb.n)
+	if c.n != 2 {
+		t.Errorf("fired %d times, want 2", c.n)
 	}
 	if s.Now() != 7 {
 		t.Errorf("Now = %v, want 7", s.Now())
 	}
 }
 
-func TestScheduleCallNilPanics(t *testing.T) {
+func TestScheduleNilPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic for nil callback")
+			t.Fatal("expected panic for nil function")
 		}
 	}()
-	New().ScheduleCall(1, nil)
+	New().Schedule(1, nil)
 }
 
 func TestNextEventAt(t *testing.T) {
@@ -192,14 +193,14 @@ func TestPoolChurnDeterminismProperty(t *testing.T) {
 // schedule/fire cycle through the pool allocates nothing.
 func TestPoolSteadyStateAllocFree(t *testing.T) {
 	s := New()
-	cb := &countingCallback{}
+	fire := (&counter{}).fire
 	// Warm the pool and the queue's backing array.
 	for i := 0; i < 64; i++ {
-		s.ScheduleCall(Time(i), cb)
+		s.Schedule(Time(i), fire)
 	}
 	s.Run()
 	allocs := testing.AllocsPerRun(1000, func() {
-		s.ScheduleCall(1, cb)
+		s.Schedule(1, fire)
 		s.Step()
 	})
 	if allocs != 0 {

@@ -6,9 +6,9 @@
 // order, breaking ties by scheduling order (FIFO), which keeps runs
 // bit-for-bit reproducible for a fixed seed and configuration.
 //
-// Event records are pooled (see Event) and callbacks may be pre-bound
-// Callback receivers instead of closures (see ScheduleCall), so the
-// steady-state schedule/fire cycle performs zero heap allocations.
+// Event records are pooled (see Event), so scheduling a func bound once
+// (a method value or closure built at setup, not per event) makes the
+// steady-state schedule/fire cycle perform zero heap allocations.
 package sim
 
 import "fmt"
@@ -43,7 +43,7 @@ func (t Time) String() string {
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 // Event is a scheduled callback. The zero value is not useful; events are
-// created through Simulator.Schedule, At, or their Call variants.
+// created through Simulator.Schedule or At.
 //
 // Event records are pooled: once an event fires or is canceled, its record
 // returns to the simulator's free list and the next Schedule/At reuses it.
@@ -54,26 +54,10 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 type Event struct {
 	at       Time
 	seq      uint64
-	cb       Callback
+	fn       func()
 	index    int // position in the heap, -1 once removed
 	canceled bool
 }
-
-// Callback is the closure-free form of an event callback: a pre-bound
-// receiver whose OnEvent method fires. Components that schedule on the hot
-// path implement it once (receiver + method, no per-event closure) and
-// pass themselves to ScheduleCall/AtCall, which — combined with the event
-// pool — makes scheduling allocation-free.
-type Callback interface {
-	OnEvent()
-}
-
-// funcCallback adapts a closure to Callback, so every event fires one
-// way. A func value is one pointer word, so the conversion to the
-// interface does not allocate.
-type funcCallback func()
-
-func (f funcCallback) OnEvent() { f() }
 
 // At reports the virtual time at which the event fires.
 func (e *Event) At() Time { return e.at }
@@ -113,6 +97,8 @@ func (s *Simulator) Pending() int { return s.queue.Len() }
 // legal and fires after all events already scheduled for the current
 // instant. Schedule panics if delay is negative: simulated components never
 // travel backwards in time, so a negative delay is always a logic bug.
+// With a pooled event record, scheduling a func bound once performs zero
+// allocations.
 func (s *Simulator) Schedule(delay Time, fn func()) *Event {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", delay))
@@ -121,37 +107,12 @@ func (s *Simulator) Schedule(delay Time, fn func()) *Event {
 }
 
 // At registers fn to run at absolute time t, which must not be in the past.
+// It takes a record from the pool (or allocates the first time) and stamps
+// it with the firing time and the next sequence number.
 func (s *Simulator) At(t Time, fn func()) *Event {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	return s.AtCall(t, funcCallback(fn))
-}
-
-// ScheduleCall is Schedule with a pre-bound Callback instead of a closure:
-// cb.OnEvent fires delay nanoseconds from now. With a pooled event record
-// and no closure to capture, the call performs zero allocations.
-func (s *Simulator) ScheduleCall(delay Time, cb Callback) *Event {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", delay))
-	}
-	return s.AtCall(s.now+delay, cb)
-}
-
-// AtCall is At with a pre-bound Callback instead of a closure.
-func (s *Simulator) AtCall(t Time, cb Callback) *Event {
-	if cb == nil {
-		panic("sim: nil event callback")
-	}
-	ev := s.newEvent(t)
-	ev.cb = cb
-	s.queue.Push(ev)
-	return ev
-}
-
-// newEvent takes a record from the pool (or allocates the first time) and
-// stamps it with the firing time and the next sequence number.
-func (s *Simulator) newEvent(t Time) *Event {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, s.now))
 	}
@@ -165,15 +126,16 @@ func (s *Simulator) newEvent(t Time) *Event {
 	} else {
 		ev = &Event{}
 	}
-	ev.at, ev.seq = t, s.seq
+	ev.at, ev.seq, ev.fn = t, s.seq, fn
+	s.queue.Push(ev)
 	return ev
 }
 
-// recycle clears a record's callbacks and returns it to the pool. The
+// recycle clears a record's callback and returns it to the pool. The
 // canceled flag is deliberately left as-is so Canceled() stays truthful
-// until the record is reused (newEvent resets it).
+// until the record is reused (At resets it).
 func (s *Simulator) recycle(ev *Event) {
-	ev.cb = nil
+	ev.fn = nil
 	s.free = append(s.free, ev)
 }
 
@@ -203,7 +165,7 @@ func (s *Simulator) Step() bool {
 	}
 	s.now = ev.at
 	s.executed++
-	ev.cb.OnEvent()
+	ev.fn()
 	// Recycle after the callback so a Cancel of the just-fired event from
 	// inside its own callback still sees index == -1 and no-ops.
 	s.recycle(ev)

@@ -9,9 +9,10 @@
 //
 // Arrival processes are pluggable through a string-keyed registry, like
 // lock policies and scheduler placements: "poisson" (memoryless),
-// "bursty" (an MMPP-style on/off modulation), "diurnal" (a sinusoidal
-// rate curve sampled by thinning), and "closed" (the adapter that
-// selects the existing closed-loop model). All draws come from forked
+// "bursty" (an MMPP-style on/off modulation) and "diurnal" (a sinusoidal
+// rate curve sampled by thinning). The name "closed" is not a process: a
+// Config naming it, like the zero Config, selects the existing
+// closed-loop model (see Config.Open). All draws come from forked
 // sim.Rand streams, so runs stay bit-for-bit reproducible per seed.
 package traffic
 
@@ -35,8 +36,6 @@ type Process interface {
 }
 
 // Factory builds a Process for one run from its canonicalized Config.
-// A nil Process (with nil error) selects the closed-loop model — that
-// is how the "closed" adapter defers to the existing machinery.
 type Factory func(cfg Config) (Process, error)
 
 // Built-in process names.
@@ -51,8 +50,9 @@ const (
 	// ProcessDiurnal modulates the rate along a sinusoid of period 2s
 	// and relative amplitude 0.8, sampled by thinning.
 	ProcessDiurnal = "diurnal"
-	// ProcessClosed is the adapter onto today's closed-loop model: the
-	// run executes exactly as if no Traffic block were configured.
+	// ProcessClosed names the closed-loop model rather than a registered
+	// process: the run executes exactly as if no Traffic block were
+	// configured.
 	ProcessClosed = "closed"
 )
 
@@ -105,7 +105,7 @@ func (c Config) Open() bool {
 // Canonical returns the form two configs must be compared in to decide
 // whether they describe the same run. A closed config (empty or
 // "closed") canonicalizes to the zero value, so a run that spells out
-// the closed adapter shares its cache entry — and its Result — with a
+// "closed" shares its cache entry — and its Result — with a
 // plain closed-loop run; an open config is already canonical.
 func (c Config) Canonical() Config {
 	if !c.Open() {
@@ -136,12 +136,11 @@ func (c Config) Validate() error {
 
 // Processes is the arrival-process catalog. Factories receive the
 // canonicalized config and mint a fresh Process per run (processes hold
-// per-run state). The empty name selects the closed-loop adapter.
-var Processes = registry.New[Factory]("arrival process", ProcessClosed, nil)
+// per-run state). It has no default: the closed loop is not a process,
+// and Config.Open decides whether a run looks a process up at all.
+var Processes = registry.New[Factory]("arrival process", "", nil)
 
-// NewProcess builds the named process from the canonicalized cfg. The
-// "closed" adapter returns a nil Process: the caller runs the existing
-// closed-loop model.
+// NewProcess builds the named process from the canonicalized cfg.
 func NewProcess(name string, cfg Config) (Process, error) {
 	factory, err := Processes.Get(name)
 	if err != nil {
@@ -154,7 +153,6 @@ func init() {
 	Processes.MustRegister(ProcessPoisson, newPoisson)
 	Processes.MustRegister(ProcessBursty, newBursty)
 	Processes.MustRegister(ProcessDiurnal, newDiurnal)
-	Processes.MustRegister(ProcessClosed, func(Config) (Process, error) { return nil, nil })
 }
 
 // --- Poisson ------------------------------------------------------------

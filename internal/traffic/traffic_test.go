@@ -107,15 +107,22 @@ func TestBurstyModulates(t *testing.T) {
 	}
 }
 
-// TestClosedAdapter verifies the closed adapter returns a nil process —
-// the signal to run the existing closed-loop model.
+// TestClosedAdapter verifies that "closed" selects the closed loop
+// through Config.Open, not through the registry: it names no process,
+// and a config naming it is closed and valid.
 func TestClosedAdapter(t *testing.T) {
-	p, err := NewProcess(ProcessClosed, Config{Process: ProcessClosed})
-	if err != nil {
-		t.Fatalf("closed adapter: %v", err)
+	if _, err := NewProcess(ProcessClosed, Config{Process: ProcessClosed}); err == nil {
+		t.Error(`"closed" resolved to a registered process`)
 	}
-	if p != nil {
-		t.Fatalf("closed adapter returned non-nil process %T", p)
+	if _, err := NewProcess("", Config{}); err == nil {
+		t.Error("the empty name resolved to a registered process")
+	}
+	c := Config{Process: ProcessClosed, RatePerSec: 100}
+	if c.Open() {
+		t.Error(`a config naming "closed" is open`)
+	}
+	if err := c.Validate(); err != nil {
+		t.Errorf(`a config naming "closed" is invalid: %v`, err)
 	}
 }
 

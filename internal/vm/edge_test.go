@@ -7,6 +7,7 @@ import (
 
 	"javasim/internal/gc"
 	"javasim/internal/sim"
+	"javasim/internal/traffic"
 	"javasim/internal/workload"
 )
 
@@ -199,5 +200,22 @@ func TestTTSPBoundedUnderBias(t *testing.T) {
 	// baseline and far below the phase length.
 	if biasPer > cfg.Sched.Bias.PhaseLength/4 {
 		t.Errorf("per-GC TTSP under bias %v approaches phase length (baseline %v)", biasPer, basePer)
+	}
+}
+
+// TestArrivalFactoryWithoutProcessFails: an open-named arrival factory
+// that returns neither a process nor an error is a configuration error,
+// not a silent fall-back to the closed loop.
+func TestArrivalFactoryWithoutProcessFails(t *testing.T) {
+	const name = "test-no-process"
+	// The catalog is process-global, so a repeated run (go test -count=2)
+	// finds the entry already there.
+	err := traffic.Processes.Register(name, func(traffic.Config) (traffic.Process, error) { return nil, nil })
+	if err != nil && !strings.Contains(err.Error(), "already registered") {
+		t.Fatal(err)
+	}
+	_, err = Run(openServer(), openCfg(name, 100000))
+	if err == nil || !strings.Contains(err.Error(), name) {
+		t.Fatalf("run with a nil arrival process: err = %v, want an error naming %q", err, name)
 	}
 }

@@ -64,13 +64,12 @@ func (v *vm) startNextIteration() {
 	}
 
 	v.iteration++
-	run, err := workload.NewRun(v.spec, v.cfg.Threads, v.cfg.Seed+uint64(v.iteration)*0x9E3779B9)
+	run, err := workload.NewRun(v.spec, v.cfg.Threads, v.cfg.Seed+uint64(v.iteration)*iterSeedStride)
 	if err != nil {
 		// The spec already validated for iteration zero; this cannot fail.
 		v.fail(fmt.Errorf("vm: iteration %d setup: %w", v.iteration, err))
 		return
 	}
-	run.ReuseUnitBuffers()
 	if v.snap != nil && v.iteration < len(v.snap.tapes) {
 		run.AttachTape(v.snap.tapes[v.iteration])
 	}

@@ -112,7 +112,7 @@ func TestPipelineSharingSlowsOversubscribedCores(t *testing.T) {
 	if machine.Models.Validate(wideModel) != nil {
 		wide := machine.SparcT3_4()
 		wide.IssueWidth = wide.ThreadsPerCore // every strand gets an issue slot
-		machine.Models.MustRegister(wideModel, machine.NewModel(wideModel, wide))
+		machine.Models.MustRegister(wideModel, wide)
 	}
 
 	shared, err := Run(smallSpec(), Config{Threads: 48, Seed: 42, MachineName: machine.ModelSparcT3})

@@ -52,13 +52,11 @@ var snapshotObserver func()
 // tape per iteration. It is safe to share across concurrently executing
 // runs.
 type Snapshot struct {
-	spec  workload.Spec
-	seed  uint64
 	tapes []*workload.Tape
 }
 
-// iterSeedStride derives iteration i's seed as Seed + i*stride; it must
-// match startNextIteration.
+// iterSeedStride derives iteration i's seed as Seed + i*stride, for the
+// live run (startNextIteration) and its tape alike.
 const iterSeedStride = 0x9E3779B9
 
 // maxTapeUnits caps a tape's unit count: ~118 B of packed draws per unit
@@ -111,17 +109,7 @@ func (k SnapshotKey) snapshot() (*Snapshot, error) {
 		}
 		tapes[i] = t
 	}
-	return &Snapshot{spec: k.Spec, seed: k.Seed, tapes: tapes}, nil
-}
-
-// Matches reports whether the snapshot can warm-start a run of (spec,
-// cfg): same spec and same base seed. Correctness does not hinge on
-// this check — Run.AttachTape re-verifies (spec, seed) per iteration
-// and falls back to live generation on mismatch — it only avoids
-// pointless attach attempts (e.g. a sweep's repeat runs under derived
-// seeds).
-func (s *Snapshot) Matches(spec workload.Spec, cfg Config) bool {
-	return s != nil && spec == s.spec && cfg.Seed == s.seed
+	return &Snapshot{tapes: tapes}, nil
 }
 
 // Iterations returns the number of per-iteration tapes held.

@@ -111,8 +111,8 @@ func (c Config) withDefaults() Config {
 	if c.Cores == 0 {
 		c.Cores = c.Threads
 		// Unknown machine names are rejected by RunContext.
-		if mdl, err := machine.Models.Get(c.MachineName); err == nil {
-			c.Cores = min(c.Cores, mdl.Config().TotalCores())
+		if mc, err := machine.Models.Get(c.MachineName); err == nil {
+			c.Cores = min(c.Cores, mc.TotalCores())
 		}
 	}
 	c.HeapFactor = heap.Config{Factor: c.HeapFactor}.WithDefaults().Factor
@@ -463,6 +463,12 @@ func runContext(ctx context.Context, spec workload.Spec, cfg Config, fuse bool, 
 		return nil, fmt.Errorf("vm: %w", err)
 	}
 	policy, gcPolicy := newPolicy(), newGCPolicy()
+	if policy == nil {
+		return nil, fmt.Errorf("vm: lock policy %q built no policy", cfg.LockPolicy)
+	}
+	if gcPolicy == nil {
+		return nil, fmt.Errorf("vm: gc policy %q built no policy", cfg.GCPolicy)
+	}
 	if err := cfg.Traffic.Validate(); err != nil {
 		return nil, fmt.Errorf("vm: %w", err)
 	}
@@ -478,28 +484,29 @@ func runContext(ctx context.Context, spec workload.Spec, cfg Config, fuse bool, 
 		if err != nil {
 			return nil, fmt.Errorf("vm: %w", err)
 		}
+		if arrivalProc == nil {
+			return nil, fmt.Errorf("vm: arrival process %q built no process", cfg.Traffic.Process)
+		}
 	}
 	run, err := workload.NewRun(spec, cfg.Threads, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	// The VM consumes each unit fully before its thread takes the next,
-	// so per-thread op-buffer recycling is safe and saves the per-unit
-	// ops allocation.
-	run.ReuseUnitBuffers()
+	// A snapshot serves only runs of its own spec and seed: AttachTape
+	// checks both and leaves a mismatched run generating live.
 	var snap *Snapshot
-	if s := SnapshotFrom(ctx); s.Matches(spec, cfg) {
+	if s := SnapshotFrom(ctx); s != nil && run.AttachTape(s.tapes[0]) {
 		snap = s
-		if run.AttachTape(s.tapes[0]) && snapshotObserver != nil {
+		if snapshotObserver != nil {
 			snapshotObserver()
 		}
 	}
 
-	mdl, err := machine.Models.Get(cfg.MachineName)
+	mc, err := machine.Models.Get(cfg.MachineName)
 	if err != nil {
 		return nil, fmt.Errorf("vm: %w", err)
 	}
-	mach, err := machine.NewFromModel(mdl)
+	mach, err := machine.New(mc)
 	if err != nil {
 		return nil, fmt.Errorf("vm: %w", err)
 	}
@@ -510,7 +517,7 @@ func runContext(ctx context.Context, spec workload.Spec, cfg Config, fuse bool, 
 	// Let the GC policy shape the heap: compartment count and NUMA region
 	// homes. Units are enabled socket-major, so the spanned socket count
 	// is a ceiling division over units (hardware threads) per socket.
-	unitsPerSocket, sockets := mach.Config().UnitsPerSocket(), mach.Config().Sockets
+	unitsPerSocket, sockets := mc.UnitsPerSocket(), mc.Sockets
 	spanned := (cfg.Cores + unitsPerSocket - 1) / unitsPerSocket
 	if spanned > sockets {
 		spanned = sockets
@@ -536,29 +543,17 @@ func runContext(ctx context.Context, spec workload.Spec, cfg Config, fuse bool, 
 	s := sim.New()
 	scheduler := sched.New(s, mach, cfg.Sched)
 
-	// Heap sizing per the paper: Factor x the workload's minimum heap.
-	// TLABs adapt to the eden share per thread, as HotSpot does; with
-	// compartments enabled, each eden slice must accommodate every thread
-	// mapped to it, so the TLAB shrinks accordingly.
-	edenEstimate := int64(float64(spec.MinHeapBytes())*cfg.HeapFactor) / 3 * 8 / 10
-	threadsPerComp := (cfg.Threads + cfg.Compartments - 1) / cfg.Compartments
-	slice := edenEstimate / int64(cfg.Compartments)
-	tlab := slice / int64(threadsPerComp*8)
-	if tlab < 1<<10 {
-		tlab = 1 << 10
-	}
-	if tlab > 64<<10 {
-		tlab = 64 << 10
-	}
+	// Heap sizing per the paper: Factor x the workload's minimum heap,
+	// with TLABs sized to each thread's share of its eden slice.
 	hp := heap.New(heap.Config{
 		MinHeap:      spec.MinHeapBytes(),
 		Factor:       cfg.HeapFactor,
-		TLABSize:     tlab,
+		TLABSize:     heap.TLABSize(spec.MinHeapBytes(), cfg.HeapFactor, cfg.Threads, cfg.Compartments),
 		Compartments: cfg.Compartments,
 	})
 
 	reg := objmodel.NewRegistry()
-	collector := gc.NewWithPolicy(gcPolicy, cfg.GC, hp, reg)
+	collector := gc.New(gcPolicy, cfg.GC, hp, reg)
 	if layout.HomeSockets != nil {
 		collector.SetCopyFactors(numaCopyFactors(mach, spanned, layout))
 	}
@@ -567,7 +562,7 @@ func runContext(ctx context.Context, spec workload.Spec, cfg Config, fuse bool, 
 	if cfg.LockProfiler != nil {
 		lockListener = cfg.LockProfiler
 	}
-	table := locks.NewTableWithPolicy(policy, lockListener)
+	table := locks.NewTable(policy, lockListener)
 
 	v := &vm{
 		cfg: cfg, spec: spec,
@@ -595,8 +590,6 @@ func runContext(ctx context.Context, spec workload.Spec, cfg Config, fuse bool, 
 	v.setupLocks()
 	v.setupPhases()
 	if arrivalProc != nil {
-		// A nil process from an open-named factory (the "closed"
-		// adapter's behavior) falls through to the closed loop.
 		v.setupOpen(arrivalProc)
 	}
 	v.setupMutators()

@@ -12,8 +12,8 @@ import (
 // drainUnits takes every unit from r with a fixed round-robin thread
 // order and returns them in take order. The order is deterministic so
 // two runs drained the same way see the same draw sequence. Each unit's
-// ops are copied out, since a run with ReuseUnitBuffers overwrites them
-// on the thread's next take.
+// ops are copied out, since a run overwrites them on the thread's next
+// take.
 func drainUnits(t *testing.T, r *Run, threads int) []Unit {
 	t.Helper()
 	var units []Unit
@@ -34,45 +34,38 @@ func drainUnits(t *testing.T, r *Run, threads int) []Unit {
 
 // TestTapeReplayMatchesLive pins the warm-start contract at the
 // workload layer: for every registered workload, a run replaying a full
-// tape hands out bit-identical units to a run generating live, whether
-// the runs recycle their op buffers (the VM's mode) or not.
+// tape hands out bit-identical units to a run generating live.
 func TestTapeReplayMatchesLive(t *testing.T) {
 	for _, spec := range registered(t) {
 		spec := spec.Scale(0.05)
-		for _, reuse := range []bool{false, true} {
-			const threads, seed = 4, 7
-			tape, err := BuildTape(spec, seed, 0)
-			if err != nil {
-				t.Fatalf("%s: BuildTape: %v", spec.Name, err)
-			}
-			if tape.Len() != spec.TotalUnits {
-				t.Fatalf("%s: tape holds %d units, want %d", spec.Name, tape.Len(), spec.TotalUnits)
-			}
-			live, err := NewRun(spec, threads, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			taped, err := NewRun(spec, threads, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if reuse {
-				live.ReuseUnitBuffers()
-				taped.ReuseUnitBuffers()
-			}
-			if !taped.AttachTape(tape) {
-				t.Fatalf("%s: AttachTape rejected a matching tape", spec.Name)
-			}
-			lu, tu := drainUnits(t, live, threads), drainUnits(t, taped, threads)
-			if !reflect.DeepEqual(lu, tu) {
-				for i := range lu {
-					if !reflect.DeepEqual(lu[i], tu[i]) {
-						t.Fatalf("%s (reuse %v): unit %d differs under tape replay:\n  live: %+v\n  tape: %+v",
-							spec.Name, reuse, i, lu[i], tu[i])
-					}
+		const threads, seed = 4, 7
+		tape, err := BuildTape(spec, seed, 0)
+		if err != nil {
+			t.Fatalf("%s: BuildTape: %v", spec.Name, err)
+		}
+		if tape.Len() != spec.TotalUnits {
+			t.Fatalf("%s: tape holds %d units, want %d", spec.Name, tape.Len(), spec.TotalUnits)
+		}
+		live, err := NewRun(spec, threads, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		taped, err := NewRun(spec, threads, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !taped.AttachTape(tape) {
+			t.Fatalf("%s: AttachTape rejected a matching tape", spec.Name)
+		}
+		lu, tu := drainUnits(t, live, threads), drainUnits(t, taped, threads)
+		if !reflect.DeepEqual(lu, tu) {
+			for i := range lu {
+				if !reflect.DeepEqual(lu[i], tu[i]) {
+					t.Fatalf("%s: unit %d differs under tape replay:\n  live: %+v\n  tape: %+v",
+						spec.Name, i, lu[i], tu[i])
 				}
-				t.Fatalf("%s (reuse %v): unit sequences differ under tape replay", spec.Name, reuse)
 			}
+			t.Fatalf("%s: unit sequences differ under tape replay", spec.Name)
 		}
 	}
 }
@@ -100,7 +93,6 @@ func TestTapeConcurrentReaders(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.ReuseUnitBuffers()
 		if !r.AttachTape(tape) {
 			t.Fatal("AttachTape rejected a matching tape")
 		}
@@ -135,7 +127,6 @@ func TestTapeDrawsOnlyWhatIsRead(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.ReuseUnitBuffers()
 		r.AttachTape(tape)
 		for range k {
 			r.Take(0)

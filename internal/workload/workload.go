@@ -347,12 +347,11 @@ type Run struct {
 
 	unitsTaken []int64 // per-thread work counter, for the §III table
 
-	// draws is the scratch record draw fills for each unit.
-	// reuse/scratch: opt-in per-thread op-buffer recycling (see
-	// ReuseUnitBuffers). tape/tapePos: optional tape unit source (see
-	// AttachTape); chunk is the tape chunk holding unit tapePos.
+	// draws is the scratch record draw fills for each unit. scratch is
+	// each thread's recycled op buffer (see Take). tape/tapePos: optional
+	// tape unit source (see AttachTape); chunk is the tape chunk holding
+	// unit tapePos.
 	draws   unitDraws
-	reuse   bool
 	scratch [][]Op
 	tape    *Tape
 	tapePos int
@@ -384,6 +383,7 @@ func NewRun(spec Spec, threads int, seed uint64) (*Run, error) {
 		rng:        rng,
 		siteRng:    rng.Fork(0x517E5),
 		unitsTaken: make([]int64, threads),
+		scratch:    make([][]Op, threads),
 	}
 	if spec.SharedLocks > 0 {
 		r.lockPop = sim.NewZipf(r.rng.Fork(0xC0FFEE), spec.SharedLocks, 1.2)
@@ -436,7 +436,10 @@ func (r *Run) Remaining() int {
 }
 
 // Take hands thread tid its next work unit. ok is false when the thread
-// has no more work (for Queue, when the shared pool is empty).
+// has no more work (for Queue, when the shared pool is empty). Each
+// thread has one op buffer, so the unit's ops stay valid only until
+// thread tid takes its next unit; a caller that keeps units must copy
+// them.
 func (r *Run) Take(tid int) (Unit, bool) {
 	if r.spec.Distribution == Queue {
 		if r.queueLeft == 0 {
@@ -457,23 +460,11 @@ func (r *Run) Take(tid int) (Unit, bool) {
 // run's unit pools — open-system mode, where the arrival process (not a
 // fixed total) governs how many units execute. Units draw from the same
 // RNG stream as Take, so a given draw sequence yields identical units
-// in both modes.
+// in both modes. As with Take, the unit's ops stay valid only until
+// thread tid takes its next unit.
 func (r *Run) TakeOpen(tid int) Unit {
 	r.unitsTaken[tid]++
 	return r.nextUnit(tid)
-}
-
-// ReuseUnitBuffers opts the run into recycling one op buffer per thread:
-// each Take/TakeOpen for thread tid overwrites the Unit previously handed
-// to tid. Callers that consume a unit fully before taking the thread's
-// next one (the VM does) save the per-unit ops allocation; callers that
-// retain units across takes must not enable this. Tape-replayed units are
-// recycled the same way: replay decodes each unit into the buffer.
-func (r *Run) ReuseUnitBuffers() {
-	if r.scratch == nil {
-		r.scratch = make([][]Op, r.threads)
-	}
-	r.reuse = true
 }
 
 // AttachTape switches the run's unit source to a warm-start tape. The
@@ -604,16 +595,10 @@ func (r *Run) draw() {
 
 // emit lays one unit's op sequence out from its draws: half the compute
 // budget, the allocation burst, the critical sections against shared
-// locks, then the other half. With ReuseUnitBuffers the ops go into
-// tid's recycled buffer, otherwise into a fresh slice.
+// locks, then the other half. The ops go into tid's recycled buffer.
 func (r *Run) emit(tid int, budget sim.Time, allocs []uint32, locks []int) Unit {
 	s := &r.spec
-	var ops []Op
-	if r.reuse {
-		ops = r.scratch[tid][:0]
-	} else {
-		ops = make([]Op, 0, 2+len(allocs)+3*len(locks))
-	}
+	ops := r.scratch[tid][:0]
 	ops = append(ops, Op{Kind: OpCompute, Dur: budget / 2})
 	for _, w := range allocs {
 		ops = append(ops, unpackAlloc(w, s.AllocGap))
@@ -626,9 +611,7 @@ func (r *Run) emit(tid int, budget sim.Time, allocs []uint32, locks []int) Unit 
 		)
 	}
 	ops = append(ops, Op{Kind: OpCompute, Dur: budget / 2})
-	if r.reuse {
-		r.scratch[tid] = ops // keep grown capacity for tid's next unit
-	}
+	r.scratch[tid] = ops // keep grown capacity for tid's next unit
 	return Unit{Ops: ops}
 }
 

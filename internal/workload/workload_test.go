@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -264,7 +265,8 @@ func TestDeterministicGeneration(t *testing.T) {
 			if !ok {
 				break
 			}
-			units = append(units, u)
+			// A unit's ops are overwritten by the thread's next take.
+			units = append(units, Unit{Ops: slices.Clone(u.Ops)})
 		}
 		return units
 	}

@@ -92,7 +92,6 @@ package javasim
 
 import (
 	"context"
-	"errors"
 	"io"
 
 	"javasim/internal/core"
@@ -475,19 +474,13 @@ func ParallelGCPolicy(alpha float64, syncTax Time) GCPolicy { return gc.StwParal
 // per NUMA socket the enabled cores span).
 func CompartmentGCPolicy(groups int) GCPolicy { return gc.Compartment(groups) }
 
-// Machine-model types. The hardware a run executes on is itself a
-// registry entry: Config.MachineName (or a plan's Machine field) selects
-// a registered model by name, and custom machines join via
-// RegisterMachine.
-type (
-	// MachineModel is a named, registrable hardware description: a
-	// MachineConfig plus the socket-distance topology hook.
-	MachineModel = machine.Model
-	// MachineConfig describes a NUMA machine: sockets, cores, hardware
-	// threads per core sharing an issue pipeline, per-node memory,
-	// access latencies, and an optional per-socket bandwidth ceiling.
-	MachineConfig = machine.Config
-)
+// MachineConfig describes a NUMA machine: sockets, cores, hardware
+// threads per core sharing an issue pipeline, per-node memory, access
+// latencies, and an optional per-socket bandwidth ceiling. The hardware a
+// run executes on is itself a registry entry, a name and a MachineConfig:
+// Config.MachineName (or a plan's Machine field) selects a registered
+// model by name, and custom machines join via RegisterMachine.
+type MachineConfig = machine.Config
 
 // Registry names of the built-in machine models.
 const (
@@ -502,24 +495,15 @@ const (
 	MachineOpteron6168BW = machine.ModelOpteronBW
 )
 
-// RegisterMachine adds a machine model to the registry, making it
-// selectable by name through Config.MachineName, plan files, and
-// cmd/javasim -machine. Models are stateless descriptions (per-run state
-// lives in the machine instantiated from them), names are unique, and
-// registering an existing one — including the built-ins — is an error.
-// Invalid configurations are rejected at registration time.
-func RegisterMachine(m MachineModel) error {
-	if m == nil {
-		return errors.New("nil machine model")
-	}
-	return machine.Models.Register(m.Name(), m)
+// RegisterMachine adds cfg to the machine registry under name, making it
+// selectable through Config.MachineName, plan files, and cmd/javasim
+// -machine. Names are unique, and registering an existing one — including
+// the built-ins — is an error. Invalid configurations are rejected at
+// registration time. Every machine has the flat socket topology: each
+// remote socket is one hop away.
+func RegisterMachine(name string, cfg MachineConfig) error {
+	return machine.Models.Register(name, cfg)
 }
-
-// NewMachineModel wraps a MachineConfig as a registrable model with the
-// default flat socket topology (every remote socket one hop away).
-// Implement the MachineModel interface directly for routed multi-hop
-// systems.
-func NewMachineModel(name string, cfg MachineConfig) MachineModel { return machine.NewModel(name, cfg) }
 
 // MachineNames returns every registered machine-model name in
 // registration order: the three built-ins, then user registrations.
@@ -535,14 +519,14 @@ func MachineNames() []string { return machine.Models.Names() }
 // measurements closed loops cannot express.
 type (
 	// TrafficConfig configures a run's arrival process; the zero value
-	// (or Process "closed") keeps the closed-loop model.
+	// (or Process ArrivalClosed) keeps the closed-loop model.
 	TrafficConfig = traffic.Config
 	// ArrivalProcess generates successive inter-arrival gaps on the
 	// virtual-time axis.
 	ArrivalProcess = traffic.Process
 	// ArrivalFactory builds an ArrivalProcess from a canonicalized
-	// TrafficConfig. Returning a nil Process (and nil error) selects the
-	// closed-loop model.
+	// TrafficConfig. It must return a process or an error: a run whose
+	// factory returns neither fails.
 	ArrivalFactory = traffic.Factory
 	// TrafficStats is the open-system measurement record of one run.
 	TrafficStats = traffic.Stats
@@ -561,8 +545,8 @@ const (
 	// ArrivalDiurnal modulates the rate sinusoidally around the mean —
 	// the load-follows-the-sun shape, compressed to simulation scale.
 	ArrivalDiurnal = traffic.ProcessDiurnal
-	// ArrivalClosed names the closed-loop adapter: selecting it runs the
-	// paper's fixed-thread-pool model unchanged.
+	// ArrivalClosed names the closed loop, not a registered process:
+	// selecting it runs the paper's fixed-thread-pool model unchanged.
 	ArrivalClosed = traffic.ProcessClosed
 )
 

@@ -116,6 +116,36 @@ func TestFacadePolicyRegistries(t *testing.T) {
 	}
 }
 
+// TestNilPolicyFactoryFails checks that a registered lock or GC policy
+// whose factory builds nothing fails the run with an error naming that
+// policy, rather than running some other policy in its place.
+func TestNilPolicyFactoryFails(t *testing.T) {
+	// The catalogs are process-global, so a repeated in-process run
+	// (go test -count=2) finds these entries already there.
+	err := javasim.RegisterLockPolicy("facade-nil-lock", func() javasim.LockPolicy { return nil })
+	if err != nil && !strings.Contains(err.Error(), "already registered") {
+		t.Fatal(err)
+	}
+	err = javasim.RegisterGCPolicy("facade-nil-gc", func() javasim.GCPolicy { return nil })
+	if err != nil && !strings.Contains(err.Error(), "already registered") {
+		t.Fatal(err)
+	}
+	spec, _ := javasim.LookupWorkload("xalan")
+	eng := javasim.NewEngine()
+	for _, c := range []struct {
+		cfg  javasim.Config
+		want string
+	}{
+		{javasim.Config{Threads: 2, Seed: 1, LockPolicy: "facade-nil-lock"}, `lock policy "facade-nil-lock" built no policy`},
+		{javasim.Config{Threads: 2, Seed: 1, GCPolicy: "facade-nil-gc"}, `gc policy "facade-nil-gc" built no policy`},
+	} {
+		_, err := eng.Run(context.Background(), spec.Scale(0.02), c.cfg)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("run error = %v, want one containing %s", err, c.want)
+		}
+	}
+}
+
 // catalog is one name-keyed catalog as TestCatalogs drives it:
 // enumeration and registration through the facade, resolution through
 // the catalog's registry value.
@@ -125,7 +155,7 @@ type catalog struct {
 	def      string // what "" resolves to; "" when the empty name is rejected
 	names    func() []string
 	register func(name string) error // a valid entry under name
-	regNil   func() error            // a nil entry; nil when values cannot be nil
+	regBad   func() error            // an entry Register must reject: nil, or an invalid machine
 	get      func(name string) (any, error)
 }
 
@@ -172,7 +202,7 @@ func TestCatalogs(t *testing.T) {
 			register: func(name string) error {
 				return javasim.RegisterLockPolicy(name, func() javasim.LockPolicy { return javasim.RestrictedPolicy(2) })
 			},
-			regNil: func() error { return javasim.RegisterLockPolicy("catalog-nil", nil) },
+			regBad: func() error { return javasim.RegisterLockPolicy("catalog-nil", nil) },
 			get:    getter(locks.Policies),
 		},
 		{
@@ -185,7 +215,7 @@ func TestCatalogs(t *testing.T) {
 				place, _ := sched.Placements.Get("")
 				return javasim.RegisterPlacement(name, place)
 			},
-			regNil: func() error { return javasim.RegisterPlacement("catalog-nil", nil) },
+			regBad: func() error { return javasim.RegisterPlacement("catalog-nil", nil) },
 			get:    getter(sched.Placements),
 		},
 		{
@@ -197,21 +227,20 @@ func TestCatalogs(t *testing.T) {
 			register: func(name string) error {
 				return javasim.RegisterGCPolicy(name, func() javasim.GCPolicy { return javasim.CompartmentGCPolicy(2) })
 			},
-			regNil: func() error { return javasim.RegisterGCPolicy("catalog-nil", nil) },
+			regBad: func() error { return javasim.RegisterGCPolicy("catalog-nil", nil) },
 			get:    getter(gc.Policies),
 		},
 		{
 			noun: "arrival process",
 			builtins: []string{javasim.ArrivalPoisson, javasim.ArrivalBursty,
-				javasim.ArrivalDiurnal, javasim.ArrivalClosed},
-			def:   javasim.ArrivalClosed,
+				javasim.ArrivalDiurnal},
 			names: javasim.ArrivalProcessNames,
 			register: func(name string) error {
 				return javasim.RegisterArrivalProcess(name, func(javasim.TrafficConfig) (javasim.ArrivalProcess, error) {
 					return nil, nil
 				})
 			},
-			regNil: func() error { return javasim.RegisterArrivalProcess("catalog-nil", nil) },
+			regBad: func() error { return javasim.RegisterArrivalProcess("catalog-nil", nil) },
 			get:    getter(traffic.Processes),
 		},
 		{
@@ -221,9 +250,9 @@ func TestCatalogs(t *testing.T) {
 			def:   javasim.MachineOpteron6168,
 			names: javasim.MachineNames,
 			register: func(name string) error {
-				return javasim.RegisterMachine(javasim.NewMachineModel(name, defaultMachine.Config()))
+				return javasim.RegisterMachine(name, defaultMachine)
 			},
-			regNil: func() error { return javasim.RegisterMachine(nil) },
+			regBad: func() error { return javasim.RegisterMachine("catalog-invalid", javasim.MachineConfig{}) },
 			get:    getter(machine.Models),
 		},
 	}
@@ -274,9 +303,9 @@ func TestCatalogs(t *testing.T) {
 			if err := c.register(""); err == nil {
 				t.Error("empty name registered")
 			}
-			if c.regNil != nil {
-				if err := c.regNil(); err == nil {
-					t.Error("nil entry registered")
+			if c.regBad != nil {
+				if err := c.regBad(); err == nil {
+					t.Error("rejected entry registered")
 				}
 			}
 		})
