@@ -178,11 +178,6 @@ func (s *Sweep) FitUSL() (fit.Fit, error) {
 // within 1.2x, so a 2x threshold splits them with wide margin.
 const DefaultSpeedupThreshold = 2.0
 
-// DefaultEfficiencyFloor is retained for reference in reports; it is not
-// the classification criterion (parallel efficiency at 48 threads falls
-// below any fixed floor even for workloads the paper calls scalable).
-const DefaultEfficiencyFloor = 0.3
-
 // Classification is the §II-C verdict for one workload.
 type Classification struct {
 	Name string
@@ -200,14 +195,17 @@ type Classification struct {
 // Matches reports whether the measured verdict agrees with the paper.
 func (c Classification) Matches() bool { return c.Scalable == c.PaperScalable }
 
-// Classify applies the paper's scalability definition to the sweep.
-func (s *Sweep) Classify(effFloor float64) Classification {
+// Classify applies the paper's scalability definition to the sweep:
+// minSpeedup is the speedup its largest thread count must reach over its
+// smallest (see metrics.ScalingCurve.IsScalable and
+// DefaultSpeedupThreshold).
+func (s *Sweep) Classify(minSpeedup float64) Classification {
 	curve := s.Curve()
 	eff := curve.Efficiency()
 	sp, at := curve.MaxSpeedup()
 	return Classification{
 		Name:            s.Spec.Name,
-		Scalable:        curve.IsScalable(effFloor),
+		Scalable:        curve.IsScalable(minSpeedup),
 		PaperScalable:   workload.Scalable(s.Spec.Name),
 		MaxSpeedup:      sp,
 		AtThreads:       at,

@@ -207,16 +207,17 @@ func (e *Engine) Run(ctx context.Context, spec workload.Spec, cfg vm.Config) (*v
 	}
 	canon := cfg.Canonical()
 	key, _ := canonKey(spec, canon)
-	return e.run(ctx, spec, cfg, canon.Threads, key)
+	return e.run(ctx, spec, cfg, canon.Threads, key, nil)
 }
 
 // run answers a run whose fingerprint is key from the memory tier, an
 // identical run in flight, the disk store, or, failing all three, a
-// simulation; threads is the canonical thread count its events report.
-// A run with no fingerprint (key "") is not cacheable and simulates.
-func (e *Engine) run(ctx context.Context, spec workload.Spec, cfg vm.Config, threads int, key string) (*vm.Result, error) {
+// simulation on arena (nil for a fresh one); threads is the canonical
+// thread count its events report. A run with no fingerprint (key "") is
+// not cacheable and simulates.
+func (e *Engine) run(ctx context.Context, spec workload.Spec, cfg vm.Config, threads int, key string, arena *vm.Arena) (*vm.Result, error) {
 	if key == "" {
-		return e.simulate(ctx, spec, cfg, threads)
+		return e.simulate(ctx, spec, cfg, threads, arena)
 	}
 	hit := func(res *vm.Result, tier *atomic.Int64) *vm.Result {
 		tier.Add(1)
@@ -245,7 +246,7 @@ func (e *Engine) run(ctx context.Context, spec workload.Spec, cfg vm.Config, thr
 					return hit(res, &e.diskHits), nil
 				}
 			}
-			res, err := e.simulate(ctx, spec, cfg, threads)
+			res, err := e.simulate(ctx, spec, cfg, threads, arena)
 			if err == nil {
 				e.cache.put(key, res)
 				if e.store != nil {
@@ -274,9 +275,9 @@ func (e *Engine) run(ctx context.Context, spec workload.Spec, cfg vm.Config, thr
 	}
 }
 
-// simulate acquires a worker slot and runs the VM; threads is the
-// canonical thread count its events report.
-func (e *Engine) simulate(ctx context.Context, spec workload.Spec, cfg vm.Config, threads int) (*vm.Result, error) {
+// simulate acquires a worker slot and runs the VM on arena (nil for a
+// fresh one); threads is the canonical thread count its events report.
+func (e *Engine) simulate(ctx context.Context, spec workload.Spec, cfg vm.Config, threads int, arena *vm.Arena) (*vm.Result, error) {
 	select {
 	case e.sem <- struct{}{}:
 	case <-ctx.Done():
@@ -288,7 +289,7 @@ func (e *Engine) simulate(ctx context.Context, spec workload.Spec, cfg vm.Config
 	}
 	e.emit(ctx, Event{Kind: RunStarted, Workload: spec.Name, Threads: threads, Seed: cfg.Seed})
 	e.simulations.Add(1)
-	res, err := e.runner(ctx, spec, cfg)
+	res, err := e.runner(vm.ContextWithArena(ctx, arena), spec, cfg)
 	fin := Event{Kind: RunFinished, Workload: spec.Name, Threads: threads, Seed: cfg.Seed, Err: err}
 	if res != nil {
 		fin.VirtualTime = res.TotalTime

@@ -264,13 +264,21 @@ func (e *Engine) execute(ctx context.Context, x *execution) error {
 		failed error
 		next   atomic.Int64
 	)
-	work := func() {
+	workers := max(min(e.parallelism, len(x.points)), 1)
+	if x.serial {
+		workers = 1
+	}
+	// Each worker lends the points it simulates one arena in turn, so a
+	// run regrows none of the registry pages, collector lists or death
+	// rings the worker's previous run grew (see vm.Arena).
+	arenas := make([]vm.Arena, workers)
+	work := func(arena *vm.Arena) {
 		for runCtx.Err() == nil {
 			i := int(next.Add(1)) - 1
 			if i >= len(x.points) {
 				return
 			}
-			if err := e.runPoint(x.points[i]); err != nil {
+			if err := e.runPoint(x.points[i], arena); err != nil {
 				mu.Lock()
 				if failed == nil {
 					failed = err
@@ -280,19 +288,15 @@ func (e *Engine) execute(ctx context.Context, x *execution) error {
 			}
 		}
 	}
-	workers := min(e.parallelism, len(x.points))
-	if x.serial {
-		workers = 1
-	}
 	var wg sync.WaitGroup
-	for range workers - 1 {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			work()
+			work(&arenas[w])
 		}()
 	}
-	work()
+	work(&arenas[0])
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return err
@@ -301,12 +305,12 @@ func (e *Engine) execute(ctx context.Context, x *execution) error {
 }
 
 // runPoint runs one point, answering it from the cache tiers when it has
-// a fingerprint (see Engine.run). Finishing a sweep's last point
-// finishes the sweep.
-func (e *Engine) runPoint(pt pointRef) error {
+// a fingerprint (see Engine.run), and simulating it on arena otherwise.
+// Finishing a sweep's last point finishes the sweep.
+func (e *Engine) runPoint(pt pointRef, arena *vm.Arena) error {
 	sw, i := pt.sw, pt.i
 	cfg := sw.point(i)
-	res, err := e.run(sw.ctx, sw.out.Spec, cfg, sw.prints.threads[i], sw.prints.keys[i])
+	res, err := e.run(sw.ctx, sw.out.Spec, cfg, sw.prints.threads[i], sw.prints.keys[i], arena)
 	if err != nil {
 		return sw.pointErr(i, err)
 	}

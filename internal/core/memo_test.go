@@ -298,3 +298,23 @@ func BenchmarkPlanDiskTier(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPlanCold runs PaperPlan cold on a fresh engine each
+// iteration: every point simulates, so the run arena and the collector
+// lists set its allocation. Parallelism 1 runs every point on one worker
+// and one arena in plan order, so allocs/op and B/op are deterministic.
+func BenchmarkPlanCold(b *testing.B) {
+	ctx := context.Background()
+	p := PaperPlan(ExperimentConfig{Scale: 0.05, Seed: 3})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng := NewEngine(WithParallelism(1))
+		if _, err := eng.RunPlan(ctx, p); err != nil {
+			b.Fatal(err)
+		}
+		if cs := eng.CacheStats(); cs.Misses == 0 {
+			b.Fatalf("cold plan simulated nothing: %+v", cs)
+		}
+	}
+}

@@ -195,19 +195,11 @@ type Collector struct {
 
 	// young holds the IDs of young-generation objects per compartment;
 	// old holds promoted objects. Dead entries are filtered at collection
-	// time, exactly when a real collector would discover them.
+	// time, exactly when a real collector would discover them. A
+	// collection compacts each list in place, so allocation after it
+	// appends into retained capacity instead of regrowing from empty.
 	young [][]objmodel.ID
 	old   []objmodel.ID
-
-	// spare is each compartment's second young-list buffer: a minor
-	// collection writes its survivors there and swaps it with the young
-	// list, so allocation after a collection appends into retained
-	// capacity instead of regrowing the list from empty. promoted is the
-	// minor collection's reused promotion scratch; dead holds the slots a
-	// collection drops, freed only once its commit succeeds.
-	spare    [][]objmodel.ID
-	promoted []objmodel.ID
-	dead     []objmodel.ID
 
 	// survBytes tracks each compartment's share of the survivor space.
 	survBytes []int64
@@ -235,7 +227,6 @@ func New(p Policy, cfg Config, h *heap.Heap, reg *objmodel.Registry) *Collector 
 		heap:      h,
 		reg:       reg,
 		young:     make([][]objmodel.ID, h.Compartments()),
-		spare:     make([][]objmodel.ID, h.Compartments()),
 		survBytes: make([]int64, h.Compartments()),
 	}
 }
@@ -264,6 +255,30 @@ func (c *Collector) Stats() Stats { return c.stats }
 // Phases returns the stop-the-world pause time of every recorded pause,
 // split into its phases.
 func (c *Collector) Phases() Breakdown { return c.phases }
+
+// UseBuffers makes young[i] compartment i's young list and old the old
+// list, each emptied, so a collector reuses the capacity an earlier one
+// grew (see Buffers) instead of growing its lists from empty. Lists past
+// the heap's compartment count are dropped, and missing ones start
+// empty. It must be called before the first allocation is registered.
+func (c *Collector) UseBuffers(young [][]objmodel.ID, old []objmodel.ID) {
+	n := len(c.young)
+	if len(young) < n {
+		young = append(young, make([][]objmodel.ID, n-len(young))...)
+	}
+	clear(young[n:])
+	young = young[:n]
+	for i := range young {
+		young[i] = young[i][:0]
+	}
+	c.young, c.old = young, old[:0]
+}
+
+// Buffers returns the collector's young lists and old list, for a later
+// collector's UseBuffers.
+func (c *Collector) Buffers() (young [][]objmodel.ID, old []objmodel.ID) {
+	return c.young, c.old
+}
 
 // OnAlloc registers a freshly allocated object with its compartment's
 // young generation. The VM calls this for every allocation.
@@ -343,18 +358,16 @@ func (c *Collector) parallelTime(sequential sim.Time) sim.Time {
 // CollectMinor runs a minor collection of compartment comp at virtual time
 // now. It returns the pause, or heap.ErrOldGenFull when promotion cannot
 // fit — the caller must run CollectFull and retry.
+//
+// The collection makes two passes over the young list. The first decides
+// the surviving, promoted and reclaimed bytes and writes nothing, so a
+// commit the heap refuses leaves no state to roll back. The second
+// replays the same decisions in the same order: it ages survivors and
+// compacts them into the young list in place, frees dead slots in list
+// order, and appends promotions to the old list.
 func (c *Collector) CollectMinor(comp int, now sim.Time) (Pause, error) {
 	c.notePeak()
 	young := c.young[comp]
-	survivors := c.spare[comp][:0]
-	if cap(survivors) < cap(young) {
-		survivors = make([]objmodel.ID, 0, cap(young))
-	}
-	promoted := c.promoted[:0]
-	dead := c.dead[:0]
-	if cap(dead) < cap(young) {
-		dead = make([]objmodel.ID, 0, cap(young))
-	}
 	var (
 		survivorBytes int64
 		promotedBytes int64
@@ -365,52 +378,45 @@ func (c *Collector) CollectMinor(comp int, now sim.Time) (Pause, error) {
 	// Each compartment may fill only its share of the shared survivor
 	// space, so the aggregate never overflows.
 	survivorCap := c.heap.SurvivorSize() / int64(c.heap.Compartments())
-	// First pass: liveness and aging. Objects are processed in allocation
-	// order; overflow beyond the survivor space promotes regardless of age,
-	// as in HotSpot.
 	for _, id := range young {
 		o := c.reg.Get(id)
 		if !o.Live() {
 			reclaimedObjs++
 			reclaimedB += int64(o.Size)
-			dead = append(dead, id)
 			continue
 		}
 		scanned++
-		o.Age++
-		if o.Age >= c.cfg.TenuringThreshold || survivorBytes+int64(o.Size) > survivorCap {
-			o.Gen = objmodel.Old
-			promoted = append(promoted, id)
+		if c.promotes(o, survivorBytes, survivorCap) {
 			promotedBytes += int64(o.Size)
 			continue
 		}
-		survivors = append(survivors, id)
 		survivorBytes += int64(o.Size)
 	}
 	if err := c.heap.CommitMinor(comp, survivorBytes, promotedBytes, c.survBytes[comp]); err != nil {
-		// Roll back aging and generation flags so the retry after a full
-		// collection observes consistent state.
-		for _, id := range promoted {
-			c.reg.Get(id).Gen = objmodel.Young
-		}
-		for _, id := range young {
-			if o := c.reg.Get(id); o.Live() {
-				o.Age--
-			}
-		}
-		c.spare[comp], c.promoted, c.dead = survivors, promoted, dead
 		return Pause{}, err
 	}
-	c.free(dead)
-	c.survBytes[comp] = survivorBytes
-	c.young[comp], c.spare[comp] = survivors, young[:0]
-	c.old = append(c.old, promoted...)
-	if c.onPromote != nil {
-		for _, id := range promoted {
-			c.onPromote(id)
+	survivors, kept := young[:0], int64(0)
+	for _, id := range young {
+		o := c.reg.Get(id)
+		if !o.Live() {
+			c.reg.Free(id)
+			continue
 		}
+		promote := c.promotes(o, kept, survivorCap)
+		o.Age++
+		if promote {
+			o.Gen = objmodel.Old
+			c.old = append(c.old, id)
+			if c.onPromote != nil {
+				c.onPromote(id)
+			}
+			continue
+		}
+		survivors = append(survivors, id)
+		kept += int64(o.Size)
 	}
-	c.promoted = promoted
+	c.young[comp] = survivors
+	c.survBytes[comp] = survivorBytes
 
 	copied := survivorBytes + promotedBytes
 	scanCost := sim.Time(scanned) * scanCostPerObject
@@ -439,10 +445,20 @@ func (c *Collector) CollectMinor(comp int, now sim.Time) (Pause, error) {
 	return pause, nil
 }
 
+// promotes reports whether live young object o, surviving a minor
+// collection that has kept survivorBytes in the survivor space so far,
+// is promoted: it reaches the tenuring threshold, or, as in HotSpot, it
+// would overflow the compartment's survivorCap whatever its age.
+func (c *Collector) promotes(o *objmodel.Object, survivorBytes, survivorCap int64) bool {
+	return int(o.Age)+1 >= int(c.cfg.TenuringThreshold) || survivorBytes+int64(o.Size) > survivorCap
+}
+
 // CollectFull runs a whole-heap mark-compact collection at virtual time
 // now. Live young objects are promoted (HotSpot's full collection empties
 // the young generation into old), dead objects of both generations are
-// reclaimed, and the old generation is compacted.
+// reclaimed, and the old generation is compacted. Like CollectMinor, it
+// decides everything in a first pass that writes nothing, and applies it
+// in a second once the heap has accepted the commit.
 func (c *Collector) CollectFull(now sim.Time) (Pause, error) {
 	c.notePeak()
 	var (
@@ -452,44 +468,55 @@ func (c *Collector) CollectFull(now sim.Time) (Pause, error) {
 		reclaimedObjs int64
 		reclaimedB    int64
 	)
-	dead := c.dead[:0]
-	newOld := c.old[:0]
 	for _, id := range c.old {
 		o := c.reg.Get(id)
 		if !o.Live() {
 			reclaimedObjs++
 			reclaimedB += int64(o.Size)
-			dead = append(dead, id)
 			continue
 		}
 		scanned++
 		liveOldBytes += int64(o.Size)
-		newOld = append(newOld, id)
 	}
-	c.old = newOld
-	for comp := range c.young {
-		for _, id := range c.young[comp] {
+	for _, young := range c.young {
+		for _, id := range young {
 			o := c.reg.Get(id)
 			if !o.Live() {
 				reclaimedObjs++
 				reclaimedB += int64(o.Size)
-				dead = append(dead, id)
 				continue
 			}
 			scanned++
-			o.Gen = objmodel.Old
-			o.Age = 0
-			c.old = append(c.old, id)
 			promotedBytes += int64(o.Size)
 			liveOldBytes += int64(o.Size)
 		}
-		c.young[comp] = c.young[comp][:0]
-		c.survBytes[comp] = 0
 	}
 	if err := c.heap.CommitFull(liveOldBytes); err != nil {
 		return Pause{}, err // genuine OutOfMemoryError
 	}
-	c.free(dead)
+	old := c.old[:0]
+	for _, id := range c.old {
+		if !c.reg.Get(id).Live() {
+			c.reg.Free(id)
+			continue
+		}
+		old = append(old, id)
+	}
+	for comp, young := range c.young {
+		for _, id := range young {
+			o := c.reg.Get(id)
+			if !o.Live() {
+				c.reg.Free(id)
+				continue
+			}
+			o.Gen = objmodel.Old
+			o.Age = 0
+			old = append(old, id)
+		}
+		c.young[comp] = young[:0]
+		c.survBytes[comp] = 0
+	}
+	c.old = old
 	markFixup := sim.Time(scanned) * scanCostPerObject * 2 // mark + fixup passes
 	compact := sim.Time(liveOldBytes/1024) * compactCostPerKB
 	phases := Breakdown{
@@ -510,15 +537,6 @@ func (c *Collector) CollectFull(now sim.Time) (Pause, error) {
 	}
 	c.record(pause)
 	return pause, nil
-}
-
-// free returns the slots of dead objects a committed collection dropped
-// to the registry and keeps the scratch for the next collection.
-func (c *Collector) free(dead []objmodel.ID) {
-	for _, id := range dead {
-		c.reg.Free(id)
-	}
-	c.dead = dead[:0]
 }
 
 func (c *Collector) record(p Pause) {

@@ -95,6 +95,19 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{free: noSlot} }
 
+// Reset empties the registry for a new run but keeps its record pages:
+// Alloc overwrites each reused record as it hands its slot out, and no
+// slot past the high-water mark is ever read.
+func (r *Registry) Reset() { *r = Registry{pages: r.pages, free: noSlot} }
+
+// Trim drops the record pages above the high-water mark, which a reset
+// registry would otherwise carry over from an earlier, larger run.
+func (r *Registry) Trim() {
+	used := (int(r.slots) + pageSize - 1) >> pageBits
+	clear(r.pages[used:])
+	r.pages = r.pages[:used]
+}
+
 // Alloc records a new young object of the given size from an allocation
 // site and returns its slot, the most recently freed one if any. It
 // advances the allocation clock by size. The birth clock is sampled after

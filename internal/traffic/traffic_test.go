@@ -2,8 +2,10 @@ package traffic
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
+	"strings"
 	"testing"
 
 	"javasim/internal/sim"
@@ -164,18 +166,30 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// registerRuns numbers TestRegister's runs in this process: the catalog
+// is process-global and a registration cannot be undone, so each run
+// (go test -count=N) registers a fresh name.
+var registerRuns int
+
 // TestRegister checks that a custom registration resolves through
-// NewProcess with the canonicalized config.
+// NewProcess with the canonicalized config, and that registering the
+// same name again is rejected.
 func TestRegister(t *testing.T) {
-	if err := Processes.Register("test-fixed", func(cfg Config) (Process, error) {
+	registerRuns++
+	name := fmt.Sprintf("test-fixed-%d", registerRuns)
+	factory := func(cfg Config) (Process, error) {
 		return fixedGap(sim.Time(1e9 / cfg.RatePerSec)), nil
-	}); err != nil {
+	}
+	if err := Processes.Register(name, factory); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	if err := (Config{Process: "test-fixed", RatePerSec: 1000}).Validate(); err != nil {
+	if err := Processes.Register(name, factory); err == nil || !strings.Contains(err.Error(), "already registered") {
+		t.Errorf("duplicate Register error = %v", err)
+	}
+	if err := (Config{Process: name, RatePerSec: 1000}).Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	p := mkProcess(t, "test-fixed", Config{Process: "test-fixed", RatePerSec: 1000})
+	p := mkProcess(t, name, Config{Process: name, RatePerSec: 1000})
 	if gap := p.Next(0, sim.NewRand(1)); gap != sim.Time(1e6) {
 		t.Fatalf("custom process gap = %v, want 1ms", gap)
 	}

@@ -50,12 +50,7 @@ func (v *vm) startNextIteration() {
 	// refer to objects dead after this, so the rings reset with them.
 	v.retireLive()
 	for _, m := range v.mutators {
-		for i := range m.allocRing {
-			m.allocRing[i] = m.allocRing[i][:0]
-		}
-		for i := range m.unitRing {
-			m.unitRing[i] = m.unitRing[i][:0]
-		}
+		m.deathRings.reset()
 	}
 
 	// Accumulate per-thread work before discarding the drained run.

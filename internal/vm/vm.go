@@ -317,11 +317,10 @@ type mutator struct {
 	reqArrival sim.Time
 	openWoken  bool
 
-	// Death scheduling. allocRing buckets objects dying after N more own
-	// allocations; unitRing buckets objects dying at future unit ends.
-	allocRing  [16][]objmodel.ID
+	// Death scheduling, counted in own allocations and in completed
+	// units; the rings are the run arena's (see deathRings).
+	*deathRings
 	allocCount int64
-	unitRing   [64][]objmodel.ID
 	unitCount  int64
 }
 
@@ -391,6 +390,10 @@ type vm struct {
 	// snap is the warm-start snapshot the run is replaying from; nil for
 	// cold runs. Iteration i attaches snap's i-th tape.
 	snap *Snapshot
+
+	// arena lends the run its registry pages, collector lists and death
+	// rings (see Arena).
+	arena *Arena
 
 	// traceSeq and traceThread map a registry slot to its object's
 	// allocation number and allocating thread; filled only with a
@@ -552,8 +555,12 @@ func runContext(ctx context.Context, spec workload.Spec, cfg Config, fuse bool, 
 		Compartments: cfg.Compartments,
 	})
 
-	reg := objmodel.NewRegistry()
+	arena := takeArena(ctx)
+	reg := &arena.reg
+	reg.Reset()
 	collector := gc.New(gcPolicy, cfg.GC, hp, reg)
+	collector.UseBuffers(arena.young, arena.old)
+	defer arena.handBack(collector)
 	if layout.HomeSockets != nil {
 		collector.SetCopyFactors(numaCopyFactors(mach, spanned, layout))
 	}
@@ -573,6 +580,7 @@ func runContext(ctx context.Context, spec workload.Spec, cfg Config, fuse bool, 
 		tlabSize:  hp.Config().TLABSize,
 		spanned:   spanned,
 		snap:      snap,
+		arena:     arena,
 	}
 	if layout.HomeSockets != nil {
 		v.compOf = numaCompartmentMap(mach, cfg.Threads, cfg.Cores, layout)
@@ -657,6 +665,7 @@ func (v *vm) setupPhases() {
 func (v *vm) setupMutators() {
 	open := v.openSt != nil
 	v.mutators = make([]*mutator, v.cfg.Threads)
+	rings := v.arena.mutatorRings(v.cfg.Threads)
 	v.unitsAccum = make([]int64, v.cfg.Threads)
 	for i := range v.mutators {
 		comp := i % v.heap.Compartments()
@@ -667,6 +676,7 @@ func (v *vm) setupMutators() {
 			idx:         i,
 			compartment: comp,
 			state:       stRunning,
+			deathRings:  &rings[i],
 		}
 		m.stepFn = func() { v.step(m) }
 		m.fetchFn = func() { v.fetchWork(m) }

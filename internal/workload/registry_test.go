@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -55,7 +56,14 @@ func TestRegistryPaperSet(t *testing.T) {
 	}
 }
 
+// registerRuns numbers TestRegisterValidatesAndRejectsDuplicates's runs
+// in this process: the catalog is process-global and a registration
+// cannot be undone, so each run (go test -count=N) registers a fresh
+// name.
+var registerRuns int
+
 func TestRegisterValidatesAndRejectsDuplicates(t *testing.T) {
+	registerRuns++
 	bad := XalanSpec()
 	bad.Name = "registry-test-invalid"
 	bad.TotalUnits = 0
@@ -66,11 +74,11 @@ func TestRegisterValidatesAndRejectsDuplicates(t *testing.T) {
 		t.Error("duplicate xalan registered")
 	}
 	custom := XalanSpec()
-	custom.Name = "registry-test-custom"
+	custom.Name = fmt.Sprintf("registry-test-custom-%d", registerRuns)
 	if err := Registry.Register(custom.Name, custom); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Registry.Get("registry-test-custom"); err != nil {
+	if _, err := Registry.Get(custom.Name); err != nil {
 		t.Error("registered workload not found")
 	}
 	if err := Registry.Register(custom.Name, custom); err == nil || !strings.Contains(err.Error(), "already registered") {
